@@ -1,0 +1,59 @@
+"""Golden replay: each bundled scenario's log and report are pinned across
+commits, not only between two runs in one process.
+
+The digests are sha256 of the log text exactly as ``write_event_log``
+writes it (``to_line() + "\\n"`` per record) and of ``report.to_json()``.
+They were recorded once and must never be regenerated to make a change
+pass: a mismatch means the simulator's behaviour changed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from tcassim import harness
+from tcassim import scenario as scen
+
+GOLDEN = {
+    "all_call_flood": (
+        "ae8835bab980436cb945123ff299b0a59e1d400bc6dcbb180a6f21d519331f92",
+        "63e84afc07b675aee120c69782c0736d34ffbfcbcc146881f3bdbfc5284f4ac7"),
+    "all_call_flood/control": (
+        "0e87db8b44ebda6ab30c461513393c1f683da0512731c94f976728e76a151678",
+        "e17303324701b75f52e838789187983d3638d582a07470b9efb3647c7ca06bd5"),
+    "benign_pair": (
+        "7bdcd812bdc62add2d356518aa134db2cf9d4f8af9a6e233159d208cd29764e9",
+        "ba5e047cd06df18a0bd9f2e05e13588f78b5da440d4d1891254d82d40451776c"),
+    "benign_pair/control": (
+        "7bdcd812bdc62add2d356518aa134db2cf9d4f8af9a6e233159d208cd29764e9",
+        "ba5e047cd06df18a0bd9f2e05e13588f78b5da440d4d1891254d82d40451776c"),
+    "head_on_phantom": (
+        "ca9e340a1448e8369172900158180eb7cc10bc7d9900194fc82276312c22f840",
+        "98b9f0fa7c58295ab03d2068256297025bfb11a5e899519019524c9e01d1770b"),
+    "head_on_phantom/control": (
+        "c787a5798e395698aeb65158d903f64a3a03a4a06817598324154713d48b86d6",
+        "89eb2a857b0b48e8443671582685a6f90a27177bb8f00c8c643b8c99c5a89f59"),
+    "squitter_flood": (
+        "ce3180109844f9b5deb5b017a42725baa1602cbfd429cefbd80287137f2c163e",
+        "5f4e33db397e2e5219bb6ba2886e49cf06c3f2311651ba04ada8c2dc10e04093"),
+    "squitter_flood/control": (
+        "dfc78b8f274892534f026c45dbcbf1b899e8482384d7460e1c8ade023dd7e71a",
+        "e4fcfd57ec8abd91066adce6397df50e8b76abc9ad30927f4102146d65d4fd8c"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("job", sorted(GOLDEN))
+def test_bundled_log_and_report_digests(job):
+    name, _, variant = job.partition("/")
+    scenario = scen.bundled_scenario(name)
+    if variant == "control":
+        scenario = scenario.without_attacker()
+    result = harness.simulate(scenario)
+    log_text = "".join(rec.to_line() + "\n" for rec in result.records)
+    assert (_sha256(log_text), _sha256(result.report.to_json())) == GOLDEN[job]
