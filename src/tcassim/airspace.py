@@ -75,10 +75,6 @@ def distance_nmi(a: AircraftState, b: AircraftState) -> float:
     return math.hypot(a.x_nmi - b.x_nmi, a.y_nmi - b.y_nmi, dz)
 
 
-def horizontal_distance_nmi(a: AircraftState, b: AircraftState) -> float:
-    return math.hypot(a.x_nmi - b.x_nmi, a.y_nmi - b.y_nmi)
-
-
 def propagation_delay_ns(dist_nmi: float) -> int:
     """Light flight time over a separation, rounded to the nearest ns."""
     if dist_nmi < 0:
@@ -202,49 +198,37 @@ class AwgnChannel(_Channel):
     def receive(self, world, frame, deliver_time_ns):
         sps = self.sps
         seed = SeedSequence([world.seed, world.next_noise_index()])
+        # phy functions are looked up per call so instrumentation that wraps
+        # them on the module sees every use
         if frame.direction == codec.DOWNLINK:
-            clean = phy.ppm_modulate(frame.bits(), sps)
-            period = phy.PPM_CHIP_NS / sps
-            pad = np.zeros(self.LEAD_PAD * sps)
-            samples = np.concatenate([pad, clean.samples, pad])
-            block = phy.SampleBlock(samples, sps,
-                                    deliver_time_ns - round(self.LEAD_PAD * sps * period))
-            noisy = phy.awgn(block, self.snr_db, seed)
-            detections = phy.ppm_frame_detect(noisy)
-        else:
-            clean = phy.dbpsk_modulate(frame.bits(), sps)
-            period = phy.DBPSK_CHIP_NS / sps
-            pad = np.zeros(self.LEAD_PAD * sps, dtype=complex)
-            samples = np.concatenate([pad, clean.samples, pad])
-            block = phy.SampleBlock(samples, sps,
-                                    deliver_time_ns - round(self.LEAD_PAD * sps * period))
-            noisy = phy.awgn(block, self.snr_db, seed)
-            detections = phy.dbpsk_frame_detect(noisy)
+            modulate, detect, chip_ns = phy.ppm_modulate, phy.ppm_frame_detect, phy.PPM_CHIP_NS
 
-        for det in detections:
+            def demodulate(block, offset):  # every bit that fits behind the preamble
+                fit = (block.samples.size - offset - phy.PPM_PREAMBLE.size * sps) // (2 * sps)
+                return phy.ppm_demodulate(block, offset, min(fit, phy.MAX_PAYLOAD_BITS))
+        else:
+            modulate, detect, chip_ns = phy.dbpsk_modulate, phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
+
+            def demodulate(block, offset):  # up to 112 bits after the sync reversal
+                return phy.dbpsk_demodulate(block, phy.sync_offset_of(offset, sps))
+
+        clean = modulate(frame.bits(), sps)
+        period = chip_ns / sps
+        pad = np.zeros(self.LEAD_PAD * sps, dtype=clean.samples.dtype)
+        samples = np.concatenate([pad, clean.samples, pad])
+        block = phy.SampleBlock(samples, sps, deliver_time_ns - round(self.LEAD_PAD * sps * period))
+        noisy = phy.awgn(block, self.snr_db, seed)
+        # bits are decided one by one, so cutting to the header's length
+        # equals demodulating exactly that many bits
+        for det in detect(noisy):
             try:
-                if frame.direction == codec.DOWNLINK:
-                    bits = None
-                    for nbits in (codec.LONG_FRAME_BITS, codec.SHORT_FRAME_BITS):
-                        try:
-                            cand = phy.ppm_demodulate(noisy, det.offset, nbits)
-                        except phy.PhyError:
-                            continue
-                        need = _header_length(cand, frame.direction)
-                        if need == nbits:
-                            bits = cand
-                            break
-                    if bits is None:
-                        continue
-                else:
-                    raw = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset, sps))
-                    need = _header_length(raw, frame.direction)
-                    if need is None or raw.size < need:
-                        continue
-                    bits = raw[:need]
+                bits = demodulate(noisy, det.offset)
             except phy.PhyError:
                 continue
-            rx_frame = codec.ModeSFrame.from_bits(bits.tolist(), frame.direction)
+            need = _header_length(bits, frame.direction)
+            if need is None or bits.size < need:
+                continue
+            rx_frame = codec.ModeSFrame.from_bits(bits[:need].tolist(), frame.direction)
             return rx_frame, det.timestamp_ns, "ok"
         return None, deliver_time_ns, "phy_drop"
 

@@ -39,6 +39,7 @@ from .airspace import (
     distance_nmi,
     propagation_delay_ns,
 )
+from .tcas import TAU_TA_S, rtt_to_range_nmi
 
 PHASES = ("recon", "baiting", "tracking", "threat_declared", "done")
 
@@ -50,8 +51,6 @@ PERIOD_WINDOW = 5
 PERIOD_JITTER_NS = 1_000  # spread beyond this means the cadence is not stable
 INTEL_INTERVAL_NS = NS_PER_S // 4
 INTEL_WINDOW = 8
-
-_TA_TAU_S = 48.0  # declare once the scripted geometry crosses the advisory gate
 
 
 class InfeasibleReply(SimError):
@@ -306,8 +305,7 @@ class Attacker:
             if decoded.parity.recovered_address != self.target_icao:
                 return "observed"
             if self.phase == "recon" and self._recon_pending_ns is not None:
-                rtt = rx_time_ns - self._recon_pending_ns
-                rng = (rtt - TURNAROUND_NS) / 2 / NS_PER_S * SPEED_OF_LIGHT_M_S / METERS_PER_NMI
+                rng = rtt_to_range_nmi(rx_time_ns - self._recon_pending_ns)
                 self._recon_pending_ns = None
                 self._enter(world, "baiting",
                             note=f"recon;range={rng:.3f};alt={decoded.altitude_ft}")
@@ -363,7 +361,8 @@ class Attacker:
         period = self.surveillance_period_ns(world)
 
         desired = self._desired_range_nmi(est_tx)
-        if desired <= self.plan.closure_kt * _TA_TAU_S / 3600.0:
+        # declare once the scripted geometry crosses the traffic-advisory gate
+        if desired <= self.plan.closure_kt * TAU_TA_S / 3600.0:
             self._enter(world, "threat_declared")
 
         covered = (self._predicted_for_ns is not None and period is not None

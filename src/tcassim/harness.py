@@ -31,8 +31,8 @@ from .airspace import (
     NoiselessChannel,
     World,
 )
-from .attacker import MISSION_PHANTOM, PHASES, PhantomPlan
-from .scenario import Scenario, build_world
+from .attacker import MISSION_PHANTOM, PhantomPlan
+from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
 
 LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed it
@@ -90,22 +90,8 @@ class MetricsReport:
     def succeeded(self) -> bool:
         return all(self.success.values())
 
-    def packet_loss(self, link: str) -> float:
-        stats = self.links[link]
-        return stats["lost"] / stats["attempts"]
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
-
-
-SUCCESS_CHECKS = {
-    "nmac_occurred": lambda r: r.nmac_occurred,
-    "no_nmac": lambda r: not r.nmac_occurred,
-    "no_advisories": lambda r: not r.advisories,
-    "phases_complete": lambda r: [p for _, p in r.attack_phases] == list(PHASES),
-    "track_evicted": lambda r: any(e[3] == "track_drop;evicted" for e in r.track_events),
-    "flood_complete": lambda r: any(n[1] == "flood_complete" for n in r.attack_notes),
-}
 
 
 def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsReport:
@@ -154,7 +140,7 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
     report.nmac_occurred = bool(report.nmac_windows)
     _fill_plan_errors(report, scenario)
     for name in scenario.success:
-        report.success[name] = SUCCESS_CHECKS[name](report)
+        report.success[name] = SUCCESS_PREDICATES[name](report)
     return report
 
 

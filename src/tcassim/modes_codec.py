@@ -64,28 +64,24 @@ RAC_CONTRADICTORY = 3
 ALTITUDE_STEP_FT = 25
 ALTITUDE_MAX_FT = ((1 << 13) - 1) * ALTITUDE_STEP_FT
 
-# Payload layouts: (field name, width) between the format code and the AP
-# tail.  Widths sum to 27 for short frames and 83 for long ones.
-_UPLINK_FIELDS = {
-    UF_SURVEILLANCE_SHORT: (("spare", 27),),
-    UF_ALL_CALL: (("spare", 27),),
-    UF_SURVEILLANCE_LONG: (("rac", 4), ("ra_active", 1), ("sender", 24), ("spare", 54)),
+# Payload layouts per (direction, format code): (field name, width) between
+# the format code and the AP tail.  Widths sum to 27 for short frames and 83
+# for long ones; this table is the only place a frame's length is decided.
+_FIELDS = {
+    (UPLINK, UF_SURVEILLANCE_SHORT): (("spare", 27),),
+    (UPLINK, UF_ALL_CALL): (("spare", 27),),
+    (UPLINK, UF_SURVEILLANCE_LONG): (("rac", 4), ("ra_active", 1), ("sender", 24), ("spare", 54)),
+    (DOWNLINK, DF_SURVEILLANCE_SHORT): (("altitude_code", 13), ("spare", 14)),
+    (DOWNLINK, DF_ALL_CALL_REPLY): (("icao", 24), ("spare", 3)),
+    (DOWNLINK, DF_EXTENDED_SQUITTER): (("icao", 24), ("altitude_code", 13), ("spare", 46)),
+    (DOWNLINK, DF_SURVEILLANCE_LONG): (("altitude_code", 13), ("rac", 4), ("ra_active", 1), ("spare", 65)),
 }
-_DOWNLINK_FIELDS = {
-    DF_SURVEILLANCE_SHORT: (("altitude_code", 13), ("spare", 14)),
-    DF_ALL_CALL_REPLY: (("icao", 24), ("spare", 3)),
-    DF_EXTENDED_SQUITTER: (("icao", 24), ("altitude_code", 13), ("spare", 46)),
-    DF_SURVEILLANCE_LONG: (("altitude_code", 13), ("rac", 4), ("ra_active", 1), ("spare", 65)),
-}
+_FRAME_BITS = {key: 5 + sum(width for _, width in layout) + AP_BITS
+               for key, layout in _FIELDS.items()}
 
 # Broadcast downlink formats validated against a zero overlay; everything
 # else is sealed with a specific 24-bit address.
 PLAIN_ADDRESS_FORMATS = {DF_ALL_CALL_REPLY, DF_EXTENDED_SQUITTER}
-
-_LONG_FORMAT_CODES = {
-    UPLINK: {UF_SURVEILLANCE_LONG},
-    DOWNLINK: {DF_SURVEILLANCE_LONG, DF_EXTENDED_SQUITTER},
-}
 
 _INTERROGATION_KINDS = {
     "all_call": UF_ALL_CALL,
@@ -98,6 +94,9 @@ _REPLY_KINDS = {
     "surveillance_long": DF_SURVEILLANCE_LONG,
     "extended_squitter": DF_EXTENDED_SQUITTER,
 }
+_KIND_BY_CODE = {(direction, code): kind
+                 for direction, kinds in ((UPLINK, _INTERROGATION_KINDS), (DOWNLINK, _REPLY_KINDS))
+                 for kind, code in kinds.items()}
 
 
 class CodecError(ValueError):
@@ -241,27 +240,19 @@ def decode_altitude(code: int) -> int:
     return code * ALTITUDE_STEP_FT
 
 
-def _fields_for(direction: str, format_code: int):
-    table = _UPLINK_FIELDS if direction == UPLINK else _DOWNLINK_FIELDS
-    return table.get(format_code)
-
-
 def frame_bit_length(direction: str, format_code: int) -> int | None:
     """Frame length implied by a decoded 5-bit header; None if unsupported.
 
     Receivers decode the header first and truncate the demodulated stream
     to this length.
     """
-    if _fields_for(direction, format_code) is None:
-        return None
-    return LONG_FRAME_BITS if format_code in _LONG_FORMAT_CODES[direction] else SHORT_FRAME_BITS
+    return _FRAME_BITS.get((direction, format_code))
 
 
 def _pack(direction: str, format_code: int, values: dict[str, int]) -> ModeSFrame:
-    layout = _fields_for(direction, format_code)
+    layout = _FIELDS.get((direction, format_code))
     if layout is None:
         raise CodecError(f"unsupported {direction} format {format_code}")
-    nbits = LONG_FRAME_BITS if format_code in _LONG_FORMAT_CODES[direction] else SHORT_FRAME_BITS
     word = format_code
     used = dict(values)
     for name, width in layout:
@@ -272,7 +263,7 @@ def _pack(direction: str, format_code: int, values: dict[str, int]) -> ModeSFram
     if used:
         raise CodecError(f"unknown fields for format {format_code}: {sorted(used)}")
     word <<= AP_BITS  # AP filled by seal_frame
-    return ModeSFrame(direction, nbits, word)
+    return ModeSFrame(direction, frame_bit_length(direction, format_code), word)
 
 
 def seal_frame(frame: ModeSFrame, address: int) -> ModeSFrame:
@@ -368,17 +359,6 @@ class DecodedFrame:
         return None if code is None else decode_altitude(code)
 
 
-_KIND_BY_CODE = {
-    (UPLINK, UF_SURVEILLANCE_SHORT): "surveillance_short",
-    (UPLINK, UF_ALL_CALL): "all_call",
-    (UPLINK, UF_SURVEILLANCE_LONG): "surveillance_long",
-    (DOWNLINK, DF_SURVEILLANCE_SHORT): "surveillance_short",
-    (DOWNLINK, DF_ALL_CALL_REPLY): "all_call",
-    (DOWNLINK, DF_EXTENDED_SQUITTER): "extended_squitter",
-    (DOWNLINK, DF_SURVEILLANCE_LONG): "surveillance_long",
-}
-
-
 def parse_frame(frame: ModeSFrame | Iterable[int], direction: str | None = None,
                 expected_address: int | None = None) -> DecodedFrame:
     """Decode a frame: header first, then fields, then parity.
@@ -393,17 +373,13 @@ def parse_frame(frame: ModeSFrame | Iterable[int], direction: str | None = None,
             raise CodecError("raw bits need an explicit direction")
         frame = ModeSFrame.from_bits(frame, direction)
     code = frame.format_code
-    kind = _KIND_BY_CODE.get((frame.direction, code))
-    layout = _fields_for(frame.direction, code)
-    expected_len = None
-    if kind is not None:
-        expected_len = LONG_FRAME_BITS if code in _LONG_FORMAT_CODES[frame.direction] else SHORT_FRAME_BITS
-    if kind is None or expected_len != frame.nbits:
+    if frame_bit_length(frame.direction, code) != frame.nbits:
         return DecodedFrame(frame, code, "unknown", {}, None)
 
     fields: dict[str, int] = {}
     shift = frame.body_nbits - 5
-    for name, width in layout:
+    key = (frame.direction, code)
+    for name, width in _FIELDS[key]:
         shift -= width
         fields[name] = (frame.body_word >> shift) & ((1 << width) - 1)
     fields.pop("spare", None)
@@ -414,4 +390,4 @@ def parse_frame(frame: ModeSFrame | Iterable[int], direction: str | None = None,
         parity = verify_frame(frame, 0)
     else:
         parity = verify_frame(frame, expected_address)
-    return DecodedFrame(frame, code, kind, fields, parity)
+    return DecodedFrame(frame, code, _KIND_BY_CODE[key], fields, parity)

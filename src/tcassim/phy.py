@@ -18,7 +18,6 @@ correlation against the known preamble with a 0.75 decision threshold.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +38,7 @@ DBPSK_SLICE_CHIPS = 120
 
 
 class PhyError(ValueError):
-    """Insufficient samples, bad sps, or malformed sample-block file."""
+    """Insufficient samples or bad sps."""
 
 
 @dataclass(frozen=True)
@@ -221,62 +220,3 @@ def awgn(block: SampleBlock, snr_db: float, seed) -> SampleBlock:
     else:
         noise = rng.normal(0.0, math.sqrt(power), x.size)
     return replace(block, samples=x + noise)
-
-
-def packet_loss(sent: int, received_valid: int) -> float:
-    """Fraction of sent frames that never produced a parity-clean reception."""
-    if sent <= 0:
-        raise PhyError("loss needs at least one sent frame")
-    if not 0 <= received_valid <= sent:
-        raise PhyError("received count outside [0, sent]")
-    return (sent - received_valid) / sent
-
-
-_MAGIC_REAL = b"SBR1"
-_MAGIC_COMPLEX = b"SBC1"
-
-
-def sample_block_to_bytes(block: SampleBlock) -> bytes:
-    """16-byte header (magic, sps, count) then 32-bit little-endian floats.
-
-    Complex samples interleave I and Q.  The start timestamp is transport
-    metadata and is not persisted.
-    """
-    x = block.samples
-    if np.iscomplexobj(x):
-        magic = _MAGIC_COMPLEX
-        flat = np.empty(2 * x.size, dtype="<f4")
-        flat[0::2] = x.real
-        flat[1::2] = x.imag
-    else:
-        magic = _MAGIC_REAL
-        flat = np.asarray(x, dtype="<f4")
-    header = struct.pack("<4sIQ", magic, block.samples_per_symbol, x.size)
-    return header + flat.tobytes()
-
-
-def sample_block_from_bytes(raw: bytes) -> SampleBlock:
-    if len(raw) < 16:
-        raise PhyError("sample block shorter than its 16-byte header")
-    magic, sps, count = struct.unpack("<4sIQ", raw[:16])
-    if magic not in (_MAGIC_REAL, _MAGIC_COMPLEX):
-        raise PhyError(f"bad magic {magic!r}")
-    n_floats = count * (2 if magic == _MAGIC_COMPLEX else 1)
-    body = np.frombuffer(raw[16:], dtype="<f4")
-    if body.size != n_floats:
-        raise PhyError(f"expected {n_floats} floats, found {body.size}")
-    if magic == _MAGIC_COMPLEX:
-        samples = body[0::2].astype(np.float64) + 1j * body[1::2].astype(np.float64)
-    else:
-        samples = body.astype(np.float64)
-    return SampleBlock(samples, sps, 0)
-
-
-def write_sample_block(path, block: SampleBlock) -> None:
-    with open(path, "wb") as fh:
-        fh.write(sample_block_to_bytes(block))
-
-
-def read_sample_block(path) -> SampleBlock:
-    with open(path, "rb") as fh:
-        return sample_block_from_bytes(fh.read())

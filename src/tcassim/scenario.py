@@ -8,6 +8,7 @@ fields are errors, and every error message names the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -26,10 +27,19 @@ from .attacker import (
     MISSION_ALL_CALL_FLOOD,
     MISSION_PHANTOM,
     MISSION_SQUITTER_FLOOD,
+    PHASES,
     Attacker,
     PhantomPlan,
 )
-from .tcas import MODE_STANDBY, MODE_TA_ONLY, MODE_TA_RA, MODE_XPDR, Aircraft, PilotModel
+from .tcas import (
+    MODE_STANDBY,
+    MODE_TA_ONLY,
+    MODE_TA_RA,
+    MODE_XPDR,
+    Aircraft,
+    PilotModel,
+    surveillance_interval_ns,
+)
 
 SCHEMA_VERSION = 1
 
@@ -40,9 +50,15 @@ START_STAGGER_NS = 37_000_000
 _MODES = (MODE_STANDBY, MODE_XPDR, MODE_TA_ONLY, MODE_TA_RA)
 _MISSIONS = (MISSION_PHANTOM, MISSION_ALL_CALL_FLOOD, MISSION_SQUITTER_FLOOD)
 
-SUCCESS_PREDICATES = frozenset({
-    "nmac_occurred", "no_nmac", "no_advisories", "phases_complete",
-    "track_evicted", "flood_complete"})
+# Success predicate name -> its verdict on a metrics report.
+SUCCESS_PREDICATES = {
+    "nmac_occurred": lambda r: r.nmac_occurred,
+    "no_nmac": lambda r: not r.nmac_occurred,
+    "no_advisories": lambda r: not r.advisories,
+    "phases_complete": lambda r: [p for _, p in r.attack_phases] == list(PHASES),
+    "track_evicted": lambda r: any(e[3] == "track_drop;evicted" for e in r.track_events),
+    "flood_complete": lambda r: any(n[1] == "flood_complete" for n in r.attack_notes),
+}
 
 
 class ScenarioError(ValueError):
@@ -67,7 +83,13 @@ def _number(where: str, obj: dict, key: str, default=None, *, required: bool = F
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: field {key!r} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: field {key!r} must be finite")
+    return value
 
 
 def _string(where: str, obj: dict, key: str, default=None, *, required: bool = False):
@@ -90,6 +112,14 @@ def _icao(where: str, text: str) -> int:
         return codec.validate_icao(value)
     except codec.CodecError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _check_altitude(where: str, altitude_ft: float) -> None:
+    """Altitudes that frames will carry must fit the codec's altitude field."""
+    try:
+        codec.encode_altitude(altitude_ft)
+    except codec.CodecError as exc:
+        raise ScenarioError(f"{where}: field 'altitude_ft': {exc}") from None
 
 
 def _state(where: str, position: dict, velocity: dict | None) -> AircraftState:
@@ -212,8 +242,10 @@ def _parse(doc: dict) -> Scenario:
     if duration_s <= 0:
         raise ScenarioError("scenario: duration_s must be positive")
     period_s = _number("scenario", doc, "surveillance_period_s", 1.0)
-    if period_s <= 0:
-        raise ScenarioError("scenario: surveillance_period_s must be positive")
+    try:
+        surveillance_interval_ns(period_s)
+    except SimError as exc:
+        raise ScenarioError(f"scenario: field 'surveillance_period_s': {exc}") from None
 
     channel = _parse_channel(doc.get("channel", {"kind": "noiseless"}))
     if "seed" in doc and (isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int)):
@@ -244,7 +276,7 @@ def _parse(doc: dict) -> Scenario:
     if not isinstance(success, list):
         raise ScenarioError("scenario: field 'success' must be a list")
     for pred in success:
-        if pred not in SUCCESS_PREDICATES:
+        if not isinstance(pred, str) or pred not in SUCCESS_PREDICATES:
             raise ScenarioError(
                 f"scenario: unknown success predicate {pred!r}; "
                 f"have {', '.join(sorted(SUCCESS_PREDICATES))}")
@@ -280,12 +312,17 @@ def _parse_aircraft(where: str, obj: dict) -> AircraftSpec:
     if "position" not in obj:
         raise ScenarioError(f"{where}: missing field 'position'")
     state = _state(where, obj["position"], obj.get("velocity"))
+    _check_altitude(f"{where}.position", state.altitude_ft)
     pilot = PilotModel()
     if "pilot" in obj:
         _check_keys(f"{where}.pilot", obj["pilot"], {"delay_s", "rate_fpm"})
         pilot = PilotModel(
             _number(f"{where}.pilot", obj["pilot"], "delay_s", PilotModel.delay_s),
             _number(f"{where}.pilot", obj["pilot"], "rate_fpm", PilotModel.rate_fpm))
+        if pilot.delay_s < 0:
+            raise ScenarioError(f"{where}.pilot: field 'delay_s' must not be negative")
+        if pilot.rate_fpm <= 0:
+            raise ScenarioError(f"{where}.pilot: field 'rate_fpm' must be positive")
     return AircraftSpec(name, icao, state, mode, squitter, pilot)
 
 
@@ -320,6 +357,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
             _number(f"{where}.plan", p, "closure_kt", PhantomPlan.closure_kt),
             _number(f"{where}.plan", p, "floor_nmi", PhantomPlan.floor_nmi),
             _number(f"{where}.plan", p, "altitude_ft", PhantomPlan.altitude_ft))
+        _check_altitude(f"{where}.plan", plan.altitude_ft)
 
     flood = FloodSpec()
     if "flood" in obj:
@@ -336,8 +374,11 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
             base = _icao(f"{where}.flood", _string(f"{where}.flood", f, "address_base"))
         flood = FloodSpec(rate, duration, base)
 
+    jam_docs = obj.get("jam", [])
+    if not isinstance(jam_docs, list):
+        raise ScenarioError(f"{where}: field 'jam' must be a list")
     jams = []
-    for i, j in enumerate(obj.get("jam", [])):
+    for i, j in enumerate(jam_docs):
         jam_where = f"{where}.jam[{i}]"
         _check_keys(jam_where, j, {"target", "start_s", "end_s"})
         target_icao = _icao(jam_where, _string(jam_where, j, "target", required=True))
@@ -347,8 +388,10 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
             raise ScenarioError(f"{jam_where}: window must satisfy 0 <= start_s < end_s")
         jams.append(JamSpec(target_icao, start_s, end_s))
 
-    return AttackerSpec(name, mission, position, target, plan,
-                        _number(where, obj, "bait_timeout_s", 20.0),
+    bait_timeout_s = _number(where, obj, "bait_timeout_s", 20.0)
+    if bait_timeout_s < 0:
+        raise ScenarioError(f"{where}: field 'bait_timeout_s' must not be negative")
+    return AttackerSpec(name, mission, position, target, plan, bait_timeout_s,
                         flood, tuple(jams))
 
 

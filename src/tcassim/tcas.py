@@ -63,6 +63,15 @@ def rtt_to_range_nmi(rtt_ns: int) -> float:
     return one_way_s * SPEED_OF_LIGHT_M_S / METERS_PER_NMI
 
 
+def surveillance_interval_ns(period_s: float) -> int:
+    """Tick spacing of a surveillance period; it must round to at least
+    1 ns, or the tick would re-arm at the same instant forever."""
+    interval = round(period_s * NS_PER_S)
+    if interval <= 0:
+        raise SimError(f"surveillance period must be at least 1 ns, got {period_s} s")
+    return interval
+
+
 def range_rate_kt(r0_nmi: float, t0_ns: int, r1_nmi: float, t1_ns: int) -> float:
     if t1_ns <= t0_ns:
         raise SimError("range samples out of order")
@@ -92,8 +101,6 @@ class Track:
     altitude_ft: float | None = None
     range_nmi: float | None = None
     range_time_ns: int | None = None
-    prev_range_nmi: float | None = None
-    prev_range_time_ns: int | None = None
     rate_kt: float | None = None
     miss_count: int = 0
     received_rac: int = codec.RAC_NONE
@@ -259,8 +266,6 @@ class TcasUnit:
         now = world.time_ns
         rng = rtt_to_range_nmi(rtt_ns)
         if track.range_time_ns is not None:
-            track.prev_range_nmi = track.range_nmi
-            track.prev_range_time_ns = track.range_time_ns
             track.rate_kt = range_rate_kt(track.range_nmi, track.range_time_ns, rng, now)
         track.range_nmi = rng
         track.range_time_ns = now
@@ -339,14 +344,12 @@ class Aircraft:
         codec.validate_icao(icao)
         if mode not in (MODE_STANDBY, MODE_XPDR, MODE_TA_ONLY, MODE_TA_RA):
             raise SimError(f"unknown equipment mode {mode!r}")
-        if surveillance_period_s <= 0:
-            raise SimError("surveillance period must be positive")
         self.name = name
         self.icao = icao
         self.mode = mode
         self.pilot = pilot or PilotModel()
         self.squitter = squitter
-        self.surveillance_interval_ns = round(surveillance_period_s * NS_PER_S)
+        self.surveillance_interval_ns = surveillance_interval_ns(surveillance_period_s)
         self._state0 = state
         self._t0_ns = 0
         self.tcas = TcasUnit(self) if mode in (MODE_TA_ONLY, MODE_TA_RA) else None
@@ -469,13 +472,6 @@ class Aircraft:
 
 NMAC_DZ_FT = 100.0
 NMAC_DXY_FT = 500.0
-
-
-def nmac_at(a: AircraftState, b: AircraftState) -> bool:
-    """Instantaneous near-mid-air test, both gates inclusive."""
-    dz = abs(a.altitude_ft - b.altitude_ft)
-    dxy_ft = math.hypot(a.x_nmi - b.x_nmi, a.y_nmi - b.y_nmi) * FEET_PER_NMI
-    return dz <= NMAC_DZ_FT and dxy_ft <= NMAC_DXY_FT
 
 
 def _quadratic_interval(a: float, b: float, c: float,

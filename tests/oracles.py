@@ -7,6 +7,7 @@ package under test.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 # 25-bit generator polynomial, MSB (x^24) explicit.
@@ -59,6 +60,14 @@ def finite_difference_rate_kt(r0_nmi, r1_nmi, dt_s) -> Fraction:
 def tau_s(range_nmi, closing_kt) -> Fraction:
     """Range over closing speed, in seconds; caller guards closing_kt > 0."""
     return Fraction(range_nmi) / Fraction(closing_kt) * 3600
+
+
+def nmac_at(a, b) -> bool:
+    """Instantaneous near-mid-air test on two states, both gates inclusive:
+    within 100 ft vertically and 500 ft horizontally."""
+    dz = abs(a.altitude_ft - b.altitude_ft)
+    dxy_ft = math.hypot(a.x_nmi - b.x_nmi, a.y_nmi - b.y_nmi) * float(FEET_PER_NMI)
+    return dz <= 100 and dxy_ft <= 500
 
 
 def fault_tree_components(vna, vmir, rnf, tna, ti) -> tuple[Fraction, Fraction]:

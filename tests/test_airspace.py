@@ -55,7 +55,6 @@ class TestKinematics:
         a = _state(0.0, 0.0, 0.0)
         b = _state(3.0, 0.0, 4.0 * airspace.FEET_PER_NMI)
         assert airspace.distance_nmi(a, b) == pytest.approx(5.0)
-        assert airspace.horizontal_distance_nmi(a, b) == pytest.approx(3.0)
 
     def test_state_rejects_non_finite(self):
         with pytest.raises(airspace.SimError):

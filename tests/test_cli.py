@@ -59,6 +59,16 @@ class TestSimulate:
         assert code == 0
         assert json.loads(metrics.read_text())["seed"] == 77
 
+    @pytest.mark.parametrize("field,value", [
+        ("success", [[1]]), ("duration_s", 10 ** 400), ("surveillance_period_s", 1e-12)],
+        ids=["success", "duration_s", "surveillance_period_s"])
+    def test_malformed_document_is_usage_error(self, capsys, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**NOISY_DOC, field: value}))
+        code, _, err = run(capsys, "simulate", str(path))
+        assert code == 2
+        assert err.startswith("error:") and field in err
+
     def test_unknown_reference(self, capsys):
         code, _, err = run(capsys, "simulate", "no_such_scenario")
         assert code == 2

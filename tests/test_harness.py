@@ -180,7 +180,3 @@ class TestFtaReport:
         with pytest.raises(fta.FtaError):
             harness.fta_report({"overrides": {"zz": 0.5}})
 
-
-class TestSuccessRegistry:
-    def test_registry_matches_scenario_vocabulary(self):
-        assert set(harness.SUCCESS_CHECKS) == set(scen.SUCCESS_PREDICATES)

@@ -1,11 +1,9 @@
 """Waveform tests: modem round trips at every sps, preamble structure,
-detection behavior, noise statistics, and the serialized block format."""
+detection behavior, and noise statistics."""
 
 from __future__ import annotations
 
-import io
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -209,46 +207,6 @@ def test_dbpsk_ber_at_20db_below_1e_minus_3():
         total += 112
     assert total >= 100_000
     assert errors / total < 1e-3
-
-
-def test_packet_loss_fraction():
-    assert phy.packet_loss(600, 600) == 0.0
-    assert phy.packet_loss(600, 0) == 1.0
-    assert phy.packet_loss(10, 4) == pytest.approx(0.6)
-    with pytest.raises(phy.PhyError):
-        phy.packet_loss(0, 0)
-    with pytest.raises(phy.PhyError):
-        phy.packet_loss(5, 6)
-
-
-@pytest.mark.parametrize("make,comp", [
-    (lambda rng: phy.ppm_modulate(rng.integers(0, 2, 56), 4), False),
-    (lambda rng: phy.dbpsk_modulate(rng.integers(0, 2, 112), 2), True),
-])
-def test_sample_block_file_round_trip(tmp_path, make, comp):
-    rng = np.random.default_rng(11)
-    blk = make(rng)
-    noisy = phy.awgn(blk, 18.0, 1)  # non-trivial float content
-    path = tmp_path / "block.bin"
-    phy.write_sample_block(path, noisy)
-    back = phy.read_sample_block(path)
-    assert back.samples_per_symbol == noisy.samples_per_symbol
-    assert np.iscomplexobj(back.samples) == comp
-    assert np.allclose(back.samples, noisy.samples, atol=1e-6)  # float32 transport
-    raw = path.read_bytes()
-    magic, sps, count = struct.unpack("<4sIQ", raw[:16])
-    assert magic in (b"SBR1", b"SBC1") and sps == noisy.samples_per_symbol
-    assert count == noisy.samples.size
-
-
-def test_sample_block_file_errors():
-    with pytest.raises(phy.PhyError):
-        phy.sample_block_from_bytes(b"short")
-    good = phy.sample_block_to_bytes(phy.ppm_modulate(np.zeros(56, dtype=np.uint8), 1))
-    with pytest.raises(phy.PhyError):
-        phy.sample_block_from_bytes(b"XXXX" + good[4:])
-    with pytest.raises(phy.PhyError):
-        phy.sample_block_from_bytes(good[:-4])  # truncated float payload
 
 
 def test_sps_validation():

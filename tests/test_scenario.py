@@ -13,6 +13,10 @@ from tcassim.scenario import ScenarioError
 from tcassim.tcas import Aircraft
 
 
+PHANTOM = {"name": "g", "mission": "phantom", "target": "ABC123",
+           "position": {"x_nmi": 1.0, "y_nmi": 0.0, "altitude_ft": 0.0}}
+
+
 def minimal_doc(**extra) -> dict:
     doc = {
         "schema_version": 1,
@@ -82,6 +86,18 @@ class TestValidation:
         (lambda d: d["aircraft"][0].pop("position"), "position"),
         (lambda d: d["aircraft"][0]["position"].pop("x_nmi"), "x_nmi"),
         (lambda d: d["aircraft"][0]["position"].update(tilt=3), "tilt"),
+        (lambda d: d.update(attacker={**PHANTOM, "jam": 5}), "jam"),
+        (lambda d: d.update(success=[[1]]), "success"),
+        (lambda d: d.update(duration_s=float("inf")), "duration_s"),
+        (lambda d: d.update(duration_s=float("nan")), "duration_s"),
+        (lambda d: d.update(duration_s=10 ** 400), "duration_s"),
+        (lambda d: d.update(seed=1, channel={"kind": "awgn", "snr_db": float("nan")}), "snr_db"),
+        (lambda d: d["aircraft"][0].update(pilot={"delay_s": -1}), "delay_s"),
+        (lambda d: d["aircraft"][0].update(pilot={"rate_fpm": 0}), "rate_fpm"),
+        (lambda d: d["aircraft"][0]["position"].update(altitude_ft=-100), "altitude_ft"),
+        (lambda d: d.update(attacker={**PHANTOM, "plan": {"altitude_ft": -100}}), "altitude_ft"),
+        (lambda d: d.update(attacker={**PHANTOM, "bait_timeout_s": -1}), "bait_timeout_s"),
+        (lambda d: d.update(surveillance_period_s=1e-12), "surveillance_period_s"),
     ])
     def test_error_names_the_field(self, mutate, needle):
         doc = minimal_doc()
@@ -104,9 +120,7 @@ class TestValidation:
             scen.load_scenario(doc)
 
     def test_attacker_validation(self):
-        base = {"name": "g", "mission": "phantom", "target": "ABC123",
-                "position": {"x_nmi": 1.0, "y_nmi": 0.0, "altitude_ft": 0.0}}
-        scen.load_scenario(minimal_doc(attacker=base))  # sane baseline
+        scen.load_scenario(minimal_doc(attacker=PHANTOM))  # sane baseline
 
         for mutate, needle in [
             (lambda a: a.update(mission="lasers"), "lasers"),
@@ -117,7 +131,7 @@ class TestValidation:
             (lambda a: a.update(jam=[{"target": "ABC123", "start_s": 5, "end_s": 1}]), "start_s"),
             (lambda a: a.update(jam=[{"target": "ABC123", "start_s": 0, "window": 1}]), "window"),
         ]:
-            atk = {**base, "jam": []}
+            atk = {**PHANTOM, "jam": []}
             mutate(atk)
             with pytest.raises(ScenarioError, match=needle):
                 scen.load_scenario(minimal_doc(attacker=atk))

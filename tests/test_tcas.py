@@ -366,13 +366,15 @@ class TestPilot:
 
 class TestNmacGeometry:
     def test_instantaneous_test_is_inclusive(self):
+        # stationary pairs: the window is the whole run or nothing
+        t_end = 20 * airspace.NS_PER_S
         a = airspace.AircraftState(0.0, 0.0, 10_000.0)
         b = airspace.AircraftState(500.0 / airspace.FEET_PER_NMI, 0.0, 10_100.0)
-        assert tcas.nmac_at(a, b)
+        assert tcas.nmac_intervals([(0, a)], [(0, b)], t_end) == [(0, t_end)]
         c = airspace.AircraftState(501.0 / airspace.FEET_PER_NMI, 0.0, 10_000.0)
-        assert not tcas.nmac_at(a, c)
+        assert tcas.nmac_intervals([(0, a)], [(0, c)], t_end) == []
         d = airspace.AircraftState(0.0, 0.0, 10_101.0)
-        assert not tcas.nmac_at(a, d)
+        assert tcas.nmac_intervals([(0, a)], [(0, d)], t_end) == []
 
     def test_head_on_crossing_window(self):
         segs_a = [(0, airspace.AircraftState(-1.0, 0.0, 10_000.0, vx_kt=600.0))]
@@ -442,4 +444,4 @@ class TestNmacGeometry:
                 t = k * 20_000_000 + 7_777
                 sa = airspace.step_kinematics(a, t / 1e9)
                 sb = airspace.step_kinematics(b, t / 1e9)
-                assert tcas.nmac_at(sa, sb) == inside(t)
+                assert oracles.nmac_at(sa, sb) == inside(t)
