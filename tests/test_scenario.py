@@ -86,20 +86,40 @@ class TestValidation:
         (lambda d: d["aircraft"][0].pop("position"), "position"),
         (lambda d: d["aircraft"][0]["position"].pop("x_nmi"), "x_nmi"),
         (lambda d: d["aircraft"][0]["position"].update(tilt=3), "tilt"),
-        (lambda d: d.update(attacker={**PHANTOM, "jam": 5}), "jam"),
-        (lambda d: d.update(success=[[1]]), "success"),
-        (lambda d: d.update(duration_s=float("inf")), "duration_s"),
-        (lambda d: d.update(duration_s=float("nan")), "duration_s"),
-        (lambda d: d.update(duration_s=10 ** 400), "duration_s"),
-        (lambda d: d.update(seed=1, channel={"kind": "awgn", "snr_db": float("nan")}), "snr_db"),
-        (lambda d: d["aircraft"][0].update(pilot={"delay_s": -1}), "delay_s"),
-        (lambda d: d["aircraft"][0].update(pilot={"rate_fpm": 0}), "rate_fpm"),
-        (lambda d: d["aircraft"][0]["position"].update(altitude_ft=-100), "altitude_ft"),
-        (lambda d: d.update(attacker={**PHANTOM, "plan": {"altitude_ft": -100}}), "altitude_ft"),
-        (lambda d: d.update(attacker={**PHANTOM, "bait_timeout_s": -1}), "bait_timeout_s"),
-        (lambda d: d.update(surveillance_period_s=1e-12), "surveillance_period_s"),
     ])
     def test_error_names_the_field(self, mutate, needle):
+        doc = minimal_doc()
+        mutate(doc)
+        with pytest.raises(ScenarioError, match=needle):
+            scen.load_scenario(doc)
+
+    @pytest.mark.parametrize("mutate,needle", [
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "jam": 5}), "jam",
+                     id="jam-not-a-list"),
+        pytest.param(lambda d: d.update(success=[[1]]), "success",
+                     id="success-not-a-string"),
+        pytest.param(lambda d: d.update(duration_s=float("inf")), "duration_s",
+                     id="duration-inf"),
+        pytest.param(lambda d: d.update(duration_s=float("nan")), "duration_s",
+                     id="duration-nan"),
+        pytest.param(lambda d: d.update(duration_s=10 ** 400), "duration_s",
+                     id="duration-huge-int"),
+        pytest.param(lambda d: d.update(seed=1, channel={"kind": "awgn", "snr_db": float("nan")}),
+                     "snr_db", id="snr-nan"),
+        pytest.param(lambda d: d["aircraft"][0].update(pilot={"delay_s": -1}), "delay_s",
+                     id="pilot-delay-negative"),
+        pytest.param(lambda d: d["aircraft"][0].update(pilot={"rate_fpm": 0}), "rate_fpm",
+                     id="pilot-rate-zero"),
+        pytest.param(lambda d: d["aircraft"][0]["position"].update(altitude_ft=-100),
+                     "altitude_ft", id="aircraft-altitude-negative"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"altitude_ft": -100}}),
+                     "altitude_ft", id="attacker-plan-altitude-negative"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "bait_timeout_s": -1}),
+                     "bait_timeout_s", id="bait-timeout-negative"),
+        pytest.param(lambda d: d.update(surveillance_period_s=1e-12), "surveillance_period_s",
+                     id="surveillance-period-tiny"),
+    ])
+    def test_rejects_out_of_range_values(self, mutate, needle):
         doc = minimal_doc()
         mutate(doc)
         with pytest.raises(ScenarioError, match=needle):
