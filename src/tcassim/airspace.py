@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
@@ -61,12 +62,10 @@ class AircraftState:
 
 def step_kinematics(state: AircraftState, dt_s: float) -> AircraftState:
     """Advance a constant-velocity state by dt seconds."""
-    return replace(
-        state,
-        x_nmi=state.x_nmi + state.vx_kt * dt_s / 3600.0,
-        y_nmi=state.y_nmi + state.vy_kt * dt_s / 3600.0,
-        altitude_ft=state.altitude_ft + state.vertical_rate_fpm * dt_s / 60.0,
-    )
+    return AircraftState(state.x_nmi + state.vx_kt * dt_s / 3600.0,
+                         state.y_nmi + state.vy_kt * dt_s / 3600.0,
+                         state.altitude_ft + state.vertical_rate_fpm * dt_s / 60.0,
+                         state.vx_kt, state.vy_kt, state.vertical_rate_fpm)
 
 
 def distance_nmi(a: AircraftState, b: AircraftState) -> float:
@@ -158,34 +157,25 @@ class Entity(Protocol):
     def on_timer(self, world: "World", timer: str, data: dict) -> None: ...
 
 
-@dataclass
-class SimEvent:
-    time_ns: int
-    kind: str  # transmit | deliver | timer
-    source: str
-    payload: dict
+class NoiselessChannel:
+    """Ideal medium: frames arrive intact at the exact propagation instant.
 
+    ``receive`` returns ``(frame, deliver_time_ns)`` unchanged and never drops.
+    """
 
-class _Channel:
     def receive(self, world: "World", frame: codec.ModeSFrame,
-                deliver_time_ns: int) -> tuple[codec.ModeSFrame | None, int, str]:
-        raise NotImplementedError
+                deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
+        return frame, deliver_time_ns
 
 
-class NoiselessChannel(_Channel):
-    """Ideal medium: frames arrive intact at the exact propagation instant."""
-
-    def receive(self, world, frame, deliver_time_ns):
-        return frame, deliver_time_ns, "ok"
-
-
-class AwgnChannel(_Channel):
+class AwgnChannel:
     """Runs each reception through the full modem chain with fresh noise.
 
     The waveform is modulated from the frame bits, noise is drawn from a
     per-reception seed, the receiver correlates for the preamble,
-    demodulates, and truncates to the header-decoded length.  Detection or
-    header failure drops the reception; bit errors surface later as parity
+    demodulates, and truncates to the header-decoded length.  ``receive``
+    returns ``(received frame, detected preamble time)``, or None when
+    detection or header decoding fails; bit errors surface later as parity
     failures at the consumer.
     """
 
@@ -195,7 +185,8 @@ class AwgnChannel(_Channel):
         self.snr_db = snr_db
         self.sps = sps
 
-    def receive(self, world, frame, deliver_time_ns):
+    def receive(self, world: "World", frame: codec.ModeSFrame,
+                deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
         sps = self.sps
         seed = SeedSequence([world.seed, world.next_noise_index()])
         # phy functions are looked up per call so instrumentation that wraps
@@ -229,8 +220,8 @@ class AwgnChannel(_Channel):
             if need is None or bits.size < need:
                 continue
             rx_frame = codec.ModeSFrame.from_bits(bits[:need].tolist(), frame.direction)
-            return rx_frame, det.timestamp_ns, "ok"
-        return None, deliver_time_ns, "phy_drop"
+            return rx_frame, det.timestamp_ns
+        return None
 
 
 def _header_length(bits: np.ndarray, direction: str) -> int | None:
@@ -245,7 +236,7 @@ def _header_length(bits: np.ndarray, direction: str) -> int | None:
 class World:
     """Event queue, radio medium, jam bookkeeping, and the append-only log."""
 
-    def __init__(self, channel: _Channel | None = None, seed: int = 0):
+    def __init__(self, channel: NoiselessChannel | AwgnChannel | None = None, seed: int = 0):
         self.channel = channel or NoiselessChannel()
         self.seed = seed
         self.time_ns = 0
@@ -253,7 +244,10 @@ class World:
         self._order: dict[str, int] = {}
         self.jam_directives: list[JamDirective] = []
         self.log: list[LogRecord] = []
-        self._heap: list[tuple[int, int, int, SimEvent]] = []
+        # (time, registration order of source, seq, handler, handler args);
+        # handlers are World functions stored unbound, so entries left in the
+        # queue do not tie the World into a reference cycle
+        self._heap: list[tuple[int, int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._noise_index = 0
         self._segments: dict[str, list[tuple[int, AircraftState]]] = {}
@@ -283,22 +277,23 @@ class World:
 
     # -- scheduling --------------------------------------------------------
 
-    def _push(self, event: SimEvent) -> None:
-        if event.time_ns < self.time_ns:
+    def _push(self, time_ns: int, source: str, handler: Callable[..., None], *args) -> None:
+        if time_ns < self.time_ns:
             raise SimError(
-                f"causality violation: event at {event.time_ns} scheduled at {self.time_ns}")
+                f"causality violation: event at {time_ns} scheduled at {self.time_ns}")
+        order = self._order.get(source)
+        if order is None:
+            raise SimError(f"entity {source!r} is not registered")
         self._seq += 1
-        order = self._order.get(event.source, len(self.entities))
-        heapq.heappush(self._heap, (event.time_ns, order, self._seq, event))
+        heapq.heappush(self._heap, (time_ns, order, self._seq, handler, args))
 
     def schedule_timer(self, time_ns: int, entity: Entity, timer: str,
                        data: dict | None = None) -> None:
-        self._push(SimEvent(time_ns, "timer", entity.name, {"timer": timer, "data": data or {}}))
+        self._push(time_ns, entity.name, World._do_timer, entity, timer, data or {})
 
     def schedule_transmit(self, time_ns: int, entity: Entity, frame: codec.ModeSFrame,
                           destination: str = "*") -> None:
-        self._push(SimEvent(time_ns, "transmit", entity.name,
-                            {"frame": frame, "destination": destination}))
+        self._push(time_ns, entity.name, World._do_transmit, entity, frame, destination)
 
     # -- logging -----------------------------------------------------------
 
@@ -311,18 +306,8 @@ class World:
 
     def run_until(self, t_end_ns: int) -> None:
         while self._heap and self._heap[0][0] <= t_end_ns:
-            _, _, _, event = heapq.heappop(self._heap)
-            self.time_ns = event.time_ns
-            if event.kind == "timer":
-                entity = self.entities[self._order[event.source]]
-                self.record("timer", event.source, "-", None, event.payload["timer"])
-                entity.on_timer(self, event.payload["timer"], event.payload["data"])
-            elif event.kind == "transmit":
-                self._do_transmit(event)
-            elif event.kind == "deliver":
-                self._do_deliver(event)
-            else:
-                raise SimError(f"unknown event kind {event.kind!r}")
+            self.time_ns, _, _, handler, args = heapq.heappop(self._heap)
+            handler(self, *args)
         self.time_ns = max(self.time_ns, t_end_ns)
 
     def _jammed(self, source: Entity, t0_ns: int, t1_ns: int) -> bool:
@@ -331,11 +316,12 @@ class World:
         return any(d.target_icao == source.icao and d.covers(t0_ns, t1_ns)
                    for d in self.jam_directives)
 
-    def _do_transmit(self, event: SimEvent) -> None:
-        source = self.entities[self._order[event.source]]
-        frame: codec.ModeSFrame = event.payload["frame"]
-        destination = event.payload["destination"]
-        t_tx = event.time_ns
+    def _do_timer(self, entity: Entity, timer: str, data: dict) -> None:
+        self.record("timer", entity.name, "-", None, timer)
+        entity.on_timer(self, timer, data)
+
+    def _do_transmit(self, source: Entity, frame: codec.ModeSFrame, destination: str) -> None:
+        t_tx = self.time_ns
         if self._jammed(source, t_tx, t_tx + frame_airtime_ns(frame)):
             self.record("transmit", source.name, destination, frame, "jammed")
             return
@@ -347,15 +333,15 @@ class World:
             dist = distance_nmi(src_state, receiver.state_at(t_tx))
             if dist > RECEPTION_RANGE_NMI:
                 continue
-            self._push(SimEvent(t_tx + propagation_delay_ns(dist), "deliver", source.name,
-                                {"frame": frame, "receiver": receiver.name, "tx_time_ns": t_tx}))
+            self._push(t_tx + propagation_delay_ns(dist), source.name, World._do_deliver,
+                       source, receiver, frame, t_tx)
 
-    def _do_deliver(self, event: SimEvent) -> None:
-        receiver = self.entities[self._order[event.payload["receiver"]]]
-        frame: codec.ModeSFrame = event.payload["frame"]
-        rx_frame, rx_time, channel_outcome = self.channel.receive(self, frame, event.time_ns)
-        if rx_frame is None:
-            self.record("deliver", event.source, receiver.name, frame, channel_outcome)
+    def _do_deliver(self, source: Entity, receiver: Entity, frame: codec.ModeSFrame,
+                    tx_time_ns: int) -> None:
+        received = self.channel.receive(self, frame, self.time_ns)
+        if received is None:
+            self.record("deliver", source.name, receiver.name, frame, "phy_drop")
             return
-        disposition = receiver.on_frame(self, rx_frame, rx_time, event.payload["tx_time_ns"])
-        self.record("deliver", event.source, receiver.name, rx_frame, disposition)
+        rx_frame, rx_time = received
+        disposition = receiver.on_frame(self, rx_frame, rx_time, tx_time_ns)
+        self.record("deliver", source.name, receiver.name, rx_frame, disposition)

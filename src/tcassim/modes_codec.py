@@ -359,8 +359,7 @@ class DecodedFrame:
         return None if code is None else decode_altitude(code)
 
 
-def parse_frame(frame: ModeSFrame | Iterable[int], direction: str | None = None,
-                expected_address: int | None = None) -> DecodedFrame:
+def parse_frame(frame: ModeSFrame, expected_address: int | None = None) -> DecodedFrame:
     """Decode a frame: header first, then fields, then parity.
 
     Uplink all-calls verify against the all-call overlay, broadcast
@@ -368,10 +367,6 @@ def parse_frame(frame: ModeSFrame | Iterable[int], direction: str | None = None,
     ``expected_address`` when given.  An unrecognized format code yields
     kind ``"unknown"`` with no fields rather than an exception.
     """
-    if not isinstance(frame, ModeSFrame):
-        if direction is None:
-            raise CodecError("raw bits need an explicit direction")
-        frame = ModeSFrame.from_bits(frame, direction)
     code = frame.format_code
     if frame_bit_length(frame.direction, code) != frame.nbits:
         return DecodedFrame(frame, code, "unknown", {}, None)

@@ -32,6 +32,7 @@ from .attacker import (
     PhantomPlan,
 )
 from .tcas import (
+    DEFAULT_SURVEILLANCE_PERIOD_S,
     MODE_STANDBY,
     MODE_TA_ONLY,
     MODE_TA_RA,
@@ -188,7 +189,7 @@ class Scenario:
     duration_s: float
     aircraft: tuple[AircraftSpec, ...]
     attacker: AttackerSpec | None = None
-    surveillance_period_s: float = 1.0
+    surveillance_period_s: float = DEFAULT_SURVEILLANCE_PERIOD_S
     channel: ChannelSpec = ChannelSpec()
     seed: int = 0
     success: tuple[str, ...] = ()
@@ -241,7 +242,7 @@ def _parse(doc: dict) -> Scenario:
     duration_s = _number("scenario", doc, "duration_s", required=True)
     if duration_s <= 0:
         raise ScenarioError("scenario: duration_s must be positive")
-    period_s = _number("scenario", doc, "surveillance_period_s", 1.0)
+    period_s = _number("scenario", doc, "surveillance_period_s", DEFAULT_SURVEILLANCE_PERIOD_S)
     try:
         surveillance_interval_ns(period_s)
     except SimError as exc:

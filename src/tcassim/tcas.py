@@ -208,9 +208,8 @@ class TcasUnit:
             return "range_update"
         return "unsupported"
 
-    def receive_coordination(self, world: World, sender: int, rac: int, ra_active: bool) -> None:
+    def receive_coordination(self, world: World, sender: int, rac: int) -> None:
         """Resolution complement carried by a long interrogation."""
-        del ra_active  # informational; the restriction itself is what binds
         if rac != codec.RAC_NONE:
             self._receive_rac(world, sender, rac)
 
@@ -340,7 +339,8 @@ class Aircraft:
 
     def __init__(self, name: str, icao: int, state: AircraftState, *,
                  mode: str = MODE_TA_RA, pilot: PilotModel | None = None,
-                 squitter: bool = True, surveillance_period_s: float = 1.0):
+                 squitter: bool = True,
+                 surveillance_period_s: float = DEFAULT_SURVEILLANCE_PERIOD_S):
         codec.validate_icao(icao)
         if mode not in (MODE_STANDBY, MODE_XPDR, MODE_TA_ONLY, MODE_TA_RA):
             raise SimError(f"unknown equipment mode {mode!r}")
@@ -462,8 +462,7 @@ class Aircraft:
                                       altitude_ft=alt, rac=rac, ra_active=active)
             if self.tcas is not None:
                 self.tcas.receive_coordination(world, decoded.fields["sender"],
-                                               decoded.fields["rac"],
-                                               bool(decoded.fields["ra_active"]))
+                                               decoded.fields["rac"])
         world.schedule_transmit(reply_time, self, reply)
         return "replied"
 

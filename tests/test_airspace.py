@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcassim import airspace, modes_codec as codec
 
@@ -292,6 +295,51 @@ class TestEventOrdering:
         w.add_entity(Probe("a", 0x000001, _state(0, 0, 0)))
         with pytest.raises(airspace.SimError):
             w.add_entity(Probe("a", 0x000002, _state(1, 0, 0)))
+
+    @pytest.mark.parametrize("schedule", [
+        lambda w, e: w.schedule_timer(1_000, e, "tick"),
+        lambda w, e: w.schedule_transmit(1_000, e, _squitter(0x000002)),
+    ], ids=["timer", "transmit"])
+    def test_unregistered_entity_rejected_at_schedule_time(self, schedule):
+        w = airspace.World()
+        w.add_entity(Probe("a", 0x000001, _state(0, 0, 0)))
+        with pytest.raises(airspace.SimError, match="'stray'"):
+            schedule(w, Probe("stray", 0x000002, _state(1, 0, 0)))
+        w.run_until(10**9)
+        assert w.log == []
+
+    def test_pending_events_do_not_keep_the_world_alive(self):
+        # a World whose queue still holds entries must be freed by reference
+        # counting alone, or every finished run's log lives until a full GC
+        a = Probe("a", 0x000001, _state(0, 0, 0))
+        b = Probe("b", 0x000002, _state(1, 0, 0))
+        w = airspace.World()
+        w.add_entity(a)
+        w.add_entity(b)
+        w.schedule_timer(10**9, a, "later")
+        w.schedule_transmit(10**9, a, _squitter(0x000001))
+        w.run_until(1_000)
+        ref = weakref.ref(w)
+        gc.disable()
+        try:
+            del w
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=40))
+    def test_timers_pop_by_time_then_registration_then_sequence(self, schedule):
+        probes = [Probe(f"p{i}", i + 1, _state(i, 0, 0)) for i in range(5)]
+        w = airspace.World()
+        for p in probes:
+            w.add_entity(p)
+        for seq, (who, t) in enumerate(schedule):
+            w.schedule_timer(t * 1_000, probes[who], str(seq))
+        w.run_until(10_000)
+        got = [(r.time_ns, r.source, r.outcome) for r in w.log if r.kind == "timer"]
+        want = sorted((t * 1_000, who, seq) for seq, (who, t) in enumerate(schedule))
+        assert got == [(t, f"p{who}", str(seq)) for t, who, seq in want]
 
 
 class TestEventLog:
