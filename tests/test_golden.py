@@ -1,5 +1,6 @@
-"""Golden replay: each bundled scenario's log and report are pinned across
-commits, not only between two runs in one process.
+"""Golden replay: each bundled scenario's log and report, one small AWGN
+ring's log and report, and a short ``loss_sweep`` are pinned across commits,
+not only between two runs in one process.
 
 The digests are sha256 of the log text exactly as ``write_event_log``
 writes it (``to_line() + "\\n"`` per record) and of ``report.to_json()``.
@@ -57,3 +58,40 @@ def test_bundled_log_and_report_digests(job):
     result = harness.simulate(scenario)
     log_text = "".join(rec.to_line() + "\n" for rec in result.records)
     assert (_sha256(log_text), _sha256(result.report.to_json())) == GOLDEN[job]
+
+
+# The bundled scenarios are all noiseless, so they never reach the modem.
+# This small ring runs every reception through AwgnChannel: four converging
+# TA/RA aircraft at 12 dB, whose log holds phy_drop, parity_drop and
+# range_update deliveries.
+AWGN_RING = {
+    "schema_version": 1,
+    "name": "awgn_ring4",
+    "duration_s": 10.0,
+    "seed": 7,
+    "channel": {"kind": "awgn", "snr_db": 12.0},
+    "aircraft": [
+        {"name": f"ring{i}", "icao": f"A1000{i}", "mode": "ta_ra",
+         "position": {"x_nmi": 3.0 * dx, "y_nmi": 3.0 * dy, "altitude_ft": alt},
+         "velocity": {"vx_kt": -300.0 * dx, "vy_kt": -300.0 * dy}}
+        for i, (dx, dy, alt) in enumerate([(1, 0, 30_000), (0, 1, 30_100),
+                                           (-1, 0, 29_900), (0, -1, 30_200)])
+    ],
+}
+AWGN_RING_GOLDEN = (
+    "8604ce0c1e69838badc81236961100a10761295bf65fffc820a04b89a8d96d20",
+    "4af2b1ba8aecd0dbc6a2006d3ee96983dd7b56778f28786736426d6d769f846f")
+AWGN_LOSS_GOLDEN = [200, 177, 100, 0]  # lost of 200 frames at 0, 5, 10, 15 dB
+
+
+def test_awgn_ring_log_and_report_digests():
+    result = harness.simulate(scen.load_scenario(AWGN_RING))
+    log_text = "".join(rec.to_line() + "\n" for rec in result.records)
+    outcomes = {rec.outcome.split(";", 1)[0] for rec in result.records if rec.kind == "deliver"}
+    assert {"phy_drop", "parity_drop", "range_update"} <= outcomes
+    assert (_sha256(log_text), _sha256(result.report.to_json())) == AWGN_RING_GOLDEN
+
+
+def test_awgn_loss_sweep_counts():
+    points = harness.loss_sweep(scen.load_scenario(AWGN_RING), [0.0, 5.0, 10.0, 15.0], 200)
+    assert [p.lost for p in points] == AWGN_LOSS_GOLDEN
