@@ -17,6 +17,7 @@ import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
@@ -168,46 +169,64 @@ class NoiselessChannel:
         return frame, deliver_time_ns
 
 
+# Distinct frames whose clean waveform one AwgnChannel keeps, about 2.5 kB
+# each.  The copies of one transmit are received within microseconds of
+# each other, and periodic frames (all-call interrogations, squitters at a
+# steady altitude) recur, so a short recency list serves most receptions.
+WAVEFORM_CACHE_FRAMES = 64
+LEAD_PAD = 16  # silent samples around the frame so detection is honest
+
+
+def _padded_waveform(frame: codec.ModeSFrame) -> np.ndarray:
+    """The frame's noiseless samples at one sample per chip, padded with
+    LEAD_PAD silent samples on both sides; read-only, as every reception
+    of the frame shares it."""
+    # looked up per call so instrumentation that wraps the modulators on
+    # the module sees every use
+    modulate = phy.ppm_modulate if frame.direction == codec.DOWNLINK else phy.dbpsk_modulate
+    clean = modulate(frame.bits()).samples
+    pad = np.zeros(LEAD_PAD, dtype=clean.dtype)
+    samples = np.concatenate([pad, clean, pad])
+    samples.flags.writeable = False
+    return samples
+
+
 class AwgnChannel:
     """Runs each reception through the full modem chain with fresh noise.
 
-    The waveform is modulated from the frame bits, noise is drawn from a
-    per-reception seed, the receiver correlates for the preamble,
-    demodulates, and truncates to the header-decoded length.  ``receive``
-    returns ``(received frame, detected preamble time)``, or None when
-    detection or header decoding fails; bit errors surface later as parity
-    failures at the consumer.
+    The frame's clean waveform is modulated once and reused from a bounded
+    per-channel cache; each reception adds noise drawn from its own seed,
+    correlates for the preamble, demodulates, and truncates to the
+    header-decoded length.  ``receive`` returns ``(received frame, detected
+    preamble time)``, or None when detection or header decoding fails; bit
+    errors surface later as parity failures at the consumer.
     """
 
-    LEAD_PAD = 16  # silent samples around the frame so detection is honest
-
-    def __init__(self, snr_db: float, sps: int = 1):
+    def __init__(self, snr_db: float):
         self.snr_db = snr_db
-        self.sps = sps
+        # per instance, so a fresh channel starts empty; it wraps a module
+        # function, so the cache holds no reference back to the channel
+        self._waveform = lru_cache(maxsize=WAVEFORM_CACHE_FRAMES)(_padded_waveform)
 
     def receive(self, world: "World", frame: codec.ModeSFrame,
                 deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
-        sps = self.sps
         seed = SeedSequence([world.seed, world.next_noise_index()])
+        samples = self._waveform(frame)
         # phy functions are looked up per call so instrumentation that wraps
         # them on the module sees every use
         if frame.direction == codec.DOWNLINK:
-            modulate, detect, chip_ns = phy.ppm_modulate, phy.ppm_frame_detect, phy.PPM_CHIP_NS
+            detect, chip_ns = phy.ppm_frame_detect, phy.PPM_CHIP_NS
 
             def demodulate(block, offset):  # every bit that fits behind the preamble
-                fit = (block.samples.size - offset - phy.PPM_PREAMBLE.size * sps) // (2 * sps)
+                fit = (block.samples.size - offset - phy.PPM_PREAMBLE.size) // 2
                 return phy.ppm_demodulate(block, offset, min(fit, phy.MAX_PAYLOAD_BITS))
         else:
-            modulate, detect, chip_ns = phy.dbpsk_modulate, phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
+            detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
 
             def demodulate(block, offset):  # up to 112 bits after the sync reversal
-                return phy.dbpsk_demodulate(block, phy.sync_offset_of(offset, sps))
+                return phy.dbpsk_demodulate(block, phy.sync_offset_of(offset, 1))
 
-        clean = modulate(frame.bits(), sps)
-        period = chip_ns / sps
-        pad = np.zeros(self.LEAD_PAD * sps, dtype=clean.samples.dtype)
-        samples = np.concatenate([pad, clean.samples, pad])
-        block = phy.SampleBlock(samples, sps, deliver_time_ns - round(self.LEAD_PAD * sps * period))
+        block = phy.SampleBlock(samples, 1, deliver_time_ns - LEAD_PAD * chip_ns)
         noisy = phy.awgn(block, self.snr_db, seed)
         # bits are decided one by one, so cutting to the header's length
         # equals demodulating exactly that many bits
@@ -219,7 +238,7 @@ class AwgnChannel:
             need = _header_length(bits, frame.direction)
             if need is None or bits.size < need:
                 continue
-            rx_frame = codec.ModeSFrame.from_bits(bits[:need].tolist(), frame.direction)
+            rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
             return rx_frame, det.timestamp_ns
         return None
 

@@ -181,7 +181,7 @@ class ModeSFrame:
 
     def bits(self) -> np.ndarray:
         """Frame bits MSB first as a uint8 vector (for the modems)."""
-        return np.array([(self.word >> i) & 1 for i in range(self.nbits - 1, -1, -1)], dtype=np.uint8)
+        return np.unpackbits(np.frombuffer(self.word.to_bytes(self.nbits // 8, "big"), np.uint8))
 
     def to_hex(self) -> str:
         return f"{self.word:0{self.nbits // 4}x}"
@@ -199,11 +199,12 @@ class ModeSFrame:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int], direction: str) -> "ModeSFrame":
-        seq = list(bits)
-        word = 0
-        for b in seq:
-            word = (word << 1) | (int(b) & 1)
-        return cls(direction, len(seq), word)
+        """Frame from bits MSB first, keeping the low bit of each value."""
+        if not isinstance(bits, np.ndarray):
+            bits = [int(b) & 1 for b in bits]  # Python ints may exceed int64
+        low = (np.asarray(bits, dtype=np.int64) & 1).astype(np.uint8)
+        word = int.from_bytes(np.packbits(low).tobytes(), "big") >> (-low.size % 8)
+        return cls(direction, low.size, word)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class FrameDetection:
 
 def _as_bit_array(bits) -> np.ndarray:
     arr = np.asarray(bits, dtype=np.int64).ravel()
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise PhyError("bits must be 0 or 1")
     return arr
 
@@ -97,22 +98,23 @@ def ppm_demodulate(block: SampleBlock, offset: int, nbits: int) -> np.ndarray:
     return (energies[:, 0] > energies[:, 1]).astype(np.uint8)
 
 
-def _normalized_correlation(x: np.ndarray, template: np.ndarray) -> np.ndarray:
+def _normalized_correlation(x: np.ndarray, template: np.ndarray,
+                            template_norm: float) -> np.ndarray:
     n = template.size
     if x.size < n:
         return np.zeros(0)
     dot = np.correlate(x, np.conj(template), mode="valid")
     energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
     win = energy[n:] - energy[:-n]
-    norm = np.sqrt(win) * np.linalg.norm(template)
+    norm = np.sqrt(win) * template_norm
     out = np.zeros(dot.size)
     nonzero = norm > 0
     out[nonzero] = np.abs(dot[nonzero]) / norm[nonzero]
     return out
 
 
-def _detect(block: SampleBlock, template: np.ndarray, min_tail: int, max_tail: int,
-            chip_ns: int, threshold: float) -> list[FrameDetection]:
+def _detect(block: SampleBlock, template: np.ndarray, template_norm: float, min_tail: int,
+            max_tail: int, chip_ns: int, threshold: float) -> list[FrameDetection]:
     """Threshold the normalized correlation, then keep the strongest peaks.
 
     Candidates without room for a minimum-length frame behind the preamble
@@ -122,7 +124,7 @@ def _detect(block: SampleBlock, template: np.ndarray, min_tail: int, max_tail: i
     preamble's partial self-similarity at a frame's tail.
     """
     sps = block.samples_per_symbol
-    corr = _normalized_correlation(block.samples, template)
+    corr = _normalized_correlation(block.samples, template, template_norm)
     room = block.samples.size - template.size - min_tail
     candidates = [k for k in np.flatnonzero(corr >= threshold) if k <= room]
     candidates.sort(key=lambda k: (-corr[k], k))
@@ -137,10 +139,22 @@ def _detect(block: SampleBlock, template: np.ndarray, min_tail: int, max_tail: i
             for k in kept]
 
 
+# Preamble templates are built once per sps (SampleBlock admits four) and
+# shared read-only with their norm by every detect call.
+def _with_norm(template: np.ndarray) -> tuple[np.ndarray, float]:
+    template.flags.writeable = False
+    return template, float(np.linalg.norm(template))
+
+
+@lru_cache(maxsize=None)
+def _ppm_preamble_template(sps: int) -> tuple[np.ndarray, float]:
+    return _with_norm(np.repeat(PPM_PREAMBLE, sps))
+
+
 def ppm_frame_detect(block: SampleBlock, threshold: float = DETECTION_THRESHOLD) -> list[FrameDetection]:
     sps = block.samples_per_symbol
-    template = np.repeat(PPM_PREAMBLE, sps)
-    return _detect(block, template, MIN_PAYLOAD_BITS * 2 * sps, MAX_PAYLOAD_BITS * 2 * sps,
+    template, norm = _ppm_preamble_template(sps)
+    return _detect(block, template, norm, MIN_PAYLOAD_BITS * 2 * sps, MAX_PAYLOAD_BITS * 2 * sps,
                    PPM_CHIP_NS, threshold)
 
 
@@ -151,10 +165,11 @@ def _dbpsk_chips(bits: np.ndarray) -> np.ndarray:
     return np.where(phase == 0, 1.0, -1.0).astype(np.complex128)
 
 
-def _dbpsk_preamble_template(sps: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _dbpsk_preamble_template(sps: int) -> tuple[np.ndarray, float]:
     sync = _dbpsk_chips(np.zeros(0, dtype=np.int64))[: len(SYNC_PREAMBLE_BITS)]
     wave = np.concatenate([SUPPRESSION_PULSES.astype(np.complex128), sync])
-    return np.repeat(wave, sps)
+    return _with_norm(np.repeat(wave, sps))
 
 
 def dbpsk_modulate(bits, sps: int = 1, start_timestamp_ns: int = 0) -> SampleBlock:
@@ -166,8 +181,8 @@ def dbpsk_modulate(bits, sps: int = 1, start_timestamp_ns: int = 0) -> SampleBlo
 
 def dbpsk_frame_detect(block: SampleBlock, threshold: float = DETECTION_THRESHOLD) -> list[FrameDetection]:
     sps = block.samples_per_symbol
-    template = _dbpsk_preamble_template(sps)
-    return _detect(block, template, (MIN_PAYLOAD_BITS + 2) * sps, (MAX_PAYLOAD_BITS + 2) * sps,
+    template, norm = _dbpsk_preamble_template(sps)
+    return _detect(block, template, norm, (MIN_PAYLOAD_BITS + 2) * sps, (MAX_PAYLOAD_BITS + 2) * sps,
                    DBPSK_CHIP_NS, threshold)
 
 

@@ -16,6 +16,7 @@ consecutive updates.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from . import modes_codec as codec
@@ -129,10 +130,16 @@ class TcasUnit:
     """Surveillance, threat detection, and advisory coordination for one aircraft."""
 
     def __init__(self, aircraft: "Aircraft"):
-        self.aircraft = aircraft
+        # weak, so an aircraft and its unit do not form a reference cycle
+        # that keeps a finished run alive until a full garbage collection
+        self._aircraft = weakref.ref(aircraft)
         self.tracks: dict[int, Track] = {}
         self.pending: dict[int, int] = {}  # interrogated address -> tx time
         self.advisory: Advisory | None = None
+
+    @property
+    def aircraft(self) -> "Aircraft":
+        return self._aircraft()
 
     # -- transponder-facing state -----------------------------------------
 

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from tcassim import fta, harness
+from tcassim import fta, harness, phy
 from tcassim import modes_codec as codec
 from tcassim import scenario as scen
 from tcassim.airspace import read_event_log, write_event_log
@@ -108,6 +108,28 @@ class TestSimulate:
             assert stats["attempts"] == stats["decoded"] + stats["lost"]
             lost += stats["lost"]
         assert lost > 0  # 4 dB is a hostile channel
+
+    def test_awgn_waveform_is_modulated_once_per_frame_per_channel(self, monkeypatch):
+        # each run builds a fresh channel, so a run must not find waveforms
+        # another run left behind, and copies of one frame share one waveform
+        calls = []
+        for name in ("ppm_modulate", "dbpsk_modulate"):
+            real = getattr(phy, name)
+            monkeypatch.setattr(phy, name,
+                                lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
+        doc = crossing_doc(seed=5, channel={"kind": "awgn", "snr_db": 12.0},
+                           duration_s=5.0, success=[])
+        doc["aircraft"].append({"name": "three", "icao": "100003", "mode": "ta_ra",
+                                "position": {"x_nmi": 0.0, "y_nmi": 3.0, "altitude_ft": 20500.0}})
+        doc["aircraft"][0].update(mode="ta_ra", squitter=True)
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            records = harness.simulate(scen.load_scenario(doc)).records
+            runs.append((len(calls), sum(1 for r in records if r.kind == "deliver")))
+        assert runs[0] == runs[1]
+        modulations, deliveries = runs[0]
+        assert 0 < modulations < deliveries
 
     def test_benign_pair_round_counts(self):
         report = harness.simulate(scen.bundled_scenario("benign_pair")).report

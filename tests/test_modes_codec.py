@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tcassim import modes_codec as mc
 
@@ -239,3 +240,25 @@ def test_bits_vector_matches_word():
     bits = frame.bits()
     assert bits.dtype == np.uint8 and bits.shape == (56,)
     assert mc.ModeSFrame.from_bits(bits, mc.DOWNLINK) == frame
+
+
+@given(st.sampled_from([mc.SHORT_FRAME_BITS, mc.LONG_FRAME_BITS]).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_bits_are_msb_first_and_round_trip(sized_word):
+    nbits, word = sized_word
+    frame = mc.ModeSFrame(mc.UPLINK, nbits, word)
+    reference = [(word >> i) & 1 for i in range(nbits - 1, -1, -1)]
+    bits = frame.bits()
+    assert bits.tolist() == reference
+    assert mc.ModeSFrame.from_bits(reference, mc.UPLINK) == frame
+    assert mc.ModeSFrame.from_bits(bits, mc.UPLINK) == frame
+
+
+def test_from_bits_keeps_the_low_bit_of_each_value():
+    frame = mc.build_reply("all_call", 0x00F00F)
+    reference = frame.bits().tolist()
+    widened = [b + 2 * k + (1 << 70) * (k % 3) for k, b in enumerate(reference)]
+    assert mc.ModeSFrame.from_bits(iter(widened), mc.DOWNLINK) == frame
+    assert mc.ModeSFrame.from_bits(np.array(reference) - 2, mc.DOWNLINK) == frame
+    with pytest.raises(mc.CodecError):
+        mc.ModeSFrame.from_bits(reference[:-1], mc.DOWNLINK)

@@ -214,3 +214,14 @@ def test_sps_validation():
         phy.ppm_modulate(np.zeros(56, dtype=np.uint8), 3)
     with pytest.raises(phy.PhyError):
         phy.SampleBlock(np.zeros(4), 5, 0)
+
+
+@pytest.mark.parametrize("modulate", [phy.ppm_modulate, phy.dbpsk_modulate])
+@pytest.mark.parametrize("bad", [2, -1])
+def test_modulators_reject_values_other_than_0_and_1(modulate, bad):
+    bits = np.zeros(56, dtype=np.int64)
+    bits[17] = bad
+    with pytest.raises(phy.PhyError, match="bits must be 0 or 1"):
+        modulate(bits)
+    with pytest.raises(phy.PhyError, match="bits must be 0 or 1"):
+        modulate(bits.tolist())

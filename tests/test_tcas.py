@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -320,6 +322,22 @@ class TestTrackTable:
         w, unit = self._unit()
         reply = codec.build_reply("surveillance_short", 0x000001, altitude_ft=10_000)
         assert unit.on_downlink(w, reply, 200_000) == "unmatched_reply"
+
+    def test_finished_run_does_not_keep_its_aircraft_alive(self):
+        # an aircraft and its unit must be freed by reference counting alone,
+        # or every finished run's tracks live until a full garbage collection
+        a = _aircraft("a", 0x000001, x=0.0, alt=10_000, vx=300.0)
+        b = _aircraft("b", 0x000002, x=3.0, alt=10_300, vx=-300.0)
+        w = _build_world(a, b)
+        w.run_until(5 * 10**9)
+        assert a.tcas.tracks and b.tcas.tracks
+        refs = [weakref.ref(obj) for obj in (a, b, a.tcas, b.tcas)]
+        gc.disable()
+        try:
+            del w, a, b
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
 
 
 class TestPilot:
