@@ -17,12 +17,12 @@ print("=== noiseless loopback, 200 random frames per modem ===")
 ppm = dbpsk = 0
 for _ in range(200):
     bits = rng.integers(0, 2, rng.choice([56, 112]))
-    blk = phy.ppm_modulate(bits, 1)
+    blk = phy.ppm_modulate(bits)
     det = phy.ppm_frame_detect(blk)[0]
     ppm += int((phy.ppm_demodulate(blk, det.offset, bits.size) != bits).sum())
-    blk = phy.dbpsk_modulate(bits, 1)
+    blk = phy.dbpsk_modulate(bits)
     det = phy.dbpsk_frame_detect(blk)[0]
-    out = phy.dbpsk_demodulate(blk, phy.sync_offset_of(det.offset, 1))
+    out = phy.dbpsk_demodulate(blk, phy.sync_offset_of(det.offset))
     dbpsk += int((out[:bits.size] != bits).sum())
 print(f"PPM reply modem bit errors:          {ppm}")
 print(f"DBPSK interrogation modem bit errors: {dbpsk}")

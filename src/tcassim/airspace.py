@@ -173,7 +173,7 @@ class NoiselessChannel:
 # each.  The copies of one transmit are received within microseconds of
 # each other, and periodic frames (all-call interrogations, squitters at a
 # steady altitude) recur, so a short recency list serves most receptions.
-WAVEFORM_CACHE_FRAMES = 64
+WAVEFORM_CACHE_FRAMES = 128
 LEAD_PAD = 16  # silent samples around the frame so detection is honest
 
 
@@ -224,9 +224,9 @@ class AwgnChannel:
             detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
 
             def demodulate(block, offset):  # up to 112 bits after the sync reversal
-                return phy.dbpsk_demodulate(block, phy.sync_offset_of(offset, 1))
+                return phy.dbpsk_demodulate(block, phy.sync_offset_of(offset))
 
-        block = phy.SampleBlock(samples, 1, deliver_time_ns - LEAD_PAD * chip_ns)
+        block = phy.SampleBlock(samples, deliver_time_ns - LEAD_PAD * chip_ns)
         noisy = phy.awgn(block, self.snr_db, seed)
         # bits are decided one by one, so cutting to the header's length
         # equals demodulating exactly that many bits

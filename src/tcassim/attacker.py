@@ -52,6 +52,12 @@ PERIOD_JITTER_NS = 1_000  # spread beyond this means the cadence is not stable
 INTEL_INTERVAL_NS = NS_PER_S // 4
 INTEL_WINDOW = 8
 
+# Mission defaults, read by the scenario loader too.
+DEFAULT_BAIT_TIMEOUT_S = 20.0  # give up baiting if the target never answers
+DEFAULT_FLOOD_RATE_HZ = 10.0
+DEFAULT_FLOOD_DURATION_S = 10.0
+DEFAULT_FLOOD_ADDRESS_BASE = 0x500000  # first fabricated address of a flood
+
 
 class InfeasibleReply(SimError):
     """The requested apparent range would need a reply before reception."""
@@ -118,10 +124,10 @@ class Attacker:
                  mission: str = MISSION_PHANTOM,
                  target_icao: int | None = None,
                  plan: PhantomPlan | None = None,
-                 bait_timeout_s: float = 20.0,
-                 flood_rate_hz: float = 10.0,
-                 flood_duration_s: float = 10.0,
-                 flood_address_base: int = 0x500000):
+                 bait_timeout_s: float = DEFAULT_BAIT_TIMEOUT_S,
+                 flood_rate_hz: float = DEFAULT_FLOOD_RATE_HZ,
+                 flood_duration_s: float = DEFAULT_FLOOD_DURATION_S,
+                 flood_address_base: int = DEFAULT_FLOOD_ADDRESS_BASE):
         if mission not in (MISSION_PHANTOM, MISSION_ALL_CALL_FLOOD, MISSION_SQUITTER_FLOOD):
             raise SimError(f"unknown mission {mission!r}")
         if mission == MISSION_PHANTOM:

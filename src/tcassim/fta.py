@@ -24,7 +24,6 @@ import io
 import itertools
 from dataclasses import asdict, dataclass, fields, replace
 
-TOP_SUM_CONSTANT = 0.523
 TOP_PUBLISHED_CONSTANT = 0.424
 CONSTANT_GAP = 0.099
 

@@ -23,14 +23,7 @@ import numpy as np
 
 from . import fta
 from . import modes_codec as codec
-from .airspace import (
-    NS_PER_S,
-    AircraftState,
-    AwgnChannel,
-    LogRecord,
-    NoiselessChannel,
-    World,
-)
+from .airspace import NS_PER_S, AwgnChannel, LogRecord, NoiselessChannel, World
 from .attacker import MISSION_PHANTOM, PhantomPlan
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
@@ -207,26 +200,6 @@ class LossPoint:
         return self.lost / self.samples
 
 
-class _CorpusProbe:
-    """Bare fabric endpoint for pushing raw frames through a channel."""
-
-    def __init__(self, name: str, state: AircraftState):
-        self.name = name
-        self.icao = None
-        self._state = state
-        self.received: dict[int, codec.ModeSFrame] = {}  # keyed by transmit time
-
-    def state_at(self, time_ns: int) -> AircraftState:
-        return self._state
-
-    def on_frame(self, world, frame, rx_time_ns, tx_time_ns) -> str:
-        self.received[tx_time_ns] = frame
-        return "captured"
-
-    def on_timer(self, world, timer, data) -> None:
-        pass
-
-
 def _corpus(seed: int, size: int) -> list[codec.ModeSFrame]:
     """Deterministic mixed-format frame corpus; every builder exercised."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0DEC]))
@@ -253,36 +226,32 @@ def loss_sweep(scenario: Scenario, snr_list: list[float | None],
                corpus_size: int = 600) -> list[LossPoint]:
     """Frame loss through the modem chain at each SNR, smallest first.
 
-    Every point replays the same corpus with the same world seed, so the
-    noise draws pair up across SNRs and the loss column is monotone in
-    substance, not just in expectation.
+    ``None`` and +inf mean noiseless; a NaN or -inf SNR or an empty corpus
+    is a ValueError.  Every point replays the same corpus with the same
+    world seed, so the noise draws pair up across SNRs and the loss column
+    is monotone in substance, not just in expectation.
     """
+    if corpus_size < 1:
+        raise ValueError(f"corpus size must be at least 1, got {corpus_size}")
+    for snr_db in snr_list:
+        if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+            raise ValueError(f"SNR must be a number or +inf, got {snr_db}")
     frames = _corpus(scenario.seed, corpus_size)
     world_seed = int(np.random.SeedSequence([scenario.seed, 0x51EE]).generate_state(1)[0])
     spacing_ns = NS_PER_S // 1000  # 1 ms apart; airtimes are two decades shorter
 
     points = []
     for snr_db in sorted(snr_list, key=lambda s: math.inf if s is None else s):
-        noiseless = snr_db is None or math.isinf(snr_db)
+        noiseless = snr_db is None or snr_db == math.inf
         channel = NoiselessChannel() if noiseless else AwgnChannel(snr_db)
-        world = World(channel=channel, seed=world_seed)
-        sender = _CorpusProbe("sender", AircraftState(0.0, 0.0, 0.0))
-        receiver = _CorpusProbe("receiver", AircraftState(1.0, 0.0, 0.0))
-        world.add_entity(sender)
-        world.add_entity(receiver)
-        for i, frame in enumerate(frames):
-            world.schedule_transmit(i * spacing_ns, sender, frame)
-        world.run_until(corpus_size * spacing_ns + NS_PER_S)
-        # pair receptions to transmissions by transmit time; a frame counts
-        # only if it arrived and decoded to exactly the bits that were sent
-        good = 0
+        world = World(channel=channel, seed=world_seed)  # for its seed and noise index
+        # a frame counts only if it arrived and decoded to exactly the bits sent
+        lost = 0
         for i, sent in enumerate(frames):
-            got = receiver.received.get(i * spacing_ns)
-            if got is not None and got.direction == sent.direction \
-                    and got.to_hex() == sent.to_hex():
-                good += 1
-        points.append(LossPoint(None if noiseless else snr_db,
-                                corpus_size, corpus_size - good))
+            got = channel.receive(world, sent, i * spacing_ns)
+            if got is None or got[0] != sent:
+                lost += 1
+        points.append(LossPoint(None if noiseless else snr_db, corpus_size, lost))
     return points
 
 

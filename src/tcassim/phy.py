@@ -10,20 +10,22 @@ suppression pair that silences older transponder modes, a 7-chip sync
 preamble whose single phase reversal sits between preamble chips 5 and 6,
 the differentially encoded payload, and a 2-chip zero pad.
 
-``samples_per_symbol`` (sps) counts samples per chip; all waveforms are
-generated and consumed at sps in {1, 2, 4, 8}.  Detection is normalized
-correlation against the known preamble with a 0.75 decision threshold.
+Waveforms are generated and consumed at one sample per chip, so a sample
+index is a chip index and ``k`` samples last ``k`` chip periods.  Detection
+is normalized correlation against the known preamble with a 0.75 decision
+threshold.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 PPM_PREAMBLE = np.array([1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0], dtype=np.float64)
+PPM_PREAMBLE.flags.writeable = False  # also the reply detection template
+PPM_PREAMBLE_NORM = float(np.linalg.norm(PPM_PREAMBLE))
 PPM_CHIP_NS = 500  # half of the 1 us reply symbol
 
 SUPPRESSION_PULSES = np.array([1, 0, 1, 0], dtype=np.float64)
@@ -34,29 +36,21 @@ DETECTION_THRESHOLD = 0.75
 MAX_PAYLOAD_BITS = 112
 MIN_PAYLOAD_BITS = 56
 
-# The demodulation window the receiver budgets after the first payload chip.
-DBPSK_SLICE_CHIPS = 120
-
 
 class PhyError(ValueError):
-    """Insufficient samples or bad sps."""
+    """Insufficient samples or bits that are not 0 or 1."""
 
 
 @dataclass(frozen=True)
 class SampleBlock:
-    """A contiguous run of baseband samples.
+    """A contiguous run of baseband samples, one per chip.
 
     ``start_timestamp_ns`` is the instant of the first sample; real vectors
     for the pulse modem, complex for the phase modem.
     """
 
     samples: np.ndarray
-    samples_per_symbol: int
     start_timestamp_ns: int = 0
-
-    def __post_init__(self) -> None:
-        if self.samples_per_symbol not in (1, 2, 4, 8):
-            raise PhyError(f"sps must be one of 1,2,4,8, got {self.samples_per_symbol}")
 
 
 @dataclass(frozen=True)
@@ -73,14 +67,13 @@ def _as_bit_array(bits) -> np.ndarray:
     return arr
 
 
-def ppm_modulate(bits, sps: int = 1, start_timestamp_ns: int = 0) -> SampleBlock:
+def ppm_modulate(bits) -> SampleBlock:
     """Preamble plus one (1,0)/(0,1) chip pair per bit; amplitudes in {0,1}."""
     arr = _as_bit_array(bits)
     chips = np.empty(2 * arr.size, dtype=np.float64)
     chips[0::2] = arr
     chips[1::2] = 1 - arr
-    wave = np.concatenate([PPM_PREAMBLE, chips])
-    return SampleBlock(np.repeat(wave, sps), sps, start_timestamp_ns)
+    return SampleBlock(np.concatenate([PPM_PREAMBLE, chips]))
 
 
 def ppm_demodulate(block: SampleBlock, offset: int, nbits: int) -> np.ndarray:
@@ -88,14 +81,12 @@ def ppm_demodulate(block: SampleBlock, offset: int, nbits: int) -> np.ndarray:
 
     A tie between the two chip energies decodes as 0.
     """
-    sps = block.samples_per_symbol
-    start = offset + PPM_PREAMBLE.size * sps
-    need = start + nbits * 2 * sps
+    start = offset + PPM_PREAMBLE.size
+    need = start + nbits * 2
     if offset < 0 or need > block.samples.size:
         raise PhyError(f"stream too short for {nbits} bits at offset {offset}")
-    seg = np.abs(block.samples[start:need]) ** 2
-    energies = seg.reshape(nbits, 2, sps).sum(axis=2)
-    return (energies[:, 0] > energies[:, 1]).astype(np.uint8)
+    energy = np.abs(block.samples[start:need]) ** 2
+    return (energy[0::2] > energy[1::2]).astype(np.uint8)
 
 
 def _normalized_correlation(x: np.ndarray, template: np.ndarray,
@@ -114,7 +105,7 @@ def _normalized_correlation(x: np.ndarray, template: np.ndarray,
 
 
 def _detect(block: SampleBlock, template: np.ndarray, template_norm: float, min_tail: int,
-            max_tail: int, chip_ns: int, threshold: float) -> list[FrameDetection]:
+            max_tail: int, chip_ns: int) -> list[FrameDetection]:
     """Threshold the normalized correlation, then keep the strongest peaks.
 
     Candidates without room for a minimum-length frame behind the preamble
@@ -123,10 +114,9 @@ def _detect(block: SampleBlock, template: np.ndarray, template_norm: float, min_
     start inside a frame already being received, which also suppresses the
     preamble's partial self-similarity at a frame's tail.
     """
-    sps = block.samples_per_symbol
     corr = _normalized_correlation(block.samples, template, template_norm)
     room = block.samples.size - template.size - min_tail
-    candidates = [k for k in np.flatnonzero(corr >= threshold) if k <= room]
+    candidates = [k for k in np.flatnonzero(corr >= DETECTION_THRESHOLD) if k <= room]
     candidates.sort(key=lambda k: (-corr[k], k))
     shadow = template.size + max_tail
     kept: list[int] = []
@@ -134,28 +124,13 @@ def _detect(block: SampleBlock, template: np.ndarray, template_norm: float, min_
         if all(abs(k - j) >= shadow for j in kept):
             kept.append(k)
     kept.sort()
-    period = chip_ns / sps
-    return [FrameDetection(int(k), block.start_timestamp_ns + round(int(k) * period), float(corr[k]))
+    return [FrameDetection(int(k), block.start_timestamp_ns + int(k) * chip_ns, float(corr[k]))
             for k in kept]
 
 
-# Preamble templates are built once per sps (SampleBlock admits four) and
-# shared read-only with their norm by every detect call.
-def _with_norm(template: np.ndarray) -> tuple[np.ndarray, float]:
-    template.flags.writeable = False
-    return template, float(np.linalg.norm(template))
-
-
-@lru_cache(maxsize=None)
-def _ppm_preamble_template(sps: int) -> tuple[np.ndarray, float]:
-    return _with_norm(np.repeat(PPM_PREAMBLE, sps))
-
-
-def ppm_frame_detect(block: SampleBlock, threshold: float = DETECTION_THRESHOLD) -> list[FrameDetection]:
-    sps = block.samples_per_symbol
-    template, norm = _ppm_preamble_template(sps)
-    return _detect(block, template, norm, MIN_PAYLOAD_BITS * 2 * sps, MAX_PAYLOAD_BITS * 2 * sps,
-                   PPM_CHIP_NS, threshold)
+def ppm_frame_detect(block: SampleBlock) -> list[FrameDetection]:
+    return _detect(block, PPM_PREAMBLE, PPM_PREAMBLE_NORM, MIN_PAYLOAD_BITS * 2,
+                   MAX_PAYLOAD_BITS * 2, PPM_CHIP_NS)
 
 
 def _dbpsk_chips(bits: np.ndarray) -> np.ndarray:
@@ -165,54 +140,50 @@ def _dbpsk_chips(bits: np.ndarray) -> np.ndarray:
     return np.where(phase == 0, 1.0, -1.0).astype(np.complex128)
 
 
-@lru_cache(maxsize=None)
-def _dbpsk_preamble_template(sps: int) -> tuple[np.ndarray, float]:
-    sync = _dbpsk_chips(np.zeros(0, dtype=np.int64))[: len(SYNC_PREAMBLE_BITS)]
-    wave = np.concatenate([SUPPRESSION_PULSES.astype(np.complex128), sync])
-    return _with_norm(np.repeat(wave, sps))
+# The interrogation detection template: suppression pair and sync preamble.
+DBPSK_PREAMBLE = np.concatenate([
+    SUPPRESSION_PULSES.astype(np.complex128),
+    _dbpsk_chips(np.zeros(0, dtype=np.int64))[: len(SYNC_PREAMBLE_BITS)]])
+DBPSK_PREAMBLE.flags.writeable = False
+DBPSK_PREAMBLE_NORM = float(np.linalg.norm(DBPSK_PREAMBLE))
 
 
-def dbpsk_modulate(bits, sps: int = 1, start_timestamp_ns: int = 0) -> SampleBlock:
+def dbpsk_modulate(bits) -> SampleBlock:
     """Suppression pair, then DBPSK of (sync preamble, payload, 2-chip pad)."""
     arr = _as_bit_array(bits)
-    wave = np.concatenate([SUPPRESSION_PULSES.astype(np.complex128), _dbpsk_chips(arr)])
-    return SampleBlock(np.repeat(wave, sps), sps, start_timestamp_ns)
+    return SampleBlock(np.concatenate([SUPPRESSION_PULSES.astype(np.complex128),
+                                       _dbpsk_chips(arr)]))
 
 
-def dbpsk_frame_detect(block: SampleBlock, threshold: float = DETECTION_THRESHOLD) -> list[FrameDetection]:
-    sps = block.samples_per_symbol
-    template, norm = _dbpsk_preamble_template(sps)
-    return _detect(block, template, norm, (MIN_PAYLOAD_BITS + 2) * sps, (MAX_PAYLOAD_BITS + 2) * sps,
-                   DBPSK_CHIP_NS, threshold)
+def dbpsk_frame_detect(block: SampleBlock) -> list[FrameDetection]:
+    return _detect(block, DBPSK_PREAMBLE, DBPSK_PREAMBLE_NORM, MIN_PAYLOAD_BITS + 2,
+                   MAX_PAYLOAD_BITS + 2, DBPSK_CHIP_NS)
 
 
-def sync_offset_of(detection_offset: int, sps: int) -> int:
+def sync_offset_of(detection_offset: int) -> int:
     """Index of the first chip after the sync phase reversal, given the
     frame-start offset a detector reports."""
-    return detection_offset + (SUPPRESSION_PULSES.size + 5) * sps
+    return detection_offset + SUPPRESSION_PULSES.size + 5
 
 
 def dbpsk_demodulate(block: SampleBlock, sync_offset: int) -> np.ndarray:
     """Differentially decode up to 112 bits following the sync reversal.
 
     ``sync_offset`` points at the first chip after the phase reversal; the
-    payload begins two chips later and the receiver budgets a fixed
-    120-chip slice from there, so short frames simply yield their 56 bits
-    (plus pad) and the caller truncates using the decoded format code.
+    payload begins two chips later and every chip from there is decoded, up
+    to 112, so short frames simply yield their 56 bits (plus pad) and the
+    caller truncates using the decoded format code.
     Constant phase rotation of the whole stream cancels in the chip-pair
     products, so decoding is rotation invariant.
     """
-    sps = block.samples_per_symbol
-    p0 = sync_offset + 2 * sps
-    if sync_offset < sps or p0 > block.samples.size:
+    p0 = sync_offset + 2
+    if sync_offset < 1 or p0 > block.samples.size:
         raise PhyError("sync offset leaves no room for a payload")
     x = block.samples
-    n_avail = (min(x.size - p0, DBPSK_SLICE_CHIPS * sps)) // sps
-    n = min(MAX_PAYLOAD_BITS, n_avail)
+    n = min(MAX_PAYLOAD_BITS, x.size - p0)
     if n < MIN_PAYLOAD_BITS:
         raise PhyError(f"stream truncated: only {n} symbols after the sync reversal")
-    seg = x[p0 - sps: p0 + n * sps]
-    sym = seg.reshape(n + 1, sps).mean(axis=1)
+    sym = x[p0 - 1: p0 + n]
     diff = sym[1:] * np.conj(sym[:-1])
     return (diff.real < 0).astype(np.uint8)
 

@@ -22,8 +22,13 @@ from .airspace import (
     NoiselessChannel,
     SimError,
     World,
+    step_kinematics,
 )
 from .attacker import (
+    DEFAULT_BAIT_TIMEOUT_S,
+    DEFAULT_FLOOD_ADDRESS_BASE,
+    DEFAULT_FLOOD_DURATION_S,
+    DEFAULT_FLOOD_RATE_HZ,
     MISSION_ALL_CALL_FLOOD,
     MISSION_PHANTOM,
     MISSION_SQUITTER_FLOOD,
@@ -166,9 +171,9 @@ class JamSpec:
 
 @dataclass(frozen=True)
 class FloodSpec:
-    rate_hz: float = 10.0
-    duration_s: float = 10.0
-    address_base: int = 0x500000
+    rate_hz: float = DEFAULT_FLOOD_RATE_HZ
+    duration_s: float = DEFAULT_FLOOD_DURATION_S
+    address_base: int = DEFAULT_FLOOD_ADDRESS_BASE
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,7 @@ class AttackerSpec:
     position: AircraftState
     target_icao: int | None = None
     plan: PhantomPlan | None = None
-    bait_timeout_s: float = 20.0
+    bait_timeout_s: float = DEFAULT_BAIT_TIMEOUT_S
     flood: FloodSpec = FloodSpec()
     jams: tuple[JamSpec, ...] = ()
 
@@ -258,7 +263,7 @@ def _parse(doc: dict) -> Scenario:
     aircraft_docs = doc.get("aircraft")
     if not isinstance(aircraft_docs, list) or not aircraft_docs:
         raise ScenarioError("scenario: field 'aircraft' must list at least one aircraft")
-    aircraft = tuple(_parse_aircraft(f"aircraft[{i}]", item)
+    aircraft = tuple(_parse_aircraft(f"aircraft[{i}]", item, duration_s)
                      for i, item in enumerate(aircraft_docs))
     names = [a.name for a in aircraft]
     icaos = [a.icao for a in aircraft]
@@ -299,7 +304,7 @@ def _parse_channel(obj: dict) -> ChannelSpec:
     raise ScenarioError(f"channel: unknown kind {kind!r}")
 
 
-def _parse_aircraft(where: str, obj: dict) -> AircraftSpec:
+def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
     _check_keys(where, obj, {"name", "icao", "mode", "squitter",
                              "position", "velocity", "pilot"})
     name = _string(where, obj, "name", required=True)
@@ -314,6 +319,12 @@ def _parse_aircraft(where: str, obj: dict) -> AircraftSpec:
         raise ScenarioError(f"{where}: missing field 'position'")
     state = _state(where, obj["position"], obj.get("velocity"))
     _check_altitude(f"{where}.position", state.altitude_ft)
+    # scripted motion is linear, so its altitudes at both ends bound the run
+    try:
+        codec.encode_altitude(step_kinematics(state, duration_s).altitude_ft)
+    except codec.CodecError as exc:
+        raise ScenarioError(f"{where}.velocity: field 'vertical_rate_fpm' takes the altitude "
+                            f"out of the codec's range by duration_s: {exc}") from None
     pilot = PilotModel()
     if "pilot" in obj:
         _check_keys(f"{where}.pilot", obj["pilot"], {"delay_s", "rate_fpm"})
@@ -389,7 +400,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
             raise ScenarioError(f"{jam_where}: window must satisfy 0 <= start_s < end_s")
         jams.append(JamSpec(target_icao, start_s, end_s))
 
-    bait_timeout_s = _number(where, obj, "bait_timeout_s", 20.0)
+    bait_timeout_s = _number(where, obj, "bait_timeout_s", DEFAULT_BAIT_TIMEOUT_S)
     if bait_timeout_s < 0:
         raise ScenarioError(f"{where}: field 'bait_timeout_s' must not be negative")
     return AttackerSpec(name, mission, position, target, plan, bait_timeout_s,

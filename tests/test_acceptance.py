@@ -110,15 +110,15 @@ def test_criterion_3_modem_fidelity_and_loss_monotonicity():
         ppm_errors = dbpsk_errors = 0
         for _ in range(1000):
             bits = rng.integers(0, 2, rng.choice([56, 112]))
-            blk = phy.ppm_modulate(bits, 1)
+            blk = phy.ppm_modulate(bits)
             dets = phy.ppm_frame_detect(blk)
             out = phy.ppm_demodulate(blk, dets[0].offset, bits.size)
             ppm_errors += int((out != bits).sum())
         for _ in range(1000):
             bits = rng.integers(0, 2, rng.choice([56, 112]))
-            blk = phy.dbpsk_modulate(bits, 1)
+            blk = phy.dbpsk_modulate(bits)
             dets = phy.dbpsk_frame_detect(blk)
-            out = phy.dbpsk_demodulate(blk, phy.sync_offset_of(dets[0].offset, 1))
+            out = phy.dbpsk_demodulate(blk, phy.sync_offset_of(dets[0].offset))
             dbpsk_errors += int((out[:bits.size] != bits).sum())
         assert ppm_errors == 0 and dbpsk_errors == 0
 

@@ -86,6 +86,16 @@ class TestSweep:
         assert lines[0] == "snr_db,samples,lost,loss_fraction"
         assert [row.split(",")[0] for row in lines[1:]] == ["5", "20", "inf"]
 
+    @pytest.mark.parametrize("argv", [
+        ("--snr", "10", "--frames", "0"), ("--snr=-inf",), ("--snr", "nan"), ("--snr", "5,NaN")],
+        ids=["frames-zero", "snr-minus-inf", "snr-nan", "snr-nan-in-list"])
+    def test_bad_sweep_input_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(NOISY_DOC))
+        code, out, err = run(capsys, "sweep", str(path), *argv)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
     def test_noiseless_scenario_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "benign_pair", "--snr", "10")
         assert code == 2

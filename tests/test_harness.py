@@ -163,6 +163,13 @@ class TestLossSweep:
         b = harness.loss_sweep(self.SCENARIO, [8.0, 12.0], corpus_size=50)
         assert a == b
 
+    @pytest.mark.parametrize("snr_list,corpus_size", [
+        ([10.0], 0), ([10.0], -1), ([math.nan], 10), ([-math.inf], 10), ([None, math.nan], 10)],
+        ids=["empty-corpus", "negative-corpus", "snr-nan", "snr-minus-inf", "nan-beside-none"])
+    def test_rejects_empty_corpus_and_non_numeric_snr(self, snr_list, corpus_size):
+        with pytest.raises(ValueError):
+            harness.loss_sweep(self.SCENARIO, snr_list, corpus_size=corpus_size)
+
     def test_csv_rendering(self):
         points = harness.loss_sweep(self.SCENARIO, [None], corpus_size=10)
         text = harness.loss_table_csv(points)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from tcassim import modes_codec as codec
 from tcassim import scenario as scen
 from tcassim.airspace import AwgnChannel, NoiselessChannel, distance_nmi
 from tcassim.attacker import Attacker
@@ -112,6 +113,15 @@ class TestValidation:
                      id="pilot-rate-zero"),
         pytest.param(lambda d: d["aircraft"][0]["position"].update(altitude_ft=-100),
                      "altitude_ft", id="aircraft-altitude-negative"),
+        pytest.param(lambda d: d["aircraft"][0].update(
+                         position={"x_nmi": 0.0, "y_nmi": 0.0, "altitude_ft": 500.0},
+                         velocity={"vertical_rate_fpm": -6000.0}),
+                     "vertical_rate_fpm", id="aircraft-descends-below-zero"),
+        pytest.param(lambda d: d["aircraft"][0].update(
+                         position={"x_nmi": 0.0, "y_nmi": 0.0,
+                                   "altitude_ft": codec.ALTITUDE_MAX_FT - 100.0},
+                         velocity={"vertical_rate_fpm": 6000.0}),
+                     "vertical_rate_fpm", id="aircraft-climbs-above-max"),
         pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"altitude_ft": -100}}),
                      "altitude_ft", id="attacker-plan-altitude-negative"),
         pytest.param(lambda d: d.update(attacker={**PHANTOM, "bait_timeout_s": -1}),
