@@ -27,15 +27,15 @@ if trusting.flags:
 
 print()
 print("=== phantom attack pressure on VNA and VMIR ===")
-rows = sensitivity_sweep(
+sweep = sensitivity_sweep(
     grid={"ti": [0.0, 0.25, 0.5], "vna": [0.0, 0.3]},
     overrides=PHANTOM_ATTACK_OVERRIDES)
+r = sweep.report
 print(f"{'vna':>5} {'ti':>5} {'p_top':>8} {'ratio':>7}  flags")
-for row in rows:
-    r = row.report
-    print(f"{row.factors.vna:>5.2f} {row.factors.ti:>5.2f} "
-          f"{r.p_top_sum:>8.4f} {r.risk_ratio:>7.3f}  {';'.join(r.flags)}")
+for vna, ti, p_top, ratio, flags in zip(sweep.factors.vna, sweep.factors.ti,
+                                        r.p_top_sum, r.risk_ratio, r.flags):
+    print(f"{vna:>5.2f} {ti:>5.2f} {p_top:>8.4f} {ratio:>7.3f}  {';'.join(flags)}")
 
 print()
 print("same table as csv (feed to any plotting tool):")
-print(sweep_to_csv(rows))
+print(sweep_to_csv(sweep))

@@ -60,8 +60,6 @@ def _parse_snr(text: str) -> list[float | None]:
             values.append(None)
         else:
             values.append(float(part))
-    if not values:
-        raise ValueError("empty SNR list")
     return values
 
 
@@ -84,13 +82,17 @@ def _cmd_fta(args: argparse.Namespace) -> int:
     else:
         document = json.loads(Path(args.file).read_text())
     for item in args.override:
-        key, _, value = item.partition("=")
-        if not _:
+        key, sep, value = item.partition("=")
+        if not sep:
             raise fta.FtaError(f"override must look like k=v, got {item!r}")
-        document.setdefault("overrides", {})[key] = float(value)
-    rows, table = harness.fta_report(document)
+        try:
+            document.setdefault("overrides", {})[key] = float(value)
+        except (AttributeError, TypeError):  # not a JSON object at either level
+            raise fta.FtaError("--override needs a JSON object document whose "
+                               "'overrides' field is an object") from None
+    sweep, table = harness.fta_report(document)
     if args.json:
-        print(json.dumps([row.report.to_dict() for row in rows], indent=1, sort_keys=True))
+        print(json.dumps(sweep.to_dicts(), indent=1, sort_keys=True))
     else:
         print(table, end="")
     return 0

@@ -15,17 +15,21 @@ with no physical aircraft to see, both visual-acquisition failures become
 certainties, which feeds the human factors through a noisy-OR mapping
 (a reconstruction: the printed formulas do not contain those events
 directly).
+
+Each formula is written once and reads its factors by attribute, so it
+evaluates one point and a whole sweep of numpy columns with the same
+floating-point operations in the same order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 TOP_PUBLISHED_CONSTANT = 0.424
-CONSTANT_GAP = 0.099
 
 FACTOR_ORDER = ("vna", "vmir", "rnf", "tna", "ti")
 
@@ -33,12 +37,13 @@ PHANTOM_ATTACK_OVERRIDES = {"n": 1.0, "o": 1.0}
 
 
 class FtaError(ValueError):
-    """Out-of-range probability or undefined ratio."""
+    """Out-of-range probability, malformed input or undefined ratio."""
 
 
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise FtaError(f"{name} must be a probability in [0, 1], got {value}")
+def _check_unit(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0.0 <= value <= 1.0:
+        raise FtaError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,17 @@ class HumanFactors:
 
 
 @dataclass(frozen=True)
+class FactorColumns(HumanFactors):
+    """One numpy column per factor; its values were checked once per grid axis."""
+
+    def __post_init__(self) -> None:
+        pass
+
+
+@dataclass(frozen=True)
 class RiskReport:
+    """Floats and a flags tuple for one point; numpy columns for a sweep."""
+
     p_unresolved: float
     p_induced: float
     p_top_sum: float
@@ -95,30 +110,34 @@ class RiskReport:
     risk_ratio: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["flags"] = list(self.flags)
-        return d
+
+def _unresolved_terms(start, hf: HumanFactors):
+    return start + 0.259 * (hf.vna + hf.tna) + 0.327 * hf.rnf + 0.0008 * hf.vmir
+
+
+def _induced_terms(start, hf: HumanFactors):
+    return start + 0.014 * hf.vmir + 0.59 * hf.ti
 
 
 def unresolved_component(hf: HumanFactors) -> float:
-    return 0.413 + 0.259 * (hf.vna + hf.tna) + 0.327 * hf.rnf + 0.0008 * hf.vmir
+    return _unresolved_terms(0.413, hf)
 
 
 def induced_component(hf: HumanFactors) -> float:
-    return 0.11 + 0.014 * hf.vmir + 0.59 * hf.ti
-
-
-def _published_form(hf: HumanFactors) -> float:
-    # same variable terms as the component sum, but the printed constant
-    return (TOP_PUBLISHED_CONSTANT + 0.259 * (hf.vna + hf.tna) + 0.327 * hf.rnf
-            + 0.0008 * hf.vmir + 0.014 * hf.vmir + 0.59 * hf.ti)
+    return _induced_terms(0.11, hf)
 
 
 def risk_ratio(p_with_tcas: float, p_without_tcas: float) -> float:
-    if p_without_tcas <= 0.0:
+    if np.any(p_without_tcas <= 0.0):
         raise FtaError("risk ratio undefined for a nonpositive baseline")
     return p_with_tcas / p_without_tcas
+
+
+_FLAGGED = ("p_unresolved", "p_induced", "p_top_sum", "p_top_published")
+# entry m is the flags tuple of the _FLAGGED values whose bit is set in m
+_FLAG_SETS = np.fromiter(
+    (tuple(f"{name}>1" for bit, name in enumerate(_FLAGGED) if m >> bit & 1) for m in range(16)),
+    dtype=object, count=16)
 
 
 def top_event(hf: HumanFactors, *, baseline_top: float | None = None) -> RiskReport:
@@ -126,17 +145,16 @@ def top_event(hf: HumanFactors, *, baseline_top: float | None = None) -> RiskRep
 
     ``baseline_top`` is the reference top-event probability for the ratio
     column; by itself a report compares against its own sum (ratio 1).
+    The published form is the same two term chains seeded with the
+    printed constant, so its terms add in the same order as the sum's.
     """
     p_u = unresolved_component(hf)
     p_i = induced_component(hf)
     p_sum = p_u + p_i
-    p_pub = _published_form(hf)
-    flags = tuple(
-        f"{name}>1" for name, value in (
-            ("p_unresolved", p_u), ("p_induced", p_i),
-            ("p_top_sum", p_sum), ("p_top_published", p_pub)) if value > 1.0)
+    p_pub = _induced_terms(_unresolved_terms(TOP_PUBLISHED_CONSTANT, hf), hf)
+    mask = sum((value > 1.0) * 2**bit for bit, value in enumerate((p_u, p_i, p_sum, p_pub)))
     ratio = risk_ratio(p_sum, p_sum if baseline_top is None else baseline_top)
-    return RiskReport(p_u, p_i, p_sum, p_pub, ratio, flags)
+    return RiskReport(p_u, p_i, p_sum, p_pub, ratio, _FLAG_SETS[mask])
 
 
 def apply_attack_mapping(events: BasicEvents, hf: HumanFactors) -> HumanFactors:
@@ -155,58 +173,66 @@ def apply_attack_mapping(events: BasicEvents, hf: HumanFactors) -> HumanFactors:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    factors: HumanFactors
+class Sweep:
+    """A sensitivity sweep as columns: mapped factors, shared events, report."""
+
+    factors: FactorColumns
     events: BasicEvents
     report: RiskReport
 
+    def __len__(self) -> int:
+        return len(self.report.p_top_sum)
 
-def sensitivity_sweep(base: BasicEvents | None = None,
-                      grid: dict[str, list[float]] | None = None,
-                      overrides: dict[str, float] | None = None) -> list[SweepRow]:
+    def to_dicts(self) -> list[dict]:
+        """One dict of report fields per row, ready for ``json.dumps``."""
+        columns = {fld.name: getattr(self.report, fld.name).tolist()
+                   for fld in fields(RiskReport)}
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def sensitivity_sweep(grid: dict[str, list[float]] | None = None,
+                      overrides: dict[str, float] | None = None) -> Sweep:
     """Cross-product evaluation of the top event over a factor grid.
 
     ``grid`` maps human-factor names to value lists; factors absent from
-    the grid stay 0.  ``overrides`` replaces basic-event probabilities and
+    the grid stay 0, and the first factor of ``FACTOR_ORDER`` varies
+    slowest.  ``overrides`` replaces basic-event probabilities and
     switches on the attack mapping; each row's risk ratio then compares
     the attacked top event against the same grid point without the attack.
     """
-    base = base or BasicEvents()
     grid = grid or {}
-    for name in grid:
+    for name, values in grid.items():
         if name not in FACTOR_ORDER:
             raise FtaError(f"unknown human factor {name!r}")
-    events = replace(base, **overrides) if overrides else base
-    axes = [(name, list(grid[name])) for name in FACTOR_ORDER if name in grid]
-    rows: list[SweepRow] = []
-    for point in itertools.product(*(values for _, values in axes)):
-        hf = HumanFactors(**{name: v for (name, _), v in zip(axes, point)})
-        if overrides:
-            mapped = apply_attack_mapping(events, hf)
-            baseline = top_event(hf).p_top_sum
-            report = top_event(mapped, baseline_top=baseline)
-            rows.append(SweepRow(mapped, events, report))
-        else:
-            rows.append(SweepRow(hf, events, top_event(hf)))
-    return rows
+        if not isinstance(values, (list, tuple)):
+            raise FtaError(f"grid {name!r} must be a list of probabilities, got {values!r}")
+        for value in values:
+            _check_unit(name.upper(), value)
+    for name in overrides or {}:
+        if name not in BasicEvents.__dataclass_fields__:
+            raise FtaError(f"unknown basic event override {name!r}")
+    events = BasicEvents(**(overrides or {}))
+    axes = [np.array(grid.get(name, [0.0]), dtype=float) for name in FACTOR_ORDER]
+    hf = FactorColumns(*(column.ravel() for column in np.meshgrid(*axes, indexing="ij")))
+    if not overrides:
+        return Sweep(hf, events, top_event(hf))
+    mapped = apply_attack_mapping(events, hf)
+    return Sweep(mapped, events, top_event(mapped, baseline_top=top_event(hf).p_top_sum))
 
 
-SWEEP_COLUMNS = list(FACTOR_ORDER) + [
-    "n", "o", "p_unresolved", "p_induced", "p_top_sum", "p_top_published",
-    "risk_ratio", "flags"]
+SWEEP_COLUMNS = [*FACTOR_ORDER, "n", "o", *(fld.name for fld in fields(RiskReport))]
 
 
-def sweep_to_csv(rows: list[SweepRow]) -> str:
+def sweep_to_csv(sweep: Sweep) -> str:
+    rep = sweep.report
+    numbers = [getattr(sweep.factors, name) for name in FACTOR_ORDER]
+    numbers += [np.full(len(sweep), sweep.events.n), np.full(len(sweep), sweep.events.o),
+                rep.p_unresolved, rep.p_induced, rep.p_top_sum, rep.p_top_published,
+                rep.risk_ratio]
+    cells = [[f"{v:.10g}" for v in column.tolist()] for column in numbers]
+    cells.append([";".join(flags) for flags in rep.flags])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        rec = [f"{getattr(row.factors, name):.10g}" for name in FACTOR_ORDER]
-        rec += [f"{row.events.n:.10g}", f"{row.events.o:.10g}"]
-        rep = row.report
-        rec += [f"{v:.10g}" for v in (rep.p_unresolved, rep.p_induced,
-                                      rep.p_top_sum, rep.p_top_published,
-                                      rep.risk_ratio)]
-        rec.append(";".join(rep.flags))
-        writer.writerow(rec)
+    writer.writerows(zip(*cells))
     return buf.getvalue()

@@ -265,26 +265,23 @@ def loss_table_csv(points: list[LossPoint]) -> str:
 
 # -- risk tables ------------------------------------------------------------------------
 
-def fta_report(document: dict | None = None) -> tuple[list[fta.SweepRow], str]:
-    """Evaluate a factor document into sweep rows and their CSV rendering.
+def fta_report(document: dict | None = None) -> tuple[fta.Sweep, str]:
+    """Evaluate a factor document into a sweep and its CSV rendering.
 
     The document may carry ``factors`` (single-point evaluation), ``grid``
     (cross-product sweep), and ``overrides`` (basic-event replacements
-    that also switch on the attack mapping).  An empty document yields the
-    all-defaults row.
+    that also switch on the attack mapping), each a JSON object.  An empty
+    document yields the all-defaults row.
     """
-    document = document or {}
-    unknown = set(document) - {"factors", "grid", "overrides"}
-    if unknown:
-        raise fta.FtaError(f"unknown risk document field {sorted(unknown)[0]!r}")
-    factors = document.get("factors", {})
-    grid = {name: [value] for name, value in factors.items()}
+    document = {} if document is None else document
+    if not isinstance(document, dict):
+        raise fta.FtaError("a risk document must be a JSON object")
+    for key, value in document.items():
+        if key not in ("factors", "grid", "overrides"):
+            raise fta.FtaError(f"unknown risk document field {key!r}")
+        if not isinstance(value, dict):
+            raise fta.FtaError(f"risk document field {key!r} must be an object")
+    grid = {name: [value] for name, value in document.get("factors", {}).items()}
     grid.update(document.get("grid", {}))
-    overrides = document.get("overrides")
-    if overrides is not None:
-        try:
-            fta.BasicEvents(**overrides)  # validates names and ranges up front
-        except TypeError as exc:
-            raise fta.FtaError(f"unknown basic event override: {exc}") from None
-    rows = fta.sensitivity_sweep(grid=grid, overrides=overrides)
-    return rows, fta.sweep_to_csv(rows)
+    sweep = fta.sensitivity_sweep(grid=grid, overrides=document.get("overrides"))
+    return sweep, fta.sweep_to_csv(sweep)

@@ -1,6 +1,7 @@
 """The benchmark's traced run wraps package functions by name from outside
-(``perfbench/tracing.py``).  A rename or deletion of any wrapped name must
-fail here, not only when the traced benchmark runs."""
+(``perfbench/tracing.py``), and its jobs (``perfbench/worker.py``) use what
+those functions return.  A rename, a deletion or a changed result that the
+benchmark relies on must fail here, not only when the benchmark runs."""
 
 from __future__ import annotations
 
@@ -32,3 +33,15 @@ def test_every_span_site_resolves():
             if not found:
                 missing.append(f"{span}: {owner_path}.{attr}")
     assert not missing
+
+
+def test_fta_sweep_supports_what_the_bench_job_uses():
+    # worker.fta_job takes len() of the sweep and renders it with sweep_to_csv
+    from tcassim import fta
+
+    sweep = fta.sensitivity_sweep(grid={"ti": [0.0, 1.0]},
+                                  overrides=fta.PHANTOM_ATTACK_OVERRIDES)
+    assert len(sweep) == 2
+    lines = fta.sweep_to_csv(sweep).splitlines()
+    assert lines[0] == ",".join(fta.SWEEP_COLUMNS)
+    assert len(lines) == 3

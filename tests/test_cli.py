@@ -129,6 +129,24 @@ class TestFta:
         with pytest.raises(SystemExit):
             cli.main(["fta"])
 
+    @pytest.mark.parametrize("document,argv,names", [
+        ({"grid": {"ti": ["a"]}}, [], "TI"),
+        ({"grid": {"ti": 0.5}}, [], "'ti'"),
+        ({"factors": [1]}, [], "'factors'"),
+        ({"overrides": {"n": "x"}}, [], "n must be a probability"),
+        ({"overrides": {"n": True}}, [], "n must be a probability"),
+        ([], [], "JSON object"),
+        ([], ["--override", "n=1"], "JSON object"),
+        ({"overrides": [1]}, ["--override", "n=1"], "'overrides'"),
+    ])
+    def test_malformed_document_exits_2_naming_the_field(self, capsys, tmp_path,
+                                                         document, argv, names):
+        path = tmp_path / "risk.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "fta", str(path), *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and names in err
+
 
 class TestCodec:
     def test_library_build_cli_decode_round_trip(self, capsys):

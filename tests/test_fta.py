@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from tcassim import fta
@@ -77,7 +79,7 @@ class TestTopEvent:
         for _ in range(200):
             report = fta.top_event(random_factors(rng))
             gap = report.p_top_sum - report.p_top_published
-            assert gap == pytest.approx(fta.CONSTANT_GAP, abs=EXACT)
+            assert gap == pytest.approx(0.099, abs=EXACT)
 
     def test_values_above_one_are_flagged_not_clamped(self):
         hf = HumanFactors(vna=1, vmir=1, rnf=1, tna=1, ti=1)
@@ -169,21 +171,21 @@ class TestSensitivitySweep:
     GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_empty_grid_gives_single_baseline_row(self):
-        rows = fta.sensitivity_sweep()
-        assert len(rows) == 1
-        assert rows[0].report.p_top_sum == pytest.approx(0.523, abs=EXACT)
-        assert rows[0].report.risk_ratio == 1.0
+        sweep = fta.sensitivity_sweep()
+        assert len(sweep) == 1
+        assert sweep.report.p_top_sum[0] == pytest.approx(0.523, abs=EXACT)
+        assert sweep.report.risk_ratio[0] == 1.0
 
     def test_cross_product_order(self):
-        rows = fta.sensitivity_sweep(grid={"ti": [0.0, 1.0], "rnf": [0.0, 0.5]})
+        sweep = fta.sensitivity_sweep(grid={"ti": [0.0, 1.0], "rnf": [0.0, 0.5]})
         # rnf is the slower axis regardless of dict insertion order
-        points = [(r.factors.rnf, r.factors.ti) for r in rows]
+        points = list(zip(sweep.factors.rnf.tolist(), sweep.factors.ti.tolist()))
         assert points == [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0)]
 
     def test_monotone_in_each_factor(self):
-        rows = fta.sensitivity_sweep(grid={"rnf": self.GRID, "ti": self.GRID})
+        sweep = fta.sensitivity_sweep(grid={"rnf": self.GRID, "ti": self.GRID})
         n = len(self.GRID)
-        top = [r.report.p_top_sum for r in rows]
+        top = sweep.report.p_top_sum
         for i in range(n):
             for j in range(n - 1):
                 assert top[i * n + j] <= top[i * n + j + 1]      # along ti
@@ -196,16 +198,16 @@ class TestSensitivitySweep:
         attacked = fta.sensitivity_sweep(
             grid=grid, overrides=fta.PHANTOM_ATTACK_OVERRIDES)
         assert len(plain) == len(attacked) == 25
-        for p, a in zip(plain, attacked):
-            assert a.report.p_top_sum > p.report.p_top_sum
-            assert a.report.risk_ratio == pytest.approx(
-                a.report.p_top_sum / p.report.p_top_sum, abs=EXACT)
-            assert a.report.risk_ratio > 1.0
-            assert (a.events.n, a.events.o) == (1.0, 1.0)
+        assert (attacked.events.n, attacked.events.o) == (1.0, 1.0)
+        for p_top, a_top, a_ratio in zip(plain.report.p_top_sum,
+                                         attacked.report.p_top_sum,
+                                         attacked.report.risk_ratio):
+            assert a_top > p_top
+            assert a_ratio == pytest.approx(a_top / p_top, abs=EXACT)
+            assert a_ratio > 1.0
 
     def test_csv_layout(self):
-        rows = fta.sensitivity_sweep(grid={"rnf": [0.0, 1.0]})
-        text = fta.sweep_to_csv(rows)
+        text = fta.sweep_to_csv(fta.sensitivity_sweep(grid={"rnf": [0.0, 1.0]}))
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == fta.SWEEP_COLUMNS
         assert len(parsed) == 3
@@ -228,9 +230,44 @@ class TestSensitivitySweep:
         assert a == b
 
     def test_overflow_rows_carry_flags_in_csv(self):
-        rows = fta.sensitivity_sweep(grid={
-            "vna": [1.0], "vmir": [1.0], "rnf": [1.0], "tna": [1.0]})
-        text = fta.sweep_to_csv(rows)
+        text = fta.sweep_to_csv(fta.sensitivity_sweep(grid={
+            "vna": [1.0], "vmir": [1.0], "rnf": [1.0], "tna": [1.0]}))
         last = list(csv.reader(io.StringIO(text)))[-1]
         flags = dict(zip(fta.SWEEP_COLUMNS, last))["flags"]
         assert "p_unresolved>1" in flags.split(";")
+
+
+PROBABILITY = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1]))
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+class TestSweepMatchesScalarEvaluation:
+    """Row r of a sweep is the scalar evaluation at that grid point, bit for bit,
+    with the attack mapping and baseline ratio applied as a per-point loop would."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid=st.dictionaries(st.sampled_from(fta.FACTOR_ORDER),
+                                st.lists(PROBABILITY, max_size=3), max_size=5),
+           overrides=st.one_of(st.none(), st.just(fta.PHANTOM_ATTACK_OVERRIDES),
+                               st.fixed_dictionaries({"n": PROBABILITY, "o": PROBABILITY})))
+    def test_row_equals_top_event_at_its_point(self, grid, overrides):
+        sweep = fta.sensitivity_sweep(grid=grid, overrides=overrides)
+        names = [name for name in fta.FACTOR_ORDER if name in grid]
+        points = list(itertools.product(*(grid[name] for name in names)))
+        assert len(sweep) == len(points)
+        for r, point in enumerate(points):
+            hf = HumanFactors(**dict(zip(names, point)))
+            if overrides:
+                factors = fta.apply_attack_mapping(BasicEvents(**overrides), hf)
+                want = fta.top_event(factors, baseline_top=fta.top_event(hf).p_top_sum)
+            else:
+                factors, want = hf, fta.top_event(hf)
+            for name in fta.FACTOR_ORDER:
+                assert bits(getattr(sweep.factors, name)[r]) == bits(getattr(factors, name))
+            for name in ("p_unresolved", "p_induced", "p_top_sum", "p_top_published",
+                         "risk_ratio"):
+                assert bits(getattr(sweep.report, name)[r]) == bits(getattr(want, name))
+            assert sweep.report.flags[r] == want.flags

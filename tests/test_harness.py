@@ -179,33 +179,48 @@ class TestLossSweep:
 
 class TestFtaReport:
     def test_default_document_gives_published_row(self):
-        rows, table = harness.fta_report(None)
-        assert len(rows) == 1
-        rep = rows[0].report
-        assert (rep.p_unresolved, rep.p_induced) == (0.413, 0.11)
-        assert rep.p_top_sum == pytest.approx(0.523, abs=1e-12)
-        assert rep.p_top_published == 0.424
+        sweep, table = harness.fta_report(None)
+        assert len(sweep) == 1
+        rep = sweep.report
+        assert (rep.p_unresolved[0], rep.p_induced[0]) == (0.413, 0.11)
+        assert rep.p_top_sum[0] == pytest.approx(0.523, abs=1e-12)
+        assert rep.p_top_published[0] == 0.424
         assert "0.413,0.11,0.523,0.424" in table
 
     def test_grid_cardinality(self):
-        rows, _ = harness.fta_report({"grid": {"rnf": [0, 0.5, 1], "ti": [0, 1]}})
-        assert len(rows) == 6
+        sweep, _ = harness.fta_report({"grid": {"rnf": [0, 0.5, 1], "ti": [0, 1]}})
+        assert len(sweep) == 6
 
     def test_factors_document(self):
-        rows, _ = harness.fta_report({"factors": {"ti": 0.5}})
-        assert rows[0].report.p_induced == pytest.approx(0.405, abs=1e-12)
+        sweep, _ = harness.fta_report({"factors": {"ti": 0.5}})
+        assert sweep.report.p_induced[0] == pytest.approx(0.405, abs=1e-12)
 
     def test_attack_overrides_elevate_and_flag(self):
-        rows, _ = harness.fta_report({
+        sweep, _ = harness.fta_report({
             "factors": {"vna": 1.0, "tna": 1.0, "rnf": 1.0},
             "overrides": {"n": 1.0, "o": 1.0}})
-        rep = rows[0].report
-        assert rep.risk_ratio > 1.0
-        assert "p_unresolved>1" in rep.flags
+        rep = sweep.report
+        assert rep.risk_ratio[0] > 1.0
+        assert "p_unresolved>1" in rep.flags[0]
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(fta.FtaError, match="mood"):
             harness.fta_report({"mood": {}})
         with pytest.raises(fta.FtaError):
             harness.fta_report({"overrides": {"zz": 0.5}})
+
+    @pytest.mark.parametrize("document,names", [
+        ([], "JSON object"),
+        ({"grid": {"ti": ["a"]}}, "TI"),
+        ({"grid": {"ti": 0.5}}, "'ti'"),
+        ({"grid": {"ti": [True]}}, "TI"),
+        ({"grid": [["ti", [0.5]]]}, "'grid'"),
+        ({"factors": [1]}, "'factors'"),
+        ({"factors": {"ti": True}}, "TI"),
+        ({"overrides": {"n": "x"}}, r"\bn must be a probability"),
+        ({"overrides": {"n": False}}, r"\bn must be a probability"),
+    ])
+    def test_malformed_document_names_the_field(self, document, names):
+        with pytest.raises(fta.FtaError, match=names):
+            harness.fta_report(document)
 
