@@ -41,8 +41,7 @@ class FtaError(ValueError):
 
 
 def _check_unit(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not 0.0 <= value <= 1.0:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
         raise FtaError(f"{name} must be a probability in [0, 1], got {value!r}")
 
 
