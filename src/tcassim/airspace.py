@@ -184,7 +184,7 @@ def _padded_waveform(frame: codec.ModeSFrame) -> np.ndarray:
     # looked up per call so instrumentation that wraps the modulators on
     # the module sees every use
     modulate = phy.ppm_modulate if frame.direction == codec.DOWNLINK else phy.dbpsk_modulate
-    clean = modulate(frame.bits()).samples
+    clean = modulate(frame.bits())
     pad = np.zeros(LEAD_PAD, dtype=clean.dtype)
     samples = np.concatenate([pad, clean, pad])
     samples.flags.writeable = False
@@ -217,17 +217,16 @@ class AwgnChannel:
         if frame.direction == codec.DOWNLINK:
             detect, chip_ns = phy.ppm_frame_detect, phy.PPM_CHIP_NS
 
-            def demodulate(block, offset):  # every bit that fits behind the preamble
-                fit = (block.samples.size - offset - phy.PPM_PREAMBLE.size) // 2
-                return phy.ppm_demodulate(block, offset, min(fit, phy.MAX_PAYLOAD_BITS))
+            def demodulate(x, offset):  # every bit that fits behind the preamble
+                fit = (x.size - offset - phy.PPM_PREAMBLE.size) // 2
+                return phy.ppm_demodulate(x, offset, min(fit, phy.MAX_PAYLOAD_BITS))
         else:
             detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
 
-            def demodulate(block, offset):  # up to 112 bits after the sync reversal
-                return phy.dbpsk_demodulate(block, phy.sync_offset_of(offset))
+            def demodulate(x, offset):  # up to 112 bits after the sync reversal
+                return phy.dbpsk_demodulate(x, phy.sync_offset_of(offset))
 
-        block = phy.SampleBlock(samples, deliver_time_ns - LEAD_PAD * chip_ns)
-        noisy = phy.awgn(block, self.snr_db, seed)
+        noisy = phy.awgn(samples, self.snr_db, seed)
         # bits are decided one by one, so cutting to the header's length
         # equals demodulating exactly that many bits
         for det in detect(noisy):
@@ -239,7 +238,8 @@ class AwgnChannel:
             if need is None or bits.size < need:
                 continue
             rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
-            return rx_frame, det.timestamp_ns
+            # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
+            return rx_frame, deliver_time_ns + (det.offset - LEAD_PAD) * chip_ns
         return None
 
 

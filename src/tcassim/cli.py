@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="JSON document with factors/grid/overrides")
     p.add_argument("--defaults", action="store_true", help="evaluate the all-defaults row")
     p.add_argument("--override", action="append", default=[], metavar="k=v",
-                   help="set a basic event (repeatable); switches on the attack mapping")
+                   help="set basic event n or o, the ones a formula reads (repeatable); "
+                        "switches on the attack mapping")
     p.add_argument("--json", action="store_true", help="emit JSON reports instead of CSV")
     p.set_defaults(func=_cmd_fta)
 

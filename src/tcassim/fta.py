@@ -50,8 +50,8 @@ class BasicEvents:
     """Base-event probabilities from the original safety study.
 
     Only the visual-acquisition pair (n, o) feeds the printed component
-    formulas, via the attack mapping; the rest are carried as data so
-    sweeps can report and extend them.
+    formulas, via the attack mapping; the rest are carried as data from
+    the study, and no formula reads them.
     """
 
     a: float = 0.16      # IMC
@@ -195,9 +195,11 @@ def sensitivity_sweep(grid: dict[str, list[float]] | None = None,
 
     ``grid`` maps human-factor names to value lists; factors absent from
     the grid stay 0, and the first factor of ``FACTOR_ORDER`` varies
-    slowest.  ``overrides`` replaces basic-event probabilities and
-    switches on the attack mapping; each row's risk ratio then compares
-    the attacked top event against the same grid point without the attack.
+    slowest.  ``overrides`` replaces n and o, the basic events the attack
+    mapping reads, and switches that mapping on; each row's risk ratio then
+    compares the attacked top event against the same grid point without
+    the attack.  Overriding any other basic event is an FtaError, because
+    no formula reads it.
     """
     grid = grid or {}
     for name, values in grid.items():
@@ -208,8 +210,8 @@ def sensitivity_sweep(grid: dict[str, list[float]] | None = None,
         for value in values:
             _check_unit(name.upper(), value)
     for name in overrides or {}:
-        if name not in BasicEvents.__dataclass_fields__:
-            raise FtaError(f"unknown basic event override {name!r}")
+        if name not in ("n", "o"):  # the events apply_attack_mapping reads
+            raise FtaError(f"basic event {name!r} feeds no formula; only n and o can be overridden")
     events = BasicEvents(**(overrides or {}))
     axes = [np.array(grid.get(name, [0.0]), dtype=float) for name in FACTOR_ORDER]
     hf = FactorColumns(*(column.ravel() for column in np.meshgrid(*axes, indexing="ij")))

@@ -36,8 +36,8 @@ LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed it
 def frame_label(frame_hex: str, destination: str = "*") -> str:
     """Human label (UF4, DF11, ...) for a logged frame.
 
-    Broadcast downlink formats are self-checking, so code 11 splits on the
-    zero-overlay parity.  Codes 4 and 20 are direction-ambiguous from the
+    Broadcast downlink formats are self-checking, so code 11 splits on
+    whether ``parse_frame`` passes it as a DF11.  Codes 4 and 20 are direction-ambiguous from the
     bits alone; interrogations are logged with their addressed destination,
     which disambiguates transmit records.
     """
@@ -47,8 +47,7 @@ def frame_label(frame_hex: str, destination: str = "*") -> str:
         return "invalid"
     code = frame.format_code
     if code == codec.DF_ALL_CALL_REPLY and frame.nbits == 56:
-        passed = codec.verify_frame(frame, 0).passed
-        return "DF11" if passed else "UF11"
+        return "DF11" if codec.parse_frame(frame).parity.passed else "UF11"
     if code == codec.DF_EXTENDED_SQUITTER and frame.nbits == 112:
         return "DF17"
     if code in (codec.DF_SURVEILLANCE_SHORT, codec.DF_SURVEILLANCE_LONG):
@@ -265,15 +264,14 @@ def loss_table_csv(points: list[LossPoint]) -> str:
 
 # -- risk tables ------------------------------------------------------------------------
 
-def fta_report(document: dict | None = None) -> tuple[fta.Sweep, str]:
+def fta_report(document: dict) -> tuple[fta.Sweep, str]:
     """Evaluate a factor document into a sweep and its CSV rendering.
 
     The document may carry ``factors`` (single-point evaluation), ``grid``
-    (cross-product sweep), and ``overrides`` (basic-event replacements
-    that also switch on the attack mapping), each a JSON object.  An empty
-    document yields the all-defaults row.
+    (cross-product sweep), and ``overrides`` (replacements for the basic
+    events n and o that also switch on the attack mapping), each a JSON
+    object.  The empty document yields the all-defaults row.
     """
-    document = {} if document is None else document
     if not isinstance(document, dict):
         raise fta.FtaError("a risk document must be a JSON object")
     for key, value in document.items():

@@ -6,19 +6,9 @@ it XORed with a 24-bit address overlay; broadcast squitters use a zero
 overlay and carry their address in the clear, addressed frames use the
 target's address so only the addressee can validate the frame.
 
-Supported formats (uplink = interrogation, downlink = reply):
-
-==========  ====  ======  ===========================================
-direction   code  length  payload fields
-==========  ====  ======  ===========================================
-uplink       4     56     spare
-uplink      11     56     spare                     (all-call, broadcast)
-uplink      20    112     rac, ra_active, sender    (long surveillance)
-downlink     4     56     altitude
-downlink    11     56     icao                      (all-call reply / squitter)
-downlink    17    112     icao, altitude            (extended squitter)
-downlink    20    112     altitude, rac, ra_active  (long surveillance)
-==========  ====  ======  ===========================================
+The supported formats (UF4/UF11/UF20 uplink, DF4/DF11/DF17/DF20 downlink)
+are the rows of ``_FORMATS``: each row gives a format's kind, the overlay it
+is sealed with and its payload layout.
 
 A reply always echoes the format code of the interrogation that elicited it.
 
@@ -64,39 +54,30 @@ RAC_CONTRADICTORY = 3
 ALTITUDE_STEP_FT = 25
 ALTITUDE_MAX_FT = ((1 << 13) - 1) * ALTITUDE_STEP_FT
 
-# Payload layouts per (direction, format code): (field name, width) between
-# the format code and the AP tail.  Widths sum to 27 for short frames and 83
-# for long ones; this table is the only place a frame's length is decided.
-_FIELDS = {
-    (UPLINK, UF_SURVEILLANCE_SHORT): (("spare", 27),),
-    (UPLINK, UF_ALL_CALL): (("spare", 27),),
-    (UPLINK, UF_SURVEILLANCE_LONG): (("rac", 4), ("ra_active", 1), ("sender", 24), ("spare", 54)),
-    (DOWNLINK, DF_SURVEILLANCE_SHORT): (("altitude_code", 13), ("spare", 14)),
-    (DOWNLINK, DF_ALL_CALL_REPLY): (("icao", 24), ("spare", 3)),
-    (DOWNLINK, DF_EXTENDED_SQUITTER): (("icao", 24), ("altitude_code", 13), ("spare", 46)),
-    (DOWNLINK, DF_SURVEILLANCE_LONG): (("altitude_code", 13), ("rac", 4), ("ra_active", 1), ("spare", 65)),
+# One row per supported (direction, format code): the kind the builders
+# name it by, its sealing overlay, and its payload layout as (field, width)
+# pairs between the format code and the AP tail.  An overlay of None means
+# the frame is sealed with its addressee; a broadcast format has a fixed
+# overlay and carries the address, if any, in its ``icao`` field.  Widths sum
+# to 27 for short frames and 83 for long ones.  This table is the only place
+# a format's kind, sealing and length are decided.
+_FORMATS = {
+    (UPLINK, UF_SURVEILLANCE_SHORT): ("surveillance_short", None, (("spare", 27),)),
+    (UPLINK, UF_ALL_CALL): ("all_call", ALL_CALL_ADDRESS, (("spare", 27),)),
+    (UPLINK, UF_SURVEILLANCE_LONG): (
+        "surveillance_long", None, (("rac", 4), ("ra_active", 1), ("sender", 24), ("spare", 54))),
+    (DOWNLINK, DF_SURVEILLANCE_SHORT): (
+        "surveillance_short", None, (("altitude_code", 13), ("spare", 14))),
+    (DOWNLINK, DF_ALL_CALL_REPLY): ("all_call", 0, (("icao", 24), ("spare", 3))),
+    (DOWNLINK, DF_EXTENDED_SQUITTER): (
+        "extended_squitter", 0, (("icao", 24), ("altitude_code", 13), ("spare", 46))),
+    (DOWNLINK, DF_SURVEILLANCE_LONG): (
+        "surveillance_long", None, (("altitude_code", 13), ("rac", 4), ("ra_active", 1), ("spare", 65))),
 }
 _FRAME_BITS = {key: 5 + sum(width for _, width in layout) + AP_BITS
-               for key, layout in _FIELDS.items()}
-
-# Broadcast downlink formats validated against a zero overlay; everything
-# else is sealed with a specific 24-bit address.
-PLAIN_ADDRESS_FORMATS = {DF_ALL_CALL_REPLY, DF_EXTENDED_SQUITTER}
-
-_INTERROGATION_KINDS = {
-    "all_call": UF_ALL_CALL,
-    "surveillance_short": UF_SURVEILLANCE_SHORT,
-    "surveillance_long": UF_SURVEILLANCE_LONG,
-}
-_REPLY_KINDS = {
-    "all_call": DF_ALL_CALL_REPLY,
-    "surveillance_short": DF_SURVEILLANCE_SHORT,
-    "surveillance_long": DF_SURVEILLANCE_LONG,
-    "extended_squitter": DF_EXTENDED_SQUITTER,
-}
-_KIND_BY_CODE = {(direction, code): kind
-                 for direction, kinds in ((UPLINK, _INTERROGATION_KINDS), (DOWNLINK, _REPLY_KINDS))
-                 for kind, code in kinds.items()}
+               for key, (_, _, layout) in _FORMATS.items()}
+_CODE_BY_KIND = {(direction, kind): code
+                 for (direction, code), (kind, _, _) in _FORMATS.items()}
 
 
 class CodecError(ValueError):
@@ -250,30 +231,6 @@ def frame_bit_length(direction: str, format_code: int) -> int | None:
     return _FRAME_BITS.get((direction, format_code))
 
 
-def _pack(direction: str, format_code: int, values: dict[str, int]) -> ModeSFrame:
-    layout = _FIELDS.get((direction, format_code))
-    if layout is None:
-        raise CodecError(f"unsupported {direction} format {format_code}")
-    word = format_code
-    used = dict(values)
-    for name, width in layout:
-        value = used.pop(name, 0)
-        if not 0 <= value < (1 << width):
-            raise CodecError(f"field {name} does not fit {width} bits: {value}")
-        word = (word << width) | value
-    if used:
-        raise CodecError(f"unknown fields for format {format_code}: {sorted(used)}")
-    word <<= AP_BITS  # AP filled by seal_frame
-    return ModeSFrame(direction, frame_bit_length(direction, format_code), word)
-
-
-def seal_frame(frame: ModeSFrame, address: int) -> ModeSFrame:
-    """Fill the AP tail: CRC of the body XOR the address overlay."""
-    validate_icao(address)
-    ap = _crc24_word(frame.body_word, frame.body_nbits) ^ address
-    return ModeSFrame(frame.direction, frame.nbits, (frame.body_word << AP_BITS) | ap)
-
-
 def verify_frame(frame: ModeSFrame, expected_address: int | None) -> ParityCheck:
     """Check the AP tail against an expected overlay.
 
@@ -287,34 +244,50 @@ def verify_frame(frame: ModeSFrame, expected_address: int | None) -> ParityCheck
     return ParityCheck(recovered == expected_address, recovered)
 
 
+def _build(direction: str, kind: str, address: int | None, **values: int) -> ModeSFrame:
+    """Pack a row of ``_FORMATS`` and seal it: the AP tail is the CRC of
+    the body XOR the row's overlay.
+
+    A row sealed with its addressee needs ``address``; a broadcast row puts
+    any address other than its own overlay in its ``icao`` field.  A field
+    left at 0 is absent; a nonzero field, or an address, that the row does
+    not carry is a CodecError.
+    """
+    code = _CODE_BY_KIND.get((direction, kind))
+    if code is None:
+        raise CodecError(f"unknown {direction} kind {kind!r}")
+    _, overlay, layout = _FORMATS[direction, code]
+    if overlay is None:
+        if address is None:
+            raise CodecError(f"{kind} {direction} frame needs an address")
+        overlay = validate_icao(address)
+    elif address not in (None, overlay):
+        values["icao"] = address
+    word = code
+    for name, width in layout:
+        value = values.pop(name, 0)
+        if not 0 <= value < (1 << width):
+            raise CodecError(f"field {name} does not fit {width} bits: {value}")
+        word = (word << width) | value
+    for name, value in values.items():
+        if value or name == "icao":  # a leftover address is an error even when it is 0
+            raise CodecError(f"{kind} {direction} frame carries no {name}")
+    nbits = _FRAME_BITS[direction, code]
+    ap = _crc24_word(word, nbits - AP_BITS) ^ overlay
+    return ModeSFrame(direction, nbits, (word << AP_BITS) | ap)
+
+
 def build_interrogation(kind: str, address: int | None = None, *,
                         rac: int = RAC_NONE, ra_active: bool = False,
                         sender: int = 0) -> ModeSFrame:
     """Assemble and seal an uplink frame.
 
     ``all_call`` is broadcast and sealed with the all-call address; the
-    surveillance kinds are sealed with the target address.  The long kind
-    carries resolution advisory coordination (rac, ra_active, sender).
+    surveillance kinds are sealed with the target address.  Only the long
+    kind carries resolution advisory coordination (rac, ra_active, sender).
     """
-    if kind not in _INTERROGATION_KINDS:
-        raise CodecError(f"unknown interrogation kind {kind!r}")
-    code = _INTERROGATION_KINDS[kind]
-    if kind == "all_call":
-        if address not in (None, ALL_CALL_ADDRESS):
-            raise CodecError("all-call interrogations are sealed with the all-call address")
-        overlay = ALL_CALL_ADDRESS
-        frame = _pack(UPLINK, code, {})
-    else:
-        if address is None:
-            raise CodecError(f"{kind} interrogation needs a target address")
-        overlay = validate_icao(address)
-        values: dict[str, int] = {}
-        if kind == "surveillance_long":
-            values = {"rac": rac, "ra_active": int(ra_active), "sender": validate_icao(sender)}
-        elif rac != RAC_NONE or ra_active:
-            raise CodecError("short surveillance carries no coordination fields")
-        frame = _pack(UPLINK, code, values)
-    return seal_frame(frame, overlay)
+    return _build(UPLINK, kind, address, rac=rac, ra_active=int(ra_active),
+                  sender=validate_icao(sender))
 
 
 def build_reply(kind: str, address: int, *, altitude_ft: float = 0,
@@ -323,25 +296,11 @@ def build_reply(kind: str, address: int, *, altitude_ft: float = 0,
 
     Broadcast kinds (all_call reply, extended squitter) put the address in
     the payload and seal with the zero overlay; surveillance replies seal
-    with the address itself.
+    with the address itself.  Only the long surveillance reply carries rac
+    and ra_active, and the all_call reply carries no altitude.
     """
-    if kind not in _REPLY_KINDS:
-        raise CodecError(f"unknown reply kind {kind!r}")
-    validate_icao(address)
-    code = _REPLY_KINDS[kind]
-    if kind == "all_call":
-        frame = _pack(DOWNLINK, code, {"icao": address})
-        return seal_frame(frame, 0)
-    if kind == "extended_squitter":
-        frame = _pack(DOWNLINK, code, {"icao": address, "altitude_code": encode_altitude(altitude_ft)})
-        return seal_frame(frame, 0)
-    values = {"altitude_code": encode_altitude(altitude_ft)}
-    if kind == "surveillance_long":
-        values.update({"rac": rac, "ra_active": int(ra_active)})
-    elif rac != RAC_NONE or ra_active:
-        raise CodecError("short surveillance replies carry no coordination fields")
-    frame = _pack(DOWNLINK, code, values)
-    return seal_frame(frame, address)
+    return _build(DOWNLINK, kind, validate_icao(address), altitude_code=encode_altitude(altitude_ft),
+                  rac=rac, ra_active=int(ra_active))
 
 
 @dataclass(frozen=True)
@@ -369,21 +328,15 @@ def parse_frame(frame: ModeSFrame, expected_address: int | None = None) -> Decod
     kind ``"unknown"`` with no fields rather than an exception.
     """
     code = frame.format_code
-    if frame_bit_length(frame.direction, code) != frame.nbits:
+    key = (frame.direction, code)
+    if _FRAME_BITS.get(key) != frame.nbits:
         return DecodedFrame(frame, code, "unknown", {}, None)
-
+    kind, overlay, layout = _FORMATS[key]
     fields: dict[str, int] = {}
     shift = frame.body_nbits - 5
-    key = (frame.direction, code)
-    for name, width in _FIELDS[key]:
+    for name, width in layout:
         shift -= width
         fields[name] = (frame.body_word >> shift) & ((1 << width) - 1)
     fields.pop("spare", None)
-
-    if frame.direction == UPLINK and code == UF_ALL_CALL:
-        parity = verify_frame(frame, ALL_CALL_ADDRESS)
-    elif frame.direction == DOWNLINK and code in PLAIN_ADDRESS_FORMATS:
-        parity = verify_frame(frame, 0)
-    else:
-        parity = verify_frame(frame, expected_address)
-    return DecodedFrame(frame, code, _KIND_BY_CODE[key], fields, parity)
+    parity = verify_frame(frame, expected_address if overlay is None else overlay)
+    return DecodedFrame(frame, code, kind, fields, parity)

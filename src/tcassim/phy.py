@@ -10,16 +10,18 @@ suppression pair that silences older transponder modes, a 7-chip sync
 preamble whose single phase reversal sits between preamble chips 5 and 6,
 the differentially encoded payload, and a 2-chip zero pad.
 
-Waveforms are generated and consumed at one sample per chip, so a sample
-index is a chip index and ``k`` samples last ``k`` chip periods.  Detection
-is normalized correlation against the known preamble with a 0.75 decision
-threshold.
+Waveforms are plain numpy arrays at one sample per chip, real for the pulse
+modem and complex for the phase modem, so a sample index is a chip index and
+``k`` samples last ``k`` chip periods.  Detection is normalized correlation
+against the known preamble with a 0.75 decision threshold, and reports the
+sample index where a preamble starts; turning that into a time is the
+caller's arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,22 +44,8 @@ class PhyError(ValueError):
 
 
 @dataclass(frozen=True)
-class SampleBlock:
-    """A contiguous run of baseband samples, one per chip.
-
-    ``start_timestamp_ns`` is the instant of the first sample; real vectors
-    for the pulse modem, complex for the phase modem.
-    """
-
-    samples: np.ndarray
-    start_timestamp_ns: int = 0
-
-
-@dataclass(frozen=True)
 class FrameDetection:
-    offset: int
-    timestamp_ns: int
-    score: float
+    offset: int  # sample index of the preamble's first chip
 
 
 def _as_bit_array(bits) -> np.ndarray:
@@ -67,25 +55,25 @@ def _as_bit_array(bits) -> np.ndarray:
     return arr
 
 
-def ppm_modulate(bits) -> SampleBlock:
+def ppm_modulate(bits) -> np.ndarray:
     """Preamble plus one (1,0)/(0,1) chip pair per bit; amplitudes in {0,1}."""
     arr = _as_bit_array(bits)
     chips = np.empty(2 * arr.size, dtype=np.float64)
     chips[0::2] = arr
     chips[1::2] = 1 - arr
-    return SampleBlock(np.concatenate([PPM_PREAMBLE, chips]))
+    return np.concatenate([PPM_PREAMBLE, chips])
 
 
-def ppm_demodulate(block: SampleBlock, offset: int, nbits: int) -> np.ndarray:
+def ppm_demodulate(samples: np.ndarray, offset: int, nbits: int) -> np.ndarray:
     """Chip-energy comparison per bit starting after the preamble at offset.
 
     A tie between the two chip energies decodes as 0.
     """
     start = offset + PPM_PREAMBLE.size
     need = start + nbits * 2
-    if offset < 0 or need > block.samples.size:
+    if offset < 0 or need > samples.size:
         raise PhyError(f"stream too short for {nbits} bits at offset {offset}")
-    energy = np.abs(block.samples[start:need]) ** 2
+    energy = np.abs(samples[start:need]) ** 2
     return (energy[0::2] > energy[1::2]).astype(np.uint8)
 
 
@@ -104,8 +92,8 @@ def _normalized_correlation(x: np.ndarray, template: np.ndarray,
     return out
 
 
-def _detect(block: SampleBlock, template: np.ndarray, template_norm: float, min_tail: int,
-            max_tail: int, chip_ns: int) -> list[FrameDetection]:
+def _detect(samples: np.ndarray, template: np.ndarray, template_norm: float, min_tail: int,
+            max_tail: int) -> list[FrameDetection]:
     """Threshold the normalized correlation, then keep the strongest peaks.
 
     Candidates without room for a minimum-length frame behind the preamble
@@ -114,8 +102,8 @@ def _detect(block: SampleBlock, template: np.ndarray, template_norm: float, min_
     start inside a frame already being received, which also suppresses the
     preamble's partial self-similarity at a frame's tail.
     """
-    corr = _normalized_correlation(block.samples, template, template_norm)
-    room = block.samples.size - template.size - min_tail
+    corr = _normalized_correlation(samples, template, template_norm)
+    room = samples.size - template.size - min_tail
     candidates = [k for k in np.flatnonzero(corr >= DETECTION_THRESHOLD) if k <= room]
     candidates.sort(key=lambda k: (-corr[k], k))
     shadow = template.size + max_tail
@@ -123,14 +111,12 @@ def _detect(block: SampleBlock, template: np.ndarray, template_norm: float, min_
     for k in candidates:
         if all(abs(k - j) >= shadow for j in kept):
             kept.append(k)
-    kept.sort()
-    return [FrameDetection(int(k), block.start_timestamp_ns + int(k) * chip_ns, float(corr[k]))
-            for k in kept]
+    return [FrameDetection(int(k)) for k in sorted(kept)]
 
 
-def ppm_frame_detect(block: SampleBlock) -> list[FrameDetection]:
-    return _detect(block, PPM_PREAMBLE, PPM_PREAMBLE_NORM, MIN_PAYLOAD_BITS * 2,
-                   MAX_PAYLOAD_BITS * 2, PPM_CHIP_NS)
+def ppm_frame_detect(samples: np.ndarray) -> list[FrameDetection]:
+    return _detect(samples, PPM_PREAMBLE, PPM_PREAMBLE_NORM, MIN_PAYLOAD_BITS * 2,
+                   MAX_PAYLOAD_BITS * 2)
 
 
 def _dbpsk_chips(bits: np.ndarray) -> np.ndarray:
@@ -148,16 +134,15 @@ DBPSK_PREAMBLE.flags.writeable = False
 DBPSK_PREAMBLE_NORM = float(np.linalg.norm(DBPSK_PREAMBLE))
 
 
-def dbpsk_modulate(bits) -> SampleBlock:
+def dbpsk_modulate(bits) -> np.ndarray:
     """Suppression pair, then DBPSK of (sync preamble, payload, 2-chip pad)."""
     arr = _as_bit_array(bits)
-    return SampleBlock(np.concatenate([SUPPRESSION_PULSES.astype(np.complex128),
-                                       _dbpsk_chips(arr)]))
+    return np.concatenate([SUPPRESSION_PULSES.astype(np.complex128), _dbpsk_chips(arr)])
 
 
-def dbpsk_frame_detect(block: SampleBlock) -> list[FrameDetection]:
-    return _detect(block, DBPSK_PREAMBLE, DBPSK_PREAMBLE_NORM, MIN_PAYLOAD_BITS + 2,
-                   MAX_PAYLOAD_BITS + 2, DBPSK_CHIP_NS)
+def dbpsk_frame_detect(samples: np.ndarray) -> list[FrameDetection]:
+    return _detect(samples, DBPSK_PREAMBLE, DBPSK_PREAMBLE_NORM, MIN_PAYLOAD_BITS + 2,
+                   MAX_PAYLOAD_BITS + 2)
 
 
 def sync_offset_of(detection_offset: int) -> int:
@@ -166,7 +151,7 @@ def sync_offset_of(detection_offset: int) -> int:
     return detection_offset + SUPPRESSION_PULSES.size + 5
 
 
-def dbpsk_demodulate(block: SampleBlock, sync_offset: int) -> np.ndarray:
+def dbpsk_demodulate(samples: np.ndarray, sync_offset: int) -> np.ndarray:
     """Differentially decode up to 112 bits following the sync reversal.
 
     ``sync_offset`` points at the first chip after the phase reversal; the
@@ -177,32 +162,29 @@ def dbpsk_demodulate(block: SampleBlock, sync_offset: int) -> np.ndarray:
     products, so decoding is rotation invariant.
     """
     p0 = sync_offset + 2
-    if sync_offset < 1 or p0 > block.samples.size:
+    if sync_offset < 1 or p0 > samples.size:
         raise PhyError("sync offset leaves no room for a payload")
-    x = block.samples
-    n = min(MAX_PAYLOAD_BITS, x.size - p0)
+    n = min(MAX_PAYLOAD_BITS, samples.size - p0)
     if n < MIN_PAYLOAD_BITS:
         raise PhyError(f"stream truncated: only {n} symbols after the sync reversal")
-    sym = x[p0 - 1: p0 + n]
+    sym = samples[p0 - 1: p0 + n]
     diff = sym[1:] * np.conj(sym[:-1])
     return (diff.real < 0).astype(np.uint8)
 
 
-def awgn(block: SampleBlock, snr_db: float, seed) -> SampleBlock:
-    """Add zero-mean Gaussian noise with power 10^(-snr/10) (unit signal).
+def awgn(samples: np.ndarray, snr_db: float, seed) -> np.ndarray:
+    """A new array: the samples plus zero-mean Gaussian noise of power
+    10^(-snr/10) (unit signal).
 
-    ``snr_db = inf`` is the no-noise sentinel and returns the block
-    unchanged.  Complex blocks get circular noise, half the power per
-    quadrature.  Deterministic for a given seed.
+    ``snr_db = inf`` gives zero power, so the noise is exact zeros.  Complex
+    samples get circular noise, half the power per quadrature.
+    Deterministic for a given seed.
     """
-    if math.isinf(snr_db) and snr_db > 0:
-        return replace(block, samples=block.samples.copy())
     power = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)
-    x = block.samples
-    if np.iscomplexobj(x):
+    if np.iscomplexobj(samples):
         sigma = math.sqrt(power / 2.0)
-        noise = rng.normal(0.0, sigma, x.size) + 1j * rng.normal(0.0, sigma, x.size)
+        noise = rng.normal(0.0, sigma, samples.size) + 1j * rng.normal(0.0, sigma, samples.size)
     else:
-        noise = rng.normal(0.0, math.sqrt(power), x.size)
-    return replace(block, samples=x + noise)
+        noise = rng.normal(0.0, math.sqrt(power), samples.size)
+    return samples + noise

@@ -138,6 +138,8 @@ class TestFta:
         ([], [], "JSON object"),
         ([], ["--override", "n=1"], "JSON object"),
         ({"overrides": [1]}, ["--override", "n=1"], "'overrides'"),
+        (None, [], "JSON object"),
+        ({}, ["--override", "a=0.16"], "'a'"),  # a feeds no formula
     ])
     def test_malformed_document_exits_2_naming_the_field(self, capsys, tmp_path,
                                                          document, argv, names):

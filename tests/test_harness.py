@@ -179,7 +179,7 @@ class TestLossSweep:
 
 class TestFtaReport:
     def test_default_document_gives_published_row(self):
-        sweep, table = harness.fta_report(None)
+        sweep, table = harness.fta_report({})
         assert len(sweep) == 1
         rep = sweep.report
         assert (rep.p_unresolved[0], rep.p_induced[0]) == (0.413, 0.11)
@@ -219,6 +219,8 @@ class TestFtaReport:
         ({"factors": {"ti": True}}, "TI"),
         ({"overrides": {"n": "x"}}, r"\bn must be a probability"),
         ({"overrides": {"n": False}}, r"\bn must be a probability"),
+        (None, "JSON object"),
+        ({"overrides": {"a": 0.16}}, "'a' feeds no formula"),
     ])
     def test_malformed_document_names_the_field(self, document, names):
         with pytest.raises(fta.FtaError, match=names):

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tcassim import modes_codec as mc
 
@@ -233,6 +233,80 @@ def test_field_range_errors():
         mc.build_reply("nonsense", 0x1)
     with pytest.raises(mc.CodecError):
         mc.validate_icao(1 << 24)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mc.build_reply("all_call", 0x123456, rac=1),
+    lambda: mc.build_reply("all_call", 0x123456, ra_active=True),
+    lambda: mc.build_reply("all_call", 0x123456, altitude_ft=1_000),
+    lambda: mc.build_reply("extended_squitter", 0x123456, ra_active=True),
+    lambda: mc.build_reply("extended_squitter", 0x123456, rac=2),
+    lambda: mc.build_reply("surveillance_short", 0x123456, rac=1),
+    lambda: mc.build_interrogation("all_call", rac=1),
+    lambda: mc.build_interrogation("all_call", sender=5),
+    lambda: mc.build_interrogation("all_call", 0),
+    lambda: mc.build_interrogation("surveillance_short", 0x123456, sender=5),
+    lambda: mc.build_interrogation("surveillance_short", 0x123456, ra_active=True),
+], ids=["DF11-rac", "DF11-ra_active", "DF11-altitude", "DF17-ra_active", "DF17-rac",
+        "DF4-rac", "UF11-rac", "UF11-sender", "UF11-address", "UF4-sender", "UF4-ra_active"])
+def test_builders_reject_fields_the_format_does_not_carry(build):
+    with pytest.raises(mc.CodecError):
+        build()
+
+
+# Every supported format, built from its public builder: the frame and the
+# kind, code, fields and sealing overlay that parsing it must give back.
+ADDRESS = st.integers(0, 0xFFFFFF)
+ALTITUDE_CODE = st.integers(0, (1 << 13) - 1)
+RAC = st.integers(0, 15)
+BUILT = {
+    (mc.UPLINK, mc.UF_ALL_CALL): st.just(
+        (mc.build_interrogation("all_call"), "all_call", {}, mc.ALL_CALL_ADDRESS)),
+    (mc.UPLINK, mc.UF_SURVEILLANCE_SHORT): ADDRESS.map(lambda a: (
+        mc.build_interrogation("surveillance_short", a), "surveillance_short", {}, a)),
+    (mc.UPLINK, mc.UF_SURVEILLANCE_LONG): st.tuples(ADDRESS, RAC, st.booleans(), ADDRESS).map(
+        lambda t: (mc.build_interrogation("surveillance_long", t[0], rac=t[1], ra_active=t[2],
+                                          sender=t[3]),
+                   "surveillance_long", {"rac": t[1], "ra_active": int(t[2]), "sender": t[3]},
+                   t[0])),
+    (mc.DOWNLINK, mc.DF_ALL_CALL_REPLY): ADDRESS.map(lambda a: (
+        mc.build_reply("all_call", a), "all_call", {"icao": a}, 0)),
+    (mc.DOWNLINK, mc.DF_SURVEILLANCE_SHORT): st.tuples(ADDRESS, ALTITUDE_CODE).map(
+        lambda t: (mc.build_reply("surveillance_short", t[0], altitude_ft=t[1] * 25),
+                   "surveillance_short", {"altitude_code": t[1]}, t[0])),
+    (mc.DOWNLINK, mc.DF_EXTENDED_SQUITTER): st.tuples(ADDRESS, ALTITUDE_CODE).map(
+        lambda t: (mc.build_reply("extended_squitter", t[0], altitude_ft=t[1] * 25),
+                   "extended_squitter", {"icao": t[0], "altitude_code": t[1]}, 0)),
+    (mc.DOWNLINK, mc.DF_SURVEILLANCE_LONG): st.tuples(ADDRESS, ALTITUDE_CODE, RAC, st.booleans()).map(
+        lambda t: (mc.build_reply("surveillance_long", t[0], altitude_ft=t[1] * 25, rac=t[2],
+                                  ra_active=t[3]),
+                   "surveillance_long", {"altitude_code": t[1], "rac": t[2], "ra_active": int(t[3])},
+                   t[0])),
+}
+
+BROADCAST = {(mc.UPLINK, mc.UF_ALL_CALL), (mc.DOWNLINK, mc.DF_ALL_CALL_REPLY),
+             (mc.DOWNLINK, mc.DF_EXTENDED_SQUITTER)}
+
+
+def test_every_supported_format_has_a_builder_case():
+    supported = {(direction, code) for direction in (mc.UPLINK, mc.DOWNLINK)
+                 for code in range(32) if mc.frame_bit_length(direction, code) is not None}
+    assert set(BUILT) == supported
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(BUILT)).flatmap(lambda key: st.tuples(st.just(key), BUILT[key])))
+def test_parse_inverts_every_builder(case):
+    key, (frame, kind, fields, overlay) = case
+    assert (frame.direction, frame.format_code) == key
+    assert frame.nbits == (mc.LONG_FRAME_BITS if key[1] >= 16 else mc.SHORT_FRAME_BITS)
+    decoded = mc.parse_frame(frame, expected_address=overlay)
+    assert (decoded.format_code, decoded.kind, decoded.fields) == (key[1], kind, fields)
+    assert decoded.parity == mc.ParityCheck(True, overlay)
+    # a broadcast format is checked against its own overlay whatever the
+    # receiver expects; any other fails for every address but its addressee
+    other = mc.parse_frame(frame, expected_address=overlay ^ 1)
+    assert other.parity == mc.ParityCheck(key in BROADCAST, overlay)
 
 
 def test_bits_vector_matches_word():

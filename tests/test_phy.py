@@ -17,8 +17,8 @@ def test_reply_preamble_is_the_fixed_16_chip_vector():
 
 
 def test_ppm_block_length_example():
-    blk = phy.ppm_modulate(np.zeros(56, dtype=np.uint8))
-    assert blk.samples.size == 16 + 112
+    x = phy.ppm_modulate(np.zeros(56, dtype=np.uint8))
+    assert x.shape == (16 + 112,) and x.dtype == np.float64
 
 
 @pytest.mark.parametrize("nbits", [56, 112])
@@ -26,10 +26,9 @@ def test_ppm_round_trip(nbits):
     rng = np.random.default_rng(101 + nbits)
     for _ in range(20):
         bits = rng.integers(0, 2, nbits)
-        blk = phy.ppm_modulate(bits)
-        dets = phy.ppm_frame_detect(blk)
-        assert len(dets) == 1 and dets[0].offset == 0 and dets[0].score == pytest.approx(1.0)
-        assert (phy.ppm_demodulate(blk, dets[0].offset, nbits) == bits).all()
+        x = phy.ppm_modulate(bits)
+        assert phy.ppm_frame_detect(x) == [phy.FrameDetection(0)]
+        assert (phy.ppm_demodulate(x, 0, nbits) == bits).all()
 
 
 @pytest.mark.parametrize("nbits", [56, 112])
@@ -37,17 +36,16 @@ def test_dbpsk_round_trip(nbits):
     rng = np.random.default_rng(201 + nbits)
     for _ in range(20):
         bits = rng.integers(0, 2, nbits)
-        blk = phy.dbpsk_modulate(bits)
-        assert blk.samples.size == 4 + 7 + nbits + 2
-        dets = phy.dbpsk_frame_detect(blk)
-        assert len(dets) == 1 and dets[0].offset == 0
-        out = phy.dbpsk_demodulate(blk, phy.sync_offset_of(0))
+        x = phy.dbpsk_modulate(bits)
+        assert x.shape == (4 + 7 + nbits + 2,) and x.dtype == np.complex128
+        assert phy.dbpsk_frame_detect(x) == [phy.FrameDetection(0)]
+        out = phy.dbpsk_demodulate(x, phy.sync_offset_of(0))
         assert (out[:nbits] == bits).all()
 
 
 def test_sync_preamble_has_one_reversal_between_chips_5_and_6():
-    blk = phy.dbpsk_modulate(np.zeros(56, dtype=np.uint8))
-    sync = blk.samples[4:11].real  # after the 4-sample suppression pair
+    x = phy.dbpsk_modulate(np.zeros(56, dtype=np.uint8))
+    sync = x[4:11].real  # after the 4-sample suppression pair
     assert sync.tolist() == [1, 1, 1, 1, 1, -1, -1]
     flips = np.flatnonzero(sync[1:] != sync[:-1])
     assert flips.tolist() == [4]  # exactly one, between chip 5 and chip 6
@@ -56,8 +54,7 @@ def test_sync_preamble_has_one_reversal_between_chips_5_and_6():
 def test_dbpsk_56_bit_frame_decodes_56_payload_bits_plus_pad():
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, 56)
-    blk = phy.dbpsk_modulate(bits)
-    out = phy.dbpsk_demodulate(blk, phy.sync_offset_of(0))
+    out = phy.dbpsk_demodulate(phy.dbpsk_modulate(bits), phy.sync_offset_of(0))
     # the stream holds 56 payload chips + 2 pad chips; the caller truncates
     # to the header-decoded length and ignores the rest
     assert out.size == 58
@@ -68,57 +65,55 @@ def test_dbpsk_56_bit_frame_decodes_56_payload_bits_plus_pad():
 def test_dbpsk_demodulation_is_rotation_invariant():
     rng = np.random.default_rng(4)
     bits = rng.integers(0, 2, 112)
-    blk = phy.dbpsk_modulate(bits)
+    x = phy.dbpsk_modulate(bits)
     for theta in (0.3, 1.234, math.pi / 2, 3.0):
-        rotated = phy.SampleBlock(blk.samples * np.exp(1j * theta))
+        rotated = x * np.exp(1j * theta)
         out = phy.dbpsk_demodulate(rotated, phy.sync_offset_of(0))
         assert (out[:112] == bits).all()
 
 
 def test_dbpsk_truncation_error():
-    blk = phy.dbpsk_modulate(np.zeros(56, dtype=np.uint8))
-    cut = phy.SampleBlock(blk.samples[:40])
+    cut = phy.dbpsk_modulate(np.zeros(56, dtype=np.uint8))[:40]
     with pytest.raises(phy.PhyError):
         phy.dbpsk_demodulate(cut, phy.sync_offset_of(0))
 
 
 def test_ppm_tie_decodes_as_zero():
     # equal energy in both chips (here: none at all) must not decode as 1
-    blk = phy.SampleBlock(np.zeros(16 + 112))
-    assert not phy.ppm_demodulate(blk, 0, 56).any()
+    assert not phy.ppm_demodulate(np.zeros(16 + 112), 0, 56).any()
 
 
 def test_inverted_amplitude_complements_bits():
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, 56)
-    blk = phy.ppm_modulate(bits)
-    inverted = phy.SampleBlock(1.0 - blk.samples)
+    inverted = 1.0 - phy.ppm_modulate(bits)
     assert (phy.ppm_demodulate(inverted, 0, 56) == 1 - bits).all()
 
 
 def test_detect_empty_and_all_zero_stream():
-    assert phy.ppm_frame_detect(phy.SampleBlock(np.zeros(0))) == []
-    assert phy.ppm_frame_detect(phy.SampleBlock(np.zeros(400))) == []
-    assert phy.dbpsk_frame_detect(phy.SampleBlock(np.zeros(400, dtype=complex))) == []
+    assert phy.ppm_frame_detect(np.zeros(0)) == []
+    assert phy.ppm_frame_detect(np.zeros(400)) == []
+    assert phy.dbpsk_frame_detect(np.zeros(400, dtype=complex)) == []
 
 
-def test_detect_frame_at_offset_with_timestamp():
-    rng = np.random.default_rng(6)
-    blk = phy.ppm_modulate(rng.integers(0, 2, 56))
-    stream = phy.SampleBlock(np.concatenate([np.zeros(37), blk.samples, np.zeros(64)]), 1_000)
-    dets = phy.ppm_frame_detect(stream)
-    assert [d.offset for d in dets] == [37]
-    assert dets[0].timestamp_ns == 1_000 + 37 * phy.PPM_CHIP_NS
+def test_detect_frame_at_offset():
+    # a detection is the sample index of the preamble; the caller turns it
+    # into a time (see AwgnChannel.receive)
+    bits = np.random.default_rng(6).integers(0, 2, 56)
+    for modulate, detect in ((phy.ppm_modulate, phy.ppm_frame_detect),
+                             (phy.dbpsk_modulate, phy.dbpsk_frame_detect)):
+        x = modulate(bits)
+        stream = np.concatenate([np.zeros(37, dtype=x.dtype), x, np.zeros(64, dtype=x.dtype)])
+        assert detect(stream) == [phy.FrameDetection(37)]
 
 
 def test_detect_two_frames_separated_by_a_frame_length():
     rng = np.random.default_rng(7)
     a = phy.ppm_modulate(rng.integers(0, 2, 56))
     b = phy.ppm_modulate(rng.integers(0, 2, 56))
-    gap = np.zeros(a.samples.size)  # one full frame length of silence
-    stream = phy.SampleBlock(np.concatenate([a.samples, gap, b.samples, np.zeros(8)]))
-    dets = phy.ppm_frame_detect(stream)
-    assert [d.offset for d in dets] == [0, 2 * a.samples.size]
+    gap = np.zeros(a.size)  # one full frame length of silence
+    dets = phy.ppm_frame_detect(np.concatenate([a, gap, b, np.zeros(8)]))
+    assert [d.offset for d in dets] == [0, 2 * a.size]
 
 
 def test_detection_shadow_suppresses_tail_self_similarity():
@@ -127,9 +122,8 @@ def test_detection_shadow_suppresses_tail_self_similarity():
     tail_heavy = np.array([1] * 51 + [1, 1, 0, 0, 0], dtype=np.uint8)
     a = phy.ppm_modulate(tail_heavy)
     b = phy.ppm_modulate(np.zeros(56, dtype=np.uint8))
-    stream = phy.SampleBlock(
-        np.concatenate([a.samples, np.zeros(a.samples.size), b.samples, np.zeros(8)]))
-    assert [d.offset for d in phy.ppm_frame_detect(stream)] == [0, 2 * a.samples.size]
+    stream = np.concatenate([a, np.zeros(a.size), b, np.zeros(8)])
+    assert [d.offset for d in phy.ppm_frame_detect(stream)] == [0, 2 * a.size]
 
 
 def test_detection_timestamp_error_at_15db():
@@ -138,9 +132,7 @@ def test_detection_timestamp_error_at_15db():
     for i in range(1000):
         bits = rng.integers(0, 2, 56)
         offset = int(rng.integers(5, 60))
-        blk = phy.ppm_modulate(bits)
-        stream = phy.SampleBlock(
-            np.concatenate([np.zeros(offset), blk.samples, np.zeros(130)]))
+        stream = np.concatenate([np.zeros(offset), phy.ppm_modulate(bits), np.zeros(130)])
         noisy = phy.awgn(stream, 15.0, SeedSequence([15, i]))
         dets = phy.ppm_frame_detect(noisy)
         assert dets, f"detection lost at 15 dB (trial {i})"
@@ -150,28 +142,27 @@ def test_detection_timestamp_error_at_15db():
 
 
 def test_awgn_infinite_snr_is_identity():
-    blk = phy.ppm_modulate(np.ones(56, dtype=np.uint8))
-    out = phy.awgn(blk, math.inf, 0)
-    assert (out.samples == blk.samples).all()
+    for x in (phy.ppm_modulate(np.ones(56, dtype=np.uint8)),
+              phy.dbpsk_modulate(np.ones(56, dtype=np.uint8))):
+        out = phy.awgn(x, math.inf, 0)
+        assert out is not x and out.dtype == x.dtype and (out == x).all()
 
 
 def test_awgn_noise_power_within_two_percent():
     n = 1_000_000
     for snr_db in (0.0, 10.0):
         want = 10.0 ** (-snr_db / 10.0)
-        real = phy.SampleBlock(np.zeros(n))
-        delta = phy.awgn(real, snr_db, 123).samples
+        delta = phy.awgn(np.zeros(n), snr_db, 123)
         assert abs(np.mean(delta ** 2) / want - 1.0) < 0.02
-        cplx = phy.SampleBlock(np.zeros(n, dtype=complex))
-        delta = phy.awgn(cplx, snr_db, 123).samples
+        delta = phy.awgn(np.zeros(n, dtype=complex), snr_db, 123)
         assert abs(np.mean(np.abs(delta) ** 2) / want - 1.0) < 0.02
 
 
 def test_awgn_deterministic_per_seed():
-    blk = phy.ppm_modulate(np.ones(56, dtype=np.uint8))
-    a = phy.awgn(blk, 10.0, 99).samples
-    b = phy.awgn(blk, 10.0, 99).samples
-    c = phy.awgn(blk, 10.0, 98).samples
+    x = phy.ppm_modulate(np.ones(56, dtype=np.uint8))
+    a = phy.awgn(x, 10.0, 99)
+    b = phy.awgn(x, 10.0, 99)
+    c = phy.awgn(x, 10.0, 98)
     assert (a == b).all()
     assert not (a == c).all()
 
