@@ -1,6 +1,7 @@
 """Golden replay: each bundled scenario's log and report, one small AWGN
-ring's log and report, and a short ``loss_sweep`` are pinned across commits,
-not only between two runs in one process.
+ring's, one small noiseless ring's and one ground transponder's log and
+report, and a short ``loss_sweep`` are pinned across commits, not only
+between two runs in one process.
 
 The digests are sha256 of the log text exactly as ``write_event_log``
 writes it (``to_line() + "\\n"`` per record) and of ``report.to_json()``.
@@ -11,6 +12,7 @@ pass: a mismatch means the simulator's behaviour changed.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -95,3 +97,79 @@ def test_awgn_ring_log_and_report_digests():
 def test_awgn_loss_sweep_counts():
     points = harness.loss_sweep(scen.load_scenario(AWGN_RING), [0.0, 5.0, 10.0, 15.0], 200)
     assert [p.lost for p in points] == AWGN_LOSS_GOLDEN
+
+
+# Every other pinned scenario has a fan-out of at most 3.  This ring of six
+# converging TA/RA aircraft hands each frame to five receivers, and in 20 s
+# reaches traffic and resolution advisories, coordination and pilot engages.
+# Bearings come from 3-4-5 triangles, so no libm call decides a position.
+RING_BEARINGS = [(1.0, 0.0), (0.6, 0.8), (-0.6, 0.8), (-1.0, 0.0), (-0.6, -0.8), (0.6, -0.8)]
+NOISELESS_RING = {
+    "schema_version": 1,
+    "name": "ring6",
+    "duration_s": 20.0,
+    "seed": 5,
+    "channel": {"kind": "noiseless"},
+    "aircraft": [
+        {"name": f"ring{i}", "icao": f"A2000{i}", "mode": "ta_ra",
+         "position": {"x_nmi": 4.0 * dx, "y_nmi": 4.0 * dy, "altitude_ft": alt},
+         "velocity": {"vx_kt": -300.0 * dx, "vy_kt": -300.0 * dy}}
+        for i, ((dx, dy), alt) in enumerate(zip(
+            RING_BEARINGS, [30_000, 30_150, 29_900, 30_250, 29_800, 30_050]))
+    ],
+}
+NOISELESS_RING_GOLDEN = (
+    "70310a2b6c2fe283c9513cbf94d700f655c676c87e26d93f69c8f125d863e9af",
+    "dc38f65dd4994bfae829b33215d4167654323770ce49a4cee28ddb164c3b6f58")
+
+
+def test_noiseless_ring_log_and_report_digests():
+    result = harness.simulate(scen.load_scenario(NOISELESS_RING))
+    sent = Counter(rec.source for rec in result.records if rec.kind == "transmit")
+    heard = Counter(rec.source for rec in result.records if rec.kind == "deliver")
+    receivers = {}
+    for rec in result.records:
+        if rec.kind == "deliver":
+            receivers.setdefault(rec.source, set()).add(rec.destination)
+    assert all(len(names) == 5 for names in receivers.values())
+    # copies still in flight at the horizon are never delivered
+    assert all(5 * sent[name] - 5 <= heard[name] <= 5 * sent[name] for name in sent)
+    assert {"ta_issued", "ra_issued", "engage"} <= {rec.outcome.split(";", 1)[0] for rec in result.records}
+    log_text = "".join(rec.to_line() + "\n" for rec in result.records)
+    assert (_sha256(log_text), _sha256(result.report.to_json())) == NOISELESS_RING_GOLDEN
+
+
+# A transponder at 0 ft answers a UF4 with a DF4 whose altitude code and
+# spare bits are all zero, so the reply's hex equals the interrogation's.
+# The report labels a delivery from the transmits logged before it, so the
+# first UF4 delivery counts as UF4 and every later copy of that hex as DF4.
+GROUND_TRANSPONDER = {
+    "schema_version": 1,
+    "name": "ground_uf4",
+    "duration_s": 10.0,
+    "seed": 2,
+    "channel": {"kind": "noiseless"},
+    "aircraft": [
+        {"name": "own", "icao": "A30001", "mode": "ta_ra",
+         "position": {"x_nmi": 0.0, "y_nmi": 0.0, "altitude_ft": 2000.0},
+         "velocity": {"vx_kt": 200.0, "vy_kt": 0.0}},
+        {"name": "ground", "icao": "A30002", "mode": "xpdr",
+         "position": {"x_nmi": 3.0, "y_nmi": 1.0, "altitude_ft": 0.0}},
+    ],
+}
+GROUND_TRANSPONDER_GOLDEN = (
+    "a5c52f3fc0244c77594464e7f30e2baf0821a57879c8715abab14447e8b608e8",
+    "10660ef76fa16fdd00d2a9a2d2298e16b1b245a6f8534e94f67b6614cb1229fc")
+
+
+def test_ground_transponder_reply_repeats_the_interrogation_hex():
+    result = harness.simulate(scen.load_scenario(GROUND_TRANSPONDER))
+    sent = {}
+    for rec in result.records:
+        if rec.kind == "transmit":
+            sent.setdefault(rec.frame_hex, set()).add(rec.source)
+    assert any(sources == {"own", "ground"} for sources in sent.values())
+    assert result.report.deliveries["UF4>ground"] == 1
+    assert result.report.deliveries["DF4>ground"] == 9
+    log_text = "".join(rec.to_line() + "\n" for rec in result.records)
+    assert (_sha256(log_text), _sha256(result.report.to_json())) == GROUND_TRANSPONDER_GOLDEN
