@@ -35,7 +35,8 @@ RECEPTION_RANGE_NMI = 100.0
 TURNAROUND_NS = 128_000  # fixed transponder decode-and-respond time
 
 class SimError(ValueError):
-    """Scenario or scheduling misuse (causality violation, bad state)."""
+    """Scenario or scheduling misuse (causality violation, bad state), or a
+    failure inside an event handler, named with its event and instant."""
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,12 @@ class JamDirective:
         return t0_ns < end and t1_ns >= self.start_ns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One line of the event log.
 
     Fields never contain commas; ``frame_hex`` is "-" for non-frame events.
+    Slotted, as a run keeps one record per delivery.
     """
 
     time_ns: int
@@ -238,6 +240,8 @@ class AwgnChannel:
             if need is None or bits.size < need:
                 continue
             rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
+            if rx_frame == frame:  # an intact copy shares the sent frame's decode and hex
+                rx_frame = frame
             # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
             return rx_frame, deliver_time_ns + (det.offset - LEAD_PAD) * chip_ns
         return None
@@ -324,9 +328,19 @@ class World:
     # -- event processing --------------------------------------------------
 
     def run_until(self, t_end_ns: int) -> None:
-        while self._heap and self._heap[0][0] <= t_end_ns:
-            self.time_ns, _, _, handler, args = heapq.heappop(self._heap)
-            handler(self, *args)
+        """Process events up to ``t_end_ns``.  An exception escaping a
+        handler is re-raised as a SimError naming the event kind, its
+        entities and ``time_ns``."""
+        handler = None
+        try:
+            while self._heap and self._heap[0][0] <= t_end_ns:
+                self.time_ns, _, _, handler, args = heapq.heappop(self._heap)
+                handler(self, *args)
+        except Exception as exc:
+            if handler is None:  # no event was popped: the bound itself is bad
+                raise
+            raise SimError(
+                f"{_describe_event(handler, args)} at time_ns={self.time_ns}: {exc}") from exc
         self.time_ns = max(self.time_ns, t_end_ns)
 
     def _jammed(self, source: Entity, t0_ns: int, t1_ns: int) -> bool:
@@ -364,3 +378,13 @@ class World:
         rx_frame, rx_time = received
         disposition = receiver.on_frame(self, rx_frame, rx_time, tx_time_ns)
         self.record("deliver", source.name, receiver.name, rx_frame, disposition)
+
+
+def _describe_event(handler: Callable[..., None], args: tuple) -> str:
+    if handler is World._do_timer:
+        entity, timer, _ = args
+        return f"timer {timer!r} of {entity.name}"
+    if handler is World._do_transmit:
+        return f"transmit by {args[0].name}"
+    source, receiver = args[:2]
+    return f"deliver from {source.name} to {receiver.name}"

@@ -23,8 +23,6 @@ floating-point operations in the same order.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -224,16 +222,23 @@ def sensitivity_sweep(grid: dict[str, list[float]] | None = None,
 SWEEP_COLUMNS = [*FACTOR_ORDER, "n", "o", *(fld.name for fld in fields(RiskReport))]
 
 
+def _format_column(column: np.ndarray) -> list[str]:
+    """``.10g`` text of each value, formatting each distinct value once.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own
+    text."""
+    bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    texts = np.array([f"{v:.10g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def sweep_to_csv(sweep: Sweep) -> str:
     rep = sweep.report
-    numbers = [getattr(sweep.factors, name) for name in FACTOR_ORDER]
-    numbers += [np.full(len(sweep), sweep.events.n), np.full(len(sweep), sweep.events.o),
-                rep.p_unresolved, rep.p_induced, rep.p_top_sum, rep.p_top_published,
-                rep.risk_ratio]
-    cells = [[f"{v:.10g}" for v in column.tolist()] for column in numbers]
+    cells = [_format_column(getattr(sweep.factors, name)) for name in FACTOR_ORDER]
+    cells += [[f"{value:.10g}"] * len(sweep) for value in (sweep.events.n, sweep.events.o)]
+    cells += [_format_column(column) for column in (
+        rep.p_unresolved, rep.p_induced, rep.p_top_sum, rep.p_top_published, rep.risk_ratio)]
     cells.append([";".join(flags) for flags in rep.flags])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    writer.writerows(zip(*cells))
-    return buf.getvalue()
+    # no cell holds a comma, quote or newline, so no cell needs CSV quoting
+    return "".join([",".join(row) + "\n" for row in (SWEEP_COLUMNS, *zip(*cells))])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -87,30 +88,36 @@ class MetricsReport:
 
 
 def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsReport:
-    """Distill the report; everything here re-derives from the log lines."""
+    """Distill the report; everything here re-derives from the log lines.
+
+    A delivery takes the label its frame was transmitted under in the
+    records before it, or its own label when there is none or more than
+    one; deliveries are counted per (link, label) first and folded into
+    the report once, in order of first appearance.
+    """
     report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
-    labels: dict[str, set[str]] = {}
+    labels: dict[str, set[str]] = {}  # hex -> labels it was transmitted under so far
+    current: dict[str, str] = {}  # hex -> the label a delivery of it takes now
+    delivered: Counter[tuple[str, str, str | None]] = Counter()  # label None: lost
 
     for rec in records:
-        if rec.kind == "transmit":
+        kind = rec.kind
+        if kind == "deliver":
+            label = None
+            if rec.outcome not in LOSS_OUTCOMES:
+                label = current.get(rec.frame_hex)
+                if label is None:
+                    label = current[rec.frame_hex] = frame_label(rec.frame_hex)
+            delivered[rec.source, rec.destination, label] += 1
+        elif kind == "transmit":
             report.transmit_outcomes[rec.outcome] = report.transmit_outcomes.get(rec.outcome, 0) + 1
             label = frame_label(rec.frame_hex, rec.destination)
-            labels.setdefault(rec.frame_hex, set()).add(label)
+            seen = labels.setdefault(rec.frame_hex, set())
+            seen.add(label)
+            current[rec.frame_hex] = label if len(seen) == 1 else frame_label(rec.frame_hex)
             if rec.outcome == "sent":
                 report.frames_sent[label] = report.frames_sent.get(label, 0) + 1
-        elif rec.kind == "deliver":
-            link = f"{rec.source}>{rec.destination}"
-            stats = report.links.setdefault(link, {"attempts": 0, "decoded": 0, "lost": 0})
-            stats["attempts"] += 1
-            if rec.outcome in LOSS_OUTCOMES:
-                stats["lost"] += 1
-            else:
-                stats["decoded"] += 1
-                seen = labels.get(rec.frame_hex, set())
-                label = next(iter(seen)) if len(seen) == 1 else frame_label(rec.frame_hex)
-                key = f"{label}>{rec.destination}"
-                report.deliveries[key] = report.deliveries.get(key, 0) + 1
-        elif rec.kind == "tcas":
+        elif kind == "tcas":
             if rec.outcome.startswith("range="):
                 key = f"{rec.source}>{rec.destination}"
                 report.rounds_per_track[key] = report.rounds_per_track.get(key, 0) + 1
@@ -120,15 +127,25 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
                 report.track_events.append([rec.time_ns, rec.source, rec.destination, rec.outcome])
             elif rec.outcome.startswith(("ta_", "ra_")):
                 report.advisories.append([rec.time_ns, rec.source, rec.destination, rec.outcome])
-        elif rec.kind == "attack":
+        elif kind == "attack":
             if rec.outcome.startswith("phase;"):
                 report.attack_phases.append([rec.time_ns, rec.outcome.split(";", 1)[1]])
             else:
                 report.attack_notes.append([rec.time_ns, rec.outcome])
-        elif rec.kind == "nmac":
+        elif kind == "nmac":
             until = int(rec.outcome.split("until=")[1])
             report.nmac_windows.append([rec.source, rec.destination, rec.time_ns, until])
 
+    for (source, destination, label), n in delivered.items():
+        stats = report.links.setdefault(f"{source}>{destination}",
+                                        {"attempts": 0, "decoded": 0, "lost": 0})
+        stats["attempts"] += n
+        if label is None:
+            stats["lost"] += n
+        else:
+            stats["decoded"] += n
+            key = f"{label}>{destination}"
+            report.deliveries[key] = report.deliveries.get(key, 0) + n
     report.nmac_occurred = bool(report.nmac_windows)
     _fill_plan_errors(report, scenario)
     for name in scenario.success:

@@ -130,7 +130,13 @@ def crc24(body_bits: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class ModeSFrame:
-    """An assembled frame: direction, bit length, and the bits as one int."""
+    """An assembled frame: direction, bit length, and the bits as one int.
+
+    A frame is an immutable value, so its hex text and its receiver-free
+    decode (kind, fields, recovered overlay) are computed on first use and
+    kept on the frame: every receiver of one transmission and every log
+    record of it share them.
+    """
 
     direction: str
     nbits: int
@@ -164,8 +170,39 @@ class ModeSFrame:
         """Frame bits MSB first as a uint8 vector (for the modems)."""
         return np.unpackbits(np.frombuffer(self.word.to_bytes(self.nbits // 8, "big"), np.uint8))
 
+    # The hex and the decode are kept in the instance dict, which a frozen
+    # dataclass still lets us write.  This is what functools.cached_property
+    # does, without the lock it takes on every first use before Python 3.12,
+    # which costs more than the decode saves on a frame only one receiver hears.
+
     def to_hex(self) -> str:
-        return f"{self.word:0{self.nbits // 4}x}"
+        text = self.__dict__.get("_hex")
+        if text is None:
+            text = self.__dict__["_hex"] = f"{self.word:0{self.nbits // 4}x}"
+        return text
+
+    def _decode(self) -> tuple[str | None, int | None, dict[str, int], int]:
+        """(kind, sealing overlay, fields, recovered overlay), where the
+        recovered overlay is the CRC of the body XOR the AP tail, whoever
+        receives the frame.  Kind is None for an unsupported format code or
+        a length its format does not have."""
+        decoded = self.__dict__.get("_decoded")
+        if decoded is None:
+            recovered = _crc24_word(self.body_word, self.body_nbits) ^ self.ap
+            key = (self.direction, self.format_code)
+            fields: dict[str, int] = {}
+            if _FRAME_BITS.get(key) != self.nbits:
+                decoded = (None, None, fields, recovered)
+            else:
+                kind, overlay, layout = _FORMATS[key]
+                shift = self.body_nbits - 5
+                for name, width in layout:
+                    shift -= width
+                    fields[name] = (self.body_word >> shift) & ((1 << width) - 1)
+                fields.pop("spare", None)
+                decoded = (kind, overlay, fields, recovered)
+            self.__dict__["_decoded"] = decoded
+        return decoded
 
     @classmethod
     def from_hex(cls, text: str, direction: str) -> "ModeSFrame":
@@ -237,7 +274,7 @@ def verify_frame(frame: ModeSFrame, expected_address: int | None) -> ParityCheck
     With an expected address, passes iff the recovered overlay equals it;
     without one the recovered overlay is reported and ``passed`` is None.
     """
-    recovered = _crc24_word(frame.body_word, frame.body_nbits) ^ frame.ap
+    recovered = frame._decode()[3]
     if expected_address is None:
         return ParityCheck(None, recovered)
     validate_icao(expected_address)
@@ -326,17 +363,12 @@ def parse_frame(frame: ModeSFrame, expected_address: int | None = None) -> Decod
     downlink formats against the zero overlay, addressed formats against
     ``expected_address`` when given.  An unrecognized format code yields
     kind ``"unknown"`` with no fields rather than an exception.
+
+    The decode is done once per frame; each call gets its own verdict for
+    its expected address and its own copy of the fields.
     """
-    code = frame.format_code
-    key = (frame.direction, code)
-    if _FRAME_BITS.get(key) != frame.nbits:
-        return DecodedFrame(frame, code, "unknown", {}, None)
-    kind, overlay, layout = _FORMATS[key]
-    fields: dict[str, int] = {}
-    shift = frame.body_nbits - 5
-    for name, width in layout:
-        shift -= width
-        fields[name] = (frame.body_word >> shift) & ((1 << width) - 1)
-    fields.pop("spare", None)
+    kind, overlay, fields, _ = frame._decode()
+    if kind is None:
+        return DecodedFrame(frame, frame.format_code, "unknown", {}, None)
     parity = verify_frame(frame, expected_address if overlay is None else overlay)
-    return DecodedFrame(frame, code, kind, fields, parity)
+    return DecodedFrame(frame, frame.format_code, kind, dict(fields), parity)

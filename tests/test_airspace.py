@@ -128,6 +128,19 @@ class TestFanOut:
         assert rx == 5_000 + 123_552
         assert frame.to_hex() == _squitter(0x000001).to_hex()
 
+    def test_one_transmit_shares_one_frame_and_one_hex_string(self):
+        a = Probe("a", 0x000001, _state(0, 0, 10_000))
+        b = Probe("b", 0x000002, _state(10, 0, 10_000))
+        c = Probe("c", 0x000003, _state(0, 30, 10_000))
+        w = self._world_with(a, b, c)
+        sent = _squitter(0x000001)
+        w.schedule_transmit(1_000, a, sent)
+        w.run_until(10_000_000)
+        assert b.inbox[0][0] is sent and c.inbox[0][0] is sent
+        transmit, *delivers = w.log
+        assert [r.kind for r in delivers] == ["deliver", "deliver"]
+        assert all(r.frame_hex is transmit.frame_hex for r in delivers)
+
     def test_out_of_range_receiver_hears_nothing(self):
         a = Probe("a", 0x000001, _state(0, 0, 0))
         b = Probe("b", 0x000002, _state(100.5, 0, 0))
@@ -365,6 +378,66 @@ class TestEventLog:
     def test_malformed_line_rejected(self):
         with pytest.raises(airspace.SimError):
             airspace.LogRecord.from_line("1,2,3")
+
+    @pytest.mark.parametrize("line", ["0,timer,a,-,-", "0,timer,a,-,-,tick,extra"])
+    def test_line_needs_exactly_six_fields(self, line):
+        with pytest.raises(airspace.SimError):
+            airspace.LogRecord.from_line(line)
+
+    def test_records_are_slotted_and_frozen(self):
+        rec = airspace.LogRecord.from_line("7,timer,a,-,-,tick\n")
+        assert rec == airspace.LogRecord(7, "timer", "a", "-", "-", "tick")
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.outcome = "tock"
+
+
+class Faulty(Probe):
+    """A probe whose handlers fail, as a buggy entity's would."""
+
+    def on_frame(self, world, frame, rx_time_ns, tx_time_ns) -> str:
+        raise KeyError("no such track")
+
+    def on_timer(self, world, timer, data) -> None:
+        raise ZeroDivisionError("rate of nothing")
+
+
+class TestHandlerErrors:
+    """An exception escaping a handler leaves ``run_until`` as a SimError
+    naming the event kind, its entities and the instant, chained from it."""
+
+    def test_timer(self):
+        a = Faulty("a", 0x000001, _state(0, 0, 0))
+        w = airspace.World()
+        w.add_entity(a)
+        w.schedule_timer(1_234, a, "tick")
+        with pytest.raises(airspace.SimError,
+                           match=r"^timer 'tick' of a at time_ns=1234: rate of nothing$") as info:
+            w.run_until(10_000)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_deliver(self):
+        a = Probe("a", 0x000001, _state(0, 0, 0))
+        b = Faulty("b", 0x000002, _state(20, 0, 0))
+        w = airspace.World()
+        w.add_entity(a)
+        w.add_entity(b)
+        w.schedule_transmit(5_000, a, _squitter(0x000001))
+        with pytest.raises(airspace.SimError,
+                           match=r"^deliver from a to b at time_ns=128552: ") as info:
+            w.run_until(10**9)
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_transmit(self):
+        a = Probe("a", 0x000001, _state(0, 0, 0))
+        w = airspace.World()
+        w.add_entity(a)
+        w.add_entity(Probe("b", 0x000002, _state(1, 0, 0)))
+        a.state0 = None  # its position can no longer be computed
+        w.schedule_transmit(99, a, _squitter(0x000001))
+        with pytest.raises(airspace.SimError, match=r"^transmit by a at time_ns=99: ") as info:
+            w.run_until(1_000)
+        assert isinstance(info.value.__cause__, AttributeError)
 
 
 class TestMotionSegments:

@@ -69,6 +69,23 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error:") and field in err
 
+    def test_runtime_error_names_event_aircraft_and_time(self, capsys, tmp_path):
+        # head-on at 200 ft and 250 ft: the resolution advisory takes one
+        # aircraft below 0 ft, whose next reply cannot encode its altitude
+        doc = {"schema_version": 1, "name": "low_head_on", "duration_s": 60.0,
+               "aircraft": [
+                   {"name": name, "icao": icao, "mode": "ta_ra",
+                    "position": {"x_nmi": 0.0, "y_nmi": y, "altitude_ft": alt},
+                    "velocity": {"vx_kt": 0.0, "vy_kt": -75.0 * y}}
+                   for name, icao, y, alt in [("north", "A40001", 4.0, 200.0),
+                                              ("south", "A40002", -4.0, 250.0)]]}
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "simulate", str(path))
+        assert code == 2
+        assert err.startswith("error: deliver from south to north at time_ns=26537022103: "
+                              "altitude below encodable range: -0.92")
+
     def test_unknown_reference(self, capsys):
         code, _, err = run(capsys, "simulate", "no_such_scenario")
         assert code == 2

@@ -271,3 +271,38 @@ class TestSweepMatchesScalarEvaluation:
                          "risk_ratio"):
                 assert bits(getattr(sweep.report, name)[r]) == bits(getattr(want, name))
             assert sweep.report.flags[r] == want.flags
+
+
+def cell_by_cell_csv(sweep: fta.Sweep) -> str:
+    """The sweep's CSV formatted one cell at a time and written by ``csv``."""
+    rep = sweep.report
+    columns = [getattr(sweep.factors, name).tolist() for name in fta.FACTOR_ORDER]
+    columns += [[sweep.events.n] * len(sweep), [sweep.events.o] * len(sweep)]
+    columns += [getattr(rep, name).tolist() for name in
+                ("p_unresolved", "p_induced", "p_top_sum", "p_top_published", "risk_ratio")]
+    cells = [[f"{v:.10g}" for v in column] for column in columns]
+    cells.append([";".join(flags) for flags in rep.flags])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fta.SWEEP_COLUMNS)
+    writer.writerows(zip(*cells))
+    return buf.getvalue()
+
+
+class TestSweepCsvMatchesCellByCellFormatting:
+    """``sweep_to_csv`` formats each distinct value once; its text equals
+    formatting every cell on its own, -0.0 and overflow flags included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=st.dictionaries(st.sampled_from(fta.FACTOR_ORDER),
+                                st.lists(st.one_of(PROBABILITY, st.just(-0.0)), max_size=3),
+                                max_size=5),
+           overrides=st.one_of(st.none(), st.just(fta.PHANTOM_ATTACK_OVERRIDES),
+                               st.fixed_dictionaries({"n": PROBABILITY, "o": PROBABILITY})))
+    def test_text_equals_cell_by_cell(self, grid, overrides):
+        sweep = fta.sensitivity_sweep(grid=grid, overrides=overrides)
+        assert fta.sweep_to_csv(sweep) == cell_by_cell_csv(sweep)
+
+    def test_negative_zero_keeps_its_text(self):
+        text = fta.sweep_to_csv(fta.sensitivity_sweep(grid={"ti": [0.0, -0.0]}))
+        assert [line.split(",")[4] for line in text.splitlines()[1:]] == ["0", "-0"]

@@ -6,11 +6,12 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcassim import fta, harness, phy
 from tcassim import modes_codec as codec
 from tcassim import scenario as scen
-from tcassim.airspace import read_event_log, write_event_log
+from tcassim.airspace import LogRecord, SimError, read_event_log, write_event_log
 
 
 def crossing_doc(**extra) -> dict:
@@ -136,6 +137,88 @@ class TestSimulate:
         assert set(report.rounds_per_track.values()) == {600}
         assert report.advisories == []
         assert not report.nmac_occurred
+
+
+    def test_handler_error_is_a_sim_error_naming_the_event(self):
+        # the resolution advisory sends one aircraft below 0 ft, where its
+        # next reply cannot encode its altitude
+        doc = crossing_doc(success=[])
+        doc["aircraft"][0].update(mode="ta_ra", squitter=True, position={
+            "x_nmi": -4.0, "y_nmi": 0.0, "altitude_ft": 200.0})
+        doc["aircraft"][1].update(mode="ta_ra", squitter=True, position={
+            "x_nmi": 4.0, "y_nmi": 0.0, "altitude_ft": 250.0})
+        with pytest.raises(SimError, match=r"^deliver from (one to two|two to one) "
+                                           r"at time_ns=\d+: altitude below") as info:
+            harness.simulate(scen.load_scenario(doc))
+        assert isinstance(info.value.__cause__, codec.CodecError)
+
+
+def per_record_links_and_deliveries(records: list[LogRecord]) -> tuple[dict, dict]:
+    """Reference: each delivery labelled, one record at a time, from the
+    transmits logged before it."""
+    labels: dict[str, set[str]] = {}
+    links: dict[str, dict[str, int]] = {}
+    deliveries: dict[str, int] = {}
+    for rec in records:
+        if rec.kind == "transmit":
+            labels.setdefault(rec.frame_hex, set()).add(
+                harness.frame_label(rec.frame_hex, rec.destination))
+        elif rec.kind == "deliver":
+            stats = links.setdefault(f"{rec.source}>{rec.destination}",
+                                     {"attempts": 0, "decoded": 0, "lost": 0})
+            stats["attempts"] += 1
+            if rec.outcome in harness.LOSS_OUTCOMES:
+                stats["lost"] += 1
+                continue
+            stats["decoded"] += 1
+            seen = labels.get(rec.frame_hex, set())
+            label = next(iter(seen)) if len(seen) == 1 else harness.frame_label(rec.frame_hex)
+            key = f"{label}>{rec.destination}"
+            deliveries[key] = deliveries.get(key, 0) + 1
+    return links, deliveries
+
+
+# UF4 to a30002 and the DF4 a 0 ft transponder a30002 sends share one hex;
+# a UF20's hex reads as DF20 until it is logged as an interrogation.
+SHARED_HEX = codec.build_interrogation("surveillance_short", 0xA30002).to_hex()
+UF20_HEX = codec.build_interrogation("surveillance_long", 0xA30002, rac=1).to_hex()
+SQUITTER_HEX = codec.build_reply("extended_squitter", 0xA30001, altitude_ft=2000).to_hex()
+
+
+class TestDeliveryLabels:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["transmit", "deliver", "deliver", "timer"]),
+        st.sampled_from(["own", "ground", "attacker"]),
+        st.sampled_from(["*", "a30002", "own", "ground"]),
+        st.sampled_from([SHARED_HEX, UF20_HEX, SQUITTER_HEX, "ffff"]),
+        st.sampled_from(["sent", "replied", "phy_drop", "parity_drop", "known"])), max_size=40))
+    def test_counts_equal_the_per_record_loop(self, rows):
+        records = [LogRecord(t, kind, source, destination, frame_hex, outcome)
+                   for t, (kind, source, destination, frame_hex, outcome) in enumerate(rows)]
+        report = harness.metrics_from_log(records, scen.bundled_scenario("benign_pair"))
+        links, deliveries = per_record_links_and_deliveries(records)
+        # equal in order of first appearance, not only as mappings
+        assert list(report.links.items()) == list(links.items())
+        assert list(report.deliveries.items()) == list(deliveries.items())
+
+    def test_label_comes_from_earlier_transmits_only(self):
+        assert SHARED_HEX == codec.build_reply("surveillance_short", 0xA30002).to_hex()
+        records = [
+            LogRecord(0, "deliver", "own", "ground", UF20_HEX, "replied"),
+            LogRecord(1, "transmit", "own", "a30002", SHARED_HEX, "sent"),
+            LogRecord(2, "deliver", "own", "ground", SHARED_HEX, "replied"),
+            LogRecord(3, "transmit", "ground", "*", SHARED_HEX, "sent"),
+            LogRecord(4, "deliver", "ground", "own", SHARED_HEX, "range_update"),
+            LogRecord(5, "transmit", "own", "a30002", UF20_HEX, "sent"),
+            LogRecord(6, "deliver", "own", "ground", UF20_HEX, "replied"),
+            LogRecord(7, "deliver", "own", "ground", UF20_HEX, "phy_drop"),
+        ]
+        report = harness.metrics_from_log(records, scen.bundled_scenario("benign_pair"))
+        assert report.deliveries == {"DF20>ground": 1, "UF4>ground": 1, "DF4>own": 1,
+                                     "UF20>ground": 1}
+        assert report.links == {"own>ground": {"attempts": 4, "decoded": 3, "lost": 1},
+                                "ground>own": {"attempts": 1, "decoded": 1, "lost": 0}}
 
 
 class TestLossSweep:

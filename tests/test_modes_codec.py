@@ -336,3 +336,132 @@ def test_from_bits_keeps_the_low_bit_of_each_value():
     assert mc.ModeSFrame.from_bits(np.array(reference) - 2, mc.DOWNLINK) == frame
     with pytest.raises(mc.CodecError):
         mc.ModeSFrame.from_bits(reference[:-1], mc.DOWNLINK)
+
+
+# -- exact decoding against an independent decoder ---------------------------
+#
+# Each row is written from the format descriptions, not from the codec's
+# table: kind, the overlay a broadcast format is checked against (None for
+# "the receiver's expected address"), and each field's first bit (0 is the
+# MSB) and width.  Codes below 16 are short frames, the rest long ones.
+ORACLE_FORMATS = {
+    (mc.UPLINK, 4): ("surveillance_short", None, {}),
+    (mc.UPLINK, 11): ("all_call", 0xFFFFFF, {}),
+    (mc.UPLINK, 20): ("surveillance_long", None,
+                      {"rac": (5, 4), "ra_active": (9, 1), "sender": (10, 24)}),
+    (mc.DOWNLINK, 4): ("surveillance_short", None, {"altitude_code": (5, 13)}),
+    (mc.DOWNLINK, 11): ("all_call", 0, {"icao": (5, 24)}),
+    (mc.DOWNLINK, 17): ("extended_squitter", 0, {"icao": (5, 24), "altitude_code": (29, 13)}),
+    (mc.DOWNLINK, 20): ("surveillance_long", None,
+                        {"altitude_code": (5, 13), "rac": (18, 4), "ra_active": (22, 1)}),
+}
+
+
+def _bits_of(word: int, nbits: int) -> list[int]:
+    return [int(c) for c in format(word, f"0{nbits}b")]
+
+
+def _number(bits: list[int]) -> int:
+    return int("".join(map(str, bits)), 2)
+
+
+def oracle_parse(direction: str, nbits: int, word: int, expected: int | None):
+    """(format code, kind, fields, parity) decoded bit by bit, with the
+    parity from ``oracles.crc24_long_division``."""
+    bits = _bits_of(word, nbits)
+    code = _number(bits[:5])
+    row = ORACLE_FORMATS.get((direction, code))
+    if row is None or nbits != (112 if code >= 16 else 56):
+        return code, "unknown", {}, None
+    kind, overlay, layout = row
+    fields = {name: _number(bits[first:first + width]) for name, (first, width) in layout.items()}
+    recovered = crc24_long_division(bits[:-24]) ^ _number(bits[-24:])
+    check = expected if overlay is None else overlay
+    return code, kind, fields, mc.ParityCheck(None if check is None else recovered == check,
+                                              recovered)
+
+
+def _parsed(frame: mc.ModeSFrame, expected: int | None):
+    decoded = mc.parse_frame(frame, expected_address=expected)
+    return decoded.format_code, decoded.kind, decoded.fields, decoded.parity
+
+
+SIZED_WORD = st.sampled_from([mc.SHORT_FRAME_BITS, mc.LONG_FRAME_BITS]).flatmap(
+    lambda n: st.tuples(st.just(n), st.one_of(
+        st.integers(0, (1 << n) - 1),  # mostly unsupported codes
+        st.tuples(st.integers(0, 31), st.integers(0, (1 << (n - 5)) - 1)).map(
+            lambda t: (t[0] << (n - 5)) | t[1]))))  # every code at both lengths
+FLIPPED_BUILT = st.sampled_from(sorted(BUILT)).flatmap(lambda key: BUILT[key]).flatmap(
+    lambda built: st.tuples(st.just(built),
+                            st.one_of(st.none(), st.integers(0, built[0].nbits - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([mc.UPLINK, mc.DOWNLINK]), SIZED_WORD,
+       st.one_of(st.none(), ADDRESS))
+def test_parse_of_random_words_matches_the_oracle(direction, sized_word, expected):
+    nbits, word = sized_word
+    frame = mc.ModeSFrame(direction, nbits, word)
+    assert _parsed(frame, expected) == oracle_parse(direction, nbits, word, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLIPPED_BUILT, st.sampled_from(["addressee", "other", "none", "random"]), ADDRESS)
+def test_parse_of_built_and_flipped_frames_matches_the_oracle(case, which, random_address):
+    (frame, _, _, overlay), flip = case
+    if flip is not None:
+        frame = mc.ModeSFrame(frame.direction, frame.nbits, frame.word ^ (1 << flip))
+    expected = {"addressee": overlay, "other": overlay ^ 1, "none": None,
+                "random": random_address}[which]
+    assert _parsed(frame, expected) == oracle_parse(frame.direction, frame.nbits, frame.word,
+                                                    expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(set(BUILT) - BROADCAST)).flatmap(lambda key: BUILT[key]),
+       st.integers(1, 0xFFFFFF))
+def test_one_frame_gives_each_expected_address_its_own_verdict(built, mask):
+    frame, _, _, addressee = built
+    other = addressee ^ mask
+    verdicts = [mc.parse_frame(frame, expected_address=a).parity
+                for a in (addressee, other, None, addressee, other)]
+    assert verdicts == [mc.ParityCheck(True, addressee), mc.ParityCheck(False, addressee),
+                        mc.ParityCheck(None, addressee), mc.ParityCheck(True, addressee),
+                        mc.ParityCheck(False, addressee)]
+
+
+def test_bad_expected_address_is_still_an_error_after_a_parse():
+    frame = mc.build_interrogation("surveillance_short", 0x3C4EFA)
+    assert mc.parse_frame(frame, expected_address=0x3C4EFA).parity.passed
+    for bad in (-1, 1 << 24, "3c4efa"):
+        with pytest.raises(mc.CodecError):
+            mc.parse_frame(frame, expected_address=bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(BUILT)).flatmap(lambda key: BUILT[key]))
+def test_each_parse_returns_its_own_fields(built):
+    frame, kind, fields, overlay = built
+    first = mc.parse_frame(frame, expected_address=overlay)
+    first.fields.clear()
+    first.fields["icao"] = -1
+    second = mc.parse_frame(frame, expected_address=overlay)
+    assert second.fields == fields and second.fields is not first.fields
+    assert second.kind == kind and second.parity == mc.ParityCheck(True, overlay)
+
+
+def test_hex_is_formatted_once_per_frame():
+    frame = mc.build_reply("extended_squitter", 0x3C4EFA, altitude_ft=41_400)
+    assert frame.to_hex() is frame.to_hex()
+    assert frame == mc.ModeSFrame.from_hex(frame.to_hex(), mc.DOWNLINK)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([32, 88]).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))))
+def test_crc_is_linear(case):
+    n, a, b = case
+    a_bits, b_bits, xor_bits = _bits_of(a, n), _bits_of(b, n), _bits_of(a ^ b, n)
+    assert mc.crc24(a_bits) == crc24_long_division(a_bits)
+    assert mc.crc24(b_bits) == crc24_long_division(b_bits)
+    assert mc.crc24(xor_bits) == mc.crc24(a_bits) ^ mc.crc24(b_bits) == crc24_long_division(xor_bits)
