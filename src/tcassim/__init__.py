@@ -19,7 +19,7 @@ from .airspace import (
     read_event_log,
     write_event_log,
 )
-from .attacker import Attacker, InfeasibleReply, PhantomPlan, compute_reply_delay
+from .attacker import Attacker, FloodPlan, InfeasibleReply, PhantomPlan, compute_reply_delay
 from .fta import (
     BasicEvents,
     FtaError,
@@ -65,6 +65,7 @@ __all__ = [
     "BasicEvents",
     "CodecError",
     "DecodedFrame",
+    "FloodPlan",
     "FtaError",
     "HumanFactors",
     "InfeasibleReply",

@@ -273,26 +273,17 @@ class World:
         self._heap: list[tuple[int, int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._noise_index = 0
-        self._segments: dict[str, list[tuple[int, AircraftState]]] = {}
 
-    # -- registration and kinematic truth ---------------------------------
+    # -- registration ------------------------------------------------------
 
     def add_entity(self, entity: Entity) -> None:
         if entity.name in self._order:
             raise SimError(f"duplicate entity name {entity.name!r}")
         self._order[entity.name] = len(self.entities)
         self.entities.append(entity)
-        self._segments[entity.name] = [(self.time_ns, entity.state_at(self.time_ns))]
 
     def add_jam(self, directive: JamDirective) -> None:
         self.jam_directives.append(directive)
-
-    def note_motion_change(self, entity: Entity) -> None:
-        """Entities call this whenever their velocity vector changes."""
-        self._segments[entity.name].append((self.time_ns, entity.state_at(self.time_ns)))
-
-    def trajectory_segments(self, name: str) -> list[tuple[int, AircraftState]]:
-        return list(self._segments[name])
 
     def next_noise_index(self) -> int:
         self._noise_index += 1

@@ -46,17 +46,15 @@ PHASES = ("recon", "baiting", "tracking", "threat_declared", "done")
 MISSION_PHANTOM = "phantom"
 MISSION_ALL_CALL_FLOOD = "all_call_flood"
 MISSION_SQUITTER_FLOOD = "squitter_flood"
+MISSIONS = (MISSION_PHANTOM, MISSION_ALL_CALL_FLOOD, MISSION_SQUITTER_FLOOD)
 
 PERIOD_WINDOW = 5
 PERIOD_JITTER_NS = 1_000  # spread beyond this means the cadence is not stable
 INTEL_INTERVAL_NS = NS_PER_S // 4
 INTEL_WINDOW = 8
 
-# Mission defaults, read by the scenario loader too.
+# Read by the scenario loader too.
 DEFAULT_BAIT_TIMEOUT_S = 20.0  # give up baiting if the target never answers
-DEFAULT_FLOOD_RATE_HZ = 10.0
-DEFAULT_FLOOD_DURATION_S = 10.0
-DEFAULT_FLOOD_ADDRESS_BASE = 0x500000  # first fabricated address of a flood
 
 
 class InfeasibleReply(SimError):
@@ -117,6 +115,20 @@ class PhantomPlan:
         return max(self.floor_nmi, self.initial_range_nmi - self.closure_kt * dt_s / 3600.0)
 
 
+@dataclass(frozen=True)
+class FloodPlan:
+    """A flood's cadence and length; a squitter flood's frames carry the
+    fabricated addresses ``address_base``, ``address_base + 1``, ..."""
+
+    rate_hz: float = 10.0
+    duration_s: float = 10.0
+    address_base: int = 0x500000
+
+    @property
+    def period_ns(self) -> int:
+        return round(NS_PER_S / self.rate_hz)
+
+
 class Attacker:
     """Software-defined ground transmitter; one instance, one mission."""
 
@@ -125,10 +137,8 @@ class Attacker:
                  target_icao: int | None = None,
                  plan: PhantomPlan | None = None,
                  bait_timeout_s: float = DEFAULT_BAIT_TIMEOUT_S,
-                 flood_rate_hz: float = DEFAULT_FLOOD_RATE_HZ,
-                 flood_duration_s: float = DEFAULT_FLOOD_DURATION_S,
-                 flood_address_base: int = DEFAULT_FLOOD_ADDRESS_BASE):
-        if mission not in (MISSION_PHANTOM, MISSION_ALL_CALL_FLOOD, MISSION_SQUITTER_FLOOD):
+                 flood: FloodPlan | None = None):
+        if mission not in MISSIONS:
             raise SimError(f"unknown mission {mission!r}")
         if mission == MISSION_PHANTOM:
             if target_icao is None:
@@ -143,9 +153,7 @@ class Attacker:
         self.phantom_icao = (target_icao - 1) if target_icao else None
         self.plan = plan or PhantomPlan()
         self.bait_timeout_s = bait_timeout_s
-        self.flood_rate_hz = flood_rate_hz
-        self.flood_duration_s = flood_duration_s
-        self.flood_address_base = flood_address_base
+        self.flood = flood or FloodPlan()
         self._position = position
         self.phase = "recon"
         self.intel_target = None  # aircraft whose motion the attacker surveils
@@ -172,7 +180,7 @@ class Attacker:
             if self.intel_target is not None:
                 world.schedule_timer(now, self, "intel")
         else:
-            self._flood_until_ns = now + round(self.flood_duration_s * NS_PER_S)
+            self._flood_until_ns = now + round(self.flood.duration_s * NS_PER_S)
             world.record("attack", self.name, "*", None, f"phase;{self.mission}")
             world.schedule_timer(now, self, "flood")
 
@@ -265,12 +273,11 @@ class Attacker:
         if self.mission == MISSION_ALL_CALL_FLOOD:
             world.schedule_transmit(world.time_ns, self, codec.build_interrogation("all_call"))
         else:
-            address = self.flood_address_base + self._flood_counter
+            address = self.flood.address_base + self._flood_counter
             self._flood_counter += 1
             frame = codec.build_reply("extended_squitter", address, altitude_ft=15_000)
             world.schedule_transmit(world.time_ns, self, frame)
-        world.schedule_timer(world.time_ns + round(NS_PER_S / self.flood_rate_hz),
-                             self, "flood")
+        world.schedule_timer(world.time_ns + self.flood.period_ns, self, "flood")
 
     # -- frame handling ------------------------------------------------------------------
 

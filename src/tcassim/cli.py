@@ -65,7 +65,7 @@ def _parse_snr(text: str) -> list[float | None]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     loaded = _resolve_scenario(args.scenario, None)
-    if loaded.channel.kind != "awgn":
+    if loaded.snr_db is None:
         raise scen.ScenarioError("sweep needs a scenario with an awgn channel")
     points = harness.loss_sweep(loaded, _parse_snr(args.snr), corpus_size=args.frames)
     table = harness.loss_table_csv(points)

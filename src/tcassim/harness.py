@@ -193,9 +193,8 @@ def simulate(scenario: Scenario) -> SimulationResult:
     crafts = [a.name for a in scenario.aircraft]
     for i, name_a in enumerate(crafts):
         for name_b in crafts[i + 1:]:
-            windows = nmac_intervals(world.trajectory_segments(name_a),
-                                     world.trajectory_segments(name_b),
-                                     scenario.duration_ns)
+            windows = nmac_intervals(entities[name_a].segments,
+                                     entities[name_b].segments, scenario.duration_ns)
             for on_ns, off_ns in windows:
                 extra.append(LogRecord(on_ns, "nmac", name_a, name_b, "-",
                                        f"window;until={off_ns}"))

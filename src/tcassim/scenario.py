@@ -26,22 +26,18 @@ from .airspace import (
 )
 from .attacker import (
     DEFAULT_BAIT_TIMEOUT_S,
-    DEFAULT_FLOOD_ADDRESS_BASE,
-    DEFAULT_FLOOD_DURATION_S,
-    DEFAULT_FLOOD_RATE_HZ,
-    MISSION_ALL_CALL_FLOOD,
     MISSION_PHANTOM,
     MISSION_SQUITTER_FLOOD,
+    MISSIONS,
     PHASES,
     Attacker,
+    FloodPlan,
     PhantomPlan,
 )
 from .tcas import (
     DEFAULT_SURVEILLANCE_PERIOD_S,
-    MODE_STANDBY,
-    MODE_TA_ONLY,
     MODE_TA_RA,
-    MODE_XPDR,
+    MODES,
     Aircraft,
     PilotModel,
     surveillance_interval_ns,
@@ -52,9 +48,6 @@ SCHEMA_VERSION = 1
 # Per-entity start offset so periodic timers interleave instead of stacking
 # on the same instant; purely deterministic.
 START_STAGGER_NS = 37_000_000
-
-_MODES = (MODE_STANDBY, MODE_XPDR, MODE_TA_ONLY, MODE_TA_RA)
-_MISSIONS = (MISSION_PHANTOM, MISSION_ALL_CALL_FLOOD, MISSION_SQUITTER_FLOOD)
 
 # Success predicate name -> its verdict on a metrics report.
 SUCCESS_PREDICATES = {
@@ -95,6 +88,14 @@ def _number(where: str, obj: dict, key: str, default=None, *, required: bool = F
         value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{where}: field {key!r} must be finite")
+    return value
+
+
+def _seconds(where: str, obj: dict, key: str, default=None, *, required: bool = False):
+    """A number of seconds small enough to count in nanoseconds."""
+    value = _number(where, obj, key, default, required=required)
+    if value is not None and not math.isfinite(value * NS_PER_S):
+        raise ScenarioError(f"{where}: field {key!r} is too large to count in nanoseconds")
     return value
 
 
@@ -147,12 +148,6 @@ def _state(where: str, position: dict, velocity: dict | None) -> AircraftState:
 # -- validated configuration ----------------------------------------------------
 
 @dataclass(frozen=True)
-class ChannelSpec:
-    kind: str = "noiseless"
-    snr_db: float | None = None
-
-
-@dataclass(frozen=True)
 class AircraftSpec:
     name: str
     icao: int
@@ -163,20 +158,6 @@ class AircraftSpec:
 
 
 @dataclass(frozen=True)
-class JamSpec:
-    target_icao: int
-    start_s: float
-    end_s: float | None = None
-
-
-@dataclass(frozen=True)
-class FloodSpec:
-    rate_hz: float = DEFAULT_FLOOD_RATE_HZ
-    duration_s: float = DEFAULT_FLOOD_DURATION_S
-    address_base: int = DEFAULT_FLOOD_ADDRESS_BASE
-
-
-@dataclass(frozen=True)
 class AttackerSpec:
     name: str
     mission: str
@@ -184,8 +165,8 @@ class AttackerSpec:
     target_icao: int | None = None
     plan: PhantomPlan | None = None
     bait_timeout_s: float = DEFAULT_BAIT_TIMEOUT_S
-    flood: FloodSpec = FloodSpec()
-    jams: tuple[JamSpec, ...] = ()
+    flood: FloodPlan | None = None
+    jams: tuple[JamDirective, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -195,7 +176,7 @@ class Scenario:
     aircraft: tuple[AircraftSpec, ...]
     attacker: AttackerSpec | None = None
     surveillance_period_s: float = DEFAULT_SURVEILLANCE_PERIOD_S
-    channel: ChannelSpec = ChannelSpec()
+    snr_db: float | None = None  # None: the noiseless channel
     seed: int = 0
     success: tuple[str, ...] = ()
 
@@ -244,19 +225,19 @@ def _parse(doc: dict) -> Scenario:
         raise ScenarioError(f"scenario: schema_version must be {SCHEMA_VERSION}, got {version!r}")
     name = _string("scenario", doc, "name", required=True)
 
-    duration_s = _number("scenario", doc, "duration_s", required=True)
+    duration_s = _seconds("scenario", doc, "duration_s", required=True)
     if duration_s <= 0:
         raise ScenarioError("scenario: duration_s must be positive")
-    period_s = _number("scenario", doc, "surveillance_period_s", DEFAULT_SURVEILLANCE_PERIOD_S)
+    period_s = _seconds("scenario", doc, "surveillance_period_s", DEFAULT_SURVEILLANCE_PERIOD_S)
     try:
         surveillance_interval_ns(period_s)
     except SimError as exc:
         raise ScenarioError(f"scenario: field 'surveillance_period_s': {exc}") from None
 
-    channel = _parse_channel(doc.get("channel", {"kind": "noiseless"}))
+    snr_db = _parse_channel(doc.get("channel", {"kind": "noiseless"}))
     if "seed" in doc and (isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int)):
         raise ScenarioError("scenario: field 'seed' must be an integer")
-    if channel.kind == "awgn" and "seed" not in doc:
+    if snr_db is not None and "seed" not in doc:
         raise ScenarioError("scenario: field 'seed' is required with a noisy channel")
     seed = doc.get("seed", 0)
 
@@ -289,18 +270,19 @@ def _parse(doc: dict) -> Scenario:
 
     return Scenario(name=name, duration_s=duration_s, aircraft=aircraft,
                     attacker=attacker, surveillance_period_s=period_s,
-                    channel=channel, seed=seed, success=tuple(success))
+                    snr_db=snr_db, seed=seed, success=tuple(success))
 
 
-def _parse_channel(obj: dict) -> ChannelSpec:
+def _parse_channel(obj: dict) -> float | None:
+    """The channel's SNR in dB, or None for the noiseless channel."""
     _check_keys("channel", obj, {"kind", "snr_db"})
     kind = _string("channel", obj, "kind", required=True)
     if kind == "noiseless":
         if "snr_db" in obj:
             raise ScenarioError("channel: field 'snr_db' only applies to kind 'awgn'")
-        return ChannelSpec("noiseless")
+        return None
     if kind == "awgn":
-        return ChannelSpec("awgn", _number("channel", obj, "snr_db", required=True))
+        return _number("channel", obj, "snr_db", required=True)
     raise ScenarioError(f"channel: unknown kind {kind!r}")
 
 
@@ -310,7 +292,7 @@ def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
     name = _string(where, obj, "name", required=True)
     icao = _icao(where, _string(where, obj, "icao", required=True))
     mode = _string(where, obj, "mode", MODE_TA_RA)
-    if mode not in _MODES:
+    if mode not in MODES:
         raise ScenarioError(f"{where}: unknown mode {mode!r}")
     squitter = obj.get("squitter", True)
     if not isinstance(squitter, bool):
@@ -329,12 +311,17 @@ def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
     if "pilot" in obj:
         _check_keys(f"{where}.pilot", obj["pilot"], {"delay_s", "rate_fpm"})
         pilot = PilotModel(
-            _number(f"{where}.pilot", obj["pilot"], "delay_s", PilotModel.delay_s),
+            _seconds(f"{where}.pilot", obj["pilot"], "delay_s", PilotModel.delay_s),
             _number(f"{where}.pilot", obj["pilot"], "rate_fpm", PilotModel.rate_fpm))
         if pilot.delay_s < 0:
             raise ScenarioError(f"{where}.pilot: field 'delay_s' must not be negative")
         if pilot.rate_fpm <= 0:
             raise ScenarioError(f"{where}.pilot: field 'rate_fpm' must be positive")
+        # the level-off instant is counted in ns; twice the codec's altitude
+        # range bounds how far an advisory's limit can be
+        if not math.isfinite(2 * codec.ALTITUDE_MAX_FT / pilot.rate_fpm * 60 * NS_PER_S):
+            raise ScenarioError(f"{where}.pilot: field 'rate_fpm' is too small to level off "
+                                f"in a countable number of nanoseconds")
     return AircraftSpec(name, icao, state, mode, squitter, pilot)
 
 
@@ -343,7 +330,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
                              "bait_timeout_s", "flood", "jam"})
     name = _string(where, obj, "name", required=True)
     mission = _string(where, obj, "mission", required=True)
-    if mission not in _MISSIONS:
+    if mission not in MISSIONS:
         raise ScenarioError(f"{where}: unknown mission {mission!r}")
     if "position" not in obj:
         raise ScenarioError(f"{where}: missing field 'position'")
@@ -371,20 +358,29 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
             _number(f"{where}.plan", p, "altitude_ft", PhantomPlan.altitude_ft))
         _check_altitude(f"{where}.plan", plan.altitude_ft)
 
-    flood = FloodSpec()
+    flood = None
     if "flood" in obj:
         if mission == MISSION_PHANTOM:
             raise ScenarioError(f"{where}: field 'flood' only applies to flood missions")
-        f = obj["flood"]
-        _check_keys(f"{where}.flood", f, {"rate_hz", "duration_s", "address_base"})
-        rate = _number(f"{where}.flood", f, "rate_hz", FloodSpec.rate_hz)
-        duration = _number(f"{where}.flood", f, "duration_s", FloodSpec.duration_s)
+        f, flood_where = obj["flood"], f"{where}.flood"
+        _check_keys(flood_where, f, {"rate_hz", "duration_s", "address_base"})
+        rate = _number(flood_where, f, "rate_hz", FloodPlan.rate_hz)
+        duration = _seconds(flood_where, f, "duration_s", FloodPlan.duration_s)
         if rate <= 0 or duration <= 0:
-            raise ScenarioError(f"{where}.flood: rate_hz and duration_s must be positive")
-        base = FloodSpec.address_base
+            raise ScenarioError(f"{flood_where}: rate_hz and duration_s must be positive")
+        base = FloodPlan.address_base
         if "address_base" in f:
-            base = _icao(f"{where}.flood", _string(f"{where}.flood", f, "address_base"))
-        flood = FloodSpec(rate, duration, base)
+            base = _icao(flood_where, _string(flood_where, f, "address_base"))
+        flood = FloodPlan(rate, duration, base)
+        # the flood timer re-arms every period_ns, so a zero period never lets time advance
+        if not math.isfinite(NS_PER_S / rate) or flood.period_ns < 1:
+            raise ScenarioError(f"{flood_where}: field 'rate_hz' must give a finite period "
+                                f"of at least 1 ns")
+        # frames go out at 0, period_ns, 2 * period_ns, ... before duration_ns
+        frames = -(-round(duration * NS_PER_S) // flood.period_ns)
+        if mission == MISSION_SQUITTER_FLOOD and base + frames - 1 > 0xFFFFFF:
+            raise ScenarioError(f"{flood_where}: field 'address_base' leaves too few addresses "
+                                f"for {frames} squitters within 24 bits")
 
     jam_docs = obj.get("jam", [])
     if not isinstance(jam_docs, list):
@@ -394,13 +390,14 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
         jam_where = f"{where}.jam[{i}]"
         _check_keys(jam_where, j, {"target", "start_s", "end_s"})
         target_icao = _icao(jam_where, _string(jam_where, j, "target", required=True))
-        start_s = _number(jam_where, j, "start_s", required=True)
-        end_s = None if j.get("end_s") is None else _number(jam_where, j, "end_s")
+        start_s = _seconds(jam_where, j, "start_s", required=True)
+        end_s = None if j.get("end_s") is None else _seconds(jam_where, j, "end_s")
         if start_s < 0 or (end_s is not None and end_s <= start_s):
             raise ScenarioError(f"{jam_where}: window must satisfy 0 <= start_s < end_s")
-        jams.append(JamSpec(target_icao, start_s, end_s))
+        jams.append(JamDirective(target_icao, round(start_s * NS_PER_S),
+                                 None if end_s is None else round(end_s * NS_PER_S)))
 
-    bait_timeout_s = _number(where, obj, "bait_timeout_s", DEFAULT_BAIT_TIMEOUT_S)
+    bait_timeout_s = _seconds(where, obj, "bait_timeout_s", DEFAULT_BAIT_TIMEOUT_S)
     if bait_timeout_s < 0:
         raise ScenarioError(f"{where}: field 'bait_timeout_s' must not be negative")
     return AttackerSpec(name, mission, position, target, plan, bait_timeout_s,
@@ -411,10 +408,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
 
 def build_world(scenario: Scenario) -> tuple[World, dict]:
     """Instantiate and arm every entity; returns the world and a name index."""
-    if scenario.channel.kind == "awgn":
-        channel = AwgnChannel(scenario.channel.snr_db)
-    else:
-        channel = NoiselessChannel()
+    channel = NoiselessChannel() if scenario.snr_db is None else AwgnChannel(scenario.snr_db)
     world = World(channel=channel, seed=scenario.seed)
 
     entities: dict[str, object] = {}
@@ -431,19 +425,13 @@ def build_world(scenario: Scenario) -> tuple[World, dict]:
     spec = scenario.attacker
     if spec is not None:
         attacker = Attacker(spec.name, spec.position, mission=spec.mission,
-                            target_icao=spec.target_icao,
-                            plan=spec.plan,
-                            bait_timeout_s=spec.bait_timeout_s,
-                            flood_rate_hz=spec.flood.rate_hz,
-                            flood_duration_s=spec.flood.duration_s,
-                            flood_address_base=spec.flood.address_base)
+                            target_icao=spec.target_icao, plan=spec.plan,
+                            bait_timeout_s=spec.bait_timeout_s, flood=spec.flood)
         if spec.mission == MISSION_PHANTOM:
             attacker.intel_target = by_icao[spec.target_icao]
         world.add_entity(attacker)
         for jam in spec.jams:
-            world.add_jam(JamDirective(
-                jam.target_icao, round(jam.start_s * NS_PER_S),
-                None if jam.end_s is None else round(jam.end_s * NS_PER_S)))
+            world.add_jam(jam)
         attacker.start(world)
         entities[spec.name] = attacker
 

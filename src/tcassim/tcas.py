@@ -56,6 +56,7 @@ MODE_STANDBY = "standby"    # radio silent
 MODE_XPDR = "xpdr"          # transponder only: replies and squitters
 MODE_TA_ONLY = "ta_only"    # surveillance and traffic advisories
 MODE_TA_RA = "ta_ra"        # full unit, resolution advisories included
+MODES = (MODE_STANDBY, MODE_XPDR, MODE_TA_ONLY, MODE_TA_RA)
 
 
 def rtt_to_range_nmi(rtt_ns: int) -> float:
@@ -349,7 +350,7 @@ class Aircraft:
                  squitter: bool = True,
                  surveillance_period_s: float = DEFAULT_SURVEILLANCE_PERIOD_S):
         codec.validate_icao(icao)
-        if mode not in (MODE_STANDBY, MODE_XPDR, MODE_TA_ONLY, MODE_TA_RA):
+        if mode not in MODES:
             raise SimError(f"unknown equipment mode {mode!r}")
         self.name = name
         self.icao = icao
@@ -357,24 +358,24 @@ class Aircraft:
         self.pilot = pilot or PilotModel()
         self.squitter = squitter
         self.surveillance_interval_ns = surveillance_interval_ns(surveillance_period_s)
-        self._state0 = state
-        self._t0_ns = 0
+        # the trajectory as (start_ns, state) knots, each extrapolated
+        # linearly until the next; a manoeuvre appends one
+        self.segments: list[tuple[int, AircraftState]] = [(0, state)]
         self.tcas = TcasUnit(self) if mode in (MODE_TA_ONLY, MODE_TA_RA) else None
         self._pilot_generation = 0
 
     # -- kinematics ----------------------------------------------------------
 
     def state_at(self, time_ns: int) -> AircraftState:
-        return step_kinematics(self._state0, (time_ns - self._t0_ns) / NS_PER_S)
+        t0_ns, state = self.segments[-1]
+        return step_kinematics(state, (time_ns - t0_ns) / NS_PER_S)
 
     def _set_motion(self, world: World, *, vertical_rate_fpm: float,
                     altitude_ft: float | None = None) -> None:
         s = self.state_at(world.time_ns)
-        self._state0 = AircraftState(
+        self.segments.append((world.time_ns, AircraftState(
             s.x_nmi, s.y_nmi, s.altitude_ft if altitude_ft is None else altitude_ft,
-            s.vx_kt, s.vy_kt, vertical_rate_fpm)
-        self._t0_ns = world.time_ns
-        world.note_motion_change(self)
+            s.vx_kt, s.vy_kt, vertical_rate_fpm)))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -513,10 +514,10 @@ def nmac_intervals(segs_a: list[tuple[int, AircraftState]],
                    t_end_ns: int) -> list[tuple[int, int]]:
     """Exact near-mid-air windows for two piecewise-linear trajectories.
 
-    Segments are (start_ns, state) knots as recorded by the world; each
-    knot's state extrapolates linearly until the next knot.  Solving the
-    per-segment quadratics analytically means no sampling grid can step
-    over a sub-second crossing.
+    Segments are (start_ns, state) knots, as ``Aircraft.segments`` keeps
+    them; each knot's state extrapolates linearly until the next knot.
+    Solving the per-segment quadratics analytically means no sampling grid
+    can step over a sub-second crossing.
     """
     bounds = sorted({t for t, _ in segs_a} | {t for t, _ in segs_b} | {t_end_ns})
     bounds = [t for t in bounds if t <= t_end_ns]

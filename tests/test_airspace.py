@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcassim import airspace, modes_codec as codec
+from tcassim import airspace, modes_codec as codec, tcas
 
 import oracles
 
@@ -442,17 +442,17 @@ class TestHandlerErrors:
 
 class TestMotionSegments:
     def test_segments_capture_velocity_changes(self):
-        a = Probe("a", 0x000001, _state(0, 0, 10_000, vx=100))
+        a = tcas.Aircraft("a", 0x000001, _state(0, 0, 10_000, vx=100), mode=tcas.MODE_XPDR,
+                          squitter=False, pilot=tcas.PilotModel(delay_s=0.0))
         w = airspace.World()
         w.add_entity(a)
         w.run_until(3 * 10**9)
-        # simulate a manoeuvre at t=3 s
-        a.state0 = airspace.step_kinematics(a.state0, 3.0)
-        a.state0 = airspace.AircraftState(
-            a.state0.x_nmi, a.state0.y_nmi, a.state0.altitude_ft, 100, 0, -1500)
-        a.t0_ns = 3 * 10**9
-        w.note_motion_change(a)
-        segs = w.trajectory_segments("a")
+        # a descent flown from t=3 s, well short of its limit by t=4 s
+        a.fly_advisory(w, tcas.Advisory(tcas.DESCEND, -1500.0, 9_000.0, 0x000002, w.time_ns))
+        w.run_until(4 * 10**9)
+        segs = a.segments
         assert len(segs) == 2
         assert segs[0][0] == 0 and segs[1][0] == 3 * 10**9
         assert segs[1][1].vertical_rate_fpm == -1500
+        assert segs[1][1].x_nmi == pytest.approx(100 * 3 / 3600)
+        assert a.state_at(4 * 10**9).altitude_ft == pytest.approx(10_000 - 25)

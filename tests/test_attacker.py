@@ -217,7 +217,7 @@ class TestAllCallFlood:
         ]
         ghost = atk.Attacker("attacker", airspace.AircraftState(0.0, 0.0, 0.0),
                              mission=atk.MISSION_ALL_CALL_FLOOD,
-                             flood_rate_hz=10.0, flood_duration_s=10.0)
+                             flood=atk.FloodPlan(rate_hz=10.0, duration_s=10.0))
         w = _build(*aircraft, ghost)
         w.run_until(15 * airspace.NS_PER_S)
         calls = [r for r in w.log if r.kind == "transmit" and r.source == "attacker"]
@@ -242,7 +242,7 @@ class TestSquitterFlood:
             entities.append(atk.Attacker(
                 "attacker", airspace.AircraftState(-2.0, -2.0, 0.0),
                 mission=atk.MISSION_SQUITTER_FLOOD,
-                flood_rate_hz=100.0, flood_duration_s=5.0))
+                flood=atk.FloodPlan(rate_hz=100.0, duration_s=5.0)))
         w = _build(*entities)
         w.run_until(8 * airspace.NS_PER_S)
         return w, victim

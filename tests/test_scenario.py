@@ -16,6 +16,8 @@ from tcassim.tcas import Aircraft
 
 PHANTOM = {"name": "g", "mission": "phantom", "target": "ABC123",
            "position": {"x_nmi": 1.0, "y_nmi": 0.0, "altitude_ft": 0.0}}
+SQUITTER_FLOOD = {"name": "g", "mission": "squitter_flood",
+                  "position": {"x_nmi": 1.0, "y_nmi": 0.0, "altitude_ft": 0.0}}
 
 
 def minimal_doc(**extra) -> dict:
@@ -37,7 +39,7 @@ class TestLoading:
         s = scen.load_scenario(minimal_doc())
         assert s.name == "case"
         assert s.surveillance_period_s == 1.0
-        assert s.channel.kind == "noiseless"
+        assert s.snr_db is None
         assert s.seed == 0
         assert s.attacker is None
         assert s.success == ()
@@ -128,6 +130,33 @@ class TestValidation:
                      "bait_timeout_s", id="bait-timeout-negative"),
         pytest.param(lambda d: d.update(surveillance_period_s=1e-12), "surveillance_period_s",
                      id="surveillance-period-tiny"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD,
+                                                  "flood": {"address_base": "FFFFFF"}}),
+                     "address_base", id="flood-addresses-past-24-bits"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD, "flood": {"rate_hz": 1e10}}),
+                     "rate_hz", id="flood-period-below-1-ns"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD, "flood": {"rate_hz": 1e-310}}),
+                     "rate_hz", id="flood-period-infinite"),
+        pytest.param(lambda d: d["aircraft"][0].update(pilot={"rate_fpm": 1e-300}), "rate_fpm",
+                     id="pilot-rate-tiny"),
+        # each of these counts as an infinite number of nanoseconds
+        pytest.param(lambda d: d.update(duration_s=1e300), "duration_s",
+                     id="duration-past-ns-range"),
+        pytest.param(lambda d: d.update(surveillance_period_s=1e300), "surveillance_period_s",
+                     id="surveillance-period-past-ns-range"),
+        pytest.param(lambda d: d["aircraft"][0].update(pilot={"delay_s": 1e300}), "delay_s",
+                     id="pilot-delay-past-ns-range"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "bait_timeout_s": 1e300}),
+                     "bait_timeout_s", id="bait-timeout-past-ns-range"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "jam": [
+                         {"target": "ABC123", "start_s": 1e300}]}),
+                     "start_s", id="jam-start-past-ns-range"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "jam": [
+                         {"target": "ABC123", "start_s": 0, "end_s": 1e300}]}),
+                     "end_s", id="jam-end-past-ns-range"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD,
+                                                  "flood": {"duration_s": 1e300}}),
+                     "duration_s", id="flood-duration-past-ns-range"),
     ])
     def test_rejects_out_of_range_values(self, mutate, needle):
         doc = minimal_doc()
@@ -135,10 +164,24 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=needle):
             scen.load_scenario(doc)
 
+    def test_flood_may_end_on_the_last_24_bit_address(self):
+        # 3 Hz for 1 s: squitters at 0, 1/3, 2/3 and 0.999999999 s
+        flood = {"rate_hz": 3, "duration_s": 1, "address_base": "FFFFFC"}
+        doc = minimal_doc(duration_s=2.0, attacker={**SQUITTER_FLOOD, "flood": flood})
+        world, _ = scen.build_world(scen.load_scenario(doc))
+        world.run_until(2 * 10**9)
+        sent = [codec.ModeSFrame.from_hex(r.frame_hex, codec.DOWNLINK)
+                for r in world.log if r.kind == "transmit" and r.source == "g"]
+        assert [codec.parse_frame(f).fields["icao"] for f in sent] == [
+            0xFFFFFC, 0xFFFFFD, 0xFFFFFE, 0xFFFFFF]
+        with pytest.raises(ScenarioError, match="address_base"):
+            scen.load_scenario(minimal_doc(attacker={
+                **SQUITTER_FLOOD, "flood": {**flood, "address_base": "FFFFFD"}}))
+
     def test_awgn_with_seed_is_fine(self):
         doc = minimal_doc(seed=9, channel={"kind": "awgn", "snr_db": 12.0})
         s = scen.load_scenario(doc)
-        assert s.channel.snr_db == 12.0 and s.seed == 9
+        assert s.snr_db == 12.0 and s.seed == 9
 
     def test_duplicate_names_and_addresses(self):
         doc = minimal_doc()

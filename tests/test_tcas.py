@@ -9,6 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcassim import airspace, modes_codec as codec, tcas
 
@@ -18,6 +19,29 @@ import oracles
 def _aircraft(name, icao, x, alt, vx=0.0, vy=0.0, y=0.0, vr=0.0, **kw):
     state = airspace.AircraftState(x, y, alt, vx, vy, vr)
     return tcas.Aircraft(name, icao, state, **kw)
+
+
+@st.composite
+def _trajectory(draw):
+    """1-3 knots from t=0 on a whole-millisecond clock; each later knot
+    starts where the previous one's motion has taken it, with new
+    velocities, as a manoeuvre does.  Integer steps of 1 ft, 1 kt and
+    1 fpm keep every relative rate well clear of zero."""
+    def state(x_nmi, y_nmi, altitude_ft):
+        return airspace.AircraftState(x_nmi, y_nmi, altitude_ft,
+                                      draw(st.integers(-600, 600)), draw(st.integers(-30, 30)),
+                                      draw(st.integers(-1500, 1500)))
+
+    segs = [(0, state(draw(st.integers(-2000, 2000)) / 1000,
+                      draw(st.integers(-100, 100)) / 1000,
+                      10_000 + draw(st.integers(-150, 150))))]
+    n_later = draw(st.integers(0, 2))
+    knots_ms = draw(st.lists(st.integers(1, 29_999), min_size=n_later, max_size=n_later,
+                             unique=True))
+    for t_ns in sorted(k * 1_000_000 for k in knots_ms):
+        at = airspace.step_kinematics(segs[-1][1], (t_ns - segs[-1][0]) / 1e9)
+        segs.append((t_ns, state(at.x_nmi, at.y_nmi, at.altitude_ft)))
+    return segs
 
 
 def _build_world(*aircraft, channel=None, seed=0):
@@ -141,8 +165,7 @@ class TestThreatLogic:
         w, a, b = self._encounter(10_050, 9_950)
         assert _tcas_outcomes(w, "a", "ra_cleared;clear_of_conflict")
         assert _tcas_outcomes(w, "b", "ra_cleared;clear_of_conflict")
-        windows = tcas.nmac_intervals(w.trajectory_segments("a"),
-                                      w.trajectory_segments("b"), w.time_ns)
+        windows = tcas.nmac_intervals(a.segments, b.segments, w.time_ns)
         assert windows == []
 
     def test_unequipped_victim_gets_no_ra(self):
@@ -164,8 +187,7 @@ class TestThreatLogic:
         assert ra_a and ra_b
         senses = {ra_a[0].outcome.split(";")[1], ra_b[0].outcome.split(";")[1]}
         assert senses == {"climb", "descend"}
-        windows = tcas.nmac_intervals(w.trajectory_segments("a"),
-                                      w.trajectory_segments("b"), w.time_ns)
+        windows = tcas.nmac_intervals(a.segments, b.segments, w.time_ns)
         assert windows == []
 
     def test_long_interrogation_used_while_advisory_active(self):
@@ -463,3 +485,22 @@ class TestNmacGeometry:
                 sa = airspace.step_kinematics(a, t / 1e9)
                 sb = airspace.step_kinematics(b, t / 1e9)
                 assert oracles.nmac_at(sa, sb) == inside(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_trajectory(), _trajectory())
+    def test_matches_instantaneous_scan_on_piecewise_trajectories(self, segs_a, segs_b):
+        t_end = 30 * airspace.NS_PER_S
+        windows = tcas.nmac_intervals(segs_a, segs_b, t_end)
+        edges = [t for window in windows for t in window]
+
+        def state_on(segs, t_ns):
+            t0, s0 = [(t, s) for t, s in segs if t <= t_ns][-1]
+            return airspace.step_kinematics(s0, (t_ns - t0) / 1e9)
+
+        # a 20 ms grid offset by 7,777 ns misses every whole-millisecond
+        # knot; samples within 10 us of a window edge are skipped
+        for t in range(7_777, t_end, 20_000_000):
+            if any(abs(t - e) < 10_000 for e in edges):
+                continue
+            inside = any(on <= t <= off for on, off in windows)
+            assert oracles.nmac_at(state_on(segs_a, t), state_on(segs_b, t)) == inside
