@@ -129,10 +129,16 @@ class LogRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "LogRecord":
-        parts = line.rstrip("\n").split(",")
-        if len(parts) != 6:
-            raise SimError(f"malformed log line: {line!r}")
-        return cls(int(parts[0]), parts[1], parts[2], parts[3], parts[4], parts[5])
+        time_text, *fields = _split_line(line)
+        return cls(int(time_text), *fields)
+
+
+def _split_line(line: str) -> list[str]:
+    """The six field texts of a log line, or a SimError naming the line."""
+    parts = line.rstrip("\n").split(",")
+    if len(parts) != 6:
+        raise SimError(f"malformed log line: {line!r}")
+    return parts
 
 
 def write_event_log(path, records: list[LogRecord]) -> None:
@@ -142,8 +148,24 @@ def write_event_log(path, records: list[LogRecord]) -> None:
 
 
 def read_event_log(path) -> list[LogRecord]:
+    """The records of a written log; blank lines are skipped.
+
+    Lines that repeat everything after the time (a periodic timer, the
+    copies of one frame heard alike) share one set of field strings, so
+    the records take about the memory the run's own did.
+    """
+    fields_by_tail: dict[str, list[str]] = {}
+    records = []
     with open(path, "r", encoding="ascii") as fh:
-        return [LogRecord.from_line(line) for line in fh if line.strip()]
+        for line in fh:
+            if not line.strip():
+                continue
+            time_text, _, tail = line.partition(",")
+            fields = fields_by_tail.get(tail)
+            if fields is None:
+                fields = fields_by_tail[tail] = _split_line(line)[1:]
+            records.append(LogRecord(int(time_text), *fields))
+    return records
 
 
 class Entity(Protocol):
@@ -179,18 +201,24 @@ WAVEFORM_CACHE_FRAMES = 128
 LEAD_PAD = 16  # silent samples around the frame so detection is honest
 
 
-def _padded_waveform(frame: codec.ModeSFrame) -> np.ndarray:
+def _transmission(frame: codec.ModeSFrame) -> tuple[np.ndarray, bytes | None]:
     """The frame's noiseless samples at one sample per chip, padded with
-    LEAD_PAD silent samples on both sides; read-only, as every reception
-    of the frame shares it."""
+    LEAD_PAD silent samples on both sides, and its bits as bytes of 0 and 1.
+
+    The samples are read-only, as every reception of the frame shares them.
+    The bits are None when the frame's header implies another length, so
+    that a receiver never takes such a frame for an intact copy.
+    """
     # looked up per call so instrumentation that wraps the modulators on
     # the module sees every use
     modulate = phy.ppm_modulate if frame.direction == codec.DOWNLINK else phy.dbpsk_modulate
-    clean = modulate(frame.bits())
+    bits = frame.bits()
+    clean = modulate(bits)
     pad = np.zeros(LEAD_PAD, dtype=clean.dtype)
     samples = np.concatenate([pad, clean, pad])
     samples.flags.writeable = False
-    return samples
+    intact = _header_length(bits, frame.direction) == frame.nbits
+    return samples, bits.tobytes() if intact else None
 
 
 class AwgnChannel:
@@ -208,40 +236,38 @@ class AwgnChannel:
         self.snr_db = snr_db
         # per instance, so a fresh channel starts empty; it wraps a module
         # function, so the cache holds no reference back to the channel
-        self._waveform = lru_cache(maxsize=WAVEFORM_CACHE_FRAMES)(_padded_waveform)
+        self._transmission = lru_cache(maxsize=WAVEFORM_CACHE_FRAMES)(_transmission)
 
     def receive(self, world: "World", frame: codec.ModeSFrame,
                 deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
         seed = SeedSequence([world.seed, world.next_noise_index()])
-        samples = self._waveform(frame)
+        samples, sent = self._transmission(frame)
+        downlink = frame.direction == codec.DOWNLINK
         # phy functions are looked up per call so instrumentation that wraps
         # them on the module sees every use
-        if frame.direction == codec.DOWNLINK:
+        if downlink:
             detect, chip_ns = phy.ppm_frame_detect, phy.PPM_CHIP_NS
-
-            def demodulate(x, offset):  # every bit that fits behind the preamble
-                fit = (x.size - offset - phy.PPM_PREAMBLE.size) // 2
-                return phy.ppm_demodulate(x, offset, min(fit, phy.MAX_PAYLOAD_BITS))
         else:
             detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
-
-            def demodulate(x, offset):  # up to 112 bits after the sync reversal
-                return phy.dbpsk_demodulate(x, phy.sync_offset_of(offset))
-
         noisy = phy.awgn(samples, self.snr_db, seed)
         # bits are decided one by one, so cutting to the header's length
         # equals demodulating exactly that many bits
         for det in detect(noisy):
             try:
-                bits = demodulate(noisy, det.offset)
+                if downlink:  # every bit that fits behind the preamble
+                    fit = (noisy.size - det.offset - phy.PPM_PREAMBLE.size) // 2
+                    bits = phy.ppm_demodulate(noisy, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
+                else:  # up to 112 bits after the sync reversal
+                    bits = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset))
             except phy.PhyError:
                 continue
-            need = _header_length(bits, frame.direction)
-            if need is None or bits.size < need:
-                continue
-            rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
-            if rx_frame == frame:  # an intact copy shares the sent frame's decode and hex
-                rx_frame = frame
+            if sent is not None and bits[:frame.nbits].tobytes() == sent:
+                rx_frame = frame  # an intact copy shares the sent frame's decode and hex
+            else:  # any other frame differs from the sent one
+                need = _header_length(bits, frame.direction)
+                if need is None or bits.size < need:
+                    continue
+                rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
             # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
             return rx_frame, deliver_time_ns + (det.offset - LEAD_PAD) * chip_ns
         return None

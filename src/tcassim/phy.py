@@ -83,13 +83,11 @@ def _normalized_correlation(x: np.ndarray, template: np.ndarray,
     if x.size < n:
         return np.zeros(0)
     dot = np.correlate(x, np.conj(template), mode="valid")
-    energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
+    power = np.abs(x) ** 2 if np.iscomplexobj(x) else x * x  # equal bit for bit when real
+    energy = np.concatenate([[0.0], np.cumsum(power)])
     win = energy[n:] - energy[:-n]
     norm = np.sqrt(win) * template_norm
-    out = np.zeros(dot.size)
-    nonzero = norm > 0
-    out[nonzero] = np.abs(dot[nonzero]) / norm[nonzero]
-    return out
+    return np.divide(np.abs(dot), norm, out=np.zeros(dot.size), where=norm > 0)
 
 
 def _detect(samples: np.ndarray, template: np.ndarray, template_norm: float, min_tail: int,
@@ -104,14 +102,14 @@ def _detect(samples: np.ndarray, template: np.ndarray, template_norm: float, min
     """
     corr = _normalized_correlation(samples, template, template_norm)
     room = samples.size - template.size - min_tail
-    candidates = [k for k in np.flatnonzero(corr >= DETECTION_THRESHOLD) if k <= room]
-    candidates.sort(key=lambda k: (-corr[k], k))
+    hits = np.flatnonzero(corr[:max(room + 1, 0)] >= DETECTION_THRESHOLD)
+    candidates = hits[np.lexsort((hits, -corr[hits]))].tolist()  # strongest, then earliest
     shadow = template.size + max_tail
     kept: list[int] = []
     for k in candidates:
         if all(abs(k - j) >= shadow for j in kept):
             kept.append(k)
-    return [FrameDetection(int(k)) for k in sorted(kept)]
+    return [FrameDetection(k) for k in sorted(kept)]
 
 
 def ppm_frame_detect(samples: np.ndarray) -> list[FrameDetection]:
@@ -183,8 +181,9 @@ def awgn(samples: np.ndarray, snr_db: float, seed) -> np.ndarray:
     power = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)
     if np.iscomplexobj(samples):
-        sigma = math.sqrt(power / 2.0)
-        noise = rng.normal(0.0, sigma, samples.size) + 1j * rng.normal(0.0, sigma, samples.size)
+        # one draw of 2n is the same stream as two draws of n, in half the calls
+        quadratures = rng.normal(0.0, math.sqrt(power / 2.0), 2 * samples.size)
+        noise = quadratures[:samples.size] + 1j * quadratures[samples.size:]
     else:
         noise = rng.normal(0.0, math.sqrt(power), samples.size)
     return samples + noise

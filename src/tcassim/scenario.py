@@ -33,6 +33,7 @@ from .attacker import (
     Attacker,
     FloodPlan,
     PhantomPlan,
+    compute_reply_delay,
 )
 from .tcas import (
     DEFAULT_SURVEILLANCE_PERIOD_S,
@@ -255,7 +256,7 @@ def _parse(doc: dict) -> Scenario:
 
     attacker = None
     if "attacker" in doc:
-        attacker = _parse_attacker("attacker", doc["attacker"], aircraft)
+        attacker = _parse_attacker("attacker", doc["attacker"], aircraft, duration_s)
         if attacker.name in names:
             raise ScenarioError("attacker: field 'name' collides with an aircraft")
 
@@ -301,9 +302,14 @@ def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
         raise ScenarioError(f"{where}: missing field 'position'")
     state = _state(where, obj["position"], obj.get("velocity"))
     _check_altitude(f"{where}.position", state.altitude_ft)
-    # scripted motion is linear, so its altitudes at both ends bound the run
+    # scripted motion is linear, so its states at both ends bound the run
     try:
-        codec.encode_altitude(step_kinematics(state, duration_s).altitude_ft)
+        end = step_kinematics(state, duration_s)
+    except SimError as exc:  # a finite velocity can still overflow a coordinate
+        raise ScenarioError(f"{where}.velocity: velocity takes the aircraft out of range "
+                            f"by duration_s: {exc}") from None
+    try:
+        codec.encode_altitude(end.altitude_ft)
     except codec.CodecError as exc:
         raise ScenarioError(f"{where}.velocity: field 'vertical_rate_fpm' takes the altitude "
                             f"out of the codec's range by duration_s: {exc}") from None
@@ -325,7 +331,8 @@ def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
     return AircraftSpec(name, icao, state, mode, squitter, pilot)
 
 
-def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -> AttackerSpec:
+def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
+                    duration_s: float) -> AttackerSpec:
     _check_keys(where, obj, {"name", "mission", "position", "target", "plan",
                              "bait_timeout_s", "flood", "jam"})
     name = _string(where, obj, "name", required=True)
@@ -357,6 +364,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
             _number(f"{where}.plan", p, "floor_nmi", PhantomPlan.floor_nmi),
             _number(f"{where}.plan", p, "altitude_ft", PhantomPlan.altitude_ft))
         _check_altitude(f"{where}.plan", plan.altitude_ft)
+        _check_plan_ranges(f"{where}.plan", plan, duration_s)
 
     flood = None
     if "flood" in obj:
@@ -402,6 +410,22 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...]) -
         raise ScenarioError(f"{where}: field 'bait_timeout_s' must not be negative")
     return AttackerSpec(name, mission, position, target, plan, bait_timeout_s,
                         flood, tuple(jams))
+
+
+def _check_plan_ranges(where: str, plan: PhantomPlan, duration_s: float) -> None:
+    """Every range the plan asks for must need a reply hold that counts in
+    nanoseconds.  The scripted range is linear in time and held at the
+    floor, so it is largest at one end of the run."""
+    if plan.floor_nmi < 0:
+        raise ScenarioError(f"{where}: field 'floor_nmi' must not be negative")
+    for key, range_nmi in (("floor_nmi", plan.floor_nmi),
+                           ("initial_range_nmi", plan.desired_range_nmi(0.0)),
+                           ("closure_kt", plan.desired_range_nmi(duration_s))):
+        try:
+            compute_reply_delay(0.0, range_nmi)
+        except OverflowError:
+            raise ScenarioError(f"{where}: field {key!r} asks for a reply hold too long "
+                                f"to count in nanoseconds") from None
 
 
 # -- world assembly --------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 import weakref
 from dataclasses import dataclass, field
 
@@ -383,6 +384,57 @@ class TestEventLog:
     def test_line_needs_exactly_six_fields(self, line):
         with pytest.raises(airspace.SimError):
             airspace.LogRecord.from_line(line)
+
+    def test_repeated_tails_read_back_sharing_their_strings(self, tmp_path):
+        frames = ["8d4840d6202cc371c32ce0576098", "02e197b00179c3", "5d4840d6a1b2c3"]
+        records = [airspace.LogRecord(1_000 * t, "deliver", "north", f"south{t % 2}",
+                                      frames[t % 3], "not_addressed") for t in range(60)]
+        path = tmp_path / "events.log"
+        airspace.write_event_log(path, records)
+        back = airspace.read_event_log(path)
+        assert back == records
+        for i, rec in enumerate(back):
+            twin = back[i % 6]  # same destination and frame, so the same tail
+            for name in ("kind", "source", "destination", "frame_hex", "outcome"):
+                assert getattr(rec, name) is getattr(twin, name)
+        assert back[0].frame_hex is not back[1].frame_hex
+
+    @pytest.mark.parametrize("line", ["5,timer,a,-,-", "5,timer,a,-,-,tick,extra"])
+    def test_file_line_needs_exactly_six_fields(self, tmp_path, line):
+        path = tmp_path / "events.log"
+        path.write_text(f"1,timer,a,-,-,tick\n{line}\n")
+        with pytest.raises(airspace.SimError, match="malformed log line"):
+            airspace.read_event_log(path)
+
+    def test_bad_time_on_a_repeated_tail_is_rejected(self, tmp_path):
+        path = tmp_path / "events.log"
+        path.write_text("1,timer,a,-,-,tick\nsoon,timer,a,-,-,tick\n")
+        with pytest.raises(ValueError, match="soon"):
+            airspace.read_event_log(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "events.log"
+        path.write_text("\n1,timer,a,-,-,tick\n  \n\n2,timer,a,-,-,tick\n\n")
+        assert airspace.read_event_log(path) == [
+            airspace.LogRecord(1, "timer", "a", "-", "-", "tick"),
+            airspace.LogRecord(2, "timer", "a", "-", "-", "tick")]
+
+    def test_read_back_costs_about_the_records_themselves(self, tmp_path):
+        # 10,000 records over 50 distinct tails: strings split afresh for
+        # every line cost about 400 B a record, shared ones under 200
+        records = [airspace.LogRecord(10**9 + 7 * t, "deliver", f"craft{t % 5}",
+                                      f"craft{t % 10}", f"8d{t % 50:06x}202cc371c32ce0576098",
+                                      "unmatched_reply") for t in range(10_000)]
+        path = tmp_path / "events.log"
+        airspace.write_event_log(path, records)
+        tracemalloc.start()
+        try:
+            back = airspace.read_event_log(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == records
+        assert peak / len(records) <= 200
 
     def test_records_are_slotted_and_frozen(self):
         rec = airspace.LogRecord.from_line("7,timer,a,-,-,tick\n")

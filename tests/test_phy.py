@@ -126,6 +126,59 @@ def test_detection_shadow_suppresses_tail_self_similarity():
     assert [d.offset for d in phy.ppm_frame_detect(stream)] == [0, 2 * a.size]
 
 
+def _reference_peaks(samples, template, template_norm, min_tail, max_tail) -> list[int]:
+    """Peak picking one candidate at a time: strongest first, earliest on
+    ties, each kept peak shadowing a maximum frame extent both ways."""
+    corr = phy._normalized_correlation(samples, template, template_norm)
+    room = samples.size - template.size - min_tail
+    candidates = [k for k in range(corr.size)
+                  if corr[k] >= phy.DETECTION_THRESHOLD and k <= room]
+    candidates.sort(key=lambda k: (-corr[k], k))
+    kept: list[int] = []
+    for k in candidates:
+        if all(abs(k - j) >= template.size + max_tail for j in kept):
+            kept.append(k)
+    return sorted(kept)
+
+
+@pytest.mark.parametrize("modulate,detect,template,norm,min_tail,max_tail", [
+    (phy.ppm_modulate, phy.ppm_frame_detect, phy.PPM_PREAMBLE, phy.PPM_PREAMBLE_NORM,
+     phy.MIN_PAYLOAD_BITS * 2, phy.MAX_PAYLOAD_BITS * 2),
+    (phy.dbpsk_modulate, phy.dbpsk_frame_detect, phy.DBPSK_PREAMBLE, phy.DBPSK_PREAMBLE_NORM,
+     phy.MIN_PAYLOAD_BITS + 2, phy.MAX_PAYLOAD_BITS + 2),
+], ids=["ppm", "dbpsk"])
+def test_detect_matches_reference_peak_picking(modulate, detect, template, norm,
+                                               min_tail, max_tail):
+    # overlapping frames in heavy noise give many candidates, peaks that
+    # shadow each other and peaks too close to the end to hold a frame
+    rng = np.random.default_rng(12)
+    found = 0
+    for i in range(150):
+        x = modulate(rng.integers(0, 2, int(rng.choice([56, 112]))))
+        shift = int(rng.integers(1, x.size))
+        stream = np.zeros(x.size + shift + int(rng.integers(0, 40)), dtype=x.dtype)
+        stream[:x.size] += x
+        stream[shift:shift + x.size] += x
+        noisy = phy.awgn(stream, float(rng.choice([0.0, 4.0, 12.0])), SeedSequence([12, i]))
+        want = _reference_peaks(noisy, template, norm, min_tail, max_tail)
+        got = [d.offset for d in detect(noisy)]
+        assert got == want, f"trial {i}"
+        assert all(type(k) is int for k in got)
+        found += len(got)
+    assert found > 75
+
+
+def test_complex_awgn_is_two_draws_of_n():
+    # one draw of 2n normals is the same stream as an in-phase draw of n
+    # followed by a quadrature draw of n
+    x = phy.dbpsk_modulate(np.ones(112, dtype=np.uint8))
+    for i in range(50):
+        rng = np.random.default_rng(SeedSequence([3, i]))
+        sigma = math.sqrt(10.0 ** (-6.0 / 10.0) / 2.0)
+        noise = rng.normal(0.0, sigma, x.size) + 1j * rng.normal(0.0, sigma, x.size)
+        assert (phy.awgn(x, 6.0, SeedSequence([3, i])) == x + noise).all()
+
+
 def test_detection_timestamp_error_at_15db():
     rng = np.random.default_rng(8)
     errors = []

@@ -157,6 +157,18 @@ class TestValidation:
         pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD,
                                                   "flood": {"duration_s": 1e300}}),
                      "duration_s", id="flood-duration-past-ns-range"),
+        pytest.param(lambda d: d["aircraft"][0].update(velocity={"vx_kt": 1e308}),
+                     "velocity", id="velocity-overflows-position"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"floor_nmi": -1.0}}),
+                     "floor_nmi", id="plan-floor-negative"),
+        # each of these asks for a reply hold of infinitely many nanoseconds
+        pytest.param(lambda d: d.update(attacker={**PHANTOM,
+                                                  "plan": {"initial_range_nmi": 1e306}}),
+                     "initial_range_nmi", id="plan-initial-range-past-ns-range"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"floor_nmi": 1e306}}),
+                     "floor_nmi", id="plan-floor-past-ns-range"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"closure_kt": -1e308}}),
+                     "closure_kt", id="plan-range-grows-past-ns-range"),
     ])
     def test_rejects_out_of_range_values(self, mutate, needle):
         doc = minimal_doc()
