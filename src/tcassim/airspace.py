@@ -62,18 +62,33 @@ class AircraftState:
                 raise SimError("aircraft state must be finite")
 
 
+# (x_nmi, y_nmi, altitude_ft): where an entity is, without its velocity
+Position = tuple[float, float, float]
+
+
+def position_after(state: AircraftState, dt_s: float) -> Position:
+    """Where a constant-velocity state is dt seconds on.  The only place
+    motion is extrapolated, so a propagation delay computed from positions
+    equals one computed from the full states bit for bit."""
+    return (state.x_nmi + state.vx_kt * dt_s / 3600.0,
+            state.y_nmi + state.vy_kt * dt_s / 3600.0,
+            state.altitude_ft + state.vertical_rate_fpm * dt_s / 60.0)
+
+
 def step_kinematics(state: AircraftState, dt_s: float) -> AircraftState:
     """Advance a constant-velocity state by dt seconds."""
-    return AircraftState(state.x_nmi + state.vx_kt * dt_s / 3600.0,
-                         state.y_nmi + state.vy_kt * dt_s / 3600.0,
-                         state.altitude_ft + state.vertical_rate_fpm * dt_s / 60.0,
+    return AircraftState(*position_after(state, dt_s),
                          state.vx_kt, state.vy_kt, state.vertical_rate_fpm)
 
 
+def separation_nmi(p: Position, q: Position) -> float:
+    """3-D straight-line separation of two positions in nautical miles."""
+    return math.hypot(p[0] - q[0], p[1] - q[1], (p[2] - q[2]) / FEET_PER_NMI)
+
+
 def distance_nmi(a: AircraftState, b: AircraftState) -> float:
-    """3-D straight-line separation in nautical miles."""
-    dz = (a.altitude_ft - b.altitude_ft) / FEET_PER_NMI
-    return math.hypot(a.x_nmi - b.x_nmi, a.y_nmi - b.y_nmi, dz)
+    """3-D straight-line separation of two states in nautical miles."""
+    return separation_nmi((a.x_nmi, a.y_nmi, a.altitude_ft), (b.x_nmi, b.y_nmi, b.altitude_ft))
 
 
 def propagation_delay_ns(dist_nmi: float) -> int:
@@ -175,6 +190,10 @@ class Entity(Protocol):
     icao: int | None
 
     def state_at(self, time_ns: int) -> AircraftState: ...
+
+    def position_at(self, time_ns: int) -> Position:
+        """The position of ``state_at(time_ns)``, without building it."""
+        ...
 
     def on_frame(self, world: "World", frame: codec.ModeSFrame,
                  rx_time_ns: int, tx_time_ns: int) -> str: ...
@@ -376,12 +395,15 @@ class World:
             self.record("transmit", source.name, destination, frame, "jammed")
             return
         self.record("transmit", source.name, destination, frame, "sent")
-        src_state = source.state_at(t_tx)
+        src_pos = source.position_at(t_tx)
         for receiver in self.entities:
             if receiver is source:
                 continue
-            dist = distance_nmi(src_state, receiver.state_at(t_tx))
-            if dist > RECEPTION_RANGE_NMI:
+            pos = receiver.position_at(t_tx)
+            dist = separation_nmi(src_pos, pos)
+            if not dist <= RECEPTION_RANGE_NMI:  # out of range, or not a number
+                _check_finite(source, src_pos)
+                _check_finite(receiver, pos)
                 continue
             self._push(t_tx + propagation_delay_ns(dist), source.name, World._do_deliver,
                        source, receiver, frame, t_tx)
@@ -395,6 +417,12 @@ class World:
         rx_frame, rx_time = received
         disposition = receiver.on_frame(self, rx_frame, rx_time, tx_time_ns)
         self.record("deliver", source.name, receiver.name, rx_frame, disposition)
+
+
+def _check_finite(entity: Entity, position: Position) -> None:
+    """A non-finite position is an error, never a receiver out of range."""
+    if not all(map(math.isfinite, position)):
+        raise SimError(f"{entity.name} is at a non-finite position {position}")
 
 
 def _describe_event(handler: Callable[..., None], args: tuple) -> str:

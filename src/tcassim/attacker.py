@@ -34,6 +34,7 @@ from .airspace import (
     SPEED_OF_LIGHT_M_S,
     TURNAROUND_NS,
     AircraftState,
+    Position,
     SimError,
     World,
     distance_nmi,
@@ -155,6 +156,7 @@ class Attacker:
         self.bait_timeout_s = bait_timeout_s
         self.flood = flood or FloodPlan()
         self._position = position
+        self._xyz = (position.x_nmi, position.y_nmi, position.altitude_ft)
         self.phase = "recon"
         self.intel_target = None  # aircraft whose motion the attacker surveils
         self._intel: list[tuple[int, float, float, float]] = []
@@ -171,6 +173,9 @@ class Attacker:
 
     def state_at(self, time_ns: int) -> AircraftState:
         return self._position
+
+    def position_at(self, time_ns: int) -> Position:
+        return self._xyz
 
     def start(self, world: World, phase_ns: int = 0) -> None:
         now = world.time_ns + phase_ns

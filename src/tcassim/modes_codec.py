@@ -268,13 +268,28 @@ def frame_bit_length(direction: str, format_code: int) -> int | None:
     return _FRAME_BITS.get((direction, format_code))
 
 
+def frame_seal(frame: ModeSFrame,
+               addressee: int | None = None) -> tuple[str | None, int | None, int]:
+    """(kind, sealing overlay, recovered overlay) of a frame, read from its
+    cached decode without building its fields.
+
+    The sealing overlay is a broadcast format's own, or ``addressee`` (not
+    validated here) for a format sealed with its addressee.  The frame
+    passes its parity check iff the recovered overlay, the CRC of the body
+    XOR the AP tail, equals it.  Kind is None for an unsupported format
+    code or a length its format does not have.
+    """
+    kind, overlay, _, recovered = frame._decode()
+    return kind, addressee if overlay is None else overlay, recovered
+
+
 def verify_frame(frame: ModeSFrame, expected_address: int | None) -> ParityCheck:
     """Check the AP tail against an expected overlay.
 
     With an expected address, passes iff the recovered overlay equals it;
     without one the recovered overlay is reported and ``passed`` is None.
     """
-    recovered = frame._decode()[3]
+    recovered = frame_seal(frame)[2]
     if expected_address is None:
         return ParityCheck(None, recovered)
     validate_icao(expected_address)
@@ -367,8 +382,8 @@ def parse_frame(frame: ModeSFrame, expected_address: int | None = None) -> Decod
     The decode is done once per frame; each call gets its own verdict for
     its expected address and its own copy of the fields.
     """
-    kind, overlay, fields, _ = frame._decode()
+    kind, overlay, _ = frame_seal(frame, expected_address)
     if kind is None:
         return DecodedFrame(frame, frame.format_code, "unknown", {}, None)
-    parity = verify_frame(frame, expected_address if overlay is None else overlay)
-    return DecodedFrame(frame, frame.format_code, kind, dict(fields), parity)
+    parity = verify_frame(frame, overlay)
+    return DecodedFrame(frame, frame.format_code, kind, dict(frame._decode()[2]), parity)

@@ -28,8 +28,10 @@ from .airspace import (
     SPEED_OF_LIGHT_M_S,
     TURNAROUND_NS,
     AircraftState,
+    Position,
     SimError,
     World,
+    position_after,
     propagation_delay_ns,
     step_kinematics,
 )
@@ -187,34 +189,32 @@ class TcasUnit:
     # -- ingest ------------------------------------------------------------
 
     def on_downlink(self, world: World, frame: codec.ModeSFrame, rx_time_ns: int) -> str:
-        decoded = codec.parse_frame(frame)
-        if decoded.kind == "unknown":
+        kind, overlay, icao = codec.frame_seal(frame)
+        if kind is None:
             return "unsupported"
-        code = decoded.format_code
-        if code in (codec.DF_ALL_CALL_REPLY, codec.DF_EXTENDED_SQUITTER):
+        if overlay is not None:  # DF11/DF17: broadcast, the address in the clear
+            decoded = codec.parse_frame(frame)
             if not decoded.parity.passed:
                 return "parity_drop"
             icao = decoded.fields["icao"]
             if icao == self.aircraft.icao:
                 return "own_address"
             return self._acquire(world, icao, decoded.altitude_ft)
-        if code in (codec.DF_SURVEILLANCE_SHORT, codec.DF_SURVEILLANCE_LONG):
-            icao = decoded.parity.recovered_address
-            tx_time = self.pending.get(icao)
-            if tx_time is None:
-                return "unmatched_reply"
-            rtt = rx_time_ns - tx_time
-            if not TURNAROUND_NS < rtt <= _MAX_RTT_NS:
-                return "implausible_rtt"
-            del self.pending[icao]
-            track = self.tracks.get(icao)
-            if track is None:
-                return "unmatched_reply"
-            if code == codec.DF_SURVEILLANCE_LONG and decoded.fields["rac"] != codec.RAC_NONE:
-                self._receive_rac(world, icao, decoded.fields["rac"])
-            self._range_update(world, track, rtt, decoded.altitude_ft)
-            return "range_update"
-        return "unsupported"
+        # DF4/DF20: sealed with the address of the aircraft that replied
+        tx_time = self.pending.get(icao)
+        if tx_time is None:
+            return "unmatched_reply"
+        decoded = codec.parse_frame(frame)
+        rtt = rx_time_ns - tx_time
+        if not TURNAROUND_NS < rtt <= _MAX_RTT_NS:
+            return "implausible_rtt"
+        del self.pending[icao]
+        track = self.tracks[icao]  # an address is pending only while tracked
+        rac = decoded.fields.get("rac", codec.RAC_NONE)
+        if rac != codec.RAC_NONE:
+            self._receive_rac(world, icao, rac)
+        self._range_update(world, track, rtt, decoded.altitude_ft)
+        return "range_update"
 
     def receive_coordination(self, world: World, sender: int, rac: int) -> None:
         """Resolution complement carried by a long interrogation."""
@@ -370,6 +370,10 @@ class Aircraft:
         t0_ns, state = self.segments[-1]
         return step_kinematics(state, (time_ns - t0_ns) / NS_PER_S)
 
+    def position_at(self, time_ns: int) -> Position:
+        t0_ns, state = self.segments[-1]
+        return position_after(state, (time_ns - t0_ns) / NS_PER_S)
+
     def _set_motion(self, world: World, *, vertical_rate_fpm: float,
                     altitude_ft: float | None = None) -> None:
         s = self.state_at(world.time_ns)
@@ -452,11 +456,12 @@ class Aircraft:
                           rx_time_ns: int) -> str:
         if self.mode == MODE_STANDBY:
             return "standby"
-        decoded = codec.parse_frame(frame, expected_address=self.icao)
-        if decoded.kind == "unknown":
+        kind, overlay, recovered = codec.frame_seal(frame, self.icao)
+        if kind is None:
             return "unsupported"
-        if not decoded.parity.passed:
+        if recovered != overlay:
             return "not_addressed"
+        decoded = codec.parse_frame(frame, expected_address=self.icao)
         alt = self.state_at(rx_time_ns).altitude_ft
         reply_time = rx_time_ns + TURNAROUND_NS
         if decoded.format_code == codec.UF_ALL_CALL:

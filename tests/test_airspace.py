@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import tracemalloc
 import weakref
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcassim import airspace, modes_codec as codec, tcas
+from tcassim import airspace, attacker, modes_codec as codec, tcas
 
 import oracles
 
@@ -29,6 +30,9 @@ class Probe:
 
     def state_at(self, time_ns: int) -> airspace.AircraftState:
         return airspace.step_kinematics(self.state0, (time_ns - self.t0_ns) / 1e9)
+
+    def position_at(self, time_ns: int) -> airspace.Position:
+        return airspace.position_after(self.state0, (time_ns - self.t0_ns) / 1e9)
 
     def on_frame(self, world, frame, rx_time_ns, tx_time_ns) -> str:
         self.inbox.append((frame, rx_time_ns, tx_time_ns))
@@ -63,6 +67,50 @@ class TestKinematics:
     def test_state_rejects_non_finite(self):
         with pytest.raises(airspace.SimError):
             _state(x=float("nan"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*[st.floats(-1e4, 1e4)] * 2, st.floats(0, 60_000), *[st.floats(-900, 900)] * 2,
+                     st.floats(-6_000, 6_000)),
+           st.floats(0, 8), st.floats(100, 6_000), st.sampled_from([tcas.CLIMB, tcas.DESCEND]),
+           st.floats(-3_000, 3_000), st.lists(st.integers(0, 12 * 10**9), min_size=4, max_size=4),
+           st.booleans())
+    def test_aircraft_position_is_its_state_position_across_manoeuvres(
+            self, motion, delay_s, rate_fpm, sense, limit_offset_ft, waits_ns, cut_short):
+        a = tcas.Aircraft("a", 0x000001, _state(*motion), mode=tcas.MODE_XPDR, squitter=False,
+                          pilot=tcas.PilotModel(delay_s=delay_s, rate_fpm=rate_fpm))
+        w = airspace.World()
+        w.add_entity(a)
+        sign = 1.0 if sense == tcas.CLIMB else -1.0
+        seen = []
+
+        def agree_from_now():
+            for t_ns in (w.time_ns, w.time_ns + 1, w.time_ns + waits_ns[0] + 7):
+                s = a.state_at(t_ns)
+                want = (s.x_nmi, s.y_nmi, s.altitude_ft)
+                assert [v.hex() for v in a.position_at(t_ns)] == [v.hex() for v in want]
+            seen.append(len(a.segments))
+
+        w.run_until(waits_ns[0])
+        agree_from_now()
+        # an advisory: the pilot engages after the delay and levels off at the limit
+        limit = motion[2] + limit_offset_ft
+        a.fly_advisory(w, tcas.Advisory(sense, sign * rate_fpm, limit, 0x000002, w.time_ns))
+        for wait in waits_ns[1:3]:
+            w.run_until(w.time_ns + wait)
+            agree_from_now()
+        if cut_short:  # cleared: level off wherever the climb or descent has got to
+            a.level_off_now(w)
+            agree_from_now()
+        w.run_until(w.time_ns + waits_ns[3])
+        agree_from_now()
+        assert seen[0] == 1 and seen[-1] <= 4
+
+    @given(st.tuples(*[st.floats(-1e4, 1e4)] * 2, st.floats(0, 60_000)),
+           st.integers(0, 10**12))
+    def test_attacker_position_is_its_state_position(self, xyz, t_ns):
+        ground = attacker.Attacker("g", _state(*xyz), mission=attacker.MISSION_ALL_CALL_FLOOD)
+        s = ground.state_at(t_ns)
+        assert ground.position_at(t_ns) == (s.x_nmi, s.y_nmi, s.altitude_ft) == xyz
 
 
 class TestPropagation:
@@ -183,6 +231,44 @@ class TestFanOut:
                       if r.kind == "deliver" and r.source == p.name and r.time_ns >= t_tx
                       and r.time_ns <= t_tx + 700_000)
             assert got == in_range
+
+
+class TestNonFinitePosition:
+    """A position that is not finite stops the run as a SimError; the fan-out
+    never takes it for a receiver out of range."""
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("who", ["a", "b"])
+    def test_in_source_or_receiver(self, bad, who):
+        a = Probe("a", 0x000001, _state(0, 0, 0))
+        b = Probe("b", 0x000002, _state(5, 0, 0))
+        w = airspace.World()
+        w.add_entity(a)
+        w.add_entity(b)
+        {"a": a, "b": b}[who].position_at = lambda t_ns: (0.0, bad, 0.0)
+        w.schedule_transmit(99, a, _squitter(0x000001))
+        with pytest.raises(airspace.SimError,
+                           match=rf"^transmit by a at time_ns=99: {who} is at a non-finite position"):
+            w.run_until(1_000)
+        assert b.inbox == []
+
+    def test_overflowing_climb(self):
+        # a finite climb rate near the float maximum overflows the altitude
+        # within a second or two; the aircraft is then nowhere, not far away
+        a = tcas.Aircraft("a", 0x000001, _state(0, 0, 30_000, vr=1.7e308),
+                          mode=tcas.MODE_XPDR, squitter=False)
+        b = Probe("b", 0x000002, _state(5, 0, 30_000))
+        w = airspace.World()
+        w.add_entity(a)
+        w.add_entity(b)
+        w.schedule_transmit(10**6, b, _squitter(0x000002))
+        w.run_until(10**9)  # far above b, finite: out of range
+        assert [r.kind for r in w.log] == ["transmit"] and math.isfinite(a.position_at(10**6)[2])
+        w.schedule_transmit(2 * 10**9, b, _squitter(0x000002))
+        with pytest.raises(airspace.SimError,
+                           match=r"^transmit by b at time_ns=2000000000: "
+                                 r"a is at a non-finite position \(0.0, 0.0, inf\)$"):
+            w.run_until(3 * 10**9)
 
 
 class TestJamming:

@@ -64,9 +64,11 @@ tracing.install(tracer)
 result = harness.simulate(scenario.load_scenario(json.loads(sys.argv[3])))
 calls = tracer.take()["calls"]
 kinds = [rec.kind for rec in result.records]
+outcomes = [rec.outcome for rec in result.records if rec.kind == "deliver"]
 print(json.dumps({"parse_frame": calls["modes_codec.parse_frame"],
                   "to_hex": calls["modes_codec.to_hex"],
-                  "deliveries": kinds.count("deliver"),
+                  "deliveries": len(outcomes),
+                  "sealed_off": outcomes.count("not_addressed") + outcomes.count("unmatched_reply"),
                   "frame_records": kinds.count("deliver") + kinds.count("transmit")}))
 """
 
@@ -87,12 +89,14 @@ RING4 = {
 def test_traced_codec_spans_see_every_parse_and_every_hex():
     # the spans wrap parse_frame and ModeSFrame.to_hex where callers look
     # them up; a caller that bound either at import time would hide its
-    # calls from the benchmark's per-layer numbers
+    # calls from the benchmark's per-layer numbers.  A receiver answers
+    # not_addressed and unmatched_reply from the frame's seal alone, and
+    # parses every other frame it hears exactly once.
     out = subprocess.run(
         [sys.executable, "-c", TRACED_RING, str(ROOT / "src"), str(ROOT / "perfbench"),
          json.dumps(RING4)],
         capture_output=True, text=True, timeout=120, check=True)
     counts = json.loads(out.stdout.splitlines()[-1])
-    assert counts["deliveries"] > 0
-    assert counts["parse_frame"] == counts["deliveries"]
+    assert counts["deliveries"] > counts["sealed_off"] > 0
+    assert counts["parse_frame"] == counts["deliveries"] - counts["sealed_off"]
     assert counts["to_hex"] == counts["frame_records"]

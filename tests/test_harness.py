@@ -3,12 +3,15 @@ consistency, loss sweeps, and risk-table plumbing."""
 
 from __future__ import annotations
 
+import json
 import math
+import sys
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcassim import fta, harness, phy
+from tcassim import airspace, fta, harness, phy
 from tcassim import modes_codec as codec
 from tcassim import scenario as scen
 from tcassim.airspace import LogRecord, SimError, read_event_log, write_event_log
@@ -151,6 +154,33 @@ class TestSimulate:
                                            r"at time_ns=\d+: altitude below") as info:
             harness.simulate(scen.load_scenario(doc))
         assert isinstance(info.value.__cause__, codec.CodecError)
+
+
+    @pytest.mark.parametrize("rate_fpm", [1e15, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("phantom,delay_s", [(True, 60.0), (False, 0.0)])
+    def test_extreme_pilot_rate_never_hides_a_receiver(self, monkeypatch, rate_fpm,
+                                                       phantom, delay_s):
+        # Pilots that fly a rate near the float maximum, after a long reaction
+        # delay, in a coordinated encounter with or without a phantom.  Each
+        # engage levels off at the limit within the same nanosecond, before
+        # any reversal can skip it, so the run completes and every separation
+        # the fan-out measures is finite: no receiver passes as out of range.
+        doc = json.loads((resources.files("tcassim") / "scenarios" / "head_on_phantom.json")
+                         .read_text())
+        doc.update(duration_s=120.0, success=[])
+        if not phantom:
+            del doc["attacker"]
+        for craft in doc["aircraft"]:
+            craft["pilot"] = {"rate_fpm": rate_fpm, "delay_s": delay_s}
+        doc["aircraft"][1]["position"]["altitude_ft"] = 42_100.0
+        separations = []
+        separation = airspace.separation_nmi
+        monkeypatch.setattr(airspace, "separation_nmi",
+                            lambda p, q: separations.append(separation(p, q)) or separations[-1])
+        result = harness.simulate(scen.load_scenario(doc))
+        engages = [r for r in result.records if r.outcome.startswith("engage;")]
+        assert engages and all(abs(float(r.outcome.split("=")[1])) == rate_fpm for r in engages)
+        assert separations and all(d <= airspace.RECEPTION_RANGE_NMI for d in separations)
 
 
 def per_record_links_and_deliveries(records: list[LogRecord]) -> tuple[dict, dict]:

@@ -417,6 +417,30 @@ def test_parse_of_built_and_flipped_frames_matches_the_oracle(case, which, rando
                                                     expected)
 
 
+def _flipped(case) -> mc.ModeSFrame:
+    (frame, _, _, _), flip = case
+    return frame if flip is None else mc.ModeSFrame(frame.direction, frame.nbits,
+                                                    frame.word ^ (1 << flip))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.sampled_from([mc.UPLINK, mc.DOWNLINK]), SIZED_WORD).map(
+                     lambda t: mc.ModeSFrame(t[0], *t[1])),
+                 FLIPPED_BUILT.map(_flipped)),
+       st.one_of(st.none(), ADDRESS))
+def test_seal_gives_the_verdict_a_parse_gives(frame, addressee):
+    # receivers reject a frame from its seal alone; the verdict must be the
+    # one the independent decoder reaches with the same expected address
+    kind, overlay, recovered = mc.frame_seal(frame, addressee)
+    _, want_kind, _, want_parity = oracle_parse(frame.direction, frame.nbits, frame.word,
+                                                addressee)
+    if want_kind == "unknown":
+        assert kind is None
+        return
+    assert kind == want_kind and recovered == want_parity.recovered_address
+    assert (None if overlay is None else recovered == overlay) == want_parity.passed
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(set(BUILT) - BROADCAST)).flatmap(lambda key: BUILT[key]),
        st.integers(1, 0xFFFFFF))

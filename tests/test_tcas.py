@@ -362,6 +362,134 @@ class TestTrackTable:
             gc.enable()
 
 
+# -- rejecting a frame from its seal, before any parse ----------------------------
+
+POOL = (0x000000, 0xA10001, 0xA10002, 0xFFFFFF)  # receivers and sealing overlays meet here
+EARLY = ("standby", "ignored", "unsupported", "not_addressed", "unmatched_reply")
+
+
+@st.composite
+def _heard_frame(draw):
+    """Any code at either length, sealed with a pooled or a random overlay,
+    sometimes with one bit flipped: built, corrupted, unknown-code and
+    wrong-length frames alike."""
+    direction = draw(st.sampled_from([codec.UPLINK, codec.DOWNLINK]))
+    nbits = draw(st.sampled_from([codec.SHORT_FRAME_BITS, codec.LONG_FRAME_BITS]))
+    body_nbits = nbits - codec.AP_BITS
+    body = (draw(st.integers(0, 31)) << (body_nbits - 5)) | draw(
+        st.integers(0, (1 << (body_nbits - 5)) - 1))
+    overlay = draw(st.one_of(st.sampled_from(POOL), st.integers(0, 0xFFFFFF)))
+    parity = codec.crc24([(body >> i) & 1 for i in range(body_nbits - 1, -1, -1)])
+    word = (body << codec.AP_BITS) | (parity ^ overlay)
+    flip = draw(st.one_of(st.none(), st.integers(0, nbits - 1)))
+    if flip is not None:
+        word ^= 1 << flip
+    return codec.ModeSFrame(direction, nbits, word)
+
+
+def _parse_first(aircraft, frame):
+    """The early outcome as the receiver decided it when it parsed every
+    frame first, or None when the frame goes on to be handled."""
+    if frame.direction == codec.UPLINK:
+        if aircraft.mode == tcas.MODE_STANDBY:
+            return "standby"
+        decoded = codec.parse_frame(frame, expected_address=aircraft.icao)
+        if decoded.kind == "unknown":
+            return "unsupported"
+        return None if decoded.parity.passed else "not_addressed"
+    if aircraft.tcas is None:
+        return "ignored"
+    decoded = codec.parse_frame(frame)
+    if decoded.kind == "unknown":
+        return "unsupported"
+    if (decoded.format_code in (codec.DF_SURVEILLANCE_SHORT, codec.DF_SURVEILLANCE_LONG)
+            and decoded.parity.recovered_address not in aircraft.tcas.pending):
+        return "unmatched_reply"
+    return None
+
+
+def _counting_parses(monkeypatch) -> list[int]:
+    """Count calls of ``parse_frame`` made through the module, as receivers
+    make them; the count is the list's one element."""
+    count = [0]
+    parse = codec.parse_frame
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "parse_frame", counted)
+    return count
+
+
+def _ring(n, radius_nmi=4.0):
+    """N TA/RA aircraft on a ring, flying at its centre at 300 kt a little
+    apart in altitude, so every pair closes into a resolution advisory."""
+    ring = []
+    for i in range(n):
+        bearing = 2 * math.pi * (i + 0.01) / n
+        dx, dy = math.cos(bearing), math.sin(bearing)
+        ring.append(_aircraft(f"ring{i}", 0xA10001 + i, x=radius_nmi * dx, y=radius_nmi * dy,
+                              alt=30_000 + 50 * i, vx=-300.0 * dx, vy=-300.0 * dy))
+    return ring
+
+
+class TestEarlyRejection:
+    @settings(max_examples=400, deadline=None)
+    @given(_heard_frame(), st.sampled_from(POOL), st.sampled_from(tcas.MODES),
+           st.sets(st.sampled_from(POOL)), st.sampled_from([0, 200_000, 10**9]))
+    def test_early_outcomes_match_a_parse_first_oracle(self, frame, icao, mode, pending, rx_ns):
+        a = _aircraft("a", icao, x=0.0, alt=10_000, mode=mode)
+        w = _build_world(a)
+        if a.tcas is not None:
+            for address in sorted(pending):  # an address is pending only while tracked
+                a.tcas.tracks[address] = tcas.Track(address, status="tracked", altitude_ft=10_000)
+                a.tcas.pending[address] = 0
+        want = _parse_first(a, frame)
+        with pytest.MonkeyPatch.context() as mp:
+            parses = _counting_parses(mp)
+            got = a.on_frame(w, frame, rx_ns, 0)
+        if want is None:
+            assert got not in EARLY and parses[0] == 1
+        else:
+            assert got == want and parses[0] == 0
+
+    def test_sealed_off_deliveries_of_a_ring_never_parse(self, monkeypatch):
+        parses = _counting_parses(monkeypatch)
+        per_outcome: dict[str, set[int]] = {}
+        seen = [0]
+        record = airspace.World.record
+
+        def noting(world, kind, source, destination, frame, outcome):
+            if kind == "deliver":
+                per_outcome.setdefault(outcome, set()).add(parses[0] - seen[0])
+                seen[0] = parses[0]
+            record(world, kind, source, destination, frame, outcome)
+
+        monkeypatch.setattr(airspace.World, "record", noting)
+        w = _build_world(*_ring(6))
+        w.run_until(20 * 10**9)
+        assert per_outcome.pop("not_addressed") == {0}
+        assert per_outcome.pop("unmatched_reply") == {0}
+        assert {"replied", "range_update", "known"} <= set(per_outcome)
+        assert all(calls == {1} for calls in per_outcome.values())
+
+    def test_a_pending_address_is_always_tracked(self, monkeypatch):
+        def checked(handler):
+            def run(world, *args):
+                handler(world, *args)
+                for entity in world.entities:
+                    assert entity.tcas.pending.keys() <= entity.tcas.tracks.keys()
+            return run
+
+        for name in ("_do_timer", "_do_transmit", "_do_deliver"):
+            monkeypatch.setattr(airspace.World, name, checked(getattr(airspace.World, name)))
+        w = _build_world(*_ring(6))
+        w.run_until(20 * 10**9)
+        outcomes = {r.outcome.split(";")[0] for r in w.log}
+        assert {"range_update", "ra_issued", "engage"} <= outcomes
+
+
 class TestPilot:
     def test_engage_after_delay_and_exact_level_off(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=42_000)
