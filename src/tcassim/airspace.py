@@ -21,10 +21,9 @@ from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
-from numpy.random import SeedSequence
 
 from . import modes_codec as codec
-from . import phy
+from . import noise, phy
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 METERS_PER_NMI = 1852.0
@@ -36,7 +35,13 @@ TURNAROUND_NS = 128_000  # fixed transponder decode-and-respond time
 
 class SimError(ValueError):
     """Scenario or scheduling misuse (causality violation, bad state), or a
-    failure inside an event handler, named with its event and instant."""
+    failure inside an event handler, named with its event and instant.
+
+    A handler's failure carries ``records``, the log its world had written
+    by then; other errors carry None.
+    """
+
+    records: list[LogRecord] | None = None
 
 
 @dataclass(frozen=True)
@@ -218,6 +223,9 @@ class NoiselessChannel:
 # steady altitude) recur, so a short recency list serves most receptions.
 WAVEFORM_CACHE_FRAMES = 128
 LEAD_PAD = 16  # silent samples around the frame so detection is honest
+# Noise streams whose generator states one AwgnChannel hashes at a time,
+# about 150 kB of states.  A larger block costs a little less per state.
+NOISE_BLOCK = 1024
 
 
 def _transmission(frame: codec.ModeSFrame) -> tuple[np.ndarray, bytes | None]:
@@ -244,8 +252,10 @@ class AwgnChannel:
     """Runs each reception through the full modem chain with fresh noise.
 
     The frame's clean waveform is modulated once and reused from a bounded
-    per-channel cache; each reception adds noise drawn from its own seed,
-    correlates for the preamble, demodulates, and truncates to the
+    per-channel cache; each reception adds noise drawn from its own stream,
+    ``SeedSequence([world.seed, world.next_noise_index()])``, whose PCG64
+    state is hashed a block at a time and set into one reused generator.
+    It then correlates for the preamble, demodulates, and truncates to the
     header-decoded length.  ``receive`` returns ``(received frame, detected
     preamble time)``, or None when detection or header decoding fails; bit
     errors surface later as parity failures at the consumer.
@@ -256,10 +266,27 @@ class AwgnChannel:
         # per instance, so a fresh channel starts empty; it wraps a module
         # function, so the cache holds no reference back to the channel
         self._transmission = lru_cache(maxsize=WAVEFORM_CACHE_FRAMES)(_transmission)
+        self._rng = np.random.Generator(np.random.PCG64(0))
+        self._block: tuple[int, int] | None = None  # (world seed, index // NOISE_BLOCK)
+        self._block_states: list[tuple[int, int]] = []
+
+    def _noise_rng(self, world: "World") -> np.random.Generator:
+        """The generator, set to draw the next noise stream of the world."""
+        index = world.next_noise_index()
+        block = (world.seed, index // NOISE_BLOCK)
+        if block != self._block:
+            self._block_states = noise.pcg64_states(
+                world.seed, block[1] * NOISE_BLOCK, NOISE_BLOCK)
+            self._block = block
+        state, inc = self._block_states[index % NOISE_BLOCK]
+        self._rng.bit_generator.state = {"bit_generator": "PCG64",
+                                         "state": {"state": state, "inc": inc},
+                                         "has_uint32": 0, "uinteger": 0}
+        return self._rng
 
     def receive(self, world: "World", frame: codec.ModeSFrame,
                 deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
-        seed = SeedSequence([world.seed, world.next_noise_index()])
+        rng = self._noise_rng(world)
         samples, sent = self._transmission(frame)
         downlink = frame.direction == codec.DOWNLINK
         # phy functions are looked up per call so instrumentation that wraps
@@ -268,7 +295,7 @@ class AwgnChannel:
             detect, chip_ns = phy.ppm_frame_detect, phy.PPM_CHIP_NS
         else:
             detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
-        noisy = phy.awgn(samples, self.snr_db, seed)
+        noisy = phy.awgn(samples, self.snr_db, rng)
         # bits are decided one by one, so cutting to the header's length
         # equals demodulating exactly that many bits
         for det in detect(noisy):
@@ -375,8 +402,9 @@ class World:
         except Exception as exc:
             if handler is None:  # no event was popped: the bound itself is bad
                 raise
-            raise SimError(
-                f"{_describe_event(handler, args)} at time_ns={self.time_ns}: {exc}") from exc
+            error = SimError(f"{_describe_event(handler, args)} at time_ns={self.time_ns}: {exc}")
+            error.records = self.log
+            raise error from exc
         self.time_ns = max(self.time_ns, t_end_ns)
 
     def _jammed(self, source: Entity, t0_ns: int, t1_ns: int) -> bool:

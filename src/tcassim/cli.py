@@ -16,7 +16,7 @@ from pathlib import Path
 from . import fta, harness
 from . import modes_codec as codec
 from . import scenario as scen
-from .airspace import write_event_log
+from .airspace import SimError, write_event_log
 
 
 def _resolve_scenario(ref: str, seed: int | None) -> scen.Scenario:
@@ -33,9 +33,21 @@ def _resolve_scenario(ref: str, seed: int | None) -> scen.Scenario:
     return loaded
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, like a scenario's seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     loaded = _resolve_scenario(args.scenario, args.seed)
-    result = harness.simulate(loaded)
+    try:
+        result = harness.simulate(loaded)
+    except SimError as exc:  # keep what the run logged before it failed
+        if args.log and exc.records is not None:
+            write_event_log(args.log, exc.records)
+        raise
     report = result.report
     if args.log:
         write_event_log(args.log, result.records)
@@ -64,7 +76,7 @@ def _parse_snr(text: str) -> list[float | None]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    loaded = _resolve_scenario(args.scenario, None)
+    loaded = _resolve_scenario(args.scenario, args.seed)
     if loaded.snr_db is None:
         raise scen.ScenarioError("sweep needs a scenario with an awgn channel")
     points = harness.loss_sweep(loaded, _parse_snr(args.snr), corpus_size=args.frames)
@@ -131,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a scenario; exit 0 iff it meets its success predicates")
     p.add_argument("scenario", help="scenario file or bundled name")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     p.add_argument("--log", default=None, help="write the event log here")
     p.add_argument("--metrics", default=None, help="write the metrics report (JSON) here")
     p.set_defaults(func=_cmd_simulate)
@@ -139,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="packet-loss table over an SNR grid")
     p.add_argument("scenario", help="awgn scenario file or bundled name")
     p.add_argument("--snr", required=True, help="comma-separated dB values; 'inf' for noiseless")
+    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     p.add_argument("--frames", type=int, default=600, help="corpus size per point")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_sweep)

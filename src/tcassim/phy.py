@@ -176,7 +176,8 @@ def awgn(samples: np.ndarray, snr_db: float, seed) -> np.ndarray:
 
     ``snr_db = inf`` gives zero power, so the noise is exact zeros.  Complex
     samples get circular noise, half the power per quadrature.
-    Deterministic for a given seed.
+    Deterministic for a given seed; a ``Generator`` passed as the seed is
+    drawn from as it stands.
     """
     power = 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)

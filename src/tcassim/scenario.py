@@ -236,8 +236,9 @@ def _parse(doc: dict) -> Scenario:
         raise ScenarioError(f"scenario: field 'surveillance_period_s': {exc}") from None
 
     snr_db = _parse_channel(doc.get("channel", {"kind": "noiseless"}))
-    if "seed" in doc and (isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int)):
-        raise ScenarioError("scenario: field 'seed' must be an integer")
+    if "seed" in doc and (isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int)
+                          or doc["seed"] < 0):
+        raise ScenarioError("scenario: field 'seed' must be a non-negative integer")
     if snr_db is not None and "seed" not in doc:
         raise ScenarioError("scenario: field 'seed' is required with a noisy channel")
     seed = doc.get("seed", 0)

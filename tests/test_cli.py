@@ -24,6 +24,18 @@ NOISY_DOC = {
                   "position": {"x_nmi": 0.0, "y_nmi": 0.0, "altitude_ft": 30000.0}}],
 }
 
+# head-on at 200 ft and 250 ft: the resolution advisory takes one aircraft
+# below 0 ft, whose next reply cannot encode its altitude
+LOW_HEAD_ON = {
+    "schema_version": 1, "name": "low_head_on", "duration_s": 60.0,
+    "aircraft": [{"name": name, "icao": icao, "mode": "ta_ra",
+                  "position": {"x_nmi": 0.0, "y_nmi": y, "altitude_ft": alt},
+                  "velocity": {"vx_kt": 0.0, "vy_kt": -75.0 * y}}
+                 for name, icao, y, alt in [("north", "A40001", 4.0, 200.0),
+                                            ("south", "A40002", -4.0, 250.0)]]}
+LOW_HEAD_ON_ERROR = ("deliver from south to north at time_ns=26537022103: "
+                     "altitude below encodable range: -0.92")
+
 
 class TestSimulate:
     def test_bundled_scenario_artifacts(self, capsys, tmp_path):
@@ -70,21 +82,42 @@ class TestSimulate:
         assert err.startswith("error:") and field in err
 
     def test_runtime_error_names_event_aircraft_and_time(self, capsys, tmp_path):
-        # head-on at 200 ft and 250 ft: the resolution advisory takes one
-        # aircraft below 0 ft, whose next reply cannot encode its altitude
-        doc = {"schema_version": 1, "name": "low_head_on", "duration_s": 60.0,
-               "aircraft": [
-                   {"name": name, "icao": icao, "mode": "ta_ra",
-                    "position": {"x_nmi": 0.0, "y_nmi": y, "altitude_ft": alt},
-                    "velocity": {"vx_kt": 0.0, "vy_kt": -75.0 * y}}
-                   for name, icao, y, alt in [("north", "A40001", 4.0, 200.0),
-                                              ("south", "A40002", -4.0, 250.0)]]}
         path = tmp_path / "low.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(LOW_HEAD_ON))
         code, _, err = run(capsys, "simulate", str(path))
         assert code == 2
-        assert err.startswith("error: deliver from south to north at time_ns=26537022103: "
-                              "altitude below encodable range: -0.92")
+        assert err.startswith(f"error: {LOW_HEAD_ON_ERROR}")
+
+    def test_runtime_error_keeps_the_partial_log(self, capsys, tmp_path):
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(LOW_HEAD_ON))
+        log = tmp_path / "low.log"
+        code, _, err = run(capsys, "simulate", str(path), "--log", str(log))
+        assert code == 2
+        assert err.startswith(f"error: {LOW_HEAD_ON_ERROR}")
+        records = read_event_log(log)
+        assert len(records) > 100
+        assert records[-1].time_ns <= 26537022103
+        assert [r.time_ns for r in records] == sorted(r.time_ns for r in records)
+
+    def test_negative_seed_in_document_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**NOISY_DOC, "seed": -1}))
+        log = tmp_path / "bad.log"
+        code, _, err = run(capsys, "simulate", str(path), "--log", str(log))
+        assert code == 2
+        assert err.startswith("error: scenario: field 'seed'")
+        assert not log.exists()  # refused before the run
+
+    @pytest.mark.parametrize("seed", ["-3", "1.5"])
+    @pytest.mark.parametrize("command", [("simulate",), ("sweep", "--snr", "10")])
+    def test_bad_seed_option_is_usage_error(self, capsys, tmp_path, command, seed):
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(NOISY_DOC))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command[0], str(path), *command[1:], "--seed", seed])
+        assert exc.value.code == 2
+        assert f"--seed: must be a non-negative integer, got {seed!r}" in capsys.readouterr().err
 
     def test_unknown_reference(self, capsys):
         code, _, err = run(capsys, "simulate", "no_such_scenario")
@@ -112,6 +145,13 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", str(path), *argv)
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+    def test_seed_override_changes_the_noise(self, capsys, tmp_path):
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(NOISY_DOC))
+        tables = [run(capsys, "sweep", str(path), "--snr", "7", "--frames", "60", *seed)[1]
+                  for seed in ((), ("--seed", "9"), ("--seed", "10"))]
+        assert tables[0] == tables[1] != tables[2]
 
     def test_noiseless_scenario_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "benign_pair", "--snr", "10")

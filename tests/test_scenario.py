@@ -77,6 +77,8 @@ class TestValidation:
         (lambda d: d.update(duration_s=0), "duration_s"),
         (lambda d: d.update(surveillance_period_s=-1), "surveillance_period_s"),
         (lambda d: d.update(seed=1.5), "seed"),
+        (lambda d: d.update(seed=-1), "seed"),
+        (lambda d: d.update(seed=-1, channel={"kind": "awgn", "snr_db": 10}), "seed"),
         (lambda d: d.update(aircraft=[]), "aircraft"),
         (lambda d: d.update(success=["win"]), "win"),
         (lambda d: d.update(channel={"kind": "fuzzy"}), "fuzzy"),
