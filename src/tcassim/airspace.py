@@ -224,7 +224,9 @@ class NoiselessChannel:
 WAVEFORM_CACHE_FRAMES = 128
 LEAD_PAD = 16  # silent samples around the frame so detection is honest
 # Noise streams whose generator states one AwgnChannel hashes at a time,
-# about 150 kB of states.  A larger block costs a little less per state.
+# about 150 kB of states.  Sized for one long world such as ring_awgn, where
+# a larger block costs a little less per state; loss_sweep builds a channel
+# per SNR point and uses only its first 600 (the default corpus) of a block.
 NOISE_BLOCK = 1024
 
 

@@ -29,15 +29,10 @@ def _resolve_scenario(ref: str, seed: int | None) -> scen.Scenario:
             f"{ref!r} is neither a scenario file nor a bundled name "
             f"({', '.join(scen.bundled_scenario_names())})")
     if seed is not None:
+        if seed < 0:
+            raise scen.ScenarioError("scenario: field 'seed' must be a non-negative integer")
         loaded = replace(loaded, seed=seed)
     return loaded
-
-
-def _seed(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, like a scenario's seed."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -46,7 +41,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result = harness.simulate(loaded)
     except SimError as exc:  # keep what the run logged before it failed
         if args.log and exc.records is not None:
-            write_event_log(args.log, exc.records)
+            try:
+                write_event_log(args.log, exc.records)
+            except OSError as log_exc:  # the run's own error is the one to report
+                print(f"warning: partial log not written: {log_exc}", file=sys.stderr)
         raise
     report = result.report
     if args.log:
@@ -76,7 +74,7 @@ def _parse_snr(text: str) -> list[float | None]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    loaded = _resolve_scenario(args.scenario, args.seed)
+    loaded = _resolve_scenario(args.scenario, None)
     if loaded.snr_db is None:
         raise scen.ScenarioError("sweep needs a scenario with an awgn channel")
     points = harness.loss_sweep(loaded, _parse_snr(args.snr), corpus_size=args.frames)
@@ -143,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a scenario; exit 0 iff it meets its success predicates")
     p.add_argument("scenario", help="scenario file or bundled name")
-    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
+    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--log", default=None, help="write the event log here")
     p.add_argument("--metrics", default=None, help="write the metrics report (JSON) here")
     p.set_defaults(func=_cmd_simulate)
@@ -151,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="packet-loss table over an SNR grid")
     p.add_argument("scenario", help="awgn scenario file or bundled name")
     p.add_argument("--snr", required=True, help="comma-separated dB values; 'inf' for noiseless")
-    p.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     p.add_argument("--frames", type=int, default=600, help="corpus size per point")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_sweep)
