@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -126,12 +126,12 @@ class JamDirective:
         return t0_ns < end and t1_ns >= self.start_ns
 
 
-@dataclass(frozen=True, slots=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     """One line of the event log.
 
     Fields never contain commas; ``frame_hex`` is "-" for non-frame events.
-    Slotted, as a run keeps one record per delivery.
+    An immutable named tuple, cheap to build and to hold, as a run keeps
+    one record per delivery.
     """
 
     time_ns: int
@@ -142,15 +142,25 @@ class LogRecord:
     outcome: str
 
     def to_line(self) -> str:
-        line = f"{self.time_ns},{self.kind},{self.source},{self.destination},{self.frame_hex},{self.outcome}"
-        if line.count(",") != 5:
-            raise SimError(f"log fields must not contain commas: {line!r}")
-        return line
+        return _format_lines((self,))[:-1]
 
     @classmethod
     def from_line(cls, line: str) -> "LogRecord":
         time_text, *fields = _split_line(line)
         return cls(int(time_text), *fields)
+
+
+def _format_lines(records: Sequence[LogRecord]) -> str:
+    """The records' log lines, each ending in a newline, or a SimError
+    naming the first line whose fields hold a comma."""
+    lines = [f"{t},{kind},{src},{dst},{frame_hex},{outcome}\n"
+             for t, kind, src, dst, frame_hex, outcome in records]
+    text = "".join(lines)
+    # fields only add commas to the five a line has, so the total tells
+    if text.count(",") != 5 * len(lines):
+        bad = next(line for line in lines if line.count(",") != 5)
+        raise SimError(f"log fields must not contain commas: {bad[:-1]!r}")
+    return text
 
 
 def _split_line(line: str) -> list[str]:
@@ -162,29 +172,33 @@ def _split_line(line: str) -> list[str]:
 
 
 def write_event_log(path, records: list[LogRecord]) -> None:
+    """Write the records one line each, formatted a few thousand at a time
+    so that no string of the whole file is built."""
     with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
-            fh.write(rec.to_line() + "\n")
+        for i in range(0, len(records), 4096):
+            fh.write(_format_lines(records[i:i + 4096]))
 
 
 def read_event_log(path) -> list[LogRecord]:
     """The records of a written log; blank lines are skipped.
 
     Lines that repeat everything after the time (a periodic timer, the
-    copies of one frame heard alike) share one set of field strings, so
+    copies of one frame heard alike) share one tuple of field strings, so
     the records take about the memory the run's own did.
     """
-    fields_by_tail: dict[str, list[str]] = {}
+    fields_by_tail: dict[str, tuple[str, ...]] = {}
     records = []
+    append = records.append
+    new = tuple.__new__
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
-            if not line.strip():
-                continue
             time_text, _, tail = line.partition(",")
             fields = fields_by_tail.get(tail)
-            if fields is None:
-                fields = fields_by_tail[tail] = _split_line(line)[1:]
-            records.append(LogRecord(int(time_text), *fields))
+            if fields is None:  # a blank line's tail is empty, which no cached line has
+                if not line.strip():
+                    continue
+                fields = fields_by_tail[tail] = tuple(_split_line(line)[1:])
+            append(new(LogRecord, (int(time_text), *fields)))
     return records
 
 
@@ -387,8 +401,11 @@ class World:
 
     def record(self, kind: str, source: str, destination: str,
                frame: codec.ModeSFrame | None, outcome: str) -> None:
-        self.log.append(LogRecord(self.time_ns, kind, source, destination,
-                                  frame.to_hex() if frame is not None else "-", outcome))
+        # tuple.__new__ skips the named tuple's Python-level __new__, as
+        # read_event_log does; a run records once per delivery
+        self.log.append(tuple.__new__(LogRecord, (
+            self.time_ns, kind, source, destination,
+            frame.to_hex() if frame is not None else "-", outcome)))
 
     # -- event processing --------------------------------------------------
 

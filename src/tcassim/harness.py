@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -93,48 +93,64 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
     A delivery takes the label its frame was transmitted under in the
     records before it, or its own label when there is none or more than
     one; deliveries are counted per (link, label) first and folded into
-    the report once, in order of first appearance.
+    the report once, in order of first appearance.  Each distinct
+    ``(frame_hex, destination != "*")`` is labelled once per call.
+
+    Known mislabel: a log line carries no direction, so once a 0 ft
+    transponder's DF4 reply repeats the hex of the UF4 that interrogated
+    it, every later delivery of that UF4 to the transponder is counted as
+    ``DF4>ground`` (the ``ground_uf4`` pin reports ``UF4>ground`` 1 and
+    ``DF4>ground`` 9 for 10 UF4 deliveries).  Mending it changes the log
+    grammar or the pinned report.
     """
     report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
     labels: dict[str, set[str]] = {}  # hex -> labels it was transmitted under so far
     current: dict[str, str] = {}  # hex -> the label a delivery of it takes now
-    delivered: Counter[tuple[str, str, str | None]] = Counter()  # label None: lost
+    delivered: dict[tuple[str, str, str | None], int] = {}  # label None: lost
+    label_of: dict[tuple[str, bool], str] = {}  # (hex, addressed) -> frame_label
 
-    for rec in records:
-        kind = rec.kind
+    def cached_label(frame_hex: str, destination: str = "*") -> str:
+        key = (frame_hex, destination != "*")
+        found = label_of.get(key)
+        if found is None:
+            found = label_of[key] = frame_label(frame_hex, destination)
+        return found
+
+    for time_ns, kind, source, destination, frame_hex, outcome in records:
         if kind == "deliver":
             label = None
-            if rec.outcome not in LOSS_OUTCOMES:
-                label = current.get(rec.frame_hex)
+            if outcome not in LOSS_OUTCOMES:
+                label = current.get(frame_hex)
                 if label is None:
-                    label = current[rec.frame_hex] = frame_label(rec.frame_hex)
-            delivered[rec.source, rec.destination, label] += 1
+                    label = current[frame_hex] = cached_label(frame_hex)
+            key = source, destination, label
+            delivered[key] = delivered.get(key, 0) + 1
         elif kind == "transmit":
-            report.transmit_outcomes[rec.outcome] = report.transmit_outcomes.get(rec.outcome, 0) + 1
-            label = frame_label(rec.frame_hex, rec.destination)
-            seen = labels.setdefault(rec.frame_hex, set())
+            report.transmit_outcomes[outcome] = report.transmit_outcomes.get(outcome, 0) + 1
+            label = cached_label(frame_hex, destination)
+            seen = labels.setdefault(frame_hex, set())
             seen.add(label)
-            current[rec.frame_hex] = label if len(seen) == 1 else frame_label(rec.frame_hex)
-            if rec.outcome == "sent":
+            current[frame_hex] = label if len(seen) == 1 else cached_label(frame_hex)
+            if outcome == "sent":
                 report.frames_sent[label] = report.frames_sent.get(label, 0) + 1
         elif kind == "tcas":
-            if rec.outcome.startswith("range="):
-                key = f"{rec.source}>{rec.destination}"
+            if outcome.startswith("range="):
+                key = f"{source}>{destination}"
                 report.rounds_per_track[key] = report.rounds_per_track.get(key, 0) + 1
-                rng = float(rec.outcome.split(";")[0].split("=")[1])
-                report.range_series.setdefault(key, []).append([rec.time_ns, rng])
-            elif rec.outcome.startswith(("track_new", "track_drop")):
-                report.track_events.append([rec.time_ns, rec.source, rec.destination, rec.outcome])
-            elif rec.outcome.startswith(("ta_", "ra_")):
-                report.advisories.append([rec.time_ns, rec.source, rec.destination, rec.outcome])
+                rng = float(outcome.split(";")[0].split("=")[1])
+                report.range_series.setdefault(key, []).append([time_ns, rng])
+            elif outcome.startswith(("track_new", "track_drop")):
+                report.track_events.append([time_ns, source, destination, outcome])
+            elif outcome.startswith(("ta_", "ra_")):
+                report.advisories.append([time_ns, source, destination, outcome])
         elif kind == "attack":
-            if rec.outcome.startswith("phase;"):
-                report.attack_phases.append([rec.time_ns, rec.outcome.split(";", 1)[1]])
+            if outcome.startswith("phase;"):
+                report.attack_phases.append([time_ns, outcome.split(";", 1)[1]])
             else:
-                report.attack_notes.append([rec.time_ns, rec.outcome])
+                report.attack_notes.append([time_ns, outcome])
         elif kind == "nmac":
-            until = int(rec.outcome.split("until=")[1])
-            report.nmac_windows.append([rec.source, rec.destination, rec.time_ns, until])
+            until = int(outcome.split("until=")[1])
+            report.nmac_windows.append([source, destination, time_ns, until])
 
     for (source, destination, label), n in delivered.items():
         stats = report.links.setdefault(f"{source}>{destination}",
@@ -189,16 +205,16 @@ def simulate(scenario: Scenario) -> SimulationResult:
     world, entities = build_world(scenario)
     world.run_until(scenario.duration_ns)
 
-    extra: list[LogRecord] = []
+    records = world.log
     crafts = [a.name for a in scenario.aircraft]
     for i, name_a in enumerate(crafts):
         for name_b in crafts[i + 1:]:
             windows = nmac_intervals(entities[name_a].segments,
                                      entities[name_b].segments, scenario.duration_ns)
             for on_ns, off_ns in windows:
-                extra.append(LogRecord(on_ns, "nmac", name_a, name_b, "-",
-                                       f"window;until={off_ns}"))
-    records = sorted(world.log + extra, key=lambda r: r.time_ns)
+                records.append(LogRecord(on_ns, "nmac", name_a, name_b, "-",
+                                         f"window;until={off_ns}"))
+    records.sort(key=itemgetter(0))  # stable: equal times keep log order
     return SimulationResult(scenario, records, metrics_from_log(records, scenario))
 
 

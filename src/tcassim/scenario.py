@@ -111,6 +111,16 @@ def _string(where: str, obj: dict, key: str, default=None, *, required: bool = F
     return value
 
 
+def _entity_name(where: str, obj: dict) -> str:
+    """An entity's name.  Log lines carry it, so it must be printable
+    ASCII without commas."""
+    name = _string(where, obj, "name", required=True)
+    if not (name.isascii() and name.isprintable()) or "," in name:
+        raise ScenarioError(f"{where}: field 'name' must be printable ASCII "
+                            f"without commas, got {name!r}")
+    return name
+
+
 def _icao(where: str, text: str) -> int:
     try:
         value = int(text, 16)
@@ -291,7 +301,7 @@ def _parse_channel(obj: dict) -> float | None:
 def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
     _check_keys(where, obj, {"name", "icao", "mode", "squitter",
                              "position", "velocity", "pilot"})
-    name = _string(where, obj, "name", required=True)
+    name = _entity_name(where, obj)
     icao = _icao(where, _string(where, obj, "icao", required=True))
     mode = _string(where, obj, "mode", MODE_TA_RA)
     if mode not in MODES:
@@ -336,7 +346,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
                     duration_s: float) -> AttackerSpec:
     _check_keys(where, obj, {"name", "mission", "position", "target", "plan",
                              "bait_timeout_s", "flood", "jam"})
-    name = _string(where, obj, "name", required=True)
+    name = _entity_name(where, obj)
     mission = _string(where, obj, "mission", required=True)
     if mission not in MISSIONS:
         raise ScenarioError(f"{where}: unknown mission {mission!r}")

@@ -522,6 +522,36 @@ class TestEventLog:
         assert back == records
         assert peak / len(records) <= 200
 
+    def test_last_line_without_newline_reads_back(self, tmp_path):
+        path = tmp_path / "events.log"
+        path.write_text("1,timer,a,-,-,tick\n2,timer,a,-,-,tick")
+        assert airspace.read_event_log(path) == [
+            airspace.LogRecord(1, "timer", "a", "-", "-", "tick"),
+            airspace.LogRecord(2, "timer", "a", "-", "-", "tick")]
+
+    @pytest.mark.parametrize("field", ["source", "destination", "frame_hex", "outcome"])
+    def test_comma_in_any_field_is_rejected_on_write(self, tmp_path, field):
+        good = airspace.LogRecord(1, "deliver", "a", "b", "8d4840d6", "known")
+        bad = good._replace(**{field: "x,y"})
+        line = ",".join(map(str, bad))  # the error names the offending line
+        with pytest.raises(airspace.SimError) as info:
+            airspace.write_event_log(tmp_path / "events.log", [good, bad, good])
+        assert repr(line) in str(info.value)
+        with pytest.raises(airspace.SimError) as info:
+            bad.to_line()
+        assert repr(line) in str(info.value)
+
+    def test_record_unpacks_to_its_six_fields_in_line_order(self):
+        rec = airspace.LogRecord.from_line("7,deliver,a,b,8d4840d6,known")
+        assert tuple(rec) == (7, "deliver", "a", "b", "8d4840d6", "known")
+
+    def test_read_back_records_are_log_records(self, tmp_path):
+        path = tmp_path / "events.log"
+        path.write_text("1,timer,a,-,-,tick\n2,timer,a,-,-,tick\n")
+        back = airspace.read_event_log(path)
+        assert [type(rec) for rec in back] == [airspace.LogRecord] * 2
+        assert back[1].time_ns == 2 and back[1].outcome == "tick"
+
     def test_records_are_slotted_and_frozen(self):
         rec = airspace.LogRecord.from_line("7,timer,a,-,-,tick\n")
         assert rec == airspace.LogRecord(7, "timer", "a", "-", "-", "tick")

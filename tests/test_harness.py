@@ -3,6 +3,7 @@ consistency, loss sweeps, and risk-table plumbing."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
@@ -339,3 +340,117 @@ class TestFtaReport:
         with pytest.raises(fta.FtaError, match=names):
             harness.fta_report(document)
 
+
+# -- fuzzed scenario documents ------------------------------------------------------
+
+# Values a fuzzed document puts in place of any field.  None of them is a
+# valid value that makes a run long (a tiny surveillance period, a high
+# flood rate), as a long run is no fault of the loader.
+HOSTILE = st.sampled_from([
+    None, True, "", "x", "a,b", "café", "line\nbreak", "ZZZZZZ", "1000000", [], {}, [1],
+    {"x": 1}, -1, 0, 1, -0.5, 1e-300, 1e308, -1e308, 10**400, math.inf, -math.inf, math.nan])
+
+
+def _aircraft_doc(i: int):
+    return st.fixed_dictionaries({
+        "name": st.just(f"craft{i}"),
+        "icao": st.just(f"{0xA10000 + i:06X}"),
+        "position": st.fixed_dictionaries({
+            "x_nmi": st.floats(-6, 6), "y_nmi": st.floats(-6, 6),
+            "altitude_ft": st.floats(0, 45_000)}),
+    }, optional={
+        "mode": st.sampled_from(["standby", "xpdr", "ta_only", "ta_ra"]),
+        "squitter": st.booleans(),
+        "velocity": st.fixed_dictionaries({}, optional={
+            "vx_kt": st.floats(-600, 600), "vy_kt": st.floats(-600, 600),
+            "vertical_rate_fpm": st.floats(-3000, 3000)}),
+        "pilot": st.fixed_dictionaries({}, optional={
+            "delay_s": st.floats(0, 3), "rate_fpm": st.floats(500, 3000)}),
+    })
+
+
+GROUND = {"x_nmi": 1.0, "y_nmi": 0.0, "altitude_ft": 0.0}
+ATTACKERS = st.one_of(
+    st.fixed_dictionaries({
+        "name": st.just("ground"), "mission": st.just("phantom"),
+        "position": st.just(GROUND), "target": st.just("A10000")}, optional={
+        "plan": st.fixed_dictionaries({}, optional={
+            "initial_range_nmi": st.floats(0, 20), "closure_kt": st.floats(-600, 600),
+            "floor_nmi": st.floats(0, 2), "altitude_ft": st.floats(0, 45_000)}),
+        "bait_timeout_s": st.floats(0, 2),
+        "jam": st.lists(st.fixed_dictionaries(
+            {"target": st.just("A10001"), "start_s": st.floats(0, 1)},
+            optional={"end_s": st.one_of(st.none(), st.floats(1.5, 3))}), max_size=2)}),
+    st.fixed_dictionaries({
+        "name": st.just("ground"),
+        "mission": st.sampled_from(["all_call_flood", "squitter_flood"]),
+        "position": st.just(GROUND)}, optional={
+        "flood": st.fixed_dictionaries({}, optional={
+            "rate_hz": st.floats(1, 100), "duration_s": st.floats(0.1, 2)})}))
+
+SCENARIO_DOCS = st.fixed_dictionaries({
+    "schema_version": st.just(1),
+    "name": st.just("fuzzed"),
+    "duration_s": st.floats(0.05, 1.5),
+    "seed": st.integers(0, 2**40),
+    "aircraft": st.integers(1, 3).flatmap(
+        lambda n: st.tuples(*map(_aircraft_doc, range(n))).map(list)),
+}, optional={
+    "channel": st.one_of(st.just({"kind": "noiseless"}),
+                         st.fixed_dictionaries({"kind": st.just("awgn"),
+                                                "snr_db": st.floats(0, 20)})),
+    "surveillance_period_s": st.floats(0.2, 2),
+    "attacker": ATTACKERS,
+    "success": st.lists(st.sampled_from(sorted(scen.SUCCESS_PREDICATES)), max_size=2),
+})
+
+
+def _field_paths(node, path=()):
+    """Every (container path, key) of a document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, path + (key,))
+
+
+def _fuzz(doc: dict, data) -> dict:
+    """A copy with a few fields deleted, replaced or joined by a stranger
+    (a list gains one more item)."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        path, key = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+        parent = doc
+        for step in path:
+            parent = parent[step]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]), label="action")
+        if action == "replace":
+            parent[key] = data.draw(HOSTILE, label="value")
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent["stranger"] = data.draw(HOSTILE, label="value")
+        else:
+            parent.append(data.draw(HOSTILE, label="value"))
+    return doc
+
+
+class TestFuzzedScenarios:
+    @settings(max_examples=100, deadline=None)
+    @given(SCENARIO_DOCS, st.data())
+    def test_loads_runs_and_replays_or_fails_cleanly(self, tmp_path_factory, doc, data):
+        doc = _fuzz(doc, data)
+        try:
+            scenario = scen.load_scenario(doc)
+        except scen.ScenarioError:
+            return
+        try:
+            result = harness.simulate(scenario)
+        except SimError:
+            return
+        path = tmp_path_factory.mktemp("fuzzed") / "events.log"
+        write_event_log(path, result.records)
+        back = read_event_log(path)
+        assert back == result.records
+        again = harness.metrics_from_log(back, scenario)
+        assert again.to_json() == result.report.to_json()

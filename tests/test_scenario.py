@@ -171,6 +171,15 @@ class TestValidation:
                      "floor_nmi", id="plan-floor-past-ns-range"),
         pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"closure_kt": -1e308}}),
                      "closure_kt", id="plan-range-grows-past-ns-range"),
+        # the event log is ASCII, one record a line, fields split at commas
+        pytest.param(lambda d: d["aircraft"][0].update(name="a,b"), "name",
+                     id="aircraft-name-with-comma"),
+        pytest.param(lambda d: d["aircraft"][0].update(name="two\nlines"), "name",
+                     id="aircraft-name-with-newline"),
+        pytest.param(lambda d: d["aircraft"][0].update(name="café"), "name",
+                     id="aircraft-name-not-ascii"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "name": "g,h"}), "name",
+                     id="attacker-name-with-comma"),
     ])
     def test_rejects_out_of_range_values(self, mutate, needle):
         doc = minimal_doc()
