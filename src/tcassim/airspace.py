@@ -91,11 +91,6 @@ def separation_nmi(p: Position, q: Position) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1], (p[2] - q[2]) / FEET_PER_NMI)
 
 
-def distance_nmi(a: AircraftState, b: AircraftState) -> float:
-    """3-D straight-line separation of two states in nautical miles."""
-    return separation_nmi((a.x_nmi, a.y_nmi, a.altitude_ft), (b.x_nmi, b.y_nmi, b.altitude_ft))
-
-
 def propagation_delay_ns(dist_nmi: float) -> int:
     """Light flight time over a separation, rounded to the nearest ns."""
     if dist_nmi < 0:
@@ -208,14 +203,9 @@ class Entity(Protocol):
     name: str
     icao: int | None
 
-    def state_at(self, time_ns: int) -> AircraftState: ...
+    def position_at(self, time_ns: int) -> Position: ...
 
-    def position_at(self, time_ns: int) -> Position:
-        """The position of ``state_at(time_ns)``, without building it."""
-        ...
-
-    def on_frame(self, world: "World", frame: codec.ModeSFrame,
-                 rx_time_ns: int, tx_time_ns: int) -> str: ...
+    def on_frame(self, world: "World", frame: codec.ModeSFrame, rx_time_ns: int) -> str: ...
 
     def on_timer(self, world: "World", timer: str, data: dict) -> None: ...
 
@@ -226,7 +216,7 @@ class NoiselessChannel:
     ``receive`` returns ``(frame, deliver_time_ns)`` unchanged and never drops.
     """
 
-    def receive(self, world: "World", frame: codec.ModeSFrame,
+    def receive(self, frame: codec.ModeSFrame,
                 deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
         return frame, deliver_time_ns
 
@@ -268,41 +258,43 @@ class AwgnChannel:
     """Runs each reception through the full modem chain with fresh noise.
 
     The frame's clean waveform is modulated once and reused from a bounded
-    per-channel cache; each reception adds noise drawn from its own stream,
-    ``SeedSequence([world.seed, world.next_noise_index()])``, whose PCG64
-    state is hashed a block at a time and set into one reused generator.
-    It then correlates for the preamble, demodulates, and truncates to the
+    per-channel cache.  The channel owns its noise: its reception ``i``,
+    counted from 1, adds noise drawn from ``SeedSequence([seed, i])``, whose
+    PCG64 state is hashed a block at a time and set into one reused
+    generator, so no other channel's receptions move its stream.  It then
+    correlates for the preamble, demodulates, and truncates to the
     header-decoded length.  ``receive`` returns ``(received frame, detected
     preamble time)``, or None when detection or header decoding fails; bit
     errors surface later as parity failures at the consumer.
     """
 
-    def __init__(self, snr_db: float):
+    def __init__(self, snr_db: float, seed: int):
         self.snr_db = snr_db
+        self.seed = seed
         # per instance, so a fresh channel starts empty; it wraps a module
         # function, so the cache holds no reference back to the channel
         self._transmission = lru_cache(maxsize=WAVEFORM_CACHE_FRAMES)(_transmission)
         self._rng = np.random.Generator(np.random.PCG64(0))
-        self._block: tuple[int, int] | None = None  # (world seed, index // NOISE_BLOCK)
+        self._index = 0  # receptions so far
+        self._block: int | None = None  # index // NOISE_BLOCK of the states held
         self._block_states: list[tuple[int, int]] = []
 
-    def _noise_rng(self, world: "World") -> np.random.Generator:
-        """The generator, set to draw the next noise stream of the world."""
-        index = world.next_noise_index()
-        block = (world.seed, index // NOISE_BLOCK)
+    def _noise_rng(self) -> np.random.Generator:
+        """The generator, set to draw the next reception's noise stream."""
+        self._index += 1
+        block, offset = divmod(self._index, NOISE_BLOCK)
         if block != self._block:
-            self._block_states = noise.pcg64_states(
-                world.seed, block[1] * NOISE_BLOCK, NOISE_BLOCK)
+            self._block_states = noise.pcg64_states(self.seed, block * NOISE_BLOCK, NOISE_BLOCK)
             self._block = block
-        state, inc = self._block_states[index % NOISE_BLOCK]
+        state, inc = self._block_states[offset]
         self._rng.bit_generator.state = {"bit_generator": "PCG64",
                                          "state": {"state": state, "inc": inc},
                                          "has_uint32": 0, "uinteger": 0}
         return self._rng
 
-    def receive(self, world: "World", frame: codec.ModeSFrame,
+    def receive(self, frame: codec.ModeSFrame,
                 deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
-        rng = self._noise_rng(world)
+        rng = self._noise_rng()
         samples, sent = self._transmission(frame)
         downlink = frame.direction == codec.DOWNLINK
         # phy functions are looked up per call so instrumentation that wraps
@@ -347,9 +339,8 @@ def _header_length(bits: np.ndarray, direction: str) -> int | None:
 class World:
     """Event queue, radio medium, jam bookkeeping, and the append-only log."""
 
-    def __init__(self, channel: NoiselessChannel | AwgnChannel | None = None, seed: int = 0):
+    def __init__(self, channel: NoiselessChannel | AwgnChannel | None = None):
         self.channel = channel or NoiselessChannel()
-        self.seed = seed
         self.time_ns = 0
         self.entities: list[Entity] = []
         self._order: dict[str, int] = {}
@@ -360,7 +351,6 @@ class World:
         # queue do not tie the World into a reference cycle
         self._heap: list[tuple[int, int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._noise_index = 0
 
     # -- registration ------------------------------------------------------
 
@@ -372,10 +362,6 @@ class World:
 
     def add_jam(self, directive: JamDirective) -> None:
         self.jam_directives.append(directive)
-
-    def next_noise_index(self) -> int:
-        self._noise_index += 1
-        return self._noise_index
 
     # -- scheduling --------------------------------------------------------
 
@@ -453,16 +439,15 @@ class World:
                 _check_finite(receiver, pos)
                 continue
             self._push(t_tx + propagation_delay_ns(dist), source.name, World._do_deliver,
-                       source, receiver, frame, t_tx)
+                       source, receiver, frame)
 
-    def _do_deliver(self, source: Entity, receiver: Entity, frame: codec.ModeSFrame,
-                    tx_time_ns: int) -> None:
-        received = self.channel.receive(self, frame, self.time_ns)
+    def _do_deliver(self, source: Entity, receiver: Entity, frame: codec.ModeSFrame) -> None:
+        received = self.channel.receive(frame, self.time_ns)
         if received is None:
             self.record("deliver", source.name, receiver.name, frame, "phy_drop")
             return
         rx_frame, rx_time = received
-        disposition = receiver.on_frame(self, rx_frame, rx_time, tx_time_ns)
+        disposition = receiver.on_frame(self, rx_frame, rx_time)
         self.record("deliver", source.name, receiver.name, rx_frame, disposition)
 
 

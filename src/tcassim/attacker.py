@@ -37,8 +37,8 @@ from .airspace import (
     Position,
     SimError,
     World,
-    distance_nmi,
     propagation_delay_ns,
+    separation_nmi,
 )
 from .tcas import TAU_TA_S, rtt_to_range_nmi
 
@@ -62,6 +62,14 @@ class InfeasibleReply(SimError):
     """The requested apparent range would need a reply before reception."""
 
 
+def phantom_address(target_icao: int) -> int:
+    """The address a phantom mission fabricates: the one just below its
+    target's.  Target 0 has none, a SimError."""
+    if target_icao == 0:
+        raise SimError("target address 0 leaves no room for a phantom")
+    return target_icao - 1
+
+
 def compute_reply_delay(true_range_nmi: float, desired_range_nmi: float) -> int:
     """Extra hold beyond the nominal turnaround, in ns (may be negative).
 
@@ -81,7 +89,7 @@ def compute_reply_delay(true_range_nmi: float, desired_range_nmi: float) -> int:
 
 
 def fit_linear_track(samples: list[tuple[int, float, float, float]],
-                     at_ns: int) -> tuple[float, float, float]:
+                     at_ns: int) -> Position:
     """Least-squares straight-line fit of (t, x, y, alt) samples, evaluated
     at ``at_ns``.  Two points make a line; one is treated as stationary."""
     if not samples:
@@ -141,21 +149,18 @@ class Attacker:
                  flood: FloodPlan | None = None):
         if mission not in MISSIONS:
             raise SimError(f"unknown mission {mission!r}")
+        self.phantom_icao: int | None = None
         if mission == MISSION_PHANTOM:
             if target_icao is None:
                 raise SimError("phantom mission needs a target address")
-            codec.validate_icao(target_icao)
-            if target_icao == 0:
-                raise SimError("target address 0 leaves no room for a phantom")
+            self.phantom_icao = phantom_address(codec.validate_icao(target_icao))
         self.name = name
         self.icao: int | None = None  # no transponder identity of its own
         self.mission = mission
         self.target_icao = target_icao
-        self.phantom_icao = (target_icao - 1) if target_icao else None
         self.plan = plan or PhantomPlan()
         self.bait_timeout_s = bait_timeout_s
         self.flood = flood or FloodPlan()
-        self._position = position
         self._xyz = (position.x_nmi, position.y_nmi, position.altitude_ft)
         self.phase = "recon"
         self.intel_target = None  # aircraft whose motion the attacker surveils
@@ -170,9 +175,6 @@ class Attacker:
         self._flood_counter = 0
 
     # -- entity surface ------------------------------------------------------
-
-    def state_at(self, time_ns: int) -> AircraftState:
-        return self._position
 
     def position_at(self, time_ns: int) -> Position:
         return self._xyz
@@ -195,8 +197,7 @@ class Attacker:
             raise SimError(f"unknown timer {timer!r}")
         handler(world, data)
 
-    def on_frame(self, world: World, frame: codec.ModeSFrame,
-                 rx_time_ns: int, tx_time_ns: int) -> str:
+    def on_frame(self, world: World, frame: codec.ModeSFrame, rx_time_ns: int) -> str:
         if frame.direction == codec.UPLINK:
             return self._on_uplink(world, frame, rx_time_ns)
         return self._on_downlink(world, frame, rx_time_ns)
@@ -204,18 +205,16 @@ class Attacker:
     # -- intel ----------------------------------------------------------------
 
     def _timer_intel(self, world: World, data: dict) -> None:
-        s = self.intel_target.state_at(world.time_ns)
-        self._intel.append((world.time_ns, s.x_nmi, s.y_nmi, s.altitude_ft))
+        self._intel.append((world.time_ns, *self.intel_target.position_at(world.time_ns)))
         if len(self._intel) > INTEL_WINDOW:
             self._intel.pop(0)
         world.schedule_timer(world.time_ns + INTEL_INTERVAL_NS, self, "intel")
 
-    def estimate_target(self, at_ns: int) -> AircraftState:
-        x, y, alt = fit_linear_track(self._intel, at_ns)
-        return AircraftState(x, y, alt)
+    def estimate_target(self, at_ns: int) -> Position:
+        return fit_linear_track(self._intel, at_ns)
 
     def _target_distance_nmi(self, at_ns: int) -> float:
-        return distance_nmi(self._position, self.estimate_target(at_ns))
+        return separation_nmi(self._xyz, self.estimate_target(at_ns))
 
     # -- phase machine ---------------------------------------------------------
 

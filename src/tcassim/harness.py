@@ -24,8 +24,8 @@ import numpy as np
 
 from . import fta
 from . import modes_codec as codec
-from .airspace import NS_PER_S, AwgnChannel, LogRecord, NoiselessChannel, World
-from .attacker import MISSION_PHANTOM, PhantomPlan
+from .airspace import NS_PER_S, AwgnChannel, LogRecord, NoiselessChannel
+from .attacker import MISSION_PHANTOM, PhantomPlan, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
 
@@ -178,7 +178,7 @@ def _fill_plan_errors(report: MetricsReport, scenario: Scenario) -> None:
         return
     victim = next(a.name for a in scenario.aircraft if a.icao == atk.target_icao)
     plan = atk.plan or PhantomPlan()
-    series = report.range_series.get(f"{victim}>{atk.target_icao - 1:06x}", [])
+    series = report.range_series.get(f"{victim}>{phantom_address(atk.target_icao):06x}", [])
     for t_ns, estimate in series:
         if t_ns < epoch:
             continue
@@ -258,9 +258,10 @@ def loss_sweep(scenario: Scenario, snr_list: list[float | None],
     """Frame loss through the modem chain at each SNR, smallest first.
 
     ``None`` and +inf mean noiseless; a NaN or -inf SNR or an empty corpus
-    is a ValueError.  Every point replays the same corpus with the same
-    world seed, so the noise draws pair up across SNRs and the loss column
-    is monotone in substance, not just in expectation.
+    is a ValueError.  Every point replays the same corpus through a fresh
+    channel with the same seed, so frame k takes the same noise draws at
+    every SNR and the loss column is monotone in substance, not just in
+    expectation.
     """
     if corpus_size < 1:
         raise ValueError(f"corpus size must be at least 1, got {corpus_size}")
@@ -268,18 +269,17 @@ def loss_sweep(scenario: Scenario, snr_list: list[float | None],
         if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
             raise ValueError(f"SNR must be a number or +inf, got {snr_db}")
     frames = _corpus(scenario.seed, corpus_size)
-    world_seed = int(np.random.SeedSequence([scenario.seed, 0x51EE]).generate_state(1)[0])
+    noise_seed = int(np.random.SeedSequence([scenario.seed, 0x51EE]).generate_state(1)[0])
     spacing_ns = NS_PER_S // 1000  # 1 ms apart; airtimes are two decades shorter
 
     points = []
     for snr_db in sorted(snr_list, key=lambda s: math.inf if s is None else s):
         noiseless = snr_db is None or snr_db == math.inf
-        channel = NoiselessChannel() if noiseless else AwgnChannel(snr_db)
-        world = World(channel=channel, seed=world_seed)  # for its seed and noise index
+        channel = NoiselessChannel() if noiseless else AwgnChannel(snr_db, noise_seed)
         # a frame counts only if it arrived and decoded to exactly the bits sent
         lost = 0
         for i, sent in enumerate(frames):
-            got = channel.receive(world, sent, i * spacing_ns)
+            got = channel.receive(sent, i * spacing_ns)
             if got is None or got[0] != sent:
                 lost += 1
         points.append(LossPoint(None if noiseless else snr_db, corpus_size, lost))

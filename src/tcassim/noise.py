@@ -1,6 +1,6 @@
 """PCG64 states of the noise streams, a block of indices at a time.
 
-Reception ``i`` of a world with seed ``s`` draws its noise from
+Reception ``i`` of a channel with seed ``s`` draws its noise from
 ``PCG64(SeedSequence([s, i]))``.  Building that SeedSequence and generator
 per reception costs tens of microseconds, yet the result is a pure
 function of ``(s, i)``: SeedSequence hashes its entropy words with 32-bit

@@ -34,6 +34,7 @@ from .attacker import (
     FloodPlan,
     PhantomPlan,
     compute_reply_delay,
+    phantom_address,
 )
 from .tcas import (
     DEFAULT_SURVEILLANCE_PERIOD_S,
@@ -140,9 +141,9 @@ def _check_altitude(where: str, altitude_ft: float) -> None:
         raise ScenarioError(f"{where}: field 'altitude_ft': {exc}") from None
 
 
-def _state(where: str, position: dict, velocity: dict | None) -> AircraftState:
+def _state(where: str, position: dict, velocity: dict) -> AircraftState:
+    """The state at a position and velocity; an empty velocity is at rest."""
     _check_keys(f"{where}.position", position, {"x_nmi", "y_nmi", "altitude_ft"})
-    velocity = velocity or {}
     _check_keys(f"{where}.velocity", velocity, {"vx_kt", "vy_kt", "vertical_rate_fpm"})
     try:
         return AircraftState(
@@ -311,7 +312,7 @@ def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
         raise ScenarioError(f"{where}: field 'squitter' must be a boolean")
     if "position" not in obj:
         raise ScenarioError(f"{where}: missing field 'position'")
-    state = _state(where, obj["position"], obj.get("velocity"))
+    state = _state(where, obj["position"], obj.get("velocity", {}))
     _check_altitude(f"{where}.position", state.altitude_ft)
     # scripted motion is linear, so its states at both ends bound the run
     try:
@@ -352,13 +353,17 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
         raise ScenarioError(f"{where}: unknown mission {mission!r}")
     if "position" not in obj:
         raise ScenarioError(f"{where}: missing field 'position'")
-    position = _state(where, obj["position"], None)
+    position = _state(where, obj["position"], {})
 
     target = None
     if mission == MISSION_PHANTOM:
         target = _icao(where, _string(where, obj, "target", required=True))
         if target not in {a.icao for a in aircraft}:
             raise ScenarioError(f"{where}: field 'target' names no aircraft in the scenario")
+        try:
+            phantom_address(target)
+        except SimError as exc:
+            raise ScenarioError(f"{where}: field 'target': {exc}") from None
     elif "target" in obj:
         raise ScenarioError(f"{where}: field 'target' only applies to the phantom mission")
 
@@ -443,8 +448,9 @@ def _check_plan_ranges(where: str, plan: PhantomPlan, duration_s: float) -> None
 
 def build_world(scenario: Scenario) -> tuple[World, dict]:
     """Instantiate and arm every entity; returns the world and a name index."""
-    channel = NoiselessChannel() if scenario.snr_db is None else AwgnChannel(scenario.snr_db)
-    world = World(channel=channel, seed=scenario.seed)
+    channel = (NoiselessChannel() if scenario.snr_db is None
+               else AwgnChannel(scenario.snr_db, scenario.seed))
+    world = World(channel=channel)
 
     entities: dict[str, object] = {}
     by_icao: dict[int, Aircraft] = {}

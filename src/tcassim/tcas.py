@@ -210,20 +210,15 @@ class TcasUnit:
             return "implausible_rtt"
         del self.pending[icao]
         track = self.tracks[icao]  # an address is pending only while tracked
-        rac = decoded.fields.get("rac", codec.RAC_NONE)
-        if rac != codec.RAC_NONE:
-            self._receive_rac(world, icao, rac)
+        self.receive_rac(world, icao, decoded.fields.get("rac", codec.RAC_NONE))
         self._range_update(world, track, rtt, decoded.altitude_ft)
         return "range_update"
 
-    def receive_coordination(self, world: World, sender: int, rac: int) -> None:
-        """Resolution complement carried by a long interrogation."""
-        if rac != codec.RAC_NONE:
-            self._receive_rac(world, sender, rac)
-
-    def _receive_rac(self, world: World, sender: int, rac: int) -> None:
+    def receive_rac(self, world: World, sender: int, rac: int) -> None:
+        """A resolution complement from ``sender``, carried by its long
+        interrogation or reply; RAC_NONE carries nothing."""
         track = self.tracks.get(sender)
-        if track is None:
+        if rac == codec.RAC_NONE or track is None:
             return
         if rac == track.received_rac:
             return
@@ -301,7 +296,7 @@ class TcasUnit:
             return
         if track.altitude_ft is None:
             return
-        own_alt = own.state_at(world.time_ns).altitude_ft
+        own_alt = own.position_at(world.time_ns)[2]
         dalt = abs(own_alt - track.altitude_ft)
         tau = track.tau_s
         if own.mode == MODE_TA_RA and adv is None and tau <= TAU_RA_S and dalt <= ALT_GATE_RA_FT:
@@ -394,7 +389,7 @@ class Aircraft:
 
     def on_timer(self, world: World, timer: str, data: dict) -> None:
         if timer == "squitter":
-            alt = self.state_at(world.time_ns).altitude_ft
+            alt = self.position_at(world.time_ns)[2]
             frame = codec.build_reply("extended_squitter", self.icao, altitude_ft=alt)
             world.schedule_transmit(world.time_ns, self, frame)
             world.schedule_timer(world.time_ns + NS_PER_S, self, "squitter")
@@ -425,7 +420,7 @@ class Aircraft:
         if data["generation"] != self._pilot_generation:
             return
         rate, limit = data["rate"], data["limit"]
-        alt = self.state_at(world.time_ns).altitude_ft
+        alt = self.position_at(world.time_ns)[2]
         if (rate < 0 and alt <= limit) or (rate > 0 and alt >= limit):
             world.record("pilot", self.name, "-", None, "already_compliant")
             return
@@ -438,14 +433,13 @@ class Aircraft:
 
     def level_off_now(self, world: World) -> None:
         self._pilot_generation += 1
-        if self.state_at(world.time_ns).vertical_rate_fpm != 0.0:
+        if self.segments[-1][1].vertical_rate_fpm != 0.0:
             self._set_motion(world, vertical_rate_fpm=0.0)
             world.record("pilot", self.name, "-", None, "level_off;cleared")
 
     # -- radio ------------------------------------------------------------------
 
-    def on_frame(self, world: World, frame: codec.ModeSFrame,
-                 rx_time_ns: int, tx_time_ns: int) -> str:
+    def on_frame(self, world: World, frame: codec.ModeSFrame, rx_time_ns: int) -> str:
         if frame.direction == codec.UPLINK:
             return self._on_interrogation(world, frame, rx_time_ns)
         if self.tcas is None:
@@ -462,7 +456,7 @@ class Aircraft:
         if recovered != overlay:
             return "not_addressed"
         decoded = codec.parse_frame(frame, expected_address=self.icao)
-        alt = self.state_at(rx_time_ns).altitude_ft
+        alt = self.position_at(rx_time_ns)[2]
         reply_time = rx_time_ns + TURNAROUND_NS
         if decoded.format_code == codec.UF_ALL_CALL:
             reply = codec.build_reply("all_call", self.icao)
@@ -474,8 +468,7 @@ class Aircraft:
             reply = codec.build_reply("surveillance_long", self.icao,
                                       altitude_ft=alt, rac=rac, ra_active=active)
             if self.tcas is not None:
-                self.tcas.receive_coordination(world, decoded.fields["sender"],
-                                               decoded.fields["rac"])
+                self.tcas.receive_rac(world, decoded.fields["sender"], decoded.fields["rac"])
         world.schedule_transmit(reply_time, self, reply)
         return "replied"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import math
 import random
 import tracemalloc
@@ -28,14 +29,11 @@ class Probe:
     inbox: list = field(default_factory=list)
     timers: list = field(default_factory=list)
 
-    def state_at(self, time_ns: int) -> airspace.AircraftState:
-        return airspace.step_kinematics(self.state0, (time_ns - self.t0_ns) / 1e9)
-
     def position_at(self, time_ns: int) -> airspace.Position:
         return airspace.position_after(self.state0, (time_ns - self.t0_ns) / 1e9)
 
-    def on_frame(self, world, frame, rx_time_ns, tx_time_ns) -> str:
-        self.inbox.append((frame, rx_time_ns, tx_time_ns))
+    def on_frame(self, world, frame, rx_time_ns) -> str:
+        self.inbox.append((frame, rx_time_ns))
         return "heard"
 
     def on_timer(self, world, timer, data) -> None:
@@ -60,9 +58,8 @@ class TestKinematics:
         assert (s2.vx_kt, s2.vy_kt, s2.vertical_rate_fpm) == (480.0, 0.0, -1500.0)
 
     def test_distance_uses_altitude(self):
-        a = _state(0.0, 0.0, 0.0)
-        b = _state(3.0, 0.0, 4.0 * airspace.FEET_PER_NMI)
-        assert airspace.distance_nmi(a, b) == pytest.approx(5.0)
+        assert airspace.separation_nmi((0.0, 0.0, 0.0),
+                                       (3.0, 0.0, 4.0 * airspace.FEET_PER_NMI)) == pytest.approx(5.0)
 
     def test_state_rejects_non_finite(self):
         with pytest.raises(airspace.SimError):
@@ -109,8 +106,30 @@ class TestKinematics:
            st.integers(0, 10**12))
     def test_attacker_position_is_its_state_position(self, xyz, t_ns):
         ground = attacker.Attacker("g", _state(*xyz), mission=attacker.MISSION_ALL_CALL_FLOOD)
-        s = ground.state_at(t_ns)
-        assert ground.position_at(t_ns) == (s.x_nmi, s.y_nmi, s.altitude_ft) == xyz
+        assert ground.position_at(t_ns) == xyz
+
+
+ENTITY_METHODS = ("position_at", "on_frame", "on_timer")
+
+
+class TestEntityProtocol:
+    """Every entity's methods take the parameters ``Entity`` declares."""
+
+    @staticmethod
+    def _parameters(fn) -> list:
+        return [(p.name, p.kind) for p in inspect.signature(fn).parameters.values()]
+
+    def test_protocol_declares_only_these_methods(self):
+        declared = [name for name, value in vars(airspace.Entity).items()
+                    if inspect.isfunction(value) and not name.startswith("__")]
+        assert declared == list(ENTITY_METHODS)
+
+    @pytest.mark.parametrize("method", ENTITY_METHODS)
+    @pytest.mark.parametrize("entity", [tcas.Aircraft, attacker.Attacker, Probe],
+                             ids=lambda cls: cls.__name__)
+    def test_implementer_matches_the_protocol(self, entity, method):
+        assert self._parameters(getattr(entity, method)) == \
+            self._parameters(getattr(airspace.Entity, method))
 
 
 class TestPropagation:
@@ -172,8 +191,7 @@ class TestFanOut:
         w = self._world_with(a, b)
         w.schedule_transmit(5_000, a, _squitter(0x000001))
         w.run_until(1_000_000)
-        frame, rx, tx = b.inbox[0]
-        assert tx == 5_000
+        frame, rx = b.inbox[0]
         assert rx == 5_000 + 123_552
         assert frame.to_hex() == _squitter(0x000001).to_hex()
 
@@ -207,8 +225,8 @@ class TestFanOut:
         w.schedule_transmit(0, a, _squitter(0x000001))
         w.schedule_transmit(60 * 10**9, a, _squitter(0x000001))
         w.run_until(120 * 10**9)
-        assert len(b.inbox) == 1
-        assert b.inbox[0][2] == 60 * 10**9
+        assert len(b.inbox) == 1  # heard from 94 nmi, after 8 nmi of closing each
+        assert b.inbox[0][1] == 60 * 10**9 + airspace.propagation_delay_ns(94.0)
 
     def test_conservation_transmits_vs_delivers(self):
         rng = random.Random(7)
@@ -222,10 +240,10 @@ class TestFanOut:
         w.run_until(10**9)
         for i, p in enumerate(probes):
             t_tx = i * 1_000_000
-            src_state = p.state_at(t_tx)
+            src_pos = p.position_at(t_tx)
             in_range = sum(
                 1 for q in probes
-                if q is not p and airspace.distance_nmi(src_state, q.state_at(t_tx)) <= 100.0
+                if q is not p and airspace.separation_nmi(src_pos, q.position_at(t_tx)) <= 100.0
             )
             got = sum(1 for r in w.log
                       if r.kind == "deliver" and r.source == p.name and r.time_ns >= t_tx
@@ -299,7 +317,7 @@ class TestJamming:
             w.schedule_transmit(t, a, _squitter(0x000001))
         w.run_until(10**9)
         assert len(b.inbox) == 2
-        heard_tx = sorted(tx for _, _, tx in b.inbox)
+        heard_tx = sorted(rx - airspace.propagation_delay_ns(5.0) for _, rx in b.inbox)
         assert heard_tx == [0, 3_000_000]
 
     def test_airtime_overlap_counts_as_jammed(self):
@@ -319,7 +337,7 @@ class TestDeterminism:
     def _run(self, seed):
         a = Probe("a", 0x000001, _state(0, 0, 10_000, vx=200))
         b = Probe("b", 0x000002, _state(8, 0, 11_000, vx=-200))
-        w = airspace.World(channel=airspace.AwgnChannel(12.0), seed=seed)
+        w = airspace.World(channel=airspace.AwgnChannel(12.0, seed))
         w.add_entity(a)
         w.add_entity(b)
         for k in range(40):
@@ -340,24 +358,24 @@ class TestAwgnChannel:
     def test_clean_snr_delivers_exact_frame_and_timestamp(self):
         a = Probe("a", 0x000001, _state(0, 0, 0))
         b = Probe("b", 0x000002, _state(1, 0, 0))
-        w = airspace.World(channel=airspace.AwgnChannel(30.0), seed=9)
+        w = airspace.World(channel=airspace.AwgnChannel(30.0, 9))
         w.add_entity(a)
         w.add_entity(b)
         w.schedule_transmit(0, a, _squitter(0x000001))
         uf = codec.build_interrogation("surveillance_short", 0x000001)
         w.schedule_transmit(10_000_000, b, uf, destination="000001")
         w.run_until(10**9)
-        frame, rx, _tx = b.inbox[0]
+        frame, rx = b.inbox[0]
         assert frame.to_hex() == _squitter(0x000001).to_hex()
         assert rx == 6178
-        frame_a, rx_a, _ = a.inbox[0]
+        frame_a, rx_a = a.inbox[0]
         assert frame_a.to_hex() == uf.to_hex()
         assert rx_a == 10_000_000 + 6178
 
     def test_hopeless_snr_drops_frames(self):
         a = Probe("a", 0x000001, _state(0, 0, 0))
         b = Probe("b", 0x000002, _state(1, 0, 0))
-        w = airspace.World(channel=airspace.AwgnChannel(-15.0), seed=9)
+        w = airspace.World(channel=airspace.AwgnChannel(-15.0, 9))
         w.add_entity(a)
         w.add_entity(b)
         for k in range(20):
@@ -563,7 +581,7 @@ class TestEventLog:
 class Faulty(Probe):
     """A probe whose handlers fail, as a buggy entity's would."""
 
-    def on_frame(self, world, frame, rx_time_ns, tx_time_ns) -> str:
+    def on_frame(self, world, frame, rx_time_ns) -> str:
         raise KeyError("no such track")
 
     def on_timer(self, world, timer, data) -> None:

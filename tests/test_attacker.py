@@ -142,7 +142,7 @@ class TestPhantomMission:
         assert len(recs) == 1
         rng = float(recs[0].outcome.split(";")[1].split("=")[1])
         t = recs[0].time_ns
-        true = airspace.distance_nmi(victim.state_at(t), ghost.state_at(t))
+        true = airspace.separation_nmi(victim.position_at(t), ghost.position_at(t))
         assert rng == pytest.approx(true, abs=0.05)
 
     def test_spoofed_ranges_follow_plan(self):

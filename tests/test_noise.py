@@ -68,16 +68,18 @@ def reference_receive(monkeypatch, snr_db, seed, index, frame, time_ns):
     with monkeypatch.context() as m:
         m.setattr(phy, "awgn", lambda samples, snr, _rng: real(samples, snr,
                                                                SeedSequence([seed, index])))
-        return airspace.AwgnChannel(snr_db).receive(airspace.World(seed=seed), frame, time_ns)
+        return airspace.AwgnChannel(snr_db, seed).receive(frame, time_ns)
 
 
 class TestAwgnChannelNoise:
     SNR_DB = 7.0  # marginal: some receptions drop or come back altered
 
-    def receptions(self, monkeypatch, channel, seed, count):
-        """``count`` receptions through ``channel`` in a new world, each with
-        the generator state it drew from and the noisy samples it made."""
-        world = airspace.World(channel=channel, seed=seed)
+    def receptions(self, monkeypatch, channels, count, start=0):
+        """Receptions ``start`` to ``start + count - 1`` of each channel,
+        the channels taking turns at each: what each returned, and the
+        generator state it drew from and the noisy samples it made, in call
+        order.  A channel's reception k receives ``FRAMES[k % len(FRAMES)]``
+        at ``1_000 * k`` ns."""
         real, drawn = phy.awgn, []
 
         def spy(samples, snr_db, rng):
@@ -87,15 +89,17 @@ class TestAwgnChannelNoise:
             return noisy
 
         monkeypatch.setattr(phy, "awgn", spy)
-        got = [channel.receive(world, FRAMES[k % len(FRAMES)], 1_000 * k) for k in range(count)]
+        got = [channel.receive(FRAMES[k % len(FRAMES)], 1_000 * k)
+               for k in range(start, start + count) for channel in channels]
         monkeypatch.setattr(phy, "awgn", real)
         return got, drawn
 
-    def check(self, monkeypatch, seed, got, drawn):
+    def check(self, monkeypatch, seed, got, drawn, start=0):
+        """One channel's receptions from ``start`` on equal the oracle's."""
         assert len(got) == len(drawn)
         altered = 0
-        for k, (received, (state, samples, noisy)) in enumerate(zip(got, drawn)):
-            index = k + 1  # a world's first noise index is 1
+        for k, (received, (state, samples, noisy)) in enumerate(zip(got, drawn), start=start):
+            index = k + 1  # a channel's first noise index is 1
             assert state == PCG64(SeedSequence([seed, index])).state
             want = phy.awgn(samples, self.SNR_DB, SeedSequence([seed, index]))
             assert noisy.tobytes() == want.tobytes()
@@ -105,22 +109,34 @@ class TestAwgnChannelNoise:
             altered += received is None or received[0] != frame
         return altered
 
-    def test_both_directions_across_blocks_and_worlds(self, monkeypatch):
+    def test_both_directions_across_blocks_and_seeds(self, monkeypatch):
         monkeypatch.setattr(airspace, "NOISE_BLOCK", 4)  # several blocks in a short run
-        channel = airspace.AwgnChannel(self.SNR_DB)
         altered = 0
-        # one channel, reused by a world of another seed that starts in the
-        # block the last world stopped in, then by the first seed again
-        for seed, count in ((3, 2), (2**40 + 7, 14), (3, 14)):
-            got, drawn = self.receptions(monkeypatch, channel, seed, count)
+        for seed in (3, 2**40 + 7):  # a one-word and a two-word seed
+            channel = airspace.AwgnChannel(self.SNR_DB, seed)
+            got, drawn = self.receptions(monkeypatch, [channel], 14)
             altered += self.check(monkeypatch, seed, got, drawn)
-        assert 0 < altered < 30  # the noise mattered, and not to every frame
+        assert 0 < altered < 28  # the noise mattered, and not to every frame
 
     def test_drawn_generator_is_reset(self, monkeypatch):
-        channel = airspace.AwgnChannel(self.SNR_DB)
-        self.receptions(monkeypatch, channel, 11, 2)
+        channel = airspace.AwgnChannel(self.SNR_DB, 11)
+        self.receptions(monkeypatch, [channel], 2)
         rng = channel._rng
         rng.integers(0, 1000, dtype=np.uint32)  # leaves half a 64-bit word buffered
         assert rng.bit_generator.state["has_uint32"] == 1
-        got, drawn = self.receptions(monkeypatch, channel, 11, 3)
-        self.check(monkeypatch, 11, got, drawn)
+        got, drawn = self.receptions(monkeypatch, [channel], 3, start=2)
+        self.check(monkeypatch, 11, got, drawn, start=2)  # noise indices 3, 4 and 5
+
+    def test_interleaved_channels_draw_what_each_draws_alone(self, monkeypatch):
+        monkeypatch.setattr(airspace, "NOISE_BLOCK", 4)
+        seeds = (3, 2**40 + 7)
+
+        def outcomes(got, drawn):
+            return got, [(state, noisy.tobytes()) for state, _, noisy in drawn]
+
+        alone = [outcomes(*self.receptions(
+                     monkeypatch, [airspace.AwgnChannel(self.SNR_DB, seed)], 10))
+                 for seed in seeds]
+        got, drawn = self.receptions(
+            monkeypatch, [airspace.AwgnChannel(self.SNR_DB, seed) for seed in seeds], 10)
+        assert [outcomes(got[i::2], drawn[i::2]) for i in (0, 1)] == alone

@@ -8,7 +8,7 @@ import pytest
 
 from tcassim import modes_codec as codec
 from tcassim import scenario as scen
-from tcassim.airspace import AwgnChannel, NoiselessChannel, distance_nmi
+from tcassim.airspace import AwgnChannel, NoiselessChannel, separation_nmi
 from tcassim.attacker import Attacker
 from tcassim.scenario import ScenarioError
 from tcassim.tcas import Aircraft
@@ -180,6 +180,15 @@ class TestValidation:
                      id="aircraft-name-not-ascii"),
         pytest.param(lambda d: d.update(attacker={**PHANTOM, "name": "g,h"}), "name",
                      id="attacker-name-with-comma"),
+        # a phantom takes the address just below its target's, and 000000 has none
+        pytest.param(lambda d: (d["aircraft"][0].update(icao="000000"),
+                                d.update(attacker={**PHANTOM, "target": "000000"})),
+                     "target", id="phantom-target-address-0"),
+        # only an absent velocity means at rest
+        *[pytest.param(lambda d, v=value: d["aircraft"][0].update(velocity=v), "velocity",
+                       id=f"velocity-{label}")
+          for label, value in (("empty-list", []), ("zero", 0), ("empty-string", ""),
+                               ("false", False), ("null", None))],
     ])
     def test_rejects_out_of_range_values(self, mutate, needle):
         doc = minimal_doc()
@@ -278,7 +287,7 @@ class TestBuildWorld:
         noisy = scen.load_scenario(minimal_doc(seed=5, channel={"kind": "awgn", "snr_db": 8}))
         world, _ = scen.build_world(noisy)
         assert isinstance(world.channel, AwgnChannel)
-        assert world.channel.snr_db == 8 and world.seed == 5
+        assert world.channel.snr_db == 8 and world.channel.seed == 5
 
     def test_attacker_wiring(self):
         s = scen.bundled_scenario("head_on_phantom")
@@ -301,5 +310,5 @@ class TestBuildWorld:
     def test_positions_respected(self):
         s = scen.bundled_scenario("head_on_phantom")
         world, entities = scen.build_world(s)
-        d = distance_nmi(entities["victim"].state_at(0), entities["intruder"].state_at(0))
+        d = separation_nmi(entities["victim"].position_at(0), entities["intruder"].position_at(0))
         assert d == pytest.approx((40.0 ** 2 + (1250.0 / 6076.115485564304) ** 2) ** 0.5)

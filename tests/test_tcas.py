@@ -44,8 +44,8 @@ def _trajectory(draw):
     return segs
 
 
-def _build_world(*aircraft, channel=None, seed=0):
-    w = airspace.World(channel=channel, seed=seed)
+def _build_world(*aircraft, channel=None):
+    w = airspace.World(channel=channel)
     for idx, ac in enumerate(aircraft):
         w.add_entity(ac)
         ac.start(w, phase_ns=idx * 37_000_000)
@@ -212,7 +212,7 @@ class TestCoordination:
         track = tcas.Track(0x000100, status="tracked", altitude_ft=9_400.0,
                            range_nmi=5.0, range_time_ns=0)
         unit.tracks[0x000100] = track
-        unit._receive_rac(w, 0x000100, codec.RAC_DO_NOT_PASS_ABOVE)
+        unit.receive_rac(w, 0x000100, codec.RAC_DO_NOT_PASS_ABOVE)
         track.rate_kt = -600.0  # tau = 30 s
         w.time_ns = airspace.NS_PER_S
         unit._evaluate(w, track)
@@ -231,7 +231,7 @@ class TestCoordination:
         w.time_ns = airspace.NS_PER_S
         unit._evaluate(w, track)
         assert unit.advisory.sense == tcas.CLIMB  # tie prefers climb
-        unit._receive_rac(w, 0x000100, codec.RAC_DO_NOT_PASS_ABOVE)
+        unit.receive_rac(w, 0x000100, codec.RAC_DO_NOT_PASS_ABOVE)
         assert unit.advisory.sense == tcas.DESCEND
         assert _tcas_outcomes(w, "a", "ra_reversal")
 
@@ -245,7 +245,7 @@ class TestCoordination:
         w.time_ns = airspace.NS_PER_S
         unit._evaluate(w, track)
         assert unit.advisory.sense == tcas.CLIMB
-        unit._receive_rac(w, 0x000200, codec.RAC_DO_NOT_PASS_ABOVE)
+        unit.receive_rac(w, 0x000200, codec.RAC_DO_NOT_PASS_ABOVE)
         assert unit.advisory.sense == tcas.CLIMB
         assert not _tcas_outcomes(w, "a", "ra_reversal")
 
@@ -258,7 +258,7 @@ class TestCoordination:
         unit.tracks[0x000100] = track
         w.time_ns = airspace.NS_PER_S
         unit._evaluate(w, track)
-        unit._receive_rac(w, 0x000100, codec.RAC_CONTRADICTORY)
+        unit.receive_rac(w, 0x000100, codec.RAC_CONTRADICTORY)
         assert unit.advisory.sense == tcas.CLIMB
 
     def test_relabeling_symmetry(self):
@@ -448,7 +448,7 @@ class TestEarlyRejection:
         want = _parse_first(a, frame)
         with pytest.MonkeyPatch.context() as mp:
             parses = _counting_parses(mp)
-            got = a.on_frame(w, frame, rx_ns, 0)
+            got = a.on_frame(w, frame, rx_ns)
         if want is None:
             assert got not in EARLY and parses[0] == 1
         else:
