@@ -139,11 +139,6 @@ class LogRecord(NamedTuple):
     def to_line(self) -> str:
         return _format_lines((self,))[:-1]
 
-    @classmethod
-    def from_line(cls, line: str) -> "LogRecord":
-        time_text, *fields = _split_line(line)
-        return cls(int(time_text), *fields)
-
 
 def _format_lines(records: Sequence[LogRecord]) -> str:
     """The records' log lines, each ending in a newline, or a SimError

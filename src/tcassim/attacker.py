@@ -336,10 +336,6 @@ class Attacker:
 
     # -- phantom ranging ---------------------------------------------------------------
 
-    def _reconstruct_tx_ns(self, rx_time_ns: int) -> int:
-        dist = self._target_distance_nmi(rx_time_ns)
-        return rx_time_ns - propagation_delay_ns(dist)
-
     def _note_interrogation(self, est_tx_ns: int) -> None:
         self._est_tx.append(est_tx_ns)
         if len(self._est_tx) > PERIOD_WINDOW + 1:
@@ -371,7 +367,8 @@ class Attacker:
                                  altitude_ft=self.plan.altitude_ft)
 
     def _handle_phantom_interrogation(self, world: World, rx_time_ns: int) -> str:
-        est_tx = self._reconstruct_tx_ns(rx_time_ns)
+        true_range = self._target_distance_nmi(rx_time_ns)
+        est_tx = rx_time_ns - propagation_delay_ns(true_range)
         if self._plan_t0_ns is None:
             self._plan_t0_ns = est_tx
         self._note_interrogation(est_tx)
@@ -388,7 +385,6 @@ class Attacker:
         if covered:
             self._predicted_for_ns = None
         else:
-            true_range = self._target_distance_nmi(rx_time_ns)
             try:
                 extra = compute_reply_delay(true_range, desired)
             except InfeasibleReply:
@@ -407,16 +403,14 @@ class Attacker:
         it would be too late to fake a close phantom."""
         desired = self._desired_range_nmi(next_tx_ns)
         arrival_guess = next_tx_ns + TURNAROUND_NS + 2 * propagation_delay_ns(desired)
+        dist = self._target_distance_nmi(arrival_guess)
         try:
-            compute_reply_delay(self._target_distance_nmi(arrival_guess), desired)
+            compute_reply_delay(dist, desired)
             return  # reaction will still work next round
         except InfeasibleReply:
             pass
-        except SimError:
-            return
         # the victim's clock fixes the required arrival instant; transmit
         # early enough that the wave covers the real distance by then
-        dist = self._target_distance_nmi(arrival_guess)
         tx_time = arrival_guess - propagation_delay_ns(dist)
         if tx_time <= world.time_ns:
             return

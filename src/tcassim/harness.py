@@ -104,7 +104,7 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
     grammar or the pinned report.
     """
     report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
-    labels: dict[str, set[str]] = {}  # hex -> labels it was transmitted under so far
+    broadcast: set[str] = set()  # hex transmitted to "*" so far
     current: dict[str, str] = {}  # hex -> the label a delivery of it takes now
     delivered: dict[tuple[str, str, str | None], int] = {}  # label None: lost
     label_of: dict[tuple[str, bool], str] = {}  # (hex, addressed) -> frame_label
@@ -128,9 +128,11 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
         elif kind == "transmit":
             report.transmit_outcomes[outcome] = report.transmit_outcomes.get(outcome, 0) + 1
             label = cached_label(frame_hex, destination)
-            seen = labels.setdefault(frame_hex, set())
-            seen.add(label)
-            current[frame_hex] = label if len(seen) == 1 else cached_label(frame_hex)
+            if destination == "*":
+                broadcast.add(frame_hex)
+            # once broadcast, a frame has its own label alone or two labels;
+            # either way a delivery takes its own
+            current[frame_hex] = cached_label(frame_hex) if frame_hex in broadcast else label
             if outcome == "sent":
                 report.frames_sent[label] = report.frames_sent.get(label, 0) + 1
         elif kind == "tcas":

@@ -2,10 +2,11 @@
 
 One :class:`Aircraft` couples four things onto the event fabric: linear
 kinematics, a transponder that answers interrogations after the fixed
-turnaround, a surveillance/threat unit, and a pilot model that flies the
-issued advisories after a reaction delay.
+turnaround, surveillance and threat logic, and a pilot model that flies the
+issued advisories after a reaction delay.  The aircraft holds its own track
+table and advisory, with no separate unit referring back to it.
 
-Ranging is round-trip timing: the unit remembers when it interrogated each
+Ranging is round-trip timing: the aircraft remembers when it interrogated each
 address and converts the first plausible reply into slant range.  Range
 rate is the finite difference of consecutive ranges; tau is range over
 closure.  Advisories use inclusive tau and altitude gates, and a resolution
@@ -16,7 +17,6 @@ consecutive updates.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 from . import modes_codec as codec
@@ -129,20 +129,52 @@ class PilotModel:
     rate_fpm: float = 1500.0
 
 
-class TcasUnit:
-    """Surveillance, threat detection, and advisory coordination for one aircraft."""
+class Aircraft:
+    """Transponder-equipped aircraft with optional collision avoidance.
 
-    def __init__(self, aircraft: "Aircraft"):
-        # weak, so an aircraft and its unit do not form a reference cycle
-        # that keeps a finished run alive until a full garbage collection
-        self._aircraft = weakref.ref(aircraft)
+    Its surveillance state is its own: ``tracks``, ``pending`` (address ->
+    interrogation time) and ``advisory``.  An unequipped aircraft keeps
+    them empty, so it broadcasts RAC_NONE and never has an RA active.
+    """
+
+    def __init__(self, name: str, icao: int, state: AircraftState, *,
+                 mode: str = MODE_TA_RA, pilot: PilotModel | None = None,
+                 squitter: bool = True,
+                 surveillance_period_s: float = DEFAULT_SURVEILLANCE_PERIOD_S):
+        codec.validate_icao(icao)
+        if mode not in MODES:
+            raise SimError(f"unknown equipment mode {mode!r}")
+        self.name = name
+        self.icao = icao
+        self.mode = mode
+        self.pilot = pilot or PilotModel()
+        self.squitter = squitter
+        self.surveillance_interval_ns = surveillance_interval_ns(surveillance_period_s)
+        # the trajectory as (start_ns, state) knots, each extrapolated
+        # linearly until the next; a manoeuvre appends one
+        self.segments: list[tuple[int, AircraftState]] = [(0, state)]
+        self.equipped = mode in (MODE_TA_ONLY, MODE_TA_RA)  # surveils and advises
         self.tracks: dict[int, Track] = {}
         self.pending: dict[int, int] = {}  # interrogated address -> tx time
         self.advisory: Advisory | None = None
+        self._pilot_generation = 0
 
-    @property
-    def aircraft(self) -> "Aircraft":
-        return self._aircraft()
+    # -- kinematics ----------------------------------------------------------
+
+    def state_at(self, time_ns: int) -> AircraftState:
+        t0_ns, state = self.segments[-1]
+        return step_kinematics(state, (time_ns - t0_ns) / NS_PER_S)
+
+    def position_at(self, time_ns: int) -> Position:
+        t0_ns, state = self.segments[-1]
+        return position_after(state, (time_ns - t0_ns) / NS_PER_S)
+
+    def _set_motion(self, world: World, *, vertical_rate_fpm: float,
+                    altitude_ft: float | None = None) -> None:
+        s = self.state_at(world.time_ns)
+        self.segments.append((world.time_ns, AircraftState(
+            s.x_nmi, s.y_nmi, s.altitude_ft if altitude_ft is None else altitude_ft,
+            s.vx_kt, s.vy_kt, vertical_rate_fpm)))
 
     # -- transponder-facing state -----------------------------------------
 
@@ -161,7 +193,6 @@ class TcasUnit:
     # -- surveillance cadence ----------------------------------------------
 
     def tick(self, world: World) -> None:
-        own = self.aircraft
         for icao in sorted(self.tracks):
             track = self.tracks[icao]
             if icao in self.pending:  # last round went unanswered
@@ -173,16 +204,16 @@ class TcasUnit:
             if track.status in ("ta", "ra"):
                 frame = codec.build_interrogation(
                     "surveillance_long", icao, rac=self.broadcast_rac(),
-                    ra_active=self.ra_active, sender=own.icao)
+                    ra_active=self.ra_active, sender=self.icao)
             else:
                 frame = codec.build_interrogation("surveillance_short", icao)
             self.pending[icao] = world.time_ns
-            world.schedule_transmit(world.time_ns, own, frame, destination=f"{icao:06x}")
+            world.schedule_transmit(world.time_ns, self, frame, destination=f"{icao:06x}")
 
     def _drop(self, world: World, track: Track, why: str) -> None:
         del self.tracks[track.icao]
         self.pending.pop(track.icao, None)
-        world.record("tcas", self.aircraft.name, f"{track.icao:06x}", None, f"track_drop;{why}")
+        world.record("tcas", self.name, f"{track.icao:06x}", None, f"track_drop;{why}")
         if self.advisory is not None and self.advisory.threat_icao == track.icao:
             self._clear_advisory(world, "track_lost")
 
@@ -197,7 +228,7 @@ class TcasUnit:
             if not decoded.parity.passed:
                 return "parity_drop"
             icao = decoded.fields["icao"]
-            if icao == self.aircraft.icao:
+            if icao == self.icao:
                 return "own_address"
             return self._acquire(world, icao, decoded.altitude_ft)
         # DF4/DF20: sealed with the address of the aircraft that replied
@@ -223,12 +254,12 @@ class TcasUnit:
         if rac == track.received_rac:
             return
         track.received_rac = rac
-        world.record("tcas", self.aircraft.name, f"{sender:06x}", None, f"rac_received;{rac}")
+        world.record("tcas", self.name, f"{sender:06x}", None, f"rac_received;{rac}")
         adv = self.advisory
         if adv is None or adv.threat_icao != sender or rac == codec.RAC_CONTRADICTORY:
             return
         required = self._comply_sense(rac)
-        if required != adv.sense and sender < self.aircraft.icao:
+        if required != adv.sense and sender < self.icao:
             # the lower address is the coordination master; follow it
             self._issue_advisory(world, track, required, reversal=True)
 
@@ -247,7 +278,7 @@ class TcasUnit:
         if len(self.tracks) >= TRACK_CAPACITY and not self._evict(world):
             return "table_full"
         self.tracks[icao] = Track(icao, altitude_ft=altitude_ft)
-        world.record("tcas", self.aircraft.name, f"{icao:06x}", None, "track_new")
+        world.record("tcas", self.name, f"{icao:06x}", None, "track_new")
         return "acquired"
 
     def _evict(self, world: World) -> bool:
@@ -277,12 +308,11 @@ class TcasUnit:
         if track.status == "acquiring":
             track.status = "tracked"
         rate_repr = "none" if track.rate_kt is None else f"{track.rate_kt:.3f}"
-        world.record("tcas", self.aircraft.name, f"{track.icao:06x}", None,
+        world.record("tcas", self.name, f"{track.icao:06x}", None,
                      f"range={rng:.6f};rate={rate_repr}")
         self._evaluate(world, track)
 
     def _evaluate(self, world: World, track: Track) -> None:
-        own = self.aircraft
         adv = self.advisory
         if adv is not None and adv.threat_icao == track.icao:
             # latched: only a sustained divergence clears it
@@ -296,10 +326,10 @@ class TcasUnit:
             return
         if track.altitude_ft is None:
             return
-        own_alt = own.position_at(world.time_ns)[2]
+        own_alt = self.position_at(world.time_ns)[2]
         dalt = abs(own_alt - track.altitude_ft)
         tau = track.tau_s
-        if own.mode == MODE_TA_RA and adv is None and tau <= TAU_RA_S and dalt <= ALT_GATE_RA_FT:
+        if self.mode == MODE_TA_RA and adv is None and tau <= TAU_RA_S and dalt <= ALT_GATE_RA_FT:
             if track.received_rac in (codec.RAC_DO_NOT_PASS_ABOVE, codec.RAC_DO_NOT_PASS_BELOW):
                 sense = self._comply_sense(track.received_rac)
             else:
@@ -309,13 +339,13 @@ class TcasUnit:
         elif tau <= TAU_TA_S and dalt <= ALT_GATE_TA_FT:
             if track.status not in ("ta", "ra"):
                 track.status = "ta"
-                world.record("tcas", own.name, f"{track.icao:06x}", None, "ta_issued")
+                world.record("tcas", self.name, f"{track.icao:06x}", None, "ta_issued")
         elif track.status == "ta":
             track.status = "tracked"
-            world.record("tcas", own.name, f"{track.icao:06x}", None, "ta_cleared")
+            world.record("tcas", self.name, f"{track.icao:06x}", None, "ta_cleared")
 
     def _issue_advisory(self, world: World, track: Track, sense: str, *, reversal: bool) -> None:
-        pilot_rate = self.aircraft.pilot.rate_fpm
+        pilot_rate = self.pilot.rate_fpm
         if sense == CLIMB:
             limit = track.altitude_ft + ALT_GATE_RA_FT
             rate = pilot_rate
@@ -325,56 +355,16 @@ class TcasUnit:
         self.advisory = Advisory(sense, rate, limit, track.icao, world.time_ns)
         track.divergence_streak = 0
         what = "ra_reversal" if reversal else "ra_issued"
-        world.record("tcas", self.aircraft.name, f"{track.icao:06x}", None,
+        world.record("tcas", self.name, f"{track.icao:06x}", None,
                      f"{what};{sense};limit={limit:.0f}")
-        self.aircraft.fly_advisory(world, self.advisory)
+        self.fly_advisory(world, self.advisory)
 
     def _clear_advisory(self, world: World, why: str) -> None:
         adv = self.advisory
         self.advisory = None
-        world.record("tcas", self.aircraft.name, f"{adv.threat_icao:06x}", None,
+        world.record("tcas", self.name, f"{adv.threat_icao:06x}", None,
                      f"ra_cleared;{why}")
-        self.aircraft.level_off_now(world)
-
-
-class Aircraft:
-    """Transponder-equipped aircraft with optional collision avoidance."""
-
-    def __init__(self, name: str, icao: int, state: AircraftState, *,
-                 mode: str = MODE_TA_RA, pilot: PilotModel | None = None,
-                 squitter: bool = True,
-                 surveillance_period_s: float = DEFAULT_SURVEILLANCE_PERIOD_S):
-        codec.validate_icao(icao)
-        if mode not in MODES:
-            raise SimError(f"unknown equipment mode {mode!r}")
-        self.name = name
-        self.icao = icao
-        self.mode = mode
-        self.pilot = pilot or PilotModel()
-        self.squitter = squitter
-        self.surveillance_interval_ns = surveillance_interval_ns(surveillance_period_s)
-        # the trajectory as (start_ns, state) knots, each extrapolated
-        # linearly until the next; a manoeuvre appends one
-        self.segments: list[tuple[int, AircraftState]] = [(0, state)]
-        self.tcas = TcasUnit(self) if mode in (MODE_TA_ONLY, MODE_TA_RA) else None
-        self._pilot_generation = 0
-
-    # -- kinematics ----------------------------------------------------------
-
-    def state_at(self, time_ns: int) -> AircraftState:
-        t0_ns, state = self.segments[-1]
-        return step_kinematics(state, (time_ns - t0_ns) / NS_PER_S)
-
-    def position_at(self, time_ns: int) -> Position:
-        t0_ns, state = self.segments[-1]
-        return position_after(state, (time_ns - t0_ns) / NS_PER_S)
-
-    def _set_motion(self, world: World, *, vertical_rate_fpm: float,
-                    altitude_ft: float | None = None) -> None:
-        s = self.state_at(world.time_ns)
-        self.segments.append((world.time_ns, AircraftState(
-            s.x_nmi, s.y_nmi, s.altitude_ft if altitude_ft is None else altitude_ft,
-            s.vx_kt, s.vy_kt, vertical_rate_fpm)))
+        self.level_off_now(world)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -382,7 +372,7 @@ class Aircraft:
         """Arm the periodic broadcasts; call once after registration."""
         if self.squitter and self.mode != MODE_STANDBY:
             world.schedule_timer(world.time_ns + phase_ns, self, "squitter")
-        if self.tcas is not None:
+        if self.equipped:
             world.schedule_timer(
                 world.time_ns + phase_ns + self.surveillance_interval_ns // 2,
                 self, "tick")
@@ -394,7 +384,7 @@ class Aircraft:
             world.schedule_transmit(world.time_ns, self, frame)
             world.schedule_timer(world.time_ns + NS_PER_S, self, "squitter")
         elif timer == "tick":
-            self.tcas.tick(world)
+            self.tick(world)
             world.schedule_timer(
                 world.time_ns + self.surveillance_interval_ns, self, "tick")
         elif timer == "pilot_engage":
@@ -442,9 +432,9 @@ class Aircraft:
     def on_frame(self, world: World, frame: codec.ModeSFrame, rx_time_ns: int) -> str:
         if frame.direction == codec.UPLINK:
             return self._on_interrogation(world, frame, rx_time_ns)
-        if self.tcas is None:
+        if not self.equipped:
             return "ignored"
-        return self.tcas.on_downlink(world, frame, rx_time_ns)
+        return self.on_downlink(world, frame, rx_time_ns)
 
     def _on_interrogation(self, world: World, frame: codec.ModeSFrame,
                           rx_time_ns: int) -> str:
@@ -463,12 +453,9 @@ class Aircraft:
         elif decoded.format_code == codec.UF_SURVEILLANCE_SHORT:
             reply = codec.build_reply("surveillance_short", self.icao, altitude_ft=alt)
         else:  # long surveillance: reply carries our advisory state back
-            rac = self.tcas.broadcast_rac() if self.tcas else codec.RAC_NONE
-            active = self.tcas.ra_active if self.tcas else False
-            reply = codec.build_reply("surveillance_long", self.icao,
-                                      altitude_ft=alt, rac=rac, ra_active=active)
-            if self.tcas is not None:
-                self.tcas.receive_rac(world, decoded.fields["sender"], decoded.fields["rac"])
+            reply = codec.build_reply("surveillance_long", self.icao, altitude_ft=alt,
+                                      rac=self.broadcast_rac(), ra_active=self.ra_active)
+            self.receive_rac(world, decoded.fields["sender"], decoded.fields["rac"])
         world.schedule_transmit(reply_time, self, reply)
         return "replied"
 

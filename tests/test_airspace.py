@@ -480,15 +480,6 @@ class TestEventLog:
         with pytest.raises(airspace.SimError):
             rec.to_line()
 
-    def test_malformed_line_rejected(self):
-        with pytest.raises(airspace.SimError):
-            airspace.LogRecord.from_line("1,2,3")
-
-    @pytest.mark.parametrize("line", ["0,timer,a,-,-", "0,timer,a,-,-,tick,extra"])
-    def test_line_needs_exactly_six_fields(self, line):
-        with pytest.raises(airspace.SimError):
-            airspace.LogRecord.from_line(line)
-
     def test_repeated_tails_read_back_sharing_their_strings(self, tmp_path):
         frames = ["8d4840d6202cc371c32ce0576098", "02e197b00179c3", "5d4840d6a1b2c3"]
         records = [airspace.LogRecord(1_000 * t, "deliver", "north", f"south{t % 2}",
@@ -503,7 +494,7 @@ class TestEventLog:
                 assert getattr(rec, name) is getattr(twin, name)
         assert back[0].frame_hex is not back[1].frame_hex
 
-    @pytest.mark.parametrize("line", ["5,timer,a,-,-", "5,timer,a,-,-,tick,extra"])
+    @pytest.mark.parametrize("line", ["5,timer,a,-,-", "5,timer,a,-,-,tick,extra", "1,2,3"])
     def test_file_line_needs_exactly_six_fields(self, tmp_path, line):
         path = tmp_path / "events.log"
         path.write_text(f"1,timer,a,-,-,tick\n{line}\n")
@@ -559,8 +550,10 @@ class TestEventLog:
             bad.to_line()
         assert repr(line) in str(info.value)
 
-    def test_record_unpacks_to_its_six_fields_in_line_order(self):
-        rec = airspace.LogRecord.from_line("7,deliver,a,b,8d4840d6,known")
+    def test_record_unpacks_to_its_six_fields_in_line_order(self, tmp_path):
+        path = tmp_path / "events.log"
+        path.write_text("7,deliver,a,b,8d4840d6,known\n")
+        [rec] = airspace.read_event_log(path)
         assert tuple(rec) == (7, "deliver", "a", "b", "8d4840d6", "known")
 
     def test_read_back_records_are_log_records(self, tmp_path):
@@ -571,8 +564,7 @@ class TestEventLog:
         assert back[1].time_ns == 2 and back[1].outcome == "tick"
 
     def test_records_are_slotted_and_frozen(self):
-        rec = airspace.LogRecord.from_line("7,timer,a,-,-,tick\n")
-        assert rec == airspace.LogRecord(7, "timer", "a", "-", "-", "tick")
+        rec = airspace.LogRecord(7, "timer", "a", "-", "-", "tick")
         assert not hasattr(rec, "__dict__")
         with pytest.raises(AttributeError):
             rec.outcome = "tock"

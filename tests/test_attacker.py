@@ -118,7 +118,7 @@ class TestPhantomMission:
 
     def test_victim_tracks_phantom_and_descends(self):
         w, victim, ghost = self._run(60)
-        assert PHANTOM in victim.tcas.tracks
+        assert PHANTOM in victim.tracks
         ra = [r for r in w.log if r.kind == "tcas" and r.source == "victim"
               and r.outcome.startswith("ra_issued")]
         assert len(ra) == 1
@@ -177,7 +177,7 @@ class TestPhantomMission:
         w, victim, ghost = self._run(120)
         # the advisory must stay latched: no clear, phantom track alive
         assert not [r for r in w.log if r.outcome.startswith("ra_cleared")]
-        assert victim.tcas.advisory is not None
+        assert victim.advisory is not None
         state = victim.state_at(w.time_ns)
         assert state.altitude_ft == 40_800.0
         assert state.vertical_rate_fpm == 0.0
@@ -264,13 +264,13 @@ class TestSquitterFlood:
         assert peak == tcas.TRACK_CAPACITY
         # once the flood stops, the fabricated tracks miss out and the
         # real target is re-acquired
-        assert 0x0ABCDE in victim.tcas.tracks
-        assert len(victim.tcas.tracks) < tcas.TRACK_CAPACITY
+        assert 0x0ABCDE in victim.tracks
+        assert len(victim.tracks) < tcas.TRACK_CAPACITY
 
     def test_control_run_keeps_real_track(self):
         w, victim = self._run(flood=False)
         assert not [r for r in w.log if r.outcome.startswith("track_drop")]
-        assert 0x0ABCDE in victim.tcas.tracks
+        assert 0x0ABCDE in victim.tracks
 
     def test_flood_addresses_never_repeat(self):
         w, victim = self._run(flood=True)

@@ -4,10 +4,12 @@ consistency, loss sweeps, and risk-table plumbing."""
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import math
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -454,3 +456,32 @@ class TestFuzzedScenarios:
         assert back == result.records
         again = harness.metrics_from_log(back, scenario)
         assert again.to_json() == result.report.to_json()
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bundled_logs_stay_within_the_benchmark_vocabulary(monkeypatch):
+    """The benchmark counts log records by kind and deliveries by outcome,
+    each under its own name; one it does not list would only read 0."""
+    for name in ("tracing", "workloads"):  # imported by run.py, dropped afterwards
+        monkeypatch.setitem(sys.modules, name, _load_bench_module(name))
+    run = _load_bench_module("run")
+    kinds, outcomes = set(), set()
+    for name in scen.bundled_scenario_names():
+        scenario = scen.bundled_scenario(name)
+        for variant in (scenario, scenario.without_attacker()):
+            for rec in harness.simulate(variant).records:
+                kinds.add(rec.kind)
+                if rec.kind == "deliver":
+                    outcomes.add(rec.outcome)
+    assert "deliver" in kinds
+    assert kinds <= set(run.RECORD_KINDS)
+    assert outcomes <= set(run.DELIVER_OUTCOMES)

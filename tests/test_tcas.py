@@ -129,14 +129,14 @@ class TestSurveillance:
             0x000200, start_ns=5 * airspace.NS_PER_S, end_ns=10 * airspace.NS_PER_S))
         w.run_until(30 * airspace.NS_PER_S)
         assert not _tcas_outcomes(w, "a", "track_drop")
-        assert 0x000200 in a.tcas.tracks
+        assert 0x000200 in a.tracks
 
     def test_standby_aircraft_is_invisible_to_ranging(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=10_000)
         b = _aircraft("b", 0x000200, x=5.0, alt=10_000, mode=tcas.MODE_STANDBY)
         w = _build_world(a, b)
         w.run_until(20 * airspace.NS_PER_S)
-        assert a.tcas.tracks == {}
+        assert a.tracks == {}
         assert not [r for r in w.log if r.kind == "transmit" and r.source == "b"]
 
 
@@ -208,58 +208,69 @@ class TestCoordination:
         even against the altitude-based preference."""
         a = _aircraft("a", 0x000200, x=0.0, alt=10_000)
         w = _build_world(a)
-        unit = a.tcas
         track = tcas.Track(0x000100, status="tracked", altitude_ft=9_400.0,
                            range_nmi=5.0, range_time_ns=0)
-        unit.tracks[0x000100] = track
-        unit.receive_rac(w, 0x000100, codec.RAC_DO_NOT_PASS_ABOVE)
+        a.tracks[0x000100] = track
+        a.receive_rac(w, 0x000100, codec.RAC_DO_NOT_PASS_ABOVE)
         track.rate_kt = -600.0  # tau = 30 s
         w.time_ns = airspace.NS_PER_S
-        unit._evaluate(w, track)
-        assert unit.advisory is not None
+        a._evaluate(w, track)
+        assert a.advisory is not None
         # altitude preference says climb (own 10,000 over 9,400); RAC says descend
-        assert unit.advisory.sense == tcas.DESCEND
-        assert unit.advisory.limit_alt_ft == 9_400.0 - 600.0
+        assert a.advisory.sense == tcas.DESCEND
+        assert a.advisory.limit_alt_ft == 9_400.0 - 600.0
 
     def test_lower_address_wins_reversal(self):
         a = _aircraft("a", 0x000200, x=0.0, alt=10_000)
         w = _build_world(a)
-        unit = a.tcas
         track = tcas.Track(0x000100, status="tracked", altitude_ft=10_000.0,
                            range_nmi=5.0, range_time_ns=0, rate_kt=-600.0)
-        unit.tracks[0x000100] = track
+        a.tracks[0x000100] = track
         w.time_ns = airspace.NS_PER_S
-        unit._evaluate(w, track)
-        assert unit.advisory.sense == tcas.CLIMB  # tie prefers climb
-        unit.receive_rac(w, 0x000100, codec.RAC_DO_NOT_PASS_ABOVE)
-        assert unit.advisory.sense == tcas.DESCEND
+        a._evaluate(w, track)
+        assert a.advisory.sense == tcas.CLIMB  # tie prefers climb
+        a.receive_rac(w, 0x000100, codec.RAC_DO_NOT_PASS_ABOVE)
+        assert a.advisory.sense == tcas.DESCEND
         assert _tcas_outcomes(w, "a", "ra_reversal")
 
     def test_higher_address_ignores_contradiction(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=10_000)
         w = _build_world(a)
-        unit = a.tcas
         track = tcas.Track(0x000200, status="tracked", altitude_ft=10_000.0,
                            range_nmi=5.0, range_time_ns=0, rate_kt=-600.0)
-        unit.tracks[0x000200] = track
+        a.tracks[0x000200] = track
         w.time_ns = airspace.NS_PER_S
-        unit._evaluate(w, track)
-        assert unit.advisory.sense == tcas.CLIMB
-        unit.receive_rac(w, 0x000200, codec.RAC_DO_NOT_PASS_ABOVE)
-        assert unit.advisory.sense == tcas.CLIMB
+        a._evaluate(w, track)
+        assert a.advisory.sense == tcas.CLIMB
+        a.receive_rac(w, 0x000200, codec.RAC_DO_NOT_PASS_ABOVE)
+        assert a.advisory.sense == tcas.CLIMB
         assert not _tcas_outcomes(w, "a", "ra_reversal")
 
     def test_contradictory_restriction_never_steers(self):
         a = _aircraft("a", 0x000200, x=0.0, alt=10_000)
         w = _build_world(a)
-        unit = a.tcas
         track = tcas.Track(0x000100, status="tracked", altitude_ft=10_000.0,
                            range_nmi=5.0, range_time_ns=0, rate_kt=-600.0)
-        unit.tracks[0x000100] = track
+        a.tracks[0x000100] = track
         w.time_ns = airspace.NS_PER_S
-        unit._evaluate(w, track)
-        unit.receive_rac(w, 0x000100, codec.RAC_CONTRADICTORY)
-        assert unit.advisory.sense == tcas.CLIMB
+        a._evaluate(w, track)
+        a.receive_rac(w, 0x000100, codec.RAC_CONTRADICTORY)
+        assert a.advisory.sense == tcas.CLIMB
+
+    def test_unequipped_aircraft_holds_no_advisory_state(self):
+        a = _aircraft("a", 0x000200, x=0.0, alt=10_000, mode=tcas.MODE_XPDR, squitter=False)
+        w = _build_world(a)
+        uf20 = codec.build_interrogation("surveillance_long", 0x000200, sender=0x000100,
+                                         rac=codec.RAC_DO_NOT_PASS_ABOVE, ra_active=True)
+        assert a.on_frame(w, uf20, 0) == "replied"
+        w.run_until(airspace.NS_PER_S)
+        [reply] = [r for r in w.log if r.kind == "transmit" and r.source == "a"]
+        decoded = codec.parse_frame(codec.ModeSFrame.from_hex(reply.frame_hex, codec.DOWNLINK))
+        assert decoded.format_code == codec.DF_SURVEILLANCE_LONG
+        assert decoded.fields["rac"] == codec.RAC_NONE
+        assert decoded.fields["ra_active"] == 0
+        assert not _tcas_outcomes(w, "a", "rac_received")
+        assert a.tracks == {}
 
     def test_relabeling_symmetry(self):
         """Swapping which airframe is 'a' must swap the senses, not the outcome."""
@@ -282,7 +293,7 @@ class TestTrackTable:
     def _unit(self):
         a = _aircraft("a", 0x0FFFFF, x=0.0, alt=10_000)
         w = _build_world(a)
-        return w, a.tcas
+        return w, a
 
     def _squit(self, icao, alt=10_000):
         return codec.build_reply("extended_squitter", icao, altitude_ft=alt)
@@ -346,18 +357,18 @@ class TestTrackTable:
         assert unit.on_downlink(w, reply, 200_000) == "unmatched_reply"
 
     def test_finished_run_does_not_keep_its_aircraft_alive(self):
-        # an aircraft and its unit must be freed by reference counting alone,
-        # or every finished run's tracks live until a full garbage collection
+        # an aircraft must be freed by reference counting alone, or every
+        # finished run's tracks live until a full garbage collection
         a = _aircraft("a", 0x000001, x=0.0, alt=10_000, vx=300.0)
         b = _aircraft("b", 0x000002, x=3.0, alt=10_300, vx=-300.0)
         w = _build_world(a, b)
         w.run_until(5 * 10**9)
-        assert a.tcas.tracks and b.tcas.tracks
-        refs = [weakref.ref(obj) for obj in (a, b, a.tcas, b.tcas)]
+        assert a.tracks and b.tracks
+        refs = [weakref.ref(a), weakref.ref(b)]
         gc.disable()
         try:
             del w, a, b
-            assert [ref() for ref in refs] == [None] * 4
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
@@ -397,13 +408,13 @@ def _parse_first(aircraft, frame):
         if decoded.kind == "unknown":
             return "unsupported"
         return None if decoded.parity.passed else "not_addressed"
-    if aircraft.tcas is None:
+    if aircraft.mode not in (tcas.MODE_TA_ONLY, tcas.MODE_TA_RA):
         return "ignored"
     decoded = codec.parse_frame(frame)
     if decoded.kind == "unknown":
         return "unsupported"
     if (decoded.format_code in (codec.DF_SURVEILLANCE_SHORT, codec.DF_SURVEILLANCE_LONG)
-            and decoded.parity.recovered_address not in aircraft.tcas.pending):
+            and decoded.parity.recovered_address not in aircraft.pending):
         return "unmatched_reply"
     return None
 
@@ -441,10 +452,10 @@ class TestEarlyRejection:
     def test_early_outcomes_match_a_parse_first_oracle(self, frame, icao, mode, pending, rx_ns):
         a = _aircraft("a", icao, x=0.0, alt=10_000, mode=mode)
         w = _build_world(a)
-        if a.tcas is not None:
+        if a.equipped:
             for address in sorted(pending):  # an address is pending only while tracked
-                a.tcas.tracks[address] = tcas.Track(address, status="tracked", altitude_ft=10_000)
-                a.tcas.pending[address] = 0
+                a.tracks[address] = tcas.Track(address, status="tracked", altitude_ft=10_000)
+                a.pending[address] = 0
         want = _parse_first(a, frame)
         with pytest.MonkeyPatch.context() as mp:
             parses = _counting_parses(mp)
@@ -479,7 +490,7 @@ class TestEarlyRejection:
             def run(world, *args):
                 handler(world, *args)
                 for entity in world.entities:
-                    assert entity.tcas.pending.keys() <= entity.tcas.tracks.keys()
+                    assert entity.pending.keys() <= entity.tracks.keys()
             return run
 
         for name in ("_do_timer", "_do_transmit", "_do_deliver"):
@@ -495,7 +506,7 @@ class TestPilot:
         a = _aircraft("a", 0x000100, x=0.0, alt=42_000)
         w = _build_world(a)
         adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999, w.time_ns)
-        a.tcas.advisory = adv
+        a.advisory = adv
         a.fly_advisory(w, adv)
         w.run_until(4 * airspace.NS_PER_S)
         assert a.state_at(w.time_ns).vertical_rate_fpm == 0.0
