@@ -140,6 +140,59 @@ class LogRecord(NamedTuple):
         return _format_lines((self,))[:-1]
 
 
+# -- log grammar -----------------------------------------------------------
+# A timer logs its name, a delivery the receiver's own word and a transmit
+# "sent" or "jammed"; the kinds in NOTES log ``name;arg;...;key=value`` notes.
+NOTES = {"tcas": ("track_new", "track_drop", "rac_received", "range", "ta_issued", "ta_cleared",
+                  "ra_issued", "ra_reversal", "ra_cleared"),
+         "pilot": ("engage", "level_off", "already_compliant"),
+         "attack": ("phase", "recon", "evidence", "bait_timeout", "period_unstable",
+                    "reactive_infeasible", "predictive_armed", "flood_complete"),
+         "nmac": ("window",)}
+KINDS = ("timer", "transmit", "deliver", *NOTES)
+LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed a delivery
+# what the report reads from a note, checked as the log is read
+_NOTE_READS = {"range": lambda n: float(n.params["range"]),
+               "window": lambda n: int(n.params["until"]), "phase": lambda n: n.args[0]}
+
+
+class Note(NamedTuple):
+    name: str
+    args: tuple[str, ...]
+    params: dict[str, str]
+
+
+def note(name: str, *args, **params) -> str:
+    """``name;arg;...;key=value``; a note with no args whose first parameter
+    bears its name starts with that parameter: ``range=...;rate=...``."""
+    fields = [*map(str, args), *(f"{key}={value}" for key, value in params.items())]
+    if args or next(iter(params), None) != name:
+        fields.insert(0, name)
+    return ";".join(fields)
+
+
+def parse_note(text: str) -> Note:
+    """The name, args and parameters of a note that ``note`` wrote."""
+    fields = text.split(";")
+    name, eq, _ = fields[0].partition("=")
+    rest = fields if eq else fields[1:]
+    return Note(name, tuple(f for f in rest if "=" not in f),
+                dict(f.split("=", 1) for f in rest if "=" in f))
+
+
+def _loggable(kind: str, outcome: str) -> bool:
+    """Whether the log grammar lets a record of ``kind`` carry ``outcome``."""
+    if kind not in NOTES:
+        return kind in KINDS and (kind != "transmit" or outcome in ("sent", "jammed"))
+    parsed = parse_note(outcome)
+    try:
+        if parsed.name in _NOTE_READS:
+            _NOTE_READS[parsed.name](parsed)
+    except (KeyError, IndexError, ValueError):
+        return False
+    return parsed.name in NOTES[kind]
+
+
 def _format_lines(records: Sequence[LogRecord]) -> str:
     """The records' log lines, each ending in a newline, or a SimError
     naming the first line whose fields hold a comma."""
@@ -153,12 +206,14 @@ def _format_lines(records: Sequence[LogRecord]) -> str:
     return text
 
 
-def _split_line(line: str) -> list[str]:
-    """The six field texts of a log line, or a SimError naming the line."""
-    parts = line.rstrip("\n").split(",")
-    if len(parts) != 6:
-        raise SimError(f"malformed log line: {line!r}")
-    return parts
+def _split_line(line: str) -> tuple[str, ...]:
+    """The five fields after a log line's time, or a SimError naming the
+    line when it has not six fields or breaks the log grammar."""
+    text = line.rstrip("\n")
+    parts = text.split(",")
+    if len(parts) != 6 or not _loggable(parts[1], parts[5]):
+        raise SimError(f"malformed log line: {text!r}")
+    return tuple(parts[1:])
 
 
 def write_event_log(path, records: list[LogRecord]) -> None:
@@ -174,7 +229,10 @@ def read_event_log(path) -> list[LogRecord]:
 
     Lines that repeat everything after the time (a periodic timer, the
     copies of one frame heard alike) share one tuple of field strings, so
-    the records take about the memory the run's own did.
+    the records take about the memory the run's own did.  Each new tail is
+    checked against the log grammar once: an unknown kind, a transmit neither
+    sent nor jammed, a note its kind does not log, or a note without what the
+    report reads from it makes a malformed line.
     """
     fields_by_tail: dict[str, tuple[str, ...]] = {}
     records = []
@@ -187,7 +245,7 @@ def read_event_log(path) -> list[LogRecord]:
             if fields is None:  # a blank line's tail is empty, which no cached line has
                 if not line.strip():
                     continue
-                fields = fields_by_tail[tail] = tuple(_split_line(line)[1:])
+                fields = fields_by_tail[tail] = _split_line(line)
             append(new(LogRecord, (int(time_text), *fields)))
     return records
 

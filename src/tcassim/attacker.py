@@ -37,6 +37,7 @@ from .airspace import (
     Position,
     SimError,
     World,
+    note,
     propagation_delay_ns,
     separation_nmi,
 )
@@ -182,13 +183,14 @@ class Attacker:
     def start(self, world: World, phase_ns: int = 0) -> None:
         now = world.time_ns + phase_ns
         if self.mission == MISSION_PHANTOM:
-            world.record("attack", self.name, f"{self.target_icao:06x}", None, "phase;recon")
+            world.record("attack", self.name, f"{self.target_icao:06x}", None,
+                         note("phase", "recon"))
             world.schedule_timer(now, self, "recon")
             if self.intel_target is not None:
                 world.schedule_timer(now, self, "intel")
         else:
             self._flood_until_ns = now + round(self.flood.duration_s * NS_PER_S)
-            world.record("attack", self.name, "*", None, f"phase;{self.mission}")
+            world.record("attack", self.name, "*", None, note("phase", self.mission))
             world.schedule_timer(now, self, "flood")
 
     def on_timer(self, world: World, timer: str, data: dict) -> None:
@@ -218,13 +220,13 @@ class Attacker:
 
     # -- phase machine ---------------------------------------------------------
 
-    def _enter(self, world: World, phase: str, note: str | None = None) -> None:
+    def _enter(self, world: World, phase: str, detail: str | None = None) -> None:
         if PHASES.index(phase) <= PHASES.index(self.phase):
             return
         self.phase = phase
-        world.record("attack", self.name, f"{self.target_icao:06x}", None, f"phase;{phase}")
-        if note:
-            world.record("attack", self.name, f"{self.target_icao:06x}", None, note)
+        world.record("attack", self.name, f"{self.target_icao:06x}", None, note("phase", phase))
+        if detail:
+            world.record("attack", self.name, f"{self.target_icao:06x}", None, detail)
         if phase == "baiting":
             world.schedule_timer(world.time_ns, self, "bait")
             world.schedule_timer(
@@ -253,8 +255,7 @@ class Attacker:
     def _timer_bait_check(self, world: World, data: dict) -> None:
         if self.phase == "baiting":
             world.record("attack", self.name, f"{self.target_icao:06x}", None, "bait_timeout")
-            self.phase = "done"
-            world.record("attack", self.name, f"{self.target_icao:06x}", None, "phase;done")
+            self._enter(world, "done")
 
     # -- evidence probing ----------------------------------------------------------
 
@@ -300,7 +301,7 @@ class Attacker:
         self._last_uplink_code = decoded.format_code
         self._enter(world, "tracking")
         if decoded.fields.get("ra_active") and self.phase == "threat_declared":
-            self._enter(world, "done", note="evidence;target_ra_active")
+            self._enter(world, "done", detail=note("evidence", "target_ra_active"))
         return self._handle_phantom_interrogation(world, rx_time_ns)
 
     def _on_downlink(self, world: World, frame: codec.ModeSFrame, rx_time_ns: int) -> str:
@@ -325,11 +326,11 @@ class Attacker:
                 rng = rtt_to_range_nmi(rx_time_ns - self._recon_pending_ns)
                 self._recon_pending_ns = None
                 self._enter(world, "baiting",
-                            note=f"recon;range={rng:.3f};alt={decoded.altitude_ft}")
+                            detail=note("recon", range=f"{rng:.3f}", alt=decoded.altitude_ft))
                 return "target_measured"
             if code == codec.DF_SURVEILLANCE_LONG and decoded.fields["ra_active"]:
                 if self.phase == "threat_declared":
-                    self._enter(world, "done", note="evidence;target_ra_active")
+                    self._enter(world, "done", detail=note("evidence", "target_ra_active"))
                 return "evidence"
             return "observed"
         return "observed"
@@ -417,4 +418,4 @@ class Attacker:
         world.schedule_transmit(tx_time, self, self._spoof_frame())
         self._predicted_for_ns = next_tx_ns
         world.record("attack", self.name, f"{self.target_icao:06x}", None,
-                     f"predictive_armed;tx={tx_time}")
+                     note("predictive_armed", tx=tx_time))

@@ -29,8 +29,6 @@ def _resolve_scenario(ref: str, seed: int | None) -> scen.Scenario:
             f"{ref!r} is neither a scenario file nor a bundled name "
             f"({', '.join(scen.bundled_scenario_names())})")
     if seed is not None:
-        if seed < 0:
-            raise scen.ScenarioError("scenario: field 'seed' must be a non-negative integer")
         loaded = replace(loaded, seed=seed)
     return loaded
 

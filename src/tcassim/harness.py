@@ -24,12 +24,11 @@ import numpy as np
 
 from . import fta
 from . import modes_codec as codec
-from .airspace import NS_PER_S, AwgnChannel, LogRecord, NoiselessChannel
+from .airspace import (LOSS_OUTCOMES, NS_PER_S, AwgnChannel, LogRecord, NoiselessChannel,
+                       note, parse_note)
 from .attacker import MISSION_PHANTOM, PhantomPlan, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
-
-LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed it
 
 
 # -- frame classification ---------------------------------------------------------
@@ -89,6 +88,8 @@ class MetricsReport:
 
 def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsReport:
     """Distill the report; everything here re-derives from the log lines.
+    Notes are read with ``airspace.parse_note``, the one reader of their
+    ``name;arg;...;key=value`` syntax.
 
     A delivery takes the label its frame was transmitted under in the
     records before it, or its own label when there is none or more than
@@ -136,22 +137,25 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
             if outcome == "sent":
                 report.frames_sent[label] = report.frames_sent.get(label, 0) + 1
         elif kind == "tcas":
-            if outcome.startswith("range="):
+            parsed = parse_note(outcome)
+            if parsed.name == "range":
                 key = f"{source}>{destination}"
                 report.rounds_per_track[key] = report.rounds_per_track.get(key, 0) + 1
-                rng = float(outcome.split(";")[0].split("=")[1])
+                rng = float(parsed.params["range"])
                 report.range_series.setdefault(key, []).append([time_ns, rng])
-            elif outcome.startswith(("track_new", "track_drop")):
+            elif parsed.name in ("track_new", "track_drop"):
                 report.track_events.append([time_ns, source, destination, outcome])
-            elif outcome.startswith(("ta_", "ra_")):
+            elif parsed.name in ("ta_issued", "ta_cleared", "ra_issued", "ra_reversal",
+                                 "ra_cleared"):
                 report.advisories.append([time_ns, source, destination, outcome])
         elif kind == "attack":
-            if outcome.startswith("phase;"):
-                report.attack_phases.append([time_ns, outcome.split(";", 1)[1]])
+            parsed = parse_note(outcome)
+            if parsed.name == "phase":
+                report.attack_phases.append([time_ns, parsed.args[0]])
             else:
                 report.attack_notes.append([time_ns, outcome])
         elif kind == "nmac":
-            until = int(outcome.split("until=")[1])
+            until = int(parse_note(outcome).params["until"])
             report.nmac_windows.append([source, destination, time_ns, until])
 
     for (source, destination, label), n in delivered.items():
@@ -215,7 +219,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
                                      entities[name_b].segments, scenario.duration_ns)
             for on_ns, off_ns in windows:
                 records.append(LogRecord(on_ns, "nmac", name_a, name_b, "-",
-                                         f"window;until={off_ns}"))
+                                         note("window", until=off_ns)))
     records.sort(key=itemgetter(0))  # stable: equal times keep log order
     return SimulationResult(scenario, records, metrics_from_log(records, scenario))
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modes_codec import LONG_FRAME_BITS, SHORT_FRAME_BITS
+
 PPM_PREAMBLE = np.array([1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0], dtype=np.float64)
 PPM_PREAMBLE.flags.writeable = False  # also the reply detection template
 PPM_PREAMBLE_NORM = float(np.linalg.norm(PPM_PREAMBLE))
@@ -35,8 +37,8 @@ SYNC_PREAMBLE_BITS = (0, 0, 0, 0, 0, 1, 0)  # one reversal, between chips 5 and 
 DBPSK_CHIP_NS = 250
 
 DETECTION_THRESHOLD = 0.75
-MAX_PAYLOAD_BITS = 112
-MIN_PAYLOAD_BITS = 56
+MAX_PAYLOAD_BITS = LONG_FRAME_BITS
+MIN_PAYLOAD_BITS = SHORT_FRAME_BITS
 
 
 class PhyError(ValueError):

@@ -22,6 +22,7 @@ from .airspace import (
     NoiselessChannel,
     SimError,
     World,
+    note,
     step_kinematics,
 )
 from .attacker import (
@@ -57,7 +58,7 @@ SUCCESS_PREDICATES = {
     "no_nmac": lambda r: not r.nmac_occurred,
     "no_advisories": lambda r: not r.advisories,
     "phases_complete": lambda r: [p for _, p in r.attack_phases] == list(PHASES),
-    "track_evicted": lambda r: any(e[3] == "track_drop;evicted" for e in r.track_events),
+    "track_evicted": lambda r: any(e[3] == note("track_drop", "evicted") for e in r.track_events),
     "flood_complete": lambda r: any(n[1] == "flood_complete" for n in r.attack_notes),
 }
 
@@ -192,6 +193,11 @@ class Scenario:
     seed: int = 0
     success: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        # here, so that a seed given by replace() is checked as well
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ScenarioError("scenario: field 'seed' must be a non-negative integer")
+
     @property
     def duration_ns(self) -> int:
         return round(self.duration_s * NS_PER_S)
@@ -247,9 +253,6 @@ def _parse(doc: dict) -> Scenario:
         raise ScenarioError(f"scenario: field 'surveillance_period_s': {exc}") from None
 
     snr_db = _parse_channel(doc.get("channel", {"kind": "noiseless"}))
-    if "seed" in doc and (isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int)
-                          or doc["seed"] < 0):
-        raise ScenarioError("scenario: field 'seed' must be a non-negative integer")
     if snr_db is not None and "seed" not in doc:
         raise ScenarioError("scenario: field 'seed' is required with a noisy channel")
     seed = doc.get("seed", 0)

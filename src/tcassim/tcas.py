@@ -17,7 +17,7 @@ consecutive updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import modes_codec as codec
 from .airspace import (
@@ -31,6 +31,7 @@ from .airspace import (
     Position,
     SimError,
     World,
+    note,
     position_after,
     propagation_delay_ns,
     step_kinematics,
@@ -213,7 +214,7 @@ class Aircraft:
     def _drop(self, world: World, track: Track, why: str) -> None:
         del self.tracks[track.icao]
         self.pending.pop(track.icao, None)
-        world.record("tcas", self.name, f"{track.icao:06x}", None, f"track_drop;{why}")
+        world.record("tcas", self.name, f"{track.icao:06x}", None, note("track_drop", why))
         if self.advisory is not None and self.advisory.threat_icao == track.icao:
             self._clear_advisory(world, "track_lost")
 
@@ -254,7 +255,7 @@ class Aircraft:
         if rac == track.received_rac:
             return
         track.received_rac = rac
-        world.record("tcas", self.name, f"{sender:06x}", None, f"rac_received;{rac}")
+        world.record("tcas", self.name, f"{sender:06x}", None, note("rac_received", rac))
         adv = self.advisory
         if adv is None or adv.threat_icao != sender or rac == codec.RAC_CONTRADICTORY:
             return
@@ -309,7 +310,7 @@ class Aircraft:
             track.status = "tracked"
         rate_repr = "none" if track.rate_kt is None else f"{track.rate_kt:.3f}"
         world.record("tcas", self.name, f"{track.icao:06x}", None,
-                     f"range={rng:.6f};rate={rate_repr}")
+                     note("range", range=f"{rng:.6f}", rate=rate_repr))
         self._evaluate(world, track)
 
     def _evaluate(self, world: World, track: Track) -> None:
@@ -356,14 +357,13 @@ class Aircraft:
         track.divergence_streak = 0
         what = "ra_reversal" if reversal else "ra_issued"
         world.record("tcas", self.name, f"{track.icao:06x}", None,
-                     f"{what};{sense};limit={limit:.0f}")
+                     note(what, sense, limit=f"{limit:.0f}"))
         self.fly_advisory(world, self.advisory)
 
     def _clear_advisory(self, world: World, why: str) -> None:
         adv = self.advisory
         self.advisory = None
-        world.record("tcas", self.name, f"{adv.threat_icao:06x}", None,
-                     f"ra_cleared;{why}")
+        world.record("tcas", self.name, f"{adv.threat_icao:06x}", None, note("ra_cleared", why))
         self.level_off_now(world)
 
     # -- lifecycle -----------------------------------------------------------
@@ -392,7 +392,8 @@ class Aircraft:
         elif timer == "pilot_level":
             if data["generation"] == self._pilot_generation:
                 self._set_motion(world, vertical_rate_fpm=0.0, altitude_ft=data["limit"])
-                world.record("pilot", self.name, "-", None, f"level_off;alt={data['limit']:.0f}")
+                world.record("pilot", self.name, "-", None,
+                             note("level_off", alt=f"{data['limit']:.0f}"))
         else:
             raise SimError(f"unknown timer {timer!r}")
 
@@ -415,7 +416,7 @@ class Aircraft:
             world.record("pilot", self.name, "-", None, "already_compliant")
             return
         self._set_motion(world, vertical_rate_fpm=rate)
-        world.record("pilot", self.name, "-", None, f"engage;rate={rate:.0f}")
+        world.record("pilot", self.name, "-", None, note("engage", rate=f"{rate:.0f}"))
         to_go_ft = abs(limit - alt)
         cross_ns = world.time_ns + round(to_go_ft / abs(rate) * 60 * NS_PER_S)
         world.schedule_timer(cross_ns, self, "pilot_level",
@@ -425,7 +426,7 @@ class Aircraft:
         self._pilot_generation += 1
         if self.segments[-1][1].vertical_rate_fpm != 0.0:
             self._set_motion(world, vertical_rate_fpm=0.0)
-            world.record("pilot", self.name, "-", None, "level_off;cleared")
+            world.record("pilot", self.name, "-", None, note("level_off", "cleared"))
 
     # -- radio ------------------------------------------------------------------
 

@@ -569,6 +569,30 @@ class TestEventLog:
         with pytest.raises(AttributeError):
             rec.outcome = "tock"
 
+    @pytest.mark.parametrize("line", [
+        "5,radar,a,-,-,ping",
+        "5,transmit,a,*,8d4840d6202cc371c32ce0576098,lost",
+        "5,tcas,a,000001,-,bogus;1",
+        "5,tcas,a,000001,-,range=abc;rate=none",
+        "5,nmac,a,b,-,window",
+    ], ids=["unknown-kind", "transmit-lost", "unknown-note", "range-not-a-number",
+            "window-without-until"])
+    def test_read_rejects_outcomes_outside_the_grammar(self, tmp_path, line):
+        path = tmp_path / "events.log"
+        path.write_text(f"1,timer,a,-,-,tick\n{line}\n")
+        with pytest.raises(airspace.SimError) as info:
+            airspace.read_event_log(path)
+        assert repr(line) in str(info.value)
+
+    def test_note_writes_and_parse_note_reads_each_shape(self):
+        cases = {"ta_issued": ("ta_issued", (), {}),
+                 "ra_issued;climb;limit=12600": ("ra_issued", ("climb",), {"limit": "12600"}),
+                 "range=2.500000;rate=none": ("range", (), {"range": "2.500000", "rate": "none"}),
+                 "window;until=7": ("window", (), {"until": "7"})}
+        for text, (name, args, params) in cases.items():
+            assert airspace.parse_note(text) == airspace.Note(name, args, params)
+            assert airspace.note(name, *args, **params) == text
+
 
 class Faulty(Probe):
     """A probe whose handlers fail, as a buggy entity's would."""

@@ -485,3 +485,24 @@ def test_bundled_logs_stay_within_the_benchmark_vocabulary(monkeypatch):
     assert "deliver" in kinds
     assert kinds <= set(run.RECORD_KINDS)
     assert outcomes <= set(run.DELIVER_OUTCOMES)
+    assert set(airspace.KINDS) == set(run.RECORD_KINDS)
+
+
+def test_every_logged_note_round_trips_through_the_grammar():
+    """``note`` rebuilds each note outcome from what ``parse_note`` reads,
+    over the bundled scenarios, their controls and a five-aircraft ring."""
+    ring = _load_bench_module("workloads").ring_document(5, 4.0, 60.0, 0)
+    scenarios = [scen.load_scenario(ring)]
+    for name in scen.bundled_scenario_names():
+        scenario = scen.bundled_scenario(name)
+        scenarios += [scenario, scenario.without_attacker()]
+    seen = set()
+    for scenario in scenarios:
+        for rec in harness.simulate(scenario).records:
+            if rec.kind in airspace.NOTES:
+                parsed = airspace.parse_note(rec.outcome)
+                assert parsed.name in airspace.NOTES[rec.kind], rec
+                assert airspace.note(parsed.name, *parsed.args, **parsed.params) == rec.outcome
+                seen.add(parsed.name)
+    assert {"range", "track_drop", "rac_received", "ra_issued", "ra_cleared", "engage",
+            "level_off", "phase", "recon", "evidence", "predictive_armed", "window"} <= seen
