@@ -98,6 +98,19 @@ def propagation_delay_ns(dist_nmi: float) -> int:
     return round(dist_nmi * METERS_PER_NMI / SPEED_OF_LIGHT_M_S * NS_PER_S)
 
 
+def round_trip_ns(range_nmi: float) -> int:
+    """Light flight time out and back over a range, which may be negative,
+    rounded to the nearest ns; a range that is not finite raises as
+    ``round`` does."""
+    return round(2.0 * range_nmi * METERS_PER_NMI / SPEED_OF_LIGHT_M_S * NS_PER_S)
+
+
+def rtt_to_range_nmi(rtt_ns: int) -> float:
+    """Slant range implied by a reply round trip after the fixed turnaround."""
+    one_way_s = (rtt_ns - TURNAROUND_NS) / 2 / NS_PER_S
+    return one_way_s * SPEED_OF_LIGHT_M_S / METERS_PER_NMI
+
+
 def frame_airtime_ns(frame: codec.ModeSFrame) -> int:
     """Duration of the modulated frame on the air at nominal chip rates."""
     if frame.direction == codec.DOWNLINK:
@@ -152,8 +165,8 @@ NOTES = {"tcas": ("track_new", "track_drop", "rac_received", "range", "ta_issued
 KINDS = ("timer", "transmit", "deliver", *NOTES)
 LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed a delivery
 # what the report reads from a note, checked as the log is read
-_NOTE_READS = {"range": lambda n: float(n.params["range"]),
-               "window": lambda n: int(n.params["until"]), "phase": lambda n: n.args[0]}
+NOTE_READS = {"range": lambda n: float(n.params["range"]),
+              "window": lambda n: int(n.params["until"]), "phase": lambda n: n.args[0]}
 
 
 class Note(NamedTuple):
@@ -186,8 +199,8 @@ def _loggable(kind: str, outcome: str) -> bool:
         return kind in KINDS and (kind != "transmit" or outcome in ("sent", "jammed"))
     parsed = parse_note(outcome)
     try:
-        if parsed.name in _NOTE_READS:
-            _NOTE_READS[parsed.name](parsed)
+        if parsed.name in NOTE_READS:
+            NOTE_READS[parsed.name](parsed)
     except (KeyError, IndexError, ValueError):
         return False
     return parsed.name in NOTES[kind]

@@ -25,13 +25,14 @@ never-repeating stream of addresses to saturate surveillance track tables.
 from __future__ import annotations
 
 import statistics
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import pairwise
 
 from . import modes_codec as codec
 from .airspace import (
-    METERS_PER_NMI,
     NS_PER_S,
-    SPEED_OF_LIGHT_M_S,
     TURNAROUND_NS,
     AircraftState,
     Position,
@@ -39,9 +40,11 @@ from .airspace import (
     World,
     note,
     propagation_delay_ns,
+    round_trip_ns,
+    rtt_to_range_nmi,
     separation_nmi,
 )
-from .tcas import TAU_TA_S, rtt_to_range_nmi
+from .tcas import TAU_TA_S
 
 PHASES = ("recon", "baiting", "tracking", "threat_declared", "done")
 
@@ -80,8 +83,7 @@ def compute_reply_delay(true_range_nmi: float, desired_range_nmi: float) -> int:
     hold would be negative, i.e. the reply would have to leave before the
     interrogation arrives.
     """
-    extra_s = 2.0 * (desired_range_nmi - true_range_nmi) * METERS_PER_NMI / SPEED_OF_LIGHT_M_S
-    extra_ns = round(extra_s * NS_PER_S)
+    extra_ns = round_trip_ns(desired_range_nmi - true_range_nmi)
     if TURNAROUND_NS + extra_ns < 0:
         raise InfeasibleReply(
             f"apparent range {desired_range_nmi:.3f} nmi needs a reply "
@@ -89,7 +91,7 @@ def compute_reply_delay(true_range_nmi: float, desired_range_nmi: float) -> int:
     return extra_ns
 
 
-def fit_linear_track(samples: list[tuple[int, float, float, float]],
+def fit_linear_track(samples: Sequence[tuple[int, float, float, float]],
                      at_ns: int) -> Position:
     """Least-squares straight-line fit of (t, x, y, alt) samples, evaluated
     at ``at_ns``.  Two points make a line; one is treated as stationary."""
@@ -165,9 +167,9 @@ class Attacker:
         self._xyz = (position.x_nmi, position.y_nmi, position.altitude_ft)
         self.phase = "recon"
         self.intel_target = None  # aircraft whose motion the attacker surveils
-        self._intel: list[tuple[int, float, float, float]] = []
+        self._intel: deque[tuple[int, float, float, float]] = deque(maxlen=INTEL_WINDOW)
         self._recon_pending_ns: int | None = None
-        self._est_tx: list[int] = []
+        self._est_tx: deque[int] = deque(maxlen=PERIOD_WINDOW + 1)
         self._plan_t0_ns: int | None = None
         self._last_uplink_code = codec.UF_SURVEILLANCE_SHORT
         self._predicted_for_ns: int | None = None
@@ -208,15 +210,10 @@ class Attacker:
 
     def _timer_intel(self, world: World, data: dict) -> None:
         self._intel.append((world.time_ns, *self.intel_target.position_at(world.time_ns)))
-        if len(self._intel) > INTEL_WINDOW:
-            self._intel.pop(0)
         world.schedule_timer(world.time_ns + INTEL_INTERVAL_NS, self, "intel")
 
-    def estimate_target(self, at_ns: int) -> Position:
-        return fit_linear_track(self._intel, at_ns)
-
     def _target_distance_nmi(self, at_ns: int) -> float:
-        return separation_nmi(self._xyz, self.estimate_target(at_ns))
+        return separation_nmi(self._xyz, fit_linear_track(self._intel, at_ns))
 
     # -- phase machine ---------------------------------------------------------
 
@@ -337,22 +334,14 @@ class Attacker:
 
     # -- phantom ranging ---------------------------------------------------------------
 
-    def _note_interrogation(self, est_tx_ns: int) -> None:
-        self._est_tx.append(est_tx_ns)
-        if len(self._est_tx) > PERIOD_WINDOW + 1:
-            self._est_tx.pop(0)
+    def _spacings_ns(self) -> list[int]:
+        """Gaps between the reconstructed interrogation instants."""
+        return [b - a for a, b in pairwise(self._est_tx)]
 
-    def surveillance_period_ns(self, world: World | None = None) -> int | None:
+    def surveillance_period_ns(self) -> int | None:
         """Median spacing of the reconstructed interrogation instants."""
-        if len(self._est_tx) < 2:
-            return None
-        diffs = [b - a for a, b in zip(self._est_tx, self._est_tx[1:])]
-        if max(diffs) - min(diffs) > PERIOD_JITTER_NS and world is not None \
-                and not self._period_unstable_logged:
-            self._period_unstable_logged = True
-            world.record("attack", self.name, f"{self.target_icao:06x}", None,
-                         "period_unstable")
-        return round(statistics.median(diffs))
+        diffs = self._spacings_ns()
+        return round(statistics.median(diffs)) if diffs else None
 
     def _desired_range_nmi(self, at_tx_ns: int) -> float:
         return self.plan.desired_range_nmi((at_tx_ns - self._plan_t0_ns) / NS_PER_S)
@@ -372,8 +361,14 @@ class Attacker:
         est_tx = rx_time_ns - propagation_delay_ns(true_range)
         if self._plan_t0_ns is None:
             self._plan_t0_ns = est_tx
-        self._note_interrogation(est_tx)
-        period = self.surveillance_period_ns(world)
+        self._est_tx.append(est_tx)
+        period = self.surveillance_period_ns()
+        if period is not None and not self._period_unstable_logged:
+            diffs = self._spacings_ns()
+            if max(diffs) - min(diffs) > PERIOD_JITTER_NS:
+                self._period_unstable_logged = True
+                world.record("attack", self.name, f"{self.target_icao:06x}", None,
+                             "period_unstable")
 
         desired = self._desired_range_nmi(est_tx)
         # declare once the scripted geometry crosses the traffic-advisory gate

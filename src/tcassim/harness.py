@@ -24,8 +24,8 @@ import numpy as np
 
 from . import fta
 from . import modes_codec as codec
-from .airspace import (LOSS_OUTCOMES, NS_PER_S, AwgnChannel, LogRecord, NoiselessChannel,
-                       note, parse_note)
+from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, AwgnChannel, LogRecord,
+                       NoiselessChannel, note, parse_note)
 from .attacker import MISSION_PHANTOM, PhantomPlan, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
@@ -34,25 +34,30 @@ from .tcas import nmac_intervals
 # -- frame classification ---------------------------------------------------------
 
 def frame_label(frame_hex: str, destination: str = "*") -> str:
-    """Human label (UF4, DF11, ...) for a logged frame.
+    """Human label (UF4, DF11, ...) for a logged frame, read as a downlink.
 
-    Broadcast downlink formats are self-checking, so code 11 splits on
-    whether ``parse_frame`` passes it as a DF11.  Codes 4 and 20 are direction-ambiguous from the
-    bits alone; interrogations are logged with their addressed destination,
-    which disambiguates transmit records.
+    Codes 4 and 20 are direction-ambiguous from the bits alone, whatever
+    the length; interrogations are logged with their addressed destination,
+    which disambiguates transmit records.  Any other frame takes its kind
+    and parity verdict from ``codec.frame_seal``: the all-call reply's kind
+    is a DF11 when its recovered overlay is the sealing one and a UF11
+    otherwise, the extended squitter's kind is a DF17, and anything else
+    reads ``fmt`` and its code.  Codes 4 and 20 come first as their label
+    needs no parity, which is most of the cost of ``frame_seal``.
     """
     try:
         frame = codec.ModeSFrame.from_hex(frame_hex, codec.DOWNLINK)
     except codec.CodecError:
         return "invalid"
     code = frame.format_code
-    if code == codec.DF_ALL_CALL_REPLY and frame.nbits == 56:
-        return "DF11" if codec.parse_frame(frame).parity.passed else "UF11"
-    if code == codec.DF_EXTENDED_SQUITTER and frame.nbits == 112:
-        return "DF17"
     if code in (codec.DF_SURVEILLANCE_SHORT, codec.DF_SURVEILLANCE_LONG):
         prefix = "UF" if destination != "*" else "DF"
         return f"{prefix}{code}"
+    kind, overlay, recovered = codec.frame_seal(frame)
+    if kind == "all_call":
+        return "DF11" if recovered == overlay else "UF11"
+    if kind == "extended_squitter":
+        return "DF17"
     return f"fmt{code}"
 
 
@@ -89,25 +94,20 @@ class MetricsReport:
 def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsReport:
     """Distill the report; everything here re-derives from the log lines.
     Notes are read with ``airspace.parse_note``, the one reader of their
-    ``name;arg;...;key=value`` syntax.
+    ``name;arg;...;key=value`` syntax, and their values through
+    ``airspace.NOTE_READS``, the table the log reader checks them with.
 
-    A delivery takes the label its frame was transmitted under in the
-    records before it, or its own label when there is none or more than
-    one; deliveries are counted per (link, label) first and folded into
-    the report once, in order of first appearance.  Each distinct
-    ``(frame_hex, destination != "*")`` is labelled once per call.
-
-    Known mislabel: a log line carries no direction, so once a 0 ft
-    transponder's DF4 reply repeats the hex of the UF4 that interrogated
-    it, every later delivery of that UF4 to the transponder is counted as
-    ``DF4>ground`` (the ``ground_uf4`` pin reports ``UF4>ground`` 1 and
-    ``DF4>ground`` 9 for 10 UF4 deliveries).  Mending it changes the log
-    grammar or the pinned report.
+    A delivery takes the label its own source transmitted that frame under
+    (the last, were there two), or the frame's own label when its source
+    never transmitted that hex.  Deliveries are counted per (source,
+    destination, hex) first, with the hex None for a loss, and each
+    distinct key is labelled and folded into the report once, in order of
+    first appearance.  Each distinct ``(frame_hex, destination != "*")`` is
+    labelled once per call.
     """
     report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
-    broadcast: set[str] = set()  # hex transmitted to "*" so far
-    current: dict[str, str] = {}  # hex -> the label a delivery of it takes now
-    delivered: dict[tuple[str, str, str | None], int] = {}  # label None: lost
+    sent_as: dict[tuple[str, str], str] = {}  # (source, hex) -> label it was sent under
+    delivered: dict[tuple[str, str, str | None], int] = {}  # hex None: lost
     label_of: dict[tuple[str, bool], str] = {}  # (hex, addressed) -> frame_label
 
     def cached_label(frame_hex: str, destination: str = "*") -> str:
@@ -119,21 +119,11 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
 
     for time_ns, kind, source, destination, frame_hex, outcome in records:
         if kind == "deliver":
-            label = None
-            if outcome not in LOSS_OUTCOMES:
-                label = current.get(frame_hex)
-                if label is None:
-                    label = current[frame_hex] = cached_label(frame_hex)
-            key = source, destination, label
+            key = source, destination, None if outcome in LOSS_OUTCOMES else frame_hex
             delivered[key] = delivered.get(key, 0) + 1
         elif kind == "transmit":
             report.transmit_outcomes[outcome] = report.transmit_outcomes.get(outcome, 0) + 1
-            label = cached_label(frame_hex, destination)
-            if destination == "*":
-                broadcast.add(frame_hex)
-            # once broadcast, a frame has its own label alone or two labels;
-            # either way a delivery takes its own
-            current[frame_hex] = cached_label(frame_hex) if frame_hex in broadcast else label
+            label = sent_as[source, frame_hex] = cached_label(frame_hex, destination)
             if outcome == "sent":
                 report.frames_sent[label] = report.frames_sent.get(label, 0) + 1
         elif kind == "tcas":
@@ -141,7 +131,7 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
             if parsed.name == "range":
                 key = f"{source}>{destination}"
                 report.rounds_per_track[key] = report.rounds_per_track.get(key, 0) + 1
-                rng = float(parsed.params["range"])
+                rng = NOTE_READS["range"](parsed)
                 report.range_series.setdefault(key, []).append([time_ns, rng])
             elif parsed.name in ("track_new", "track_drop"):
                 report.track_events.append([time_ns, source, destination, outcome])
@@ -151,21 +141,22 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
         elif kind == "attack":
             parsed = parse_note(outcome)
             if parsed.name == "phase":
-                report.attack_phases.append([time_ns, parsed.args[0]])
+                report.attack_phases.append([time_ns, NOTE_READS["phase"](parsed)])
             else:
                 report.attack_notes.append([time_ns, outcome])
         elif kind == "nmac":
-            until = int(parse_note(outcome).params["until"])
+            until = NOTE_READS["window"](parse_note(outcome))
             report.nmac_windows.append([source, destination, time_ns, until])
 
-    for (source, destination, label), n in delivered.items():
+    for (source, destination, frame_hex), n in delivered.items():
         stats = report.links.setdefault(f"{source}>{destination}",
                                         {"attempts": 0, "decoded": 0, "lost": 0})
         stats["attempts"] += n
-        if label is None:
+        if frame_hex is None:
             stats["lost"] += n
         else:
             stats["decoded"] += n
+            label = sent_as.get((source, frame_hex)) or cached_label(frame_hex)
             key = f"{label}>{destination}"
             report.deliveries[key] = report.deliveries.get(key, 0) + n
     report.nmac_occurred = bool(report.nmac_windows)

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from . import modes_codec as codec
 from .airspace import (
     FEET_PER_NMI,
-    METERS_PER_NMI,
     NS_PER_S,
     RECEPTION_RANGE_NMI,
-    SPEED_OF_LIGHT_M_S,
     TURNAROUND_NS,
     AircraftState,
     Position,
@@ -34,6 +32,7 @@ from .airspace import (
     note,
     position_after,
     propagation_delay_ns,
+    rtt_to_range_nmi,
     step_kinematics,
 )
 
@@ -60,12 +59,6 @@ MODE_XPDR = "xpdr"          # transponder only: replies and squitters
 MODE_TA_ONLY = "ta_only"    # surveillance and traffic advisories
 MODE_TA_RA = "ta_ra"        # full unit, resolution advisories included
 MODES = (MODE_STANDBY, MODE_XPDR, MODE_TA_ONLY, MODE_TA_RA)
-
-
-def rtt_to_range_nmi(rtt_ns: int) -> float:
-    """Slant range implied by a reply round trip after the fixed turnaround."""
-    one_way_s = (rtt_ns - TURNAROUND_NS) / 2 / NS_PER_S
-    return one_way_s * SPEED_OF_LIGHT_M_S / METERS_PER_NMI
 
 
 def surveillance_interval_ns(period_s: float) -> int:
@@ -507,8 +500,6 @@ def nmac_intervals(segs_a: list[tuple[int, AircraftState]],
     """
     bounds = sorted({t for t, _ in segs_a} | {t for t, _ in segs_b} | {t_end_ns})
     bounds = [t for t in bounds if t <= t_end_ns]
-    if bounds[-1] != t_end_ns:
-        bounds.append(t_end_ns)
 
     def state_on(segs, t_ns):
         ref_t, ref_s = segs[0]

@@ -197,13 +197,13 @@ class TestPeriodLearning:
     def test_median_of_reconstructed_spacings(self):
         ghost = _attacker()
         for t in (0, 10**9, 2 * 10**9 + 40, 3 * 10**9 + 40, 4 * 10**9):
-            ghost._note_interrogation(t)
+            ghost._est_tx.append(t)
         assert ghost.surveillance_period_ns() == 10**9
 
     def test_needs_two_observations(self):
         ghost = _attacker()
         assert ghost.surveillance_period_ns() is None
-        ghost._note_interrogation(0)
+        ghost._est_tx.append(0)
         assert ghost.surveillance_period_ns() is None
 
 

@@ -141,8 +141,9 @@ def test_noiseless_ring_log_and_report_digests():
 
 # A transponder at 0 ft answers a UF4 with a DF4 whose altitude code and
 # spare bits are all zero, so the reply's hex equals the interrogation's.
-# The report labels a delivery from the transmits logged before it, so the
-# first UF4 delivery counts as UF4 and every later copy of that hex as DF4.
+# The report labels a delivery with the label its own source sent the hex
+# under, so every UF4 delivery to the transponder counts as UF4 and every
+# reply to the interrogator as DF4.
 GROUND_TRANSPONDER = {
     "schema_version": 1,
     "name": "ground_uf4",
@@ -159,7 +160,7 @@ GROUND_TRANSPONDER = {
 }
 GROUND_TRANSPONDER_GOLDEN = (
     "a5c52f3fc0244c77594464e7f30e2baf0821a57879c8715abab14447e8b608e8",
-    "10660ef76fa16fdd00d2a9a2d2298e16b1b245a6f8534e94f67b6614cb1229fc")
+    "ec91dce67d47c38bd519dfff5cbdd3f501848f27f3dc58201c57506ed4e73ca5")
 
 
 def test_ground_transponder_reply_repeats_the_interrogation_hex():
@@ -169,7 +170,7 @@ def test_ground_transponder_reply_repeats_the_interrogation_hex():
         if rec.kind == "transmit":
             sent.setdefault(rec.frame_hex, set()).add(rec.source)
     assert any(sources == {"own", "ground"} for sources in sent.values())
-    assert result.report.deliveries["UF4>ground"] == 1
-    assert result.report.deliveries["DF4>ground"] == 9
+    assert result.report.deliveries["UF4>ground"] == 10
+    assert "DF4>ground" not in result.report.deliveries
     log_text = "".join(rec.to_line() + "\n" for rec in result.records)
     assert (_sha256(log_text), _sha256(result.report.to_json())) == GROUND_TRANSPONDER_GOLDEN

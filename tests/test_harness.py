@@ -62,6 +62,40 @@ class TestFrameLabel:
     def test_garbage(self):
         assert harness.frame_label("zz") == "invalid"
 
+    def test_every_code_length_seal_and_destination_labels_as_the_parse_based_rule(self):
+        cases = 0
+        for code in range(32):
+            for nbits in (codec.SHORT_FRAME_BITS, codec.LONG_FRAME_BITS):
+                body_nbits = nbits - codec.AP_BITS
+                body = (code << (body_nbits - 5)) | (0x5A3C96E1 & ((1 << (body_nbits - 5)) - 1))
+                crc = codec.crc24([int(b) for b in format(body, f"0{body_nbits}b")])
+                for overlay in (0, 0xA30002):
+                    frame_hex = codec.ModeSFrame(
+                        codec.DOWNLINK, nbits, (body << codec.AP_BITS) | (crc ^ overlay)).to_hex()
+                    for destination in ("*", "a30002"):
+                        cases += 1
+                        assert (harness.frame_label(frame_hex, destination)
+                                == parse_based_label(frame_hex, destination)), \
+                            (code, nbits, overlay, destination)
+        assert cases == 256
+
+
+def parse_based_label(frame_hex: str, destination: str = "*") -> str:
+    """Reference: ``frame_label``'s former rule, which took the kinds from
+    the format code and bit length and the DF11 verdict from ``parse_frame``."""
+    try:
+        frame = codec.ModeSFrame.from_hex(frame_hex, codec.DOWNLINK)
+    except codec.CodecError:
+        return "invalid"
+    code = frame.format_code
+    if code == 11 and frame.nbits == 56:
+        return "DF11" if codec.parse_frame(frame).parity.passed else "UF11"
+    if code == 17 and frame.nbits == 112:
+        return "DF17"
+    if code in (4, 20):
+        return f"{'UF' if destination != '*' else 'DF'}{code}"
+    return f"fmt{code}"
+
 
 class TestSimulate:
     def test_nmac_detected_and_logged(self):
@@ -187,16 +221,14 @@ class TestSimulate:
 
 
 def per_record_links_and_deliveries(records: list[LogRecord]) -> tuple[dict, dict]:
-    """Reference: each delivery labelled, one record at a time, from the
-    transmits logged before it."""
-    labels: dict[str, set[str]] = {}
+    """Reference: each delivery labelled, one record at a time, with the
+    label of its own source's last transmit of its hex, or its own."""
+    sent_as = {(rec.source, rec.frame_hex): harness.frame_label(rec.frame_hex, rec.destination)
+               for rec in records if rec.kind == "transmit"}
     links: dict[str, dict[str, int]] = {}
     deliveries: dict[str, int] = {}
     for rec in records:
-        if rec.kind == "transmit":
-            labels.setdefault(rec.frame_hex, set()).add(
-                harness.frame_label(rec.frame_hex, rec.destination))
-        elif rec.kind == "deliver":
+        if rec.kind == "deliver":
             stats = links.setdefault(f"{rec.source}>{rec.destination}",
                                      {"attempts": 0, "decoded": 0, "lost": 0})
             stats["attempts"] += 1
@@ -204,15 +236,14 @@ def per_record_links_and_deliveries(records: list[LogRecord]) -> tuple[dict, dic
                 stats["lost"] += 1
                 continue
             stats["decoded"] += 1
-            seen = labels.get(rec.frame_hex, set())
-            label = next(iter(seen)) if len(seen) == 1 else harness.frame_label(rec.frame_hex)
+            label = sent_as.get((rec.source, rec.frame_hex)) or harness.frame_label(rec.frame_hex)
             key = f"{label}>{rec.destination}"
             deliveries[key] = deliveries.get(key, 0) + 1
     return links, deliveries
 
 
 # UF4 to a30002 and the DF4 a 0 ft transponder a30002 sends share one hex;
-# a UF20's hex reads as DF20 until it is logged as an interrogation.
+# a UF20's hex reads as DF20 from any source that never sent it.
 SHARED_HEX = codec.build_interrogation("surveillance_short", 0xA30002).to_hex()
 UF20_HEX = codec.build_interrogation("surveillance_long", 0xA30002, rac=1).to_hex()
 SQUITTER_HEX = codec.build_reply("extended_squitter", 0xA30001, altitude_ft=2000).to_hex()
@@ -235,7 +266,7 @@ class TestDeliveryLabels:
         assert list(report.links.items()) == list(links.items())
         assert list(report.deliveries.items()) == list(deliveries.items())
 
-    def test_label_comes_from_earlier_transmits_only(self):
+    def test_label_comes_from_the_deliveries_own_source(self):
         assert SHARED_HEX == codec.build_reply("surveillance_short", 0xA30002).to_hex()
         records = [
             LogRecord(0, "deliver", "own", "ground", UF20_HEX, "replied"),
@@ -243,15 +274,21 @@ class TestDeliveryLabels:
             LogRecord(2, "deliver", "own", "ground", SHARED_HEX, "replied"),
             LogRecord(3, "transmit", "ground", "*", SHARED_HEX, "sent"),
             LogRecord(4, "deliver", "ground", "own", SHARED_HEX, "range_update"),
-            LogRecord(5, "transmit", "own", "a30002", UF20_HEX, "sent"),
-            LogRecord(6, "deliver", "own", "ground", UF20_HEX, "replied"),
-            LogRecord(7, "deliver", "own", "ground", UF20_HEX, "phy_drop"),
+            LogRecord(5, "deliver", "own", "ground", SHARED_HEX, "replied"),
+            LogRecord(6, "transmit", "own", "a30002", UF20_HEX, "sent"),
+            LogRecord(7, "deliver", "own", "ground", UF20_HEX, "replied"),
+            LogRecord(8, "deliver", "own", "ground", UF20_HEX, "phy_drop"),
+            LogRecord(9, "deliver", "attacker", "ground", UF20_HEX, "replied"),
         ]
         report = harness.metrics_from_log(records, scen.bundled_scenario("benign_pair"))
-        assert report.deliveries == {"DF20>ground": 1, "UF4>ground": 1, "DF4>own": 1,
-                                     "UF20>ground": 1}
-        assert report.links == {"own>ground": {"attempts": 4, "decoded": 3, "lost": 1},
-                                "ground>own": {"attempts": 1, "decoded": 1, "lost": 0}}
+        # one hex, two sources, two labels; a UF20 delivered before its own
+        # transmit is still a UF20, and one from a source that never sent it
+        # takes the frame's own label
+        assert report.deliveries == {"UF20>ground": 2, "UF4>ground": 2, "DF4>own": 1,
+                                     "DF20>ground": 1}
+        assert report.links == {"own>ground": {"attempts": 5, "decoded": 4, "lost": 1},
+                                "ground>own": {"attempts": 1, "decoded": 1, "lost": 0},
+                                "attacker>ground": {"attempts": 1, "decoded": 1, "lost": 0}}
 
 
 class TestLossSweep:

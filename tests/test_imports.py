@@ -1,6 +1,8 @@
-"""Every module-level import in the package is used or re-exported.
+"""Every module-level import in the package is used or re-exported, and
+two rules keep their one home: only ``airspace`` names the speed of light
+and the nautical mile, and only ``modes_codec`` states a frame length.
 
-The repository runs no linter, so this stands in for its unused-import rule.
+The repository runs no linter, so this stands in for those rules.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import pytest
 import tcassim
 
 MODULES = sorted(Path(tcassim.__file__).parent.glob("*.py"))
+TIME_OF_FLIGHT_NAMES = {"SPEED_OF_LIGHT_M_S", "METERS_PER_NMI"}
+FRAME_LENGTHS = {56, 112}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -36,6 +40,46 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def time_of_flight_names(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name, attribute or import of the time-of-flight
+    constants."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, a.name) for a in node.names]
+    return [(line, name) for line, name in found if name in TIME_OF_FLIGHT_NAMES]
+
+
+def frame_length_literals(source: str) -> list[tuple[int, int]]:
+    """(line, value) of each int literal that is a frame length."""
+    return [(n.lineno, n.value) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Constant) and type(n.value) is int and n.value in FRAME_LENGTHS]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "airspace"],
+                         ids=lambda p: p.name)
+def test_only_airspace_names_the_time_of_flight_constants(path):
+    assert time_of_flight_names(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "modes_codec"],
+                         ids=lambda p: p.name)
+def test_only_the_codec_states_a_frame_length(path):
+    assert frame_length_literals(path.read_text()) == []
+
+
+def test_rule_breaches_are_found():
+    source = ("from .airspace import METERS_PER_NMI\nfrom . import airspace\n"
+              "x = airspace.SPEED_OF_LIGHT_M_S * 112\n# 56 in a comment\n"
+              "y = (56.0, '56', 'SPEED_OF_LIGHT_M_S', 56)\n")
+    assert time_of_flight_names(source) == [(1, "METERS_PER_NMI"), (3, "SPEED_OF_LIGHT_M_S")]
+    assert frame_length_literals(source) == [(3, 112), (5, 56)]
 
 
 def test_an_unused_import_is_found():
