@@ -162,6 +162,7 @@ NOTES = {"tcas": ("track_new", "track_drop", "rac_received", "range", "ta_issued
          "attack": ("phase", "recon", "evidence", "bait_timeout", "period_unstable",
                     "reactive_infeasible", "predictive_armed", "flood_complete"),
          "nmac": ("window",)}
+NOTE_KIND = {name: kind for kind, names in NOTES.items() for name in names}
 KINDS = ("timer", "transmit", "deliver", *NOTES)
 LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed a delivery
 # what the report reads from a note, checked as the log is read
@@ -403,7 +404,9 @@ def _header_length(bits: np.ndarray, direction: str) -> int | None:
 
 
 class World:
-    """Event queue, radio medium, jam bookkeeping, and the append-only log."""
+    """Event queue, radio medium, jam bookkeeping, and the append-only log.
+    Entities log only notes, by name through ``note``; the World reads a
+    transmit's destination from the frame's seal."""
 
     def __init__(self, channel: NoiselessChannel | AwgnChannel | None = None):
         self.channel = channel or NoiselessChannel()
@@ -445,9 +448,8 @@ class World:
                        data: dict | None = None) -> None:
         self._push(time_ns, entity.name, World._do_timer, entity, timer, data or {})
 
-    def schedule_transmit(self, time_ns: int, entity: Entity, frame: codec.ModeSFrame,
-                          destination: str = "*") -> None:
-        self._push(time_ns, entity.name, World._do_transmit, entity, frame, destination)
+    def schedule_transmit(self, time_ns: int, entity: Entity, frame: codec.ModeSFrame) -> None:
+        self._push(time_ns, entity.name, World._do_transmit, entity, frame)
 
     # -- logging -----------------------------------------------------------
 
@@ -458,6 +460,11 @@ class World:
         self.log.append(tuple.__new__(LogRecord, (
             self.time_ns, kind, source, destination,
             frame.to_hex() if frame is not None else "-", outcome)))
+
+    def note(self, entity: Entity, about: str, name: str, /, *args, **params) -> None:
+        """Log the note ``name`` by ``entity`` about ``about`` (an address,
+        "*" or "-"), under the kind ``NOTES`` lists it for."""
+        self.record(NOTE_KIND[name], entity.name, about, None, note(name, *args, **params))
 
     # -- event processing --------------------------------------------------
 
@@ -488,8 +495,13 @@ class World:
         self.record("timer", entity.name, "-", None, timer)
         entity.on_timer(self, timer, data)
 
-    def _do_transmit(self, source: Entity, frame: codec.ModeSFrame, destination: str) -> None:
+    def _do_transmit(self, source: Entity, frame: codec.ModeSFrame) -> None:
         t_tx = self.time_ns
+        destination = "*"
+        if frame.direction == codec.UPLINK:  # UF4 and UF20 are sealed with their addressee
+            kind, overlay, recovered = codec.frame_seal(frame)
+            if kind is not None and overlay is None:
+                destination = f"{recovered:06x}"
         if self._jammed(source, t_tx, t_tx + frame_airtime_ns(frame)):
             self.record("transmit", source.name, destination, frame, "jammed")
             return

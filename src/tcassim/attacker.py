@@ -35,10 +35,10 @@ from .airspace import (
     NS_PER_S,
     TURNAROUND_NS,
     AircraftState,
+    Entity,
     Position,
     SimError,
     World,
-    note,
     propagation_delay_ns,
     round_trip_ns,
     rtt_to_range_nmi,
@@ -142,11 +142,12 @@ class FloodPlan:
 
 
 class Attacker:
-    """Software-defined ground transmitter; one instance, one mission."""
+    """Software-defined ground transmitter; one instance, one mission.  A
+    phantom mission attacks its ``target`` aircraft and watches its motion."""
 
     def __init__(self, name: str, position: AircraftState, *,
                  mission: str = MISSION_PHANTOM,
-                 target_icao: int | None = None,
+                 target: Entity | None = None,
                  plan: PhantomPlan | None = None,
                  bait_timeout_s: float = DEFAULT_BAIT_TIMEOUT_S,
                  flood: FloodPlan | None = None):
@@ -154,19 +155,18 @@ class Attacker:
             raise SimError(f"unknown mission {mission!r}")
         self.phantom_icao: int | None = None
         if mission == MISSION_PHANTOM:
-            if target_icao is None:
-                raise SimError("phantom mission needs a target address")
-            self.phantom_icao = phantom_address(codec.validate_icao(target_icao))
+            if target is None:
+                raise SimError("phantom mission needs a target aircraft")
+            self.phantom_icao = phantom_address(codec.validate_icao(target.icao))
         self.name = name
         self.icao: int | None = None  # no transponder identity of its own
         self.mission = mission
-        self.target_icao = target_icao
+        self.target = target
         self.plan = plan or PhantomPlan()
         self.bait_timeout_s = bait_timeout_s
         self.flood = flood or FloodPlan()
         self._xyz = (position.x_nmi, position.y_nmi, position.altitude_ft)
         self.phase = "recon"
-        self.intel_target = None  # aircraft whose motion the attacker surveils
         self._intel: deque[tuple[int, float, float, float]] = deque(maxlen=INTEL_WINDOW)
         self._recon_pending_ns: int | None = None
         self._est_tx: deque[int] = deque(maxlen=PERIOD_WINDOW + 1)
@@ -185,14 +185,12 @@ class Attacker:
     def start(self, world: World, phase_ns: int = 0) -> None:
         now = world.time_ns + phase_ns
         if self.mission == MISSION_PHANTOM:
-            world.record("attack", self.name, f"{self.target_icao:06x}", None,
-                         note("phase", "recon"))
+            self._note(world, "phase", "recon")
             world.schedule_timer(now, self, "recon")
-            if self.intel_target is not None:
-                world.schedule_timer(now, self, "intel")
+            world.schedule_timer(now, self, "intel")
         else:
             self._flood_until_ns = now + round(self.flood.duration_s * NS_PER_S)
-            world.record("attack", self.name, "*", None, note("phase", self.mission))
+            world.note(self, "*", "phase", self.mission)
             world.schedule_timer(now, self, "flood")
 
     def on_timer(self, world: World, timer: str, data: dict) -> None:
@@ -209,7 +207,7 @@ class Attacker:
     # -- intel ----------------------------------------------------------------
 
     def _timer_intel(self, world: World, data: dict) -> None:
-        self._intel.append((world.time_ns, *self.intel_target.position_at(world.time_ns)))
+        self._intel.append((world.time_ns, *self.target.position_at(world.time_ns)))
         world.schedule_timer(world.time_ns + INTEL_INTERVAL_NS, self, "intel")
 
     def _target_distance_nmi(self, at_ns: int) -> float:
@@ -217,13 +215,19 @@ class Attacker:
 
     # -- phase machine ---------------------------------------------------------
 
-    def _enter(self, world: World, phase: str, detail: str | None = None) -> None:
+    def _note(self, world: World, name: str, /, *args, **params) -> None:
+        """Log a phantom mission's note, about its target."""
+        world.note(self, f"{self.target.icao:06x}", name, *args, **params)
+
+    def _enter(self, world: World, phase: str, /, *detail, **params) -> None:
+        """Move on to ``phase`` unless already there or past it; ``detail``,
+        a note's name and args, is logged with ``params`` right after."""
         if PHASES.index(phase) <= PHASES.index(self.phase):
             return
         self.phase = phase
-        world.record("attack", self.name, f"{self.target_icao:06x}", None, note("phase", phase))
+        self._note(world, "phase", phase)
         if detail:
-            world.record("attack", self.name, f"{self.target_icao:06x}", None, detail)
+            self._note(world, *detail, **params)
         if phase == "baiting":
             world.schedule_timer(world.time_ns, self, "bait")
             world.schedule_timer(
@@ -251,7 +255,7 @@ class Attacker:
 
     def _timer_bait_check(self, world: World, data: dict) -> None:
         if self.phase == "baiting":
-            world.record("attack", self.name, f"{self.target_icao:06x}", None, "bait_timeout")
+            self._note(world, "bait_timeout")
             self._enter(world, "done")
 
     # -- evidence probing ----------------------------------------------------------
@@ -260,17 +264,16 @@ class Attacker:
         if self.phase not in ("threat_declared", "done"):
             return
         frame = codec.build_interrogation(
-            "surveillance_long", self.target_icao,
+            "surveillance_long", self.target.icao,
             rac=codec.RAC_DO_NOT_PASS_ABOVE, ra_active=True, sender=self.phantom_icao)
-        world.schedule_transmit(world.time_ns, self, frame,
-                                destination=f"{self.target_icao:06x}")
+        world.schedule_transmit(world.time_ns, self, frame)
         world.schedule_timer(world.time_ns + NS_PER_S, self, "probe")
 
     # -- floods ----------------------------------------------------------------------
 
     def _timer_flood(self, world: World, data: dict) -> None:
         if world.time_ns >= self._flood_until_ns:
-            world.record("attack", self.name, "*", None, "flood_complete")
+            world.note(self, "*", "flood_complete")
             return
         if self.mission == MISSION_ALL_CALL_FLOOD:
             world.schedule_transmit(world.time_ns, self, codec.build_interrogation("all_call"))
@@ -298,7 +301,7 @@ class Attacker:
         self._last_uplink_code = decoded.format_code
         self._enter(world, "tracking")
         if decoded.fields.get("ra_active") and self.phase == "threat_declared":
-            self._enter(world, "done", detail=note("evidence", "target_ra_active"))
+            self._enter(world, "done", "evidence", "target_ra_active")
         return self._handle_phantom_interrogation(world, rx_time_ns)
 
     def _on_downlink(self, world: World, frame: codec.ModeSFrame, rx_time_ns: int) -> str:
@@ -309,25 +312,24 @@ class Attacker:
         if self.mission != MISSION_PHANTOM:
             return "flood_reply" if code == codec.DF_ALL_CALL_REPLY else "observed"
         if code == codec.DF_ALL_CALL_REPLY and self.phase == "recon":
-            if decoded.fields["icao"] == self.target_icao:
+            if decoded.fields["icao"] == self.target.icao:
                 self._recon_pending_ns = world.time_ns
-                probe = codec.build_interrogation("surveillance_short", self.target_icao)
-                world.schedule_transmit(world.time_ns, self, probe,
-                                        destination=f"{self.target_icao:06x}")
+                probe = codec.build_interrogation("surveillance_short", self.target.icao)
+                world.schedule_transmit(world.time_ns, self, probe)
                 return "target_sighted"
             return "observed"
         if code in (codec.DF_SURVEILLANCE_SHORT, codec.DF_SURVEILLANCE_LONG):
-            if decoded.parity.recovered_address != self.target_icao:
+            if decoded.parity.recovered_address != self.target.icao:
                 return "observed"
             if self.phase == "recon" and self._recon_pending_ns is not None:
                 rng = rtt_to_range_nmi(rx_time_ns - self._recon_pending_ns)
                 self._recon_pending_ns = None
                 self._enter(world, "baiting",
-                            detail=note("recon", range=f"{rng:.3f}", alt=decoded.altitude_ft))
+                            "recon", range=f"{rng:.3f}", alt=decoded.altitude_ft)
                 return "target_measured"
             if code == codec.DF_SURVEILLANCE_LONG and decoded.fields["ra_active"]:
                 if self.phase == "threat_declared":
-                    self._enter(world, "done", detail=note("evidence", "target_ra_active"))
+                    self._enter(world, "done", "evidence", "target_ra_active")
                 return "evidence"
             return "observed"
         return "observed"
@@ -367,8 +369,7 @@ class Attacker:
             diffs = self._spacings_ns()
             if max(diffs) - min(diffs) > PERIOD_JITTER_NS:
                 self._period_unstable_logged = True
-                world.record("attack", self.name, f"{self.target_icao:06x}", None,
-                             "period_unstable")
+                self._note(world, "period_unstable")
 
         desired = self._desired_range_nmi(est_tx)
         # declare once the scripted geometry crosses the traffic-advisory gate
@@ -384,8 +385,7 @@ class Attacker:
             try:
                 extra = compute_reply_delay(true_range, desired)
             except InfeasibleReply:
-                world.record("attack", self.name, f"{self.target_icao:06x}", None,
-                             "reactive_infeasible")
+                self._note(world, "reactive_infeasible")
                 disposition = "spoof_missed"
             else:
                 world.schedule_transmit(rx_time_ns + TURNAROUND_NS + extra, self,
@@ -412,5 +412,4 @@ class Attacker:
             return
         world.schedule_transmit(tx_time, self, self._spoof_frame())
         self._predicted_for_ns = next_tx_ns
-        world.record("attack", self.name, f"{self.target_icao:06x}", None,
-                     note("predictive_armed", tx=tx_time))
+        self._note(world, "predictive_armed", tx=tx_time)

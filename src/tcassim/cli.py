@@ -60,15 +60,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.succeeded else 1
 
 
-def _parse_snr(text: str) -> list[float | None]:
-    values: list[float | None] = []
-    for part in text.split(","):
-        part = part.strip()
-        if part.lower() in ("inf", "none", "clean"):
-            values.append(None)
-        else:
-            values.append(float(part))
-    return values
+def _parse_snr(text: str) -> list[float]:
+    return [float(part) for part in text.split(",")]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -37,12 +37,13 @@ def frame_label(frame_hex: str, destination: str = "*") -> str:
     """Human label (UF4, DF11, ...) for a logged frame, read as a downlink.
 
     Codes 4 and 20 are direction-ambiguous from the bits alone, whatever
-    the length; interrogations are logged with their addressed destination,
-    which disambiguates transmit records.  Any other frame takes its kind
-    and parity verdict from ``codec.frame_seal``: the all-call reply's kind
-    is a DF11 when its recovered overlay is the sealing one and a UF11
-    otherwise, the extended squitter's kind is a DF17, and anything else
-    reads ``fmt`` and its code.  Codes 4 and 20 come first as their label
+    the length; the World logs an interrogation sealed with its addressee
+    (UF4, UF20) with that address as its destination and any other frame
+    with "*", which disambiguates transmit records.  Any other frame takes
+    its kind and parity verdict from ``codec.frame_seal``: the all-call
+    reply's kind is a DF11 when its recovered overlay is the sealing one and
+    a UF11 otherwise, the extended squitter's kind is a DF17, and anything
+    else reads ``fmt`` and its code.  Codes 4 and 20 come first as their label
     needs no parity, which is most of the cost of ``frame_seal``.
     """
     try:
@@ -219,7 +220,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
 
 @dataclass(frozen=True)
 class LossPoint:
-    snr_db: float | None  # None means the noiseless sentinel
+    snr_db: float  # inf for the noiseless channel
     samples: int
     lost: int
 
@@ -250,12 +251,12 @@ def _corpus(seed: int, size: int) -> list[codec.ModeSFrame]:
     return [builders[i % len(builders)]() for i in range(size)]
 
 
-def loss_sweep(scenario: Scenario, snr_list: list[float | None],
+def loss_sweep(scenario: Scenario, snr_list: list[float],
                corpus_size: int = 600) -> list[LossPoint]:
     """Frame loss through the modem chain at each SNR, smallest first.
 
-    ``None`` and +inf mean noiseless; a NaN or -inf SNR or an empty corpus
-    is a ValueError.  Every point replays the same corpus through a fresh
+    +inf means noiseless; a NaN or -inf SNR or an empty corpus is a
+    ValueError.  Every point replays the same corpus through a fresh
     channel with the same seed, so frame k takes the same noise draws at
     every SNR and the loss column is monotone in substance, not just in
     expectation.
@@ -263,31 +264,29 @@ def loss_sweep(scenario: Scenario, snr_list: list[float | None],
     if corpus_size < 1:
         raise ValueError(f"corpus size must be at least 1, got {corpus_size}")
     for snr_db in snr_list:
-        if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+        if math.isnan(snr_db) or snr_db == -math.inf:
             raise ValueError(f"SNR must be a number or +inf, got {snr_db}")
     frames = _corpus(scenario.seed, corpus_size)
     noise_seed = int(np.random.SeedSequence([scenario.seed, 0x51EE]).generate_state(1)[0])
     spacing_ns = NS_PER_S // 1000  # 1 ms apart; airtimes are two decades shorter
 
     points = []
-    for snr_db in sorted(snr_list, key=lambda s: math.inf if s is None else s):
-        noiseless = snr_db is None or snr_db == math.inf
-        channel = NoiselessChannel() if noiseless else AwgnChannel(snr_db, noise_seed)
+    for snr_db in sorted(snr_list):
+        channel = NoiselessChannel() if snr_db == math.inf else AwgnChannel(snr_db, noise_seed)
         # a frame counts only if it arrived and decoded to exactly the bits sent
         lost = 0
         for i, sent in enumerate(frames):
             got = channel.receive(sent, i * spacing_ns)
             if got is None or got[0] != sent:
                 lost += 1
-        points.append(LossPoint(None if noiseless else snr_db, corpus_size, lost))
+        points.append(LossPoint(snr_db, corpus_size, lost))
     return points
 
 
 def loss_table_csv(points: list[LossPoint]) -> str:
     lines = ["snr_db,samples,lost,loss_fraction"]
     for p in points:
-        snr = "inf" if p.snr_db is None else f"{p.snr_db:.10g}"
-        lines.append(f"{snr},{p.samples},{p.lost},{p.loss_fraction:.10g}")
+        lines.append(f"{p.snr_db:.10g},{p.samples},{p.lost},{p.loss_fraction:.10g}")
     return "\n".join(lines) + "\n"
 
 

@@ -271,7 +271,7 @@ def frame_bit_length(direction: str, format_code: int) -> int | None:
 def frame_seal(frame: ModeSFrame,
                addressee: int | None = None) -> tuple[str | None, int | None, int]:
     """(kind, sealing overlay, recovered overlay) of a frame, read from its
-    cached decode without building its fields.
+    cached decode, which the first read fills with the CRC and every field.
 
     The sealing overlay is a broadcast format's own, or ``addressee`` (not
     validated here) for a format sealed with its addressee.  The frame

@@ -469,10 +469,8 @@ def build_world(scenario: Scenario) -> tuple[World, dict]:
     spec = scenario.attacker
     if spec is not None:
         attacker = Attacker(spec.name, spec.position, mission=spec.mission,
-                            target_icao=spec.target_icao, plan=spec.plan,
+                            target=by_icao.get(spec.target_icao), plan=spec.plan,
                             bait_timeout_s=spec.bait_timeout_s, flood=spec.flood)
-        if spec.mission == MISSION_PHANTOM:
-            attacker.intel_target = by_icao[spec.target_icao]
         world.add_entity(attacker)
         for jam in spec.jams:
             world.add_jam(jam)

@@ -29,7 +29,6 @@ from .airspace import (
     Position,
     SimError,
     World,
-    note,
     position_after,
     propagation_delay_ns,
     rtt_to_range_nmi,
@@ -89,7 +88,6 @@ class Advisory:
     target_rate_fpm: float
     limit_alt_ft: float
     threat_icao: int
-    issued_ns: int
 
 
 @dataclass
@@ -202,12 +200,12 @@ class Aircraft:
             else:
                 frame = codec.build_interrogation("surveillance_short", icao)
             self.pending[icao] = world.time_ns
-            world.schedule_transmit(world.time_ns, self, frame, destination=f"{icao:06x}")
+            world.schedule_transmit(world.time_ns, self, frame)
 
     def _drop(self, world: World, track: Track, why: str) -> None:
         del self.tracks[track.icao]
         self.pending.pop(track.icao, None)
-        world.record("tcas", self.name, f"{track.icao:06x}", None, note("track_drop", why))
+        world.note(self, f"{track.icao:06x}", "track_drop", why)
         if self.advisory is not None and self.advisory.threat_icao == track.icao:
             self._clear_advisory(world, "track_lost")
 
@@ -248,7 +246,7 @@ class Aircraft:
         if rac == track.received_rac:
             return
         track.received_rac = rac
-        world.record("tcas", self.name, f"{sender:06x}", None, note("rac_received", rac))
+        world.note(self, f"{sender:06x}", "rac_received", rac)
         adv = self.advisory
         if adv is None or adv.threat_icao != sender or rac == codec.RAC_CONTRADICTORY:
             return
@@ -272,7 +270,7 @@ class Aircraft:
         if len(self.tracks) >= TRACK_CAPACITY and not self._evict(world):
             return "table_full"
         self.tracks[icao] = Track(icao, altitude_ft=altitude_ft)
-        world.record("tcas", self.name, f"{icao:06x}", None, "track_new")
+        world.note(self, f"{icao:06x}", "track_new")
         return "acquired"
 
     def _evict(self, world: World) -> bool:
@@ -302,8 +300,7 @@ class Aircraft:
         if track.status == "acquiring":
             track.status = "tracked"
         rate_repr = "none" if track.rate_kt is None else f"{track.rate_kt:.3f}"
-        world.record("tcas", self.name, f"{track.icao:06x}", None,
-                     note("range", range=f"{rng:.6f}", rate=rate_repr))
+        world.note(self, f"{track.icao:06x}", "range", range=f"{rng:.6f}", rate=rate_repr)
         self._evaluate(world, track)
 
     def _evaluate(self, world: World, track: Track) -> None:
@@ -333,10 +330,10 @@ class Aircraft:
         elif tau <= TAU_TA_S and dalt <= ALT_GATE_TA_FT:
             if track.status not in ("ta", "ra"):
                 track.status = "ta"
-                world.record("tcas", self.name, f"{track.icao:06x}", None, "ta_issued")
+                world.note(self, f"{track.icao:06x}", "ta_issued")
         elif track.status == "ta":
             track.status = "tracked"
-            world.record("tcas", self.name, f"{track.icao:06x}", None, "ta_cleared")
+            world.note(self, f"{track.icao:06x}", "ta_cleared")
 
     def _issue_advisory(self, world: World, track: Track, sense: str, *, reversal: bool) -> None:
         pilot_rate = self.pilot.rate_fpm
@@ -346,17 +343,16 @@ class Aircraft:
         else:
             limit = track.altitude_ft - ALT_GATE_RA_FT
             rate = -pilot_rate
-        self.advisory = Advisory(sense, rate, limit, track.icao, world.time_ns)
+        self.advisory = Advisory(sense, rate, limit, track.icao)
         track.divergence_streak = 0
         what = "ra_reversal" if reversal else "ra_issued"
-        world.record("tcas", self.name, f"{track.icao:06x}", None,
-                     note(what, sense, limit=f"{limit:.0f}"))
+        world.note(self, f"{track.icao:06x}", what, sense, limit=f"{limit:.0f}")
         self.fly_advisory(world, self.advisory)
 
     def _clear_advisory(self, world: World, why: str) -> None:
         adv = self.advisory
         self.advisory = None
-        world.record("tcas", self.name, f"{adv.threat_icao:06x}", None, note("ra_cleared", why))
+        world.note(self, f"{adv.threat_icao:06x}", "ra_cleared", why)
         self.level_off_now(world)
 
     # -- lifecycle -----------------------------------------------------------
@@ -385,8 +381,7 @@ class Aircraft:
         elif timer == "pilot_level":
             if data["generation"] == self._pilot_generation:
                 self._set_motion(world, vertical_rate_fpm=0.0, altitude_ft=data["limit"])
-                world.record("pilot", self.name, "-", None,
-                             note("level_off", alt=f"{data['limit']:.0f}"))
+                world.note(self, "-", "level_off", alt=f"{data['limit']:.0f}")
         else:
             raise SimError(f"unknown timer {timer!r}")
 
@@ -406,10 +401,10 @@ class Aircraft:
         rate, limit = data["rate"], data["limit"]
         alt = self.position_at(world.time_ns)[2]
         if (rate < 0 and alt <= limit) or (rate > 0 and alt >= limit):
-            world.record("pilot", self.name, "-", None, "already_compliant")
+            world.note(self, "-", "already_compliant")
             return
         self._set_motion(world, vertical_rate_fpm=rate)
-        world.record("pilot", self.name, "-", None, note("engage", rate=f"{rate:.0f}"))
+        world.note(self, "-", "engage", rate=f"{rate:.0f}")
         to_go_ft = abs(limit - alt)
         cross_ns = world.time_ns + round(to_go_ft / abs(rate) * 60 * NS_PER_S)
         world.schedule_timer(cross_ns, self, "pilot_level",
@@ -419,7 +414,7 @@ class Aircraft:
         self._pilot_generation += 1
         if self.segments[-1][1].vertical_rate_fpm != 0.0:
             self._set_motion(world, vertical_rate_fpm=0.0)
-            world.record("pilot", self.name, "-", None, note("level_off", "cleared"))
+            world.note(self, "-", "level_off", "cleared")
 
     # -- radio ------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcassim import airspace, attacker, modes_codec as codec, tcas
+from tcassim import airspace, attacker, harness, modes_codec as codec, tcas
 
 import oracles
 
@@ -91,7 +91,7 @@ class TestKinematics:
         agree_from_now()
         # an advisory: the pilot engages after the delay and levels off at the limit
         limit = motion[2] + limit_offset_ft
-        a.fly_advisory(w, tcas.Advisory(sense, sign * rate_fpm, limit, 0x000002, w.time_ns))
+        a.fly_advisory(w, tcas.Advisory(sense, sign * rate_fpm, limit, 0x000002))
         for wait in waits_ns[1:3]:
             w.run_until(w.time_ns + wait)
             agree_from_now()
@@ -333,6 +333,45 @@ class TestJamming:
         assert b.inbox == []
 
 
+class TestTransmitDestination:
+    """The World logs a transmit's destination from the frame's seal."""
+
+    FRAMES = {
+        "UF4": (codec.build_interrogation("surveillance_short", 0x3C4EFA), "3c4efa"),
+        "UF20": (codec.build_interrogation("surveillance_long", 0x3C4EFA, ra_active=True,
+                                           rac=codec.RAC_DO_NOT_PASS_ABOVE, sender=0x000001),
+                 "3c4efa"),
+        "UF11": (codec.build_interrogation("all_call"), "*"),
+        "DF4": (codec.build_reply("surveillance_short", 0x3C4EFA, altitude_ft=40_000), "*"),
+        "DF11": (codec.build_reply("all_call", 0x3C4EFA), "*"),
+        "DF17": (_squitter(0x3C4EFA), "*"),
+    }
+
+    @pytest.mark.parametrize("label", FRAMES)
+    def test_an_addressed_uplink_logs_its_addressee_and_any_other_frame_a_star(self, label):
+        frame, destination = self.FRAMES[label]
+        a = Probe("a", 0x000001, _state())
+        w = airspace.World()
+        w.add_entity(a)
+        w.schedule_transmit(0, a, frame)
+        w.run_until(1)
+        (rec,) = w.log
+        assert (rec.kind, rec.destination, rec.outcome) == ("transmit", destination, "sent")
+        assert harness.frame_label(rec.frame_hex, rec.destination) == label
+
+    def test_a_jammed_interrogation_logs_its_addressee(self):
+        a = Probe("a", 0x000001, _state())
+        b = Probe("b", 0x000002, _state(5, 0, 0))
+        w = airspace.World()
+        w.add_entity(a)
+        w.add_entity(b)
+        w.add_jam(airspace.JamDirective(target_icao=0x000001, start_ns=0))
+        w.schedule_transmit(0, a, codec.build_interrogation("surveillance_short", 0x000002))
+        w.run_until(10**9)
+        assert [(r.kind, r.destination, r.outcome) for r in w.log] == [
+            ("transmit", "000002", "jammed")]
+
+
 class TestDeterminism:
     def _run(self, seed):
         a = Probe("a", 0x000001, _state(0, 0, 10_000, vx=200))
@@ -363,7 +402,7 @@ class TestAwgnChannel:
         w.add_entity(b)
         w.schedule_transmit(0, a, _squitter(0x000001))
         uf = codec.build_interrogation("surveillance_short", 0x000001)
-        w.schedule_transmit(10_000_000, b, uf, destination="000001")
+        w.schedule_transmit(10_000_000, b, uf)
         w.run_until(10**9)
         frame, rx = b.inbox[0]
         assert frame.to_hex() == _squitter(0x000001).to_hex()
@@ -593,6 +632,23 @@ class TestEventLog:
             assert airspace.parse_note(text) == airspace.Note(name, args, params)
             assert airspace.note(name, *args, **params) == text
 
+    def test_each_note_name_has_exactly_one_kind(self):
+        listed = [name for names in airspace.NOTES.values() for name in names]
+        assert sorted(airspace.NOTE_KIND) == sorted(listed)  # a name under two kinds fails
+        assert all(name in airspace.NOTES[kind] for name, kind in airspace.NOTE_KIND.items())
+
+    def test_world_note_logs_under_the_kind_of_its_name(self):
+        a = Probe("a", 0x000001, _state())
+        w = airspace.World()
+        w.add_entity(a)
+        w.note(a, "000002", "ra_issued", "climb", limit="12600")
+        w.note(a, "-", "engage", rate="1500")
+        w.note(a, "000002", "range", range="2.500000", rate="none")
+        assert [r.to_line() for r in w.log] == [
+            "0,tcas,a,000002,-,ra_issued;climb;limit=12600",
+            "0,pilot,a,-,-,engage;rate=1500",
+            "0,tcas,a,000002,-,range=2.500000;rate=none"]
+
 
 class Faulty(Probe):
     """A probe whose handlers fail, as a buggy entity's would."""
@@ -650,7 +706,7 @@ class TestMotionSegments:
         w.add_entity(a)
         w.run_until(3 * 10**9)
         # a descent flown from t=3 s, well short of its limit by t=4 s
-        a.fly_advisory(w, tcas.Advisory(tcas.DESCEND, -1500.0, 9_000.0, 0x000002, w.time_ns))
+        a.fly_advisory(w, tcas.Advisory(tcas.DESCEND, -1500.0, 9_000.0, 0x000002))
         w.run_until(4 * 10**9)
         segs = a.segments
         assert len(segs) == 2

@@ -22,7 +22,7 @@ def _victim(x=-20.0, alt=42_000.0, vx=480.0, mode=tcas.MODE_TA_RA):
 def _attacker(**kw):
     pos = airspace.AircraftState(-15.0, 2.0, 0.0)
     kw.setdefault("mission", atk.MISSION_PHANTOM)
-    kw.setdefault("target_icao", VICTIM)
+    kw.setdefault("target", _victim())
     return atk.Attacker("attacker", pos, **kw)
 
 
@@ -100,10 +100,14 @@ class TestPlan:
 
 
 class TestPhantomMission:
+    def test_a_phantom_without_a_target_is_refused_when_built(self):
+        with pytest.raises(airspace.SimError, match="target"):
+            atk.Attacker("attacker", airspace.AircraftState(-15.0, 2.0, 0.0),
+                         mission=atk.MISSION_PHANTOM)
+
     def _run(self, seconds=60):
         victim = _victim()
-        ghost = _attacker()
-        ghost.intel_target = victim
+        ghost = _attacker(target=victim)
         w = _build(victim, ghost)
         w.run_until(seconds * airspace.NS_PER_S)
         return w, victim, ghost
@@ -184,8 +188,7 @@ class TestPhantomMission:
 
     def test_bait_timeout_without_surveillance(self):
         victim = _victim(mode=tcas.MODE_XPDR)  # replies but never interrogates
-        ghost = _attacker(bait_timeout_s=15.0)
-        ghost.intel_target = victim
+        ghost = _attacker(bait_timeout_s=15.0, target=victim)
         w = _build(victim, ghost)
         w.run_until(30 * airspace.NS_PER_S)
         assert [r for r in w.log if r.outcome == "bait_timeout"]

@@ -300,12 +300,12 @@ class TestLossSweep:
     })
 
     def test_rows_sorted_and_sized(self):
-        points = harness.loss_sweep(self.SCENARIO, [20.0, 5.0, None], corpus_size=60)
-        assert [p.snr_db for p in points] == [5.0, 20.0, None]
+        points = harness.loss_sweep(self.SCENARIO, [20.0, 5.0, math.inf], corpus_size=60)
+        assert [p.snr_db for p in points] == [5.0, 20.0, math.inf]
         assert all(p.samples == 60 for p in points)
 
     def test_noiseless_sentinel_is_lossless(self):
-        (point,) = harness.loss_sweep(self.SCENARIO, [None], corpus_size=80)
+        (point,) = harness.loss_sweep(self.SCENARIO, [math.inf], corpus_size=80)
         assert point.lost == 0
         assert point.loss_fraction == 0.0
         (point,) = harness.loss_sweep(self.SCENARIO, [math.inf], corpus_size=80)
@@ -317,14 +317,14 @@ class TestLossSweep:
         assert a == b
 
     @pytest.mark.parametrize("snr_list,corpus_size", [
-        ([10.0], 0), ([10.0], -1), ([math.nan], 10), ([-math.inf], 10), ([None, math.nan], 10)],
+        ([10.0], 0), ([10.0], -1), ([math.nan], 10), ([-math.inf], 10), ([math.inf, math.nan], 10)],
         ids=["empty-corpus", "negative-corpus", "snr-nan", "snr-minus-inf", "nan-beside-none"])
     def test_rejects_empty_corpus_and_non_numeric_snr(self, snr_list, corpus_size):
         with pytest.raises(ValueError):
             harness.loss_sweep(self.SCENARIO, snr_list, corpus_size=corpus_size)
 
     def test_csv_rendering(self):
-        points = harness.loss_sweep(self.SCENARIO, [None], corpus_size=10)
+        points = harness.loss_sweep(self.SCENARIO, [math.inf], corpus_size=10)
         text = harness.loss_table_csv(points)
         assert text.splitlines()[0] == "snr_db,samples,lost,loss_fraction"
         assert text.splitlines()[1] == "inf,10,0,0"

@@ -1,6 +1,8 @@
 """Every module-level import in the package is used or re-exported, and
-two rules keep their one home: only ``airspace`` names the speed of light
-and the nautical mile, and only ``modes_codec`` states a frame length.
+rules keep their one home: only ``airspace`` names the speed of light and
+the nautical mile or calls ``record``, only ``modes_codec`` states a frame
+length, and no call passes a ``destination=``, as the World reads a
+transmit's destination from the frame.
 
 The repository runs no linter, so this stands in for those rules.
 """
@@ -72,6 +74,38 @@ def test_only_airspace_names_the_time_of_flight_constants(path):
                          ids=lambda p: p.name)
 def test_only_the_codec_states_a_frame_length(path):
     assert frame_length_literals(path.read_text()) == []
+
+
+def record_calls(source: str) -> list[int]:
+    """Line of each call of an attribute named ``record``."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "record"]
+
+
+def destination_keywords(source: str) -> list[int]:
+    """Line of each ``destination=`` keyword passed to a call."""
+    return [k.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+            for k in n.keywords if k.arg == "destination"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "airspace"],
+                         ids=lambda p: p.name)
+def test_only_airspace_calls_record(path):
+    assert record_calls(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_call_passes_a_destination(path):
+    assert destination_keywords(path.read_text()) == []
+
+
+def test_note_and_destination_breaches_are_found():
+    source = ("world.record('tcas', name, '-', None, 'ta_issued')\nrecord(1)\n"
+              "world.note(self, '-', 'engage', destination=1)\nrecord = x.record\n"
+              "w.schedule_transmit(0, self,\n    frame, destination='*')\n")
+    assert record_calls(source) == [1]
+    assert destination_keywords(source) == [3, 6]
 
 
 def test_rule_breaches_are_found():

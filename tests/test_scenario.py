@@ -294,7 +294,7 @@ class TestBuildWorld:
         world, entities = scen.build_world(s)
         attacker = entities["ground"]
         assert isinstance(attacker, Attacker)
-        assert attacker.intel_target is entities["victim"]
+        assert attacker.target is entities["victim"]
         assert len(world.jam_directives) == 1
         jam = world.jam_directives[0]
         assert jam.target_icao == entities["intruder"].icao

@@ -505,7 +505,7 @@ class TestPilot:
     def test_engage_after_delay_and_exact_level_off(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=42_000)
         w = _build_world(a)
-        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999, w.time_ns)
+        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999)
         a.advisory = adv
         a.fly_advisory(w, adv)
         w.run_until(4 * airspace.NS_PER_S)
@@ -525,7 +525,7 @@ class TestPilot:
     def test_cleared_before_reaction_never_moves(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=42_000)
         w = _build_world(a)
-        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999, w.time_ns)
+        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999)
         a.fly_advisory(w, adv)
         w.run_until(2 * airspace.NS_PER_S)
         a.level_off_now(w)
@@ -536,7 +536,7 @@ class TestPilot:
     def test_already_compliant_pilot_stays_level(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=40_000)
         w = _build_world(a)
-        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999, w.time_ns)
+        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999)
         a.fly_advisory(w, adv)
         w.run_until(10 * airspace.NS_PER_S)
         assert a.state_at(w.time_ns).altitude_ft == 40_000.0
