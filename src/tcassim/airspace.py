@@ -220,13 +220,18 @@ def _format_lines(records: Sequence[LogRecord]) -> str:
     return text
 
 
+def _malformed(line: str) -> SimError:
+    """The error for a log line that breaks the grammar, quoting it."""
+    text = line.rstrip("\n")
+    return SimError(f"malformed log line: {text!r}")
+
+
 def _split_line(line: str) -> tuple[str, ...]:
     """The five fields after a log line's time, or a SimError naming the
     line when it has not six fields or breaks the log grammar."""
-    text = line.rstrip("\n")
-    parts = text.split(",")
+    parts = line.rstrip("\n").split(",")
     if len(parts) != 6 or not _loggable(parts[1], parts[5]):
-        raise SimError(f"malformed log line: {text!r}")
+        raise _malformed(line)
     return tuple(parts[1:])
 
 
@@ -246,7 +251,8 @@ def read_event_log(path) -> list[LogRecord]:
     the records take about the memory the run's own did.  Each new tail is
     checked against the log grammar once: an unknown kind, a transmit neither
     sent nor jammed, a note its kind does not log, or a note without what the
-    report reads from it makes a malformed line.
+    report reads from it makes a malformed line.  So does a time that is not
+    as ``write_event_log`` writes it: digits alone, with no leading zero.
     """
     fields_by_tail: dict[str, tuple[str, ...]] = {}
     records = []
@@ -260,6 +266,9 @@ def read_event_log(path) -> list[LogRecord]:
                 if not line.strip():
                     continue
                 fields = fields_by_tail[tail] = _split_line(line)
+            # the file reads as ASCII, so isdigit admits only 0-9
+            if not time_text.isdigit() or time_text[0] == "0" and time_text != "0":
+                raise _malformed(line)
             append(new(LogRecord, (int(time_text), *fields)))
     return records
 

@@ -13,9 +13,11 @@ closing profile: delaying a reply moves the phantom outward, and replying
 interrogation from the learned surveillance period.  Once the scripted
 geometry looks like an imminent threat the attacker declares it, attaches a
 vertical restriction to every reply, and probes the target until its
-transponder admits an active resolution advisory.  Reaching ``done`` does
-not stop the transmissions: the phantom keeps flying so the induced descent
-is sustained.
+transponder admits an active resolution advisory.  Reaching ``done`` that
+way does not stop the transmissions: the phantom keeps flying so the induced
+descent is sustained.  A mission that gives up baiting, as the target never
+interrogated the phantom, goes silent instead: it stops baiting and watching
+the target, and hears every interrogation as ``observed``.
 
 Flood missions are simpler: all-call flooding solicits a reply from every
 aircraft in range per interrogation, and squitter flooding fabricates a
@@ -34,7 +36,6 @@ from . import modes_codec as codec
 from .airspace import (
     NS_PER_S,
     TURNAROUND_NS,
-    AircraftState,
     Entity,
     Position,
     SimError,
@@ -129,8 +130,8 @@ class PhantomPlan:
 
 @dataclass(frozen=True)
 class FloodPlan:
-    """A flood's cadence and length; a squitter flood's frames carry the
-    fabricated addresses ``address_base``, ``address_base + 1``, ..."""
+    """A flood's cadence and its count of ``frames``; a squitter flood's
+    frames carry the fabricated addresses ``address_base``, ``address_base + 1``, ..."""
 
     rate_hz: float = 10.0
     duration_s: float = 10.0
@@ -140,17 +141,22 @@ class FloodPlan:
     def period_ns(self) -> int:
         return round(NS_PER_S / self.rate_hz)
 
+    @property
+    def frames(self) -> int:
+        """Frames sent, at 0, ``period_ns``, 2 * ``period_ns``, ... before ``duration_s``."""
+        return -(-round(self.duration_s * NS_PER_S) // self.period_ns)
+
 
 class Attacker:
     """Software-defined ground transmitter; one instance, one mission.  A
     phantom mission attacks its ``target`` aircraft and watches its motion."""
 
-    def __init__(self, name: str, position: AircraftState, *,
+    def __init__(self, name: str, position: Position, *,
                  mission: str = MISSION_PHANTOM,
                  target: Entity | None = None,
-                 plan: PhantomPlan | None = None,
+                 plan: PhantomPlan = PhantomPlan(),
                  bait_timeout_s: float = DEFAULT_BAIT_TIMEOUT_S,
-                 flood: FloodPlan | None = None):
+                 flood: FloodPlan = FloodPlan()):
         if mission not in MISSIONS:
             raise SimError(f"unknown mission {mission!r}")
         self.phantom_icao: int | None = None
@@ -162,10 +168,10 @@ class Attacker:
         self.icao: int | None = None  # no transponder identity of its own
         self.mission = mission
         self.target = target
-        self.plan = plan or PhantomPlan()
+        self.plan = plan
         self.bait_timeout_s = bait_timeout_s
-        self.flood = flood or FloodPlan()
-        self._xyz = (position.x_nmi, position.y_nmi, position.altitude_ft)
+        self.flood = flood
+        self.position = position
         self.phase = "recon"
         self._intel: deque[tuple[int, float, float, float]] = deque(maxlen=INTEL_WINDOW)
         self._recon_pending_ns: int | None = None
@@ -174,13 +180,12 @@ class Attacker:
         self._last_uplink_code = codec.UF_SURVEILLANCE_SHORT
         self._predicted_for_ns: int | None = None
         self._period_unstable_logged = False
-        self._flood_until_ns: int | None = None
-        self._flood_counter = 0
+        self._flood_sent = 0
 
     # -- entity surface ------------------------------------------------------
 
     def position_at(self, time_ns: int) -> Position:
-        return self._xyz
+        return self.position
 
     def start(self, world: World, phase_ns: int = 0) -> None:
         now = world.time_ns + phase_ns
@@ -189,7 +194,6 @@ class Attacker:
             world.schedule_timer(now, self, "recon")
             world.schedule_timer(now, self, "intel")
         else:
-            self._flood_until_ns = now + round(self.flood.duration_s * NS_PER_S)
             world.note(self, "*", "phase", self.mission)
             world.schedule_timer(now, self, "flood")
 
@@ -207,13 +211,20 @@ class Attacker:
     # -- intel ----------------------------------------------------------------
 
     def _timer_intel(self, world: World, data: dict) -> None:
+        if self._gave_up:
+            return
         self._intel.append((world.time_ns, *self.target.position_at(world.time_ns)))
         world.schedule_timer(world.time_ns + INTEL_INTERVAL_NS, self, "intel")
 
     def _target_distance_nmi(self, at_ns: int) -> float:
-        return separation_nmi(self._xyz, fit_linear_track(self._intel, at_ns))
+        return separation_nmi(self.position, fit_linear_track(self._intel, at_ns))
 
     # -- phase machine ---------------------------------------------------------
+
+    @property
+    def _gave_up(self) -> bool:
+        """Baiting timed out: the one way to ``done`` that never set ``_plan_t0_ns``."""
+        return self.phase == "done" and self._plan_t0_ns is None
 
     def _note(self, world: World, name: str, /, *args, **params) -> None:
         """Log a phantom mission's note, about its target."""
@@ -246,7 +257,7 @@ class Attacker:
     # -- baiting -----------------------------------------------------------------
 
     def _timer_bait(self, world: World, data: dict) -> None:
-        if self.phase == "recon":
+        if self._gave_up:
             return
         frame = codec.build_reply("extended_squitter", self.phantom_icao,
                                   altitude_ft=self.plan.altitude_ft)
@@ -261,8 +272,6 @@ class Attacker:
     # -- evidence probing ----------------------------------------------------------
 
     def _timer_probe(self, world: World, data: dict) -> None:
-        if self.phase not in ("threat_declared", "done"):
-            return
         frame = codec.build_interrogation(
             "surveillance_long", self.target.icao,
             rac=codec.RAC_DO_NOT_PASS_ABOVE, ra_active=True, sender=self.phantom_icao)
@@ -272,22 +281,22 @@ class Attacker:
     # -- floods ----------------------------------------------------------------------
 
     def _timer_flood(self, world: World, data: dict) -> None:
-        if world.time_ns >= self._flood_until_ns:
+        if self._flood_sent == self.flood.frames:
             world.note(self, "*", "flood_complete")
             return
         if self.mission == MISSION_ALL_CALL_FLOOD:
-            world.schedule_transmit(world.time_ns, self, codec.build_interrogation("all_call"))
+            frame = codec.build_interrogation("all_call")
         else:
-            address = self.flood.address_base + self._flood_counter
-            self._flood_counter += 1
-            frame = codec.build_reply("extended_squitter", address, altitude_ft=15_000)
-            world.schedule_transmit(world.time_ns, self, frame)
+            frame = codec.build_reply("extended_squitter", self.flood.address_base
+                                      + self._flood_sent, altitude_ft=15_000)
+        self._flood_sent += 1
+        world.schedule_transmit(world.time_ns, self, frame)
         world.schedule_timer(world.time_ns + self.flood.period_ns, self, "flood")
 
     # -- frame handling ------------------------------------------------------------------
 
     def _on_uplink(self, world: World, frame: codec.ModeSFrame, rx_time_ns: int) -> str:
-        if self.mission != MISSION_PHANTOM or self.phase == "recon":
+        if self.mission != MISSION_PHANTOM or self.phase == "recon" or self._gave_up:
             return "observed"
         decoded = codec.parse_frame(frame, expected_address=self.phantom_icao)
         if decoded.kind == "unknown":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -66,7 +67,7 @@ def _parse_snr(text: str) -> list[float]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     loaded = _resolve_scenario(args.scenario, None)
-    if loaded.snr_db is None:
+    if loaded.snr_db == math.inf:
         raise scen.ScenarioError("sweep needs a scenario with an awgn channel")
     points = harness.loss_sweep(loaded, _parse_snr(args.snr), corpus_size=args.frames)
     table = harness.loss_table_csv(points)

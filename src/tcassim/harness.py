@@ -26,7 +26,7 @@ from . import fta
 from . import modes_codec as codec
 from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, AwgnChannel, LogRecord,
                        NoiselessChannel, note, parse_note)
-from .attacker import MISSION_PHANTOM, PhantomPlan, phantom_address
+from .attacker import MISSION_PHANTOM, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
 
@@ -175,12 +175,11 @@ def _fill_plan_errors(report: MetricsReport, scenario: Scenario) -> None:
     if epoch is None:
         return
     victim = next(a.name for a in scenario.aircraft if a.icao == atk.target_icao)
-    plan = atk.plan or PhantomPlan()
     series = report.range_series.get(f"{victim}>{phantom_address(atk.target_icao):06x}", [])
     for t_ns, estimate in series:
         if t_ns < epoch:
             continue
-        want = plan.desired_range_nmi((t_ns - epoch) / NS_PER_S)
+        want = atk.plan.desired_range_nmi((t_ns - epoch) / NS_PER_S)
         report.plan_error_series.append([t_ns, estimate, want, estimate - want])
 
 
@@ -188,7 +187,6 @@ def _fill_plan_errors(report: MetricsReport, scenario: Scenario) -> None:
 
 @dataclass
 class SimulationResult:
-    scenario: Scenario
     records: list[LogRecord]
     report: MetricsReport
 
@@ -213,7 +211,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
                 records.append(LogRecord(on_ns, "nmac", name_a, name_b, "-",
                                          note("window", until=off_ns)))
     records.sort(key=itemgetter(0))  # stable: equal times keep log order
-    return SimulationResult(scenario, records, metrics_from_log(records, scenario))
+    return SimulationResult(records, metrics_from_log(records, scenario))
 
 
 # -- channel characterization --------------------------------------------------------

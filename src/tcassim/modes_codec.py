@@ -359,7 +359,6 @@ def build_reply(kind: str, address: int, *, altitude_ft: float = 0,
 class DecodedFrame:
     """Parsed frame: format identity, extracted fields, and parity verdict."""
 
-    frame: ModeSFrame
     format_code: int
     kind: str
     fields: dict[str, int]
@@ -384,6 +383,6 @@ def parse_frame(frame: ModeSFrame, expected_address: int | None = None) -> Decod
     """
     kind, overlay, _ = frame_seal(frame, expected_address)
     if kind is None:
-        return DecodedFrame(frame, frame.format_code, "unknown", {}, None)
+        return DecodedFrame(frame.format_code, "unknown", {}, None)
     parity = verify_frame(frame, overlay)
-    return DecodedFrame(frame, frame.format_code, kind, dict(frame._decode()[2]), parity)
+    return DecodedFrame(frame.format_code, kind, dict(frame._decode()[2]), parity)

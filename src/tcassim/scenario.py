@@ -20,6 +20,7 @@ from .airspace import (
     AwgnChannel,
     JamDirective,
     NoiselessChannel,
+    Position,
     SimError,
     World,
     note,
@@ -142,20 +143,23 @@ def _check_altitude(where: str, altitude_ft: float) -> None:
         raise ScenarioError(f"{where}: field 'altitude_ft': {exc}") from None
 
 
-def _state(where: str, position: dict, velocity: dict) -> AircraftState:
-    """The state at a position and velocity; an empty velocity is at rest."""
-    _check_keys(f"{where}.position", position, {"x_nmi", "y_nmi", "altitude_ft"})
-    _check_keys(f"{where}.velocity", velocity, {"vx_kt", "vy_kt", "vertical_rate_fpm"})
-    try:
-        return AircraftState(
-            _number(f"{where}.position", position, "x_nmi", required=True),
-            _number(f"{where}.position", position, "y_nmi", required=True),
-            _number(f"{where}.position", position, "altitude_ft", required=True),
-            _number(f"{where}.velocity", velocity, "vx_kt", 0.0),
-            _number(f"{where}.velocity", velocity, "vy_kt", 0.0),
-            _number(f"{where}.velocity", velocity, "vertical_rate_fpm", 0.0))
-    except SimError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+def _position(where: str, obj: dict) -> Position:
+    """The ``position`` field of the entity ``obj``."""
+    if "position" not in obj:
+        raise ScenarioError(f"{where}: missing field 'position'")
+    where, position = f"{where}.position", obj["position"]
+    _check_keys(where, position, {"x_nmi", "y_nmi", "altitude_ft"})
+    return tuple(_number(where, position, key, required=True)
+                 for key in ("x_nmi", "y_nmi", "altitude_ft"))
+
+
+def _state(where: str, obj: dict) -> AircraftState:
+    """The aircraft ``obj``'s state; no ``velocity`` field is at rest."""
+    position = _position(where, obj)
+    where, velocity = f"{where}.velocity", obj.get("velocity", {})
+    _check_keys(where, velocity, {"vx_kt", "vy_kt", "vertical_rate_fpm"})
+    return AircraftState(*position, *(_number(where, velocity, key, 0.0)
+                                      for key in ("vx_kt", "vy_kt", "vertical_rate_fpm")))
 
 
 # -- validated configuration ----------------------------------------------------
@@ -174,11 +178,11 @@ class AircraftSpec:
 class AttackerSpec:
     name: str
     mission: str
-    position: AircraftState
+    position: Position
     target_icao: int | None = None
-    plan: PhantomPlan | None = None
+    plan: PhantomPlan = PhantomPlan()
     bait_timeout_s: float = DEFAULT_BAIT_TIMEOUT_S
-    flood: FloodPlan | None = None
+    flood: FloodPlan = FloodPlan()
     jams: tuple[JamDirective, ...] = ()
 
 
@@ -189,7 +193,7 @@ class Scenario:
     aircraft: tuple[AircraftSpec, ...]
     attacker: AttackerSpec | None = None
     surveillance_period_s: float = DEFAULT_SURVEILLANCE_PERIOD_S
-    snr_db: float | None = None  # None: the noiseless channel
+    snr_db: float = math.inf  # inf: the noiseless channel
     seed: int = 0
     success: tuple[str, ...] = ()
 
@@ -253,7 +257,7 @@ def _parse(doc: dict) -> Scenario:
         raise ScenarioError(f"scenario: field 'surveillance_period_s': {exc}") from None
 
     snr_db = _parse_channel(doc.get("channel", {"kind": "noiseless"}))
-    if snr_db is not None and "seed" not in doc:
+    if snr_db != math.inf and "seed" not in doc:
         raise ScenarioError("scenario: field 'seed' is required with a noisy channel")
     seed = doc.get("seed", 0)
 
@@ -289,14 +293,14 @@ def _parse(doc: dict) -> Scenario:
                     snr_db=snr_db, seed=seed, success=tuple(success))
 
 
-def _parse_channel(obj: dict) -> float | None:
-    """The channel's SNR in dB, or None for the noiseless channel."""
+def _parse_channel(obj: dict) -> float:
+    """The channel's SNR in dB, inf for the noiseless channel."""
     _check_keys("channel", obj, {"kind", "snr_db"})
     kind = _string("channel", obj, "kind", required=True)
     if kind == "noiseless":
         if "snr_db" in obj:
             raise ScenarioError("channel: field 'snr_db' only applies to kind 'awgn'")
-        return None
+        return math.inf
     if kind == "awgn":
         return _number("channel", obj, "snr_db", required=True)
     raise ScenarioError(f"channel: unknown kind {kind!r}")
@@ -313,9 +317,7 @@ def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
     squitter = obj.get("squitter", True)
     if not isinstance(squitter, bool):
         raise ScenarioError(f"{where}: field 'squitter' must be a boolean")
-    if "position" not in obj:
-        raise ScenarioError(f"{where}: missing field 'position'")
-    state = _state(where, obj["position"], obj.get("velocity", {}))
+    state = _state(where, obj)
     _check_altitude(f"{where}.position", state.altitude_ft)
     # scripted motion is linear, so its states at both ends bound the run
     try:
@@ -354,9 +356,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
     mission = _string(where, obj, "mission", required=True)
     if mission not in MISSIONS:
         raise ScenarioError(f"{where}: unknown mission {mission!r}")
-    if "position" not in obj:
-        raise ScenarioError(f"{where}: missing field 'position'")
-    position = _state(where, obj["position"], {})
+    position = _position(where, obj)
 
     target = None
     if mission == MISSION_PHANTOM:
@@ -370,7 +370,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
     elif "target" in obj:
         raise ScenarioError(f"{where}: field 'target' only applies to the phantom mission")
 
-    plan = None
+    plan = PhantomPlan()
     if "plan" in obj:
         if mission != MISSION_PHANTOM:
             raise ScenarioError(f"{where}: field 'plan' only applies to the phantom mission")
@@ -385,7 +385,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
         _check_altitude(f"{where}.plan", plan.altitude_ft)
         _check_plan_ranges(f"{where}.plan", plan, duration_s)
 
-    flood = None
+    flood = FloodPlan()
     if "flood" in obj:
         if mission == MISSION_PHANTOM:
             raise ScenarioError(f"{where}: field 'flood' only applies to flood missions")
@@ -403,11 +403,9 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
         if not math.isfinite(NS_PER_S / rate) or flood.period_ns < 1:
             raise ScenarioError(f"{flood_where}: field 'rate_hz' must give a finite period "
                                 f"of at least 1 ns")
-        # frames go out at 0, period_ns, 2 * period_ns, ... before duration_ns
-        frames = -(-round(duration * NS_PER_S) // flood.period_ns)
-        if mission == MISSION_SQUITTER_FLOOD and base + frames - 1 > 0xFFFFFF:
+        if mission == MISSION_SQUITTER_FLOOD and base + flood.frames - 1 > 0xFFFFFF:
             raise ScenarioError(f"{flood_where}: field 'address_base' leaves too few addresses "
-                                f"for {frames} squitters within 24 bits")
+                                f"for {flood.frames} squitters within 24 bits")
 
     jam_docs = obj.get("jam", [])
     if not isinstance(jam_docs, list):
@@ -451,7 +449,7 @@ def _check_plan_ranges(where: str, plan: PhantomPlan, duration_s: float) -> None
 
 def build_world(scenario: Scenario) -> tuple[World, dict]:
     """Instantiate and arm every entity; returns the world and a name index."""
-    channel = (NoiselessChannel() if scenario.snr_db is None
+    channel = (NoiselessChannel() if scenario.snr_db == math.inf
                else AwgnChannel(scenario.snr_db, scenario.seed))
     world = World(channel=channel)
 

@@ -85,7 +85,6 @@ def tau_s(range_nmi: float, rate_kt: float) -> float:
 @dataclass
 class Advisory:
     sense: str
-    target_rate_fpm: float
     limit_alt_ft: float
     threat_icao: int
 
@@ -336,18 +335,15 @@ class Aircraft:
             world.note(self, f"{track.icao:06x}", "ta_cleared")
 
     def _issue_advisory(self, world: World, track: Track, sense: str, *, reversal: bool) -> None:
-        pilot_rate = self.pilot.rate_fpm
         if sense == CLIMB:
             limit = track.altitude_ft + ALT_GATE_RA_FT
-            rate = pilot_rate
         else:
             limit = track.altitude_ft - ALT_GATE_RA_FT
-            rate = -pilot_rate
-        self.advisory = Advisory(sense, rate, limit, track.icao)
+        self.advisory = Advisory(sense, limit, track.icao)
         track.divergence_streak = 0
         what = "ra_reversal" if reversal else "ra_issued"
         world.note(self, f"{track.icao:06x}", what, sense, limit=f"{limit:.0f}")
-        self.fly_advisory(world, self.advisory)
+        self.fly_advisory(world)
 
     def _clear_advisory(self, world: World, why: str) -> None:
         adv = self.advisory
@@ -380,25 +376,28 @@ class Aircraft:
             self._pilot_engage(world, data)
         elif timer == "pilot_level":
             if data["generation"] == self._pilot_generation:
-                self._set_motion(world, vertical_rate_fpm=0.0, altitude_ft=data["limit"])
-                world.note(self, "-", "level_off", alt=f"{data['limit']:.0f}")
+                limit = self.advisory.limit_alt_ft
+                self._set_motion(world, vertical_rate_fpm=0.0, altitude_ft=limit)
+                world.note(self, "-", "level_off", alt=f"{limit:.0f}")
         else:
             raise SimError(f"unknown timer {timer!r}")
 
     # -- pilot ----------------------------------------------------------------
 
-    def fly_advisory(self, world: World, advisory: Advisory) -> None:
+    def fly_advisory(self, world: World) -> None:
+        """Fly the held ``advisory`` after the reaction delay.  Its timers
+        carry only the pilot generation, which a new or cleared advisory
+        moves on, so a timer still current flies the advisory it was set for."""
         self._pilot_generation += 1
         delay = round(self.pilot.delay_s * NS_PER_S)
         world.schedule_timer(world.time_ns + delay, self, "pilot_engage",
-                             {"generation": self._pilot_generation,
-                              "rate": advisory.target_rate_fpm,
-                              "limit": advisory.limit_alt_ft})
+                             {"generation": self._pilot_generation})
 
     def _pilot_engage(self, world: World, data: dict) -> None:
         if data["generation"] != self._pilot_generation:
             return
-        rate, limit = data["rate"], data["limit"]
+        rate = self.pilot.rate_fpm if self.advisory.sense == CLIMB else -self.pilot.rate_fpm
+        limit = self.advisory.limit_alt_ft
         alt = self.position_at(world.time_ns)[2]
         if (rate < 0 and alt <= limit) or (rate > 0 and alt >= limit):
             world.note(self, "-", "already_compliant")
@@ -407,8 +406,7 @@ class Aircraft:
         world.note(self, "-", "engage", rate=f"{rate:.0f}")
         to_go_ft = abs(limit - alt)
         cross_ns = world.time_ns + round(to_go_ft / abs(rate) * 60 * NS_PER_S)
-        world.schedule_timer(cross_ns, self, "pilot_level",
-                             {"generation": data["generation"], "limit": limit})
+        world.schedule_timer(cross_ns, self, "pilot_level", {"generation": data["generation"]})
 
     def level_off_now(self, world: World) -> None:
         self._pilot_generation += 1

@@ -2,13 +2,19 @@
 
 Everything here is deliberately written the slow, textbook way (bit lists,
 exact rational arithmetic) so it shares no code or shortcuts with the
-package under test.
+package under test.  ``ReferenceWorld`` is the one exception: it is an
+``airspace.World`` whose event queue, fan-out and records are redone
+here, so that a run can be replayed through it and compared.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from tcassim import modes_codec as codec
+from tcassim.airspace import (NOTES, RECEPTION_RANGE_NMI, LogRecord, World,
+                              frame_airtime_ns, note)
 
 # 25-bit generator polynomial, MSB (x^24) explicit.
 GENERATOR_BITS = [int(b) for b in format(0x1FFF409, "025b")]
@@ -91,3 +97,75 @@ def _round_nearest(x: Fraction) -> int:
     if rem < Fraction(1, 2):
         return floor
     return floor + (floor % 2)  # ties to even; unreachable for physical inputs
+
+
+class ReferenceWorld(World):
+    """A World that keeps its events in a flat list and takes the least
+    ``(time, registration order, sequence)`` by a linear scan, formats a
+    frame's hex from its word, builds each record through ``LogRecord``
+    and does its own fan-out: the jam check, the destination from the CRC
+    seal, and each receiver's range and delay from ``position_at``.  Of the
+    World it reuses only ``_do_deliver``, and with it the channels and the
+    entities."""
+
+    def __init__(self, channel=None):
+        super().__init__(channel)
+        self.events: list[tuple] = []
+        self.pushed = 0
+
+    def _push(self, time_ns, source, handler, *args):
+        assert time_ns >= self.time_ns, "causality violation"
+        order = [e.name for e in self.entities].index(source)
+        self.pushed += 1
+        self.events.append((time_ns, order, self.pushed, handler, args))
+
+    def schedule_timer(self, time_ns, entity, timer, data=None):
+        self._push(time_ns, entity.name, ReferenceWorld._timer, entity, timer, data or {})
+
+    def schedule_transmit(self, time_ns, entity, frame):
+        self._push(time_ns, entity.name, ReferenceWorld._transmit, entity, frame)
+
+    def record(self, kind, source, destination, frame, outcome):
+        frame_hex = "-" if frame is None else f"{frame.word:0{frame.nbits // 4}x}"
+        self.log.append(LogRecord(self.time_ns, kind, source, destination, frame_hex, outcome))
+
+    def note(self, entity, about, name, /, *args, **params):
+        kind = next(kind for kind, names in NOTES.items() if name in names)
+        self.record(kind, entity.name, about, None, note(name, *args, **params))
+
+    def run_until(self, t_end_ns):
+        while self.events:
+            first = min(range(len(self.events)), key=lambda i: self.events[i][:3])
+            if self.events[first][0] > t_end_ns:
+                break
+            self.time_ns, _, _, handler, args = self.events.pop(first)
+            handler(self, *args)
+        self.time_ns = max(self.time_ns, t_end_ns)
+
+    def _timer(self, entity, timer, data):
+        self.record("timer", entity.name, "-", None, timer)
+        entity.on_timer(self, timer, data)
+
+    def _transmit(self, source, frame):
+        t0 = self.time_ns
+        t1 = t0 + frame_airtime_ns(frame)
+        destination = "*"
+        if frame.direction == codec.UPLINK and frame.format_code in (
+                codec.UF_SURVEILLANCE_SHORT, codec.UF_SURVEILLANCE_LONG):
+            body = [int(b) for b in format(frame.word >> 24, f"0{frame.nbits - 24}b")]
+            destination = f"{(frame.word & 0xFFFFFF) ^ crc24_long_division(body):06x}"
+        for jam in self.jam_directives:
+            end = math.inf if jam.end_ns is None else jam.end_ns
+            if source.icao == jam.target_icao and t0 < end and t1 >= jam.start_ns:
+                self.record("transmit", source.name, destination, frame, "jammed")
+                return
+        self.record("transmit", source.name, destination, frame, "sent")
+        sx, sy, salt = source.position_at(t0)
+        for receiver in self.entities:
+            if receiver is source:
+                continue
+            rx, ry, ralt = receiver.position_at(t0)
+            dist = math.hypot(sx - rx, sy - ry, (salt - ralt) / float(FEET_PER_NMI))
+            if dist <= RECEPTION_RANGE_NMI:
+                self._push(t0 + propagation_delay_ns(dist), source.name,
+                           World._do_deliver, source, receiver, frame)

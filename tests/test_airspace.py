@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcassim import airspace, attacker, harness, modes_codec as codec, tcas
+from tcassim import scenario as scen
 
 import oracles
+from test_golden import AWGN_RING, NOISELESS_RING
 
 
 @dataclass
@@ -77,7 +79,6 @@ class TestKinematics:
                           pilot=tcas.PilotModel(delay_s=delay_s, rate_fpm=rate_fpm))
         w = airspace.World()
         w.add_entity(a)
-        sign = 1.0 if sense == tcas.CLIMB else -1.0
         seen = []
 
         def agree_from_now():
@@ -91,7 +92,8 @@ class TestKinematics:
         agree_from_now()
         # an advisory: the pilot engages after the delay and levels off at the limit
         limit = motion[2] + limit_offset_ft
-        a.fly_advisory(w, tcas.Advisory(sense, sign * rate_fpm, limit, 0x000002))
+        a.advisory = tcas.Advisory(sense, limit, 0x000002)
+        a.fly_advisory(w)
         for wait in waits_ns[1:3]:
             w.run_until(w.time_ns + wait)
             agree_from_now()
@@ -105,7 +107,7 @@ class TestKinematics:
     @given(st.tuples(*[st.floats(-1e4, 1e4)] * 2, st.floats(0, 60_000)),
            st.integers(0, 10**12))
     def test_attacker_position_is_its_state_position(self, xyz, t_ns):
-        ground = attacker.Attacker("g", _state(*xyz), mission=attacker.MISSION_ALL_CALL_FLOOD)
+        ground = attacker.Attacker("g", xyz, mission=attacker.MISSION_ALL_CALL_FLOOD)
         assert ground.position_at(t_ns) == xyz
 
 
@@ -393,6 +395,29 @@ class TestDeterminism:
         assert self._run(1) != self._run(2)
 
 
+REFERENCE_JOBS = {**{f"{name}{variant}": (name, variant)
+                    for name in scen.bundled_scenario_names() for variant in ("", "/control")},
+                  "awgn_ring4": AWGN_RING, "ring6": NOISELESS_RING}
+
+
+@pytest.mark.parametrize("job", sorted(REFERENCE_JOBS))
+def test_world_replays_byte_for_byte_as_the_reference_world(monkeypatch, job):
+    spec = REFERENCE_JOBS[job]
+    if isinstance(spec, dict):
+        scenario = scen.load_scenario(spec)
+    else:
+        scenario = scen.bundled_scenario(spec[0])
+        if spec[1]:
+            scenario = scenario.without_attacker()
+
+    def texts(result):
+        return "".join(r.to_line() + "\n" for r in result.records), result.report.to_json()
+
+    want = texts(harness.simulate(scenario))
+    monkeypatch.setattr(scen, "World", oracles.ReferenceWorld)
+    assert texts(harness.simulate(scenario)) == want
+
+
 class TestAwgnChannel:
     def test_clean_snr_delivers_exact_frame_and_timestamp(self):
         a = Probe("a", 0x000001, _state(0, 0, 0))
@@ -544,6 +569,13 @@ class TestEventLog:
         path = tmp_path / "events.log"
         path.write_text("1,timer,a,-,-,tick\nsoon,timer,a,-,-,tick\n")
         with pytest.raises(ValueError, match="soon"):
+            airspace.read_event_log(path)
+
+    @pytest.mark.parametrize("time_text", ["1_000", " 7", "+5", "-5", "007", "abc"])
+    def test_time_must_read_as_written(self, tmp_path, time_text):
+        path = tmp_path / "events.log"
+        path.write_text(f"1,timer,a,-,-,tick\n{time_text},timer,a,-,-,tick\n")
+        with pytest.raises(airspace.SimError, match="malformed log line"):
             airspace.read_event_log(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -706,7 +738,8 @@ class TestMotionSegments:
         w.add_entity(a)
         w.run_until(3 * 10**9)
         # a descent flown from t=3 s, well short of its limit by t=4 s
-        a.fly_advisory(w, tcas.Advisory(tcas.DESCEND, -1500.0, 9_000.0, 0x000002))
+        a.advisory = tcas.Advisory(tcas.DESCEND, 9_000.0, 0x000002)
+        a.fly_advisory(w)
         w.run_until(4 * 10**9)
         segs = a.segments
         assert len(segs) == 2

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from tcassim import airspace, attacker as atk, modes_codec as codec, tcas
+from tcassim import airspace, attacker as atk, harness, modes_codec as codec, tcas
+from tcassim import scenario as scen
 
 import oracles
 
@@ -20,7 +21,7 @@ def _victim(x=-20.0, alt=42_000.0, vx=480.0, mode=tcas.MODE_TA_RA):
 
 
 def _attacker(**kw):
-    pos = airspace.AircraftState(-15.0, 2.0, 0.0)
+    pos = (-15.0, 2.0, 0.0)
     kw.setdefault("mission", atk.MISSION_PHANTOM)
     kw.setdefault("target", _victim())
     return atk.Attacker("attacker", pos, **kw)
@@ -102,7 +103,7 @@ class TestPlan:
 class TestPhantomMission:
     def test_a_phantom_without_a_target_is_refused_when_built(self):
         with pytest.raises(airspace.SimError, match="target"):
-            atk.Attacker("attacker", airspace.AircraftState(-15.0, 2.0, 0.0),
+            atk.Attacker("attacker", (-15.0, 2.0, 0.0),
                          mission=atk.MISSION_PHANTOM)
 
     def _run(self, seconds=60):
@@ -195,6 +196,35 @@ class TestPhantomMission:
         names = [p for p, _ in _phase_times(w)]
         assert names == ["recon", "baiting", "done"]
 
+    def test_a_phantom_that_gives_up_goes_silent(self):
+        result = harness.simulate(scen.load_scenario(GIVE_UP))
+        gave_up = next(i for i, r in enumerate(result.records) if r.outcome == "bait_timeout")
+        after = result.records[gave_up + 1:]
+        assert not [r for r in after if r.kind == "transmit" and r.source == "attacker"]
+        assert {r.outcome for r in after
+                if r.kind == "deliver" and r.destination == "attacker"} == {"observed"}
+        # each of its timers fires once more, and does not re-arm
+        timers = [r.outcome for r in after if r.kind == "timer" and r.source == "attacker"]
+        assert sorted(timers) == ["bait", "intel"]
+        assert not [r for r in after if r.kind == "tcas" and r.destination == f"{PHANTOM:06x}"
+                    and r.outcome.startswith(("range", "ta_issued"))]
+        assert [p for _, p in result.report.attack_phases] == ["recon", "baiting", "done"]
+        assert result.report.plan_error_series == []
+
+
+# The victim's interrogations are jammed until after the bait timeout, so
+# the phantom gives up before the victim ever asks it for a range.
+GIVE_UP = {
+    "schema_version": 1, "name": "give_up", "duration_s": 60.0,
+    "aircraft": [{"name": "victim", "icao": f"{VICTIM:06X}", "mode": "ta_ra",
+                  "position": {"x_nmi": -20.0, "y_nmi": 0.0, "altitude_ft": 42_000.0},
+                  "velocity": {"vx_kt": 480.0}}],
+    "attacker": {"name": "attacker", "mission": "phantom", "target": f"{VICTIM:06X}",
+                 "position": {"x_nmi": -15.0, "y_nmi": 2.0, "altitude_ft": 0.0},
+                 "bait_timeout_s": 20.0,
+                 "jam": [{"target": f"{VICTIM:06X}", "start_s": 0.1, "end_s": 30.0}]},
+}
+
 
 class TestPeriodLearning:
     def test_median_of_reconstructed_spacings(self):
@@ -218,7 +248,7 @@ class TestAllCallFlood:
                           mode=tcas.MODE_XPDR)
             for k in range(4)
         ]
-        ghost = atk.Attacker("attacker", airspace.AircraftState(0.0, 0.0, 0.0),
+        ghost = atk.Attacker("attacker", (0.0, 0.0, 0.0),
                              mission=atk.MISSION_ALL_CALL_FLOOD,
                              flood=atk.FloodPlan(rate_hz=10.0, duration_s=10.0))
         w = _build(*aircraft, ghost)
@@ -233,6 +263,20 @@ class TestAllCallFlood:
         assert [r for r in w.log if r.outcome == "flood_complete"]
 
 
+@pytest.mark.parametrize("mission", [atk.MISSION_ALL_CALL_FLOOD, atk.MISSION_SQUITTER_FLOOD])
+@pytest.mark.parametrize("rate_hz,duration_s", [(3.0, 1.0), (7.0, 2.5), (0.3, 5.0), (10.0, 1.0)])
+def test_a_flood_sends_its_plans_frame_count(mission, rate_hz, duration_s):
+    plan = atk.FloodPlan(rate_hz=rate_hz, duration_s=duration_s)
+    duration_ns = round(duration_s * airspace.NS_PER_S)
+    want = [k * plan.period_ns for k in range(100) if k * plan.period_ns < duration_ns]
+    w = _build(atk.Attacker("attacker", (0.0, 0.0, 0.0), mission=mission, flood=plan))
+    w.run_until(20 * airspace.NS_PER_S)
+    assert [r.time_ns for r in w.log if r.kind == "transmit"] == want
+    assert plan.frames == len(want)
+    done = [r.time_ns for r in w.log if r.outcome == "flood_complete"]
+    assert done == [len(want) * plan.period_ns]
+
+
 class TestSquitterFlood:
     def _run(self, flood):
         victim = tcas.Aircraft("victim", VICTIM,
@@ -243,7 +287,7 @@ class TestSquitterFlood:
         entities = [victim, real]
         if flood:
             entities.append(atk.Attacker(
-                "attacker", airspace.AircraftState(-2.0, -2.0, 0.0),
+                "attacker", (-2.0, -2.0, 0.0),
                 mission=atk.MISSION_SQUITTER_FLOOD,
                 flood=atk.FloodPlan(rate_hz=100.0, duration_s=5.0)))
         w = _build(*entities)

@@ -10,6 +10,7 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,8 @@ from tcassim import airspace, fta, harness, phy
 from tcassim import modes_codec as codec
 from tcassim import scenario as scen
 from tcassim.airspace import LogRecord, SimError, read_event_log, write_event_log
+
+import oracles
 
 
 def crossing_doc(**extra) -> dict:
@@ -493,6 +496,19 @@ class TestFuzzedScenarios:
         assert back == result.records
         again = harness.metrics_from_log(back, scenario)
         assert again.to_json() == result.report.to_json()
+
+    @settings(max_examples=30, deadline=None)
+    @given(SCENARIO_DOCS)
+    def test_runs_as_the_reference_world_does(self, doc):
+        try:
+            scenario = scen.load_scenario(doc)
+            result = harness.simulate(scenario)
+        except (scen.ScenarioError, SimError):
+            return
+        with mock.patch.object(scen, "World", oracles.ReferenceWorld):
+            reference = harness.simulate(scenario)
+        assert reference.records == result.records
+        assert reference.report.to_json() == result.report.to_json()
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

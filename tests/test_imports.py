@@ -2,7 +2,10 @@
 rules keep their one home: only ``airspace`` names the speed of light and
 the nautical mile or calls ``record``, only ``modes_codec`` states a frame
 length, and no call passes a ``destination=``, as the World reads a
-transmit's destination from the frame.
+transmit's destination from the frame.  A timer's payload is its
+generation alone, as an entity holds the plan the timer acts on, and no
+``or`` falls back to a default plan, as plans default where they are
+declared.
 
 The repository runs no linter, so this stands in for those rules.
 """
@@ -98,6 +101,54 @@ def test_only_airspace_calls_record(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_call_passes_a_destination(path):
     assert destination_keywords(path.read_text()) == []
+
+
+PLAN_TYPES = {"PhantomPlan", "FloodPlan"}
+
+
+def timer_payloads(source: str) -> list[int]:
+    """Line of each ``schedule_timer`` call passed a dict literal that holds
+    a key other than ``generation``."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                and n.func.attr == "schedule_timer":
+            for arg in [*n.args, *(k.value for k in n.keywords)]:
+                if isinstance(arg, ast.Dict) and any(
+                        not isinstance(k, ast.Constant) or k.value != "generation"
+                        for k in arg.keys):
+                    found.append(n.lineno)
+    return found
+
+
+def plan_fallbacks(source: str) -> list[int]:
+    """Line of each ``or`` with a ``PhantomPlan(...)`` or ``FloodPlan(...)``
+    among its operands."""
+    def is_plan(node):
+        return isinstance(node, ast.Call) and (getattr(node.func, "id", None) in PLAN_TYPES
+                                               or getattr(node.func, "attr", None) in PLAN_TYPES)
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.BoolOp)
+            and isinstance(n.op, ast.Or) and any(map(is_plan, n.values))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_timer_payloads_hold_only_the_generation(path):
+    assert timer_payloads(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_or_falls_back_to_a_plan(path):
+    assert plan_fallbacks(path.read_text()) == []
+
+
+def test_payload_and_plan_breaches_are_found():
+    source = ("w.schedule_timer(t, self, 'x', {'generation': 1})\n"
+              "w.schedule_timer(t, self, 'x',\n    {'generation': 1, 'limit': 2})\n"
+              "w.schedule_timer(t, self, 'x', data={**d})\nschedule_timer(t, {'rate': 1})\n"
+              "plan = plan or PhantomPlan()\nflood = flood or atk.FloodPlan(rate_hz=1)\n"
+              "x = a or b\nplan = PhantomPlan() if plan is None else plan\n")
+    assert timer_payloads(source) == [2, 4]
+    assert plan_fallbacks(source) == [6, 7]
 
 
 def test_note_and_destination_breaches_are_found():

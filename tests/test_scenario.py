@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -39,7 +40,7 @@ class TestLoading:
         s = scen.load_scenario(minimal_doc())
         assert s.name == "case"
         assert s.surveillance_period_s == 1.0
-        assert s.snr_db is None
+        assert s.snr_db == math.inf
         assert s.seed == 0
         assert s.attacker is None
         assert s.success == ()

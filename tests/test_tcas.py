@@ -505,9 +505,8 @@ class TestPilot:
     def test_engage_after_delay_and_exact_level_off(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=42_000)
         w = _build_world(a)
-        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999)
-        a.advisory = adv
-        a.fly_advisory(w, adv)
+        a.advisory = tcas.Advisory(tcas.DESCEND, 40_800.0, 0x000999)
+        a.fly_advisory(w)
         w.run_until(4 * airspace.NS_PER_S)
         assert a.state_at(w.time_ns).vertical_rate_fpm == 0.0
         w.run_until(6 * airspace.NS_PER_S)
@@ -522,11 +521,26 @@ class TestPilot:
         assert engaged[0].time_ns == 5 * airspace.NS_PER_S
         assert level[0].time_ns == 53 * airspace.NS_PER_S
 
+    def test_a_newer_advisory_within_the_delay_engages_once_at_its_sense(self):
+        a = _aircraft("a", 0x000100, x=0.0, alt=42_000)
+        w = _build_world(a)
+        a.advisory = tcas.Advisory(tcas.DESCEND, 40_800.0, 0x000999)
+        a.fly_advisory(w)
+        w.run_until(2 * airspace.NS_PER_S)
+        a.advisory = tcas.Advisory(tcas.CLIMB, 43_200.0, 0x000999)
+        a.fly_advisory(w)
+        w.run_until(60 * airspace.NS_PER_S)
+        pilot = [(r.time_ns, r.outcome) for r in w.log if r.kind == "pilot"]
+        # 1,200 ft at 25 ft/s: level 48 s after engaging
+        assert pilot == [(7 * airspace.NS_PER_S, "engage;rate=1500"),
+                         (55 * airspace.NS_PER_S, "level_off;alt=43200")]
+        assert a.state_at(w.time_ns).altitude_ft == 43_200.0
+
     def test_cleared_before_reaction_never_moves(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=42_000)
         w = _build_world(a)
-        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999)
-        a.fly_advisory(w, adv)
+        a.advisory = tcas.Advisory(tcas.DESCEND, 40_800.0, 0x000999)
+        a.fly_advisory(w)
         w.run_until(2 * airspace.NS_PER_S)
         a.level_off_now(w)
         w.run_until(20 * airspace.NS_PER_S)
@@ -536,8 +550,8 @@ class TestPilot:
     def test_already_compliant_pilot_stays_level(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=40_000)
         w = _build_world(a)
-        adv = tcas.Advisory(tcas.DESCEND, -1500.0, 40_800.0, 0x000999)
-        a.fly_advisory(w, adv)
+        a.advisory = tcas.Advisory(tcas.DESCEND, 40_800.0, 0x000999)
+        a.fly_advisory(w)
         w.run_until(10 * airspace.NS_PER_S)
         assert a.state_at(w.time_ns).altitude_ft == 40_000.0
         assert [r for r in w.log if r.outcome == "already_compliant"]
