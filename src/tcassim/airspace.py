@@ -228,9 +228,9 @@ def _malformed(line: str) -> SimError:
 
 def _split_line(line: str) -> tuple[str, ...]:
     """The five fields after a log line's time, or a SimError naming the
-    line when it has not six fields or breaks the log grammar."""
+    line when it is not ASCII, has not six fields or breaks the log grammar."""
     parts = line.rstrip("\n").split(",")
-    if len(parts) != 6 or not _loggable(parts[1], parts[5]):
+    if not line.isascii() or len(parts) != 6 or not _loggable(parts[1], parts[5]):
         raise _malformed(line)
     return tuple(parts[1:])
 
@@ -251,14 +251,16 @@ def read_event_log(path) -> list[LogRecord]:
     the records take about the memory the run's own did.  Each new tail is
     checked against the log grammar once: an unknown kind, a transmit neither
     sent nor jammed, a note its kind does not log, or a note without what the
-    report reads from it makes a malformed line.  So does a time that is not
-    as ``write_event_log`` writes it: digits alone, with no leading zero.
+    report reads from it makes a malformed line.  So does a byte that is not
+    ASCII, and a time that is not as ``write_event_log`` writes it: digits
+    alone, with no leading zero.
     """
     fields_by_tail: dict[str, tuple[str, ...]] = {}
     records = []
     append = records.append
     new = tuple.__new__
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte that is not ASCII reads as a lone surrogate, which no field admits
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line in fh:
             time_text, _, tail = line.partition(",")
             fields = fields_by_tail.get(tail)
@@ -266,7 +268,7 @@ def read_event_log(path) -> list[LogRecord]:
                 if not line.strip():
                     continue
                 fields = fields_by_tail[tail] = _split_line(line)
-            # the file reads as ASCII, so isdigit admits only 0-9
+            # surrogates are not digits, so isdigit admits only 0-9
             if not time_text.isdigit() or time_text[0] == "0" and time_text != "0":
                 raise _malformed(line)
             append(new(LogRecord, (int(time_text), *fields)))

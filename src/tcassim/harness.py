@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import fta
+from . import fta, phy
 from . import modes_codec as codec
 from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, AwgnChannel, LogRecord,
                        NoiselessChannel, note, parse_note)
@@ -253,17 +253,16 @@ def loss_sweep(scenario: Scenario, snr_list: list[float],
                corpus_size: int = 600) -> list[LossPoint]:
     """Frame loss through the modem chain at each SNR, smallest first.
 
-    +inf means noiseless; a NaN or -inf SNR or an empty corpus is a
-    ValueError.  Every point replays the same corpus through a fresh
-    channel with the same seed, so frame k takes the same noise draws at
-    every SNR and the loss column is monotone in substance, not just in
-    expectation.
+    +inf means noiseless; an SNR with no finite noise power (a
+    ``phy.PhyError``) or an empty corpus is a ValueError.  Every point
+    replays the same corpus through a fresh channel with the same seed, so
+    frame k takes the same noise draws at every SNR and the loss column is
+    monotone in substance, not just in expectation.
     """
     if corpus_size < 1:
         raise ValueError(f"corpus size must be at least 1, got {corpus_size}")
     for snr_db in snr_list:
-        if math.isnan(snr_db) or snr_db == -math.inf:
-            raise ValueError(f"SNR must be a number or +inf, got {snr_db}")
+        phy.noise_power(snr_db)
     frames = _corpus(scenario.seed, corpus_size)
     noise_seed = int(np.random.SeedSequence([scenario.seed, 0x51EE]).generate_state(1)[0])
     spacing_ns = NS_PER_S // 1000  # 1 ms apart; airtimes are two decades shorter

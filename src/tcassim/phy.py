@@ -42,7 +42,8 @@ MIN_PAYLOAD_BITS = SHORT_FRAME_BITS
 
 
 class PhyError(ValueError):
-    """Insufficient samples or bits that are not 0 or 1."""
+    """Insufficient samples, bits that are not 0 or 1, or an SNR with no
+    finite noise power."""
 
 
 @dataclass(frozen=True)
@@ -172,16 +173,29 @@ def dbpsk_demodulate(samples: np.ndarray, sync_offset: int) -> np.ndarray:
     return (diff.real < 0).astype(np.uint8)
 
 
+def noise_power(snr_db: float) -> float:
+    """The noise power 10^(-snr/10) of a unit signal; ``snr_db = inf`` gives
+    zero.  An SNR with no finite power (NaN, -inf, or low enough to overflow)
+    is a PhyError."""
+    try:
+        power = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise PhyError(f"SNR {snr_db} dB gives no finite noise power")
+    return power
+
+
 def awgn(samples: np.ndarray, snr_db: float, seed) -> np.ndarray:
-    """A new array: the samples plus zero-mean Gaussian noise of power
-    10^(-snr/10) (unit signal).
+    """A new array: the samples plus zero-mean Gaussian noise of
+    ``noise_power(snr_db)``.
 
     ``snr_db = inf`` gives zero power, so the noise is exact zeros.  Complex
     samples get circular noise, half the power per quadrature.
     Deterministic for a given seed; a ``Generator`` passed as the seed is
     drawn from as it stands.
     """
-    power = 10.0 ** (-snr_db / 10.0)
+    power = noise_power(snr_db)
     rng = np.random.default_rng(seed)
     if np.iscomplexobj(samples):
         # one draw of 2n is the same stream as two draws of n, in half the calls

@@ -3,17 +3,26 @@
 A scenario is a JSON object with an explicit ``schema_version`` so fixtures
 stay diff-friendly and loudly reject drift.  Validation is strict: unknown
 fields are errors, and every error message names the offending field.
+
+Each schema fact has one reader.  A plan (``PilotModel``, ``PhantomPlan``,
+``FloodPlan``) is read by ``_record``: its keys are the dataclass's fields
+and an absent key takes the dataclass's default.  A transponder address is
+read by ``_address``.  A rule that lives in another module (the codec's
+altitude range, a surveillance tick, the noise power of an SNR) is checked
+by calling it inside ``_field``, which names the field it rejects.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
 from . import modes_codec as codec
+from . import phy
 from .airspace import (
     NS_PER_S,
     AircraftState,
@@ -28,6 +37,7 @@ from .airspace import (
 )
 from .attacker import (
     DEFAULT_BAIT_TIMEOUT_S,
+    MISSION_ALL_CALL_FLOOD,
     MISSION_PHANTOM,
     MISSION_SQUITTER_FLOOD,
     MISSIONS,
@@ -124,23 +134,37 @@ def _entity_name(where: str, obj: dict) -> str:
     return name
 
 
-def _icao(where: str, text: str) -> int:
+def _address(where: str, obj: dict, key: str, *, required: bool = False) -> int | None:
+    """The 24-bit transponder address written in hex in field ``key``."""
+    text = _string(where, obj, key, required=required)
+    if text is None:
+        return None
     try:
         value = int(text, 16)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: not a hex transponder address: {text!r}") from None
-    try:
+    except ValueError:
+        raise ScenarioError(f"{where}: field {key!r} is not a hex transponder "
+                            f"address: {text!r}") from None
+    with _field(where, key):
         return codec.validate_icao(value)
-    except codec.CodecError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _check_altitude(where: str, altitude_ft: float) -> None:
-    """Altitudes that frames will carry must fit the codec's altitude field."""
+@contextmanager
+def _field(where: str, key: str, why: str = ""):
+    """A rule the body breaks, raised as a ScenarioError that names field
+    ``key`` of ``where``; ``why`` says how the field breaks it where the
+    rule's own words do not."""
     try:
-        codec.encode_altitude(altitude_ft)
-    except codec.CodecError as exc:
-        raise ScenarioError(f"{where}: field 'altitude_ft': {exc}") from None
+        yield
+    except (SimError, codec.CodecError, phy.PhyError, OverflowError) as exc:
+        raise ScenarioError(f"{where}: field {key!r}{' ' + why if why else ''}: {exc}") from None
+
+
+def _record(where: str, obj: dict, cls, **read):
+    """A ``cls`` from the object ``obj``, whose keys are ``cls``'s fields.  An
+    absent key takes ``cls``'s default; a present one is read by
+    ``read[key]``, or as a number."""
+    _check_keys(where, obj, {f.name for f in fields(cls)})
+    return cls(**{key: read.get(key, _number)(where, obj, key) for key in obj})
 
 
 def _position(where: str, obj: dict) -> Position:
@@ -169,9 +193,9 @@ class AircraftSpec:
     name: str
     icao: int
     state: AircraftState
-    mode: str = MODE_TA_RA
-    squitter: bool = True
-    pilot: PilotModel = PilotModel()
+    mode: str
+    squitter: bool
+    pilot: PilotModel
 
 
 @dataclass(frozen=True)
@@ -179,11 +203,11 @@ class AttackerSpec:
     name: str
     mission: str
     position: Position
-    target_icao: int | None = None
-    plan: PhantomPlan = PhantomPlan()
-    bait_timeout_s: float = DEFAULT_BAIT_TIMEOUT_S
-    flood: FloodPlan = FloodPlan()
-    jams: tuple[JamDirective, ...] = ()
+    target_icao: int | None
+    plan: PhantomPlan
+    bait_timeout_s: float
+    flood: FloodPlan
+    jams: tuple[JamDirective, ...]
 
 
 @dataclass(frozen=True)
@@ -251,10 +275,8 @@ def _parse(doc: dict) -> Scenario:
     if duration_s <= 0:
         raise ScenarioError("scenario: duration_s must be positive")
     period_s = _seconds("scenario", doc, "surveillance_period_s", DEFAULT_SURVEILLANCE_PERIOD_S)
-    try:
+    with _field("scenario", "surveillance_period_s"):
         surveillance_interval_ns(period_s)
-    except SimError as exc:
-        raise ScenarioError(f"scenario: field 'surveillance_period_s': {exc}") from None
 
     snr_db = _parse_channel(doc.get("channel", {"kind": "noiseless"}))
     if snr_db != math.inf and "seed" not in doc:
@@ -302,7 +324,10 @@ def _parse_channel(obj: dict) -> float:
             raise ScenarioError("channel: field 'snr_db' only applies to kind 'awgn'")
         return math.inf
     if kind == "awgn":
-        return _number("channel", obj, "snr_db", required=True)
+        snr_db = _number("channel", obj, "snr_db", required=True)
+        with _field("channel", "snr_db"):
+            phy.noise_power(snr_db)
+        return snr_db
     raise ScenarioError(f"channel: unknown kind {kind!r}")
 
 
@@ -310,7 +335,7 @@ def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
     _check_keys(where, obj, {"name", "icao", "mode", "squitter",
                              "position", "velocity", "pilot"})
     name = _entity_name(where, obj)
-    icao = _icao(where, _string(where, obj, "icao", required=True))
+    icao = _address(where, obj, "icao", required=True)
     mode = _string(where, obj, "mode", MODE_TA_RA)
     if mode not in MODES:
         raise ScenarioError(f"{where}: unknown mode {mode!r}")
@@ -318,34 +343,31 @@ def _parse_aircraft(where: str, obj: dict, duration_s: float) -> AircraftSpec:
     if not isinstance(squitter, bool):
         raise ScenarioError(f"{where}: field 'squitter' must be a boolean")
     state = _state(where, obj)
-    _check_altitude(f"{where}.position", state.altitude_ft)
+    with _field(f"{where}.position", "altitude_ft"):
+        codec.encode_altitude(state.altitude_ft)
     # scripted motion is linear, so its states at both ends bound the run
-    try:
+    with _field(where, "velocity", "takes the aircraft out of range by duration_s"):
         end = step_kinematics(state, duration_s)
-    except SimError as exc:  # a finite velocity can still overflow a coordinate
-        raise ScenarioError(f"{where}.velocity: velocity takes the aircraft out of range "
-                            f"by duration_s: {exc}") from None
-    try:
+    with _field(f"{where}.velocity", "vertical_rate_fpm",
+                "takes the altitude out of the codec's range by duration_s"):
         codec.encode_altitude(end.altitude_ft)
-    except codec.CodecError as exc:
-        raise ScenarioError(f"{where}.velocity: field 'vertical_rate_fpm' takes the altitude "
-                            f"out of the codec's range by duration_s: {exc}") from None
-    pilot = PilotModel()
-    if "pilot" in obj:
-        _check_keys(f"{where}.pilot", obj["pilot"], {"delay_s", "rate_fpm"})
-        pilot = PilotModel(
-            _seconds(f"{where}.pilot", obj["pilot"], "delay_s", PilotModel.delay_s),
-            _number(f"{where}.pilot", obj["pilot"], "rate_fpm", PilotModel.rate_fpm))
-        if pilot.delay_s < 0:
-            raise ScenarioError(f"{where}.pilot: field 'delay_s' must not be negative")
-        if pilot.rate_fpm <= 0:
-            raise ScenarioError(f"{where}.pilot: field 'rate_fpm' must be positive")
-        # the level-off instant is counted in ns; twice the codec's altitude
-        # range bounds how far an advisory's limit can be
-        if not math.isfinite(2 * codec.ALTITUDE_MAX_FT / pilot.rate_fpm * 60 * NS_PER_S):
-            raise ScenarioError(f"{where}.pilot: field 'rate_fpm' is too small to level off "
-                                f"in a countable number of nanoseconds")
+    pilot = _record(f"{where}.pilot", obj.get("pilot", {}), PilotModel, delay_s=_seconds)
+    if pilot.delay_s < 0:
+        raise ScenarioError(f"{where}.pilot: field 'delay_s' must not be negative")
+    if pilot.rate_fpm <= 0:
+        raise ScenarioError(f"{where}.pilot: field 'rate_fpm' must be positive")
+    # the level-off instant is counted in ns; twice the codec's altitude
+    # range bounds how far an advisory's limit can be
+    if not math.isfinite(2 * codec.ALTITUDE_MAX_FT / pilot.rate_fpm * 60 * NS_PER_S):
+        raise ScenarioError(f"{where}.pilot: field 'rate_fpm' is too small to level off "
+                            f"in a countable number of nanoseconds")
     return AircraftSpec(name, icao, state, mode, squitter, pilot)
+
+
+# attacker fields that only some missions take -> those missions, as an error names them
+MISSION_FIELDS = {"target": ({MISSION_PHANTOM}, "the phantom mission"),
+                  "plan": ({MISSION_PHANTOM}, "the phantom mission"),
+                  "flood": ({MISSION_ALL_CALL_FLOOD, MISSION_SQUITTER_FLOOD}, "flood missions")}
 
 
 def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
@@ -356,56 +378,35 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
     mission = _string(where, obj, "mission", required=True)
     if mission not in MISSIONS:
         raise ScenarioError(f"{where}: unknown mission {mission!r}")
+    for key, (missions, takers) in MISSION_FIELDS.items():
+        if key in obj and mission not in missions:
+            raise ScenarioError(f"{where}: field {key!r} only applies to {takers}")
     position = _position(where, obj)
 
-    target = None
+    target = _address(where, obj, "target", required=mission == MISSION_PHANTOM)
     if mission == MISSION_PHANTOM:
-        target = _icao(where, _string(where, obj, "target", required=True))
         if target not in {a.icao for a in aircraft}:
             raise ScenarioError(f"{where}: field 'target' names no aircraft in the scenario")
-        try:
+        with _field(where, "target"):
             phantom_address(target)
-        except SimError as exc:
-            raise ScenarioError(f"{where}: field 'target': {exc}") from None
-    elif "target" in obj:
-        raise ScenarioError(f"{where}: field 'target' only applies to the phantom mission")
 
-    plan = PhantomPlan()
-    if "plan" in obj:
-        if mission != MISSION_PHANTOM:
-            raise ScenarioError(f"{where}: field 'plan' only applies to the phantom mission")
-        p = obj["plan"]
-        _check_keys(f"{where}.plan", p, {"initial_range_nmi", "closure_kt",
-                                         "floor_nmi", "altitude_ft"})
-        plan = PhantomPlan(
-            _number(f"{where}.plan", p, "initial_range_nmi", PhantomPlan.initial_range_nmi),
-            _number(f"{where}.plan", p, "closure_kt", PhantomPlan.closure_kt),
-            _number(f"{where}.plan", p, "floor_nmi", PhantomPlan.floor_nmi),
-            _number(f"{where}.plan", p, "altitude_ft", PhantomPlan.altitude_ft))
-        _check_altitude(f"{where}.plan", plan.altitude_ft)
-        _check_plan_ranges(f"{where}.plan", plan, duration_s)
+    plan = _record(f"{where}.plan", obj.get("plan", {}), PhantomPlan)
+    with _field(f"{where}.plan", "altitude_ft"):
+        codec.encode_altitude(plan.altitude_ft)
+    _check_plan_ranges(f"{where}.plan", plan, duration_s)
 
-    flood = FloodPlan()
-    if "flood" in obj:
-        if mission == MISSION_PHANTOM:
-            raise ScenarioError(f"{where}: field 'flood' only applies to flood missions")
-        f, flood_where = obj["flood"], f"{where}.flood"
-        _check_keys(flood_where, f, {"rate_hz", "duration_s", "address_base"})
-        rate = _number(flood_where, f, "rate_hz", FloodPlan.rate_hz)
-        duration = _seconds(flood_where, f, "duration_s", FloodPlan.duration_s)
-        if rate <= 0 or duration <= 0:
-            raise ScenarioError(f"{flood_where}: rate_hz and duration_s must be positive")
-        base = FloodPlan.address_base
-        if "address_base" in f:
-            base = _icao(flood_where, _string(flood_where, f, "address_base"))
-        flood = FloodPlan(rate, duration, base)
-        # the flood timer re-arms every period_ns, so a zero period never lets time advance
-        if not math.isfinite(NS_PER_S / rate) or flood.period_ns < 1:
-            raise ScenarioError(f"{flood_where}: field 'rate_hz' must give a finite period "
-                                f"of at least 1 ns")
-        if mission == MISSION_SQUITTER_FLOOD and base + flood.frames - 1 > 0xFFFFFF:
-            raise ScenarioError(f"{flood_where}: field 'address_base' leaves too few addresses "
-                                f"for {flood.frames} squitters within 24 bits")
+    flood_where = f"{where}.flood"
+    flood = _record(flood_where, obj.get("flood", {}), FloodPlan,
+                    duration_s=_seconds, address_base=_address)
+    if flood.rate_hz <= 0 or flood.duration_s <= 0:
+        raise ScenarioError(f"{flood_where}: rate_hz and duration_s must be positive")
+    # the flood timer re-arms every period_ns, so a zero period never lets time advance
+    if not math.isfinite(NS_PER_S / flood.rate_hz) or flood.period_ns < 1:
+        raise ScenarioError(f"{flood_where}: field 'rate_hz' must give a finite period "
+                            f"of at least 1 ns")
+    if mission == MISSION_SQUITTER_FLOOD and flood.address_base + flood.frames - 1 > 0xFFFFFF:
+        raise ScenarioError(f"{flood_where}: field 'address_base' leaves too few addresses "
+                            f"for {flood.frames} squitters within 24 bits")
 
     jam_docs = obj.get("jam", [])
     if not isinstance(jam_docs, list):
@@ -414,7 +415,7 @@ def _parse_attacker(where: str, obj: dict, aircraft: tuple[AircraftSpec, ...],
     for i, j in enumerate(jam_docs):
         jam_where = f"{where}.jam[{i}]"
         _check_keys(jam_where, j, {"target", "start_s", "end_s"})
-        target_icao = _icao(jam_where, _string(jam_where, j, "target", required=True))
+        target_icao = _address(jam_where, j, "target", required=True)
         start_s = _seconds(jam_where, j, "start_s", required=True)
         end_s = None if j.get("end_s") is None else _seconds(jam_where, j, "end_s")
         if start_s < 0 or (end_s is not None and end_s <= start_s):
@@ -438,11 +439,8 @@ def _check_plan_ranges(where: str, plan: PhantomPlan, duration_s: float) -> None
     for key, range_nmi in (("floor_nmi", plan.floor_nmi),
                            ("initial_range_nmi", plan.desired_range_nmi(0.0)),
                            ("closure_kt", plan.desired_range_nmi(duration_s))):
-        try:
+        with _field(where, key, "asks for a reply hold too long to count in nanoseconds"):
             compute_reply_delay(0.0, range_nmi)
-        except OverflowError:
-            raise ScenarioError(f"{where}: field {key!r} asks for a reply hold too long "
-                                f"to count in nanoseconds") from None
 
 
 # -- world assembly --------------------------------------------------------------

@@ -578,6 +578,18 @@ class TestEventLog:
         with pytest.raises(airspace.SimError, match="malformed log line"):
             airspace.read_event_log(path)
 
+    # one row per field, the time first; the first line's tail is the second's
+    # in the time row, so that row reaches the time check on a repeated tail
+    @pytest.mark.parametrize("line", [
+        b"2\xc3\xa9,timer,a,-,-,tick", b"2,tim\xc3\xa9r,a,-,-,tick", b"2,timer,\xc3\xa9,-,-,tick",
+        b"2,timer,a,\xc3\xa9,-,tick", b"2,timer,a,-,\xc3\xa9,tick", b"2,timer,a,-,-,tick\xc3\xa9"],
+        ids=["time", "kind", "source", "destination", "frame_hex", "outcome"])
+    def test_a_byte_that_is_not_ascii_makes_a_malformed_line(self, tmp_path, line):
+        path = tmp_path / "events.log"
+        path.write_bytes(b"1,timer,a,-,-,tick\n" + line + b"\n")
+        with pytest.raises(airspace.SimError, match="malformed log line"):
+            airspace.read_event_log(path)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "events.log"
         path.write_text("\n1,timer,a,-,-,tick\n  \n\n2,timer,a,-,-,tick\n\n")

@@ -144,8 +144,10 @@ class TestSweep:
         assert [row.split(",")[0] for row in lines[1:]] == ["5", "20", "inf"]
 
     @pytest.mark.parametrize("argv", [
-        ("--snr", "10", "--frames", "0"), ("--snr=-inf",), ("--snr", "nan"), ("--snr", "5,NaN")],
-        ids=["frames-zero", "snr-minus-inf", "snr-nan", "snr-nan-in-list"])
+        ("--snr", "10", "--frames", "0"), ("--snr=-inf",), ("--snr", "nan"), ("--snr", "5,NaN"),
+        ("--snr=-4000",)],
+        ids=["frames-zero", "snr-minus-inf", "snr-nan", "snr-nan-in-list",
+             "snr-noise-power-overflows"])
     def test_bad_sweep_input_is_usage_error(self, capsys, tmp_path, argv):
         path = tmp_path / "noisy.json"
         path.write_text(json.dumps(NOISY_DOC))

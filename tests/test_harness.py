@@ -320,8 +320,10 @@ class TestLossSweep:
         assert a == b
 
     @pytest.mark.parametrize("snr_list,corpus_size", [
-        ([10.0], 0), ([10.0], -1), ([math.nan], 10), ([-math.inf], 10), ([math.inf, math.nan], 10)],
-        ids=["empty-corpus", "negative-corpus", "snr-nan", "snr-minus-inf", "nan-beside-none"])
+        ([10.0], 0), ([10.0], -1), ([math.nan], 10), ([-math.inf], 10), ([math.inf, math.nan], 10),
+        ([-4000.0], 10)],
+        ids=["empty-corpus", "negative-corpus", "snr-nan", "snr-minus-inf", "nan-beside-none",
+             "snr-noise-power-overflows"])
     def test_rejects_empty_corpus_and_non_numeric_snr(self, snr_list, corpus_size):
         with pytest.raises(ValueError):
             harness.loss_sweep(self.SCENARIO, snr_list, corpus_size=corpus_size)

@@ -5,7 +5,8 @@ length, and no call passes a ``destination=``, as the World reads a
 transmit's destination from the frame.  A timer's payload is its
 generation alone, as an entity holds the plan the timer acts on, and no
 ``or`` falls back to a default plan, as plans default where they are
-declared.
+declared.  The scenario loader reads no plan class's defaults, and only its
+``_field`` turns a broken rule into a ScenarioError.
 
 The repository runs no linter, so this stands in for those rules.
 """
@@ -149,6 +150,78 @@ def test_payload_and_plan_breaches_are_found():
               "x = a or b\nplan = PhantomPlan() if plan is None else plan\n")
     assert timer_payloads(source) == [2, 4]
     assert plan_fallbacks(source) == [6, 7]
+
+
+SCENARIO = Path(tcassim.__file__).parent / "scenario.py"
+PLAN_CLASSES = {"PilotModel", "PhantomPlan", "FloodPlan"}
+FIELD_ERRORS = {"SimError", "CodecError"}
+
+
+def plan_default_reads(source: str) -> list[int]:
+    """Line of each attribute read off a plan class, such as
+    ``PilotModel.delay_s``."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)
+                  and (getattr(n.value, "id", None) in PLAN_CLASSES
+                       or getattr(n.value, "attr", None) in PLAN_CLASSES))
+
+
+def field_error_handlers(source: str) -> list[int]:
+    """Line of each ``except`` outside ``_field`` that names a SimError or a
+    CodecError, or that names an OverflowError and raises."""
+    def names(node):
+        types = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {getattr(t, "id", None) or getattr(t, "attr", None) for t in types}
+
+    inside = set()
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.FunctionDef) and n.name == "_field":
+            inside |= {id(h) for h in ast.walk(n)}
+        elif isinstance(n, ast.ExceptHandler) and n.type is not None and id(n) not in inside:
+            caught = names(n.type)
+            raises = any(isinstance(b, ast.Raise) for b in ast.walk(n))
+            if caught & FIELD_ERRORS or ("OverflowError" in caught and raises):
+                found.append(n.lineno)
+    return sorted(found)
+
+
+def test_the_loader_reads_no_plan_default():
+    # a plan's defaults are its dataclass's own, which _record leaves to it
+    assert plan_default_reads(SCENARIO.read_text()) == []
+
+
+def test_only_field_turns_a_rule_into_a_scenario_error():
+    assert field_error_handlers(SCENARIO.read_text()) == []
+
+
+def test_loader_breaches_are_found():
+    source = """\
+x = PilotModel.delay_s
+y = attacker.FloodPlan.rate_hz
+z = PhantomPlan()
+w = plan.floor_nmi
+@contextmanager
+def _field(where, key):
+    try:
+        yield
+    except (SimError, codec.CodecError, OverflowError) as exc:
+        raise ScenarioError(str(exc))
+def f():
+    try:
+        g()
+    except codec.CodecError as exc:
+        raise ScenarioError(str(exc))
+    except (TypeError, SimError):
+        pass
+    except OverflowError:
+        value = math.inf
+    except OverflowError:
+        raise ScenarioError('too long')
+    except ValueError:
+        raise ScenarioError('not hex')
+"""
+    assert plan_default_reads(source) == [1, 2]
+    assert field_error_handlers(source) == [14, 16, 20]
 
 
 def test_note_and_destination_breaches_are_found():

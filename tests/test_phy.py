@@ -211,6 +211,20 @@ def test_awgn_noise_power_within_two_percent():
         assert abs(np.mean(np.abs(delta) ** 2) / want - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -4000.0, -1e300])
+def test_an_snr_with_no_finite_noise_power_is_refused(snr_db):
+    with pytest.raises(phy.PhyError, match="noise power"):
+        phy.noise_power(snr_db)
+    with pytest.raises(phy.PhyError, match="noise power"):
+        phy.awgn(np.zeros(4), snr_db, 0)
+
+
+def test_noise_power_from_the_floor_of_float_range_to_noiseless():
+    assert phy.noise_power(math.inf) == 0.0
+    for snr_db in (-3080.0, -20.0, 0.0, 12.0, 1e300):
+        assert phy.noise_power(snr_db) == 10.0 ** (-snr_db / 10.0)
+
+
 def test_awgn_deterministic_per_seed():
     x = phy.ppm_modulate(np.ones(56, dtype=np.uint8))
     a = phy.awgn(x, 10.0, 99)

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from tcassim import modes_codec as codec
 from tcassim import scenario as scen
 from tcassim.airspace import AwgnChannel, NoiselessChannel, separation_nmi
-from tcassim.attacker import Attacker
+from tcassim.attacker import Attacker, FloodPlan, PhantomPlan
 from tcassim.scenario import ScenarioError
-from tcassim.tcas import Aircraft
+from tcassim.tcas import Aircraft, PilotModel
 
 
 PHANTOM = {"name": "g", "mission": "phantom", "target": "ABC123",
@@ -172,6 +173,26 @@ class TestValidation:
                      "floor_nmi", id="plan-floor-past-ns-range"),
         pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"closure_kt": -1e308}}),
                      "closure_kt", id="plan-range-grows-past-ns-range"),
+        # 10^400 is no float, so -4000 dB has no finite noise power
+        pytest.param(lambda d: d.update(seed=1, channel={"kind": "awgn", "snr_db": -4000}),
+                     "snr_db", id="snr-noise-power-overflows"),
+        # a plan takes only its own fields
+        pytest.param(lambda d: d["aircraft"][0].update(pilot={"reflex_s": 1}), "reflex_s",
+                     id="pilot-unknown-field"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"heading": 1}}), "heading",
+                     id="plan-unknown-field"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD, "flood": {"burst": 1}}),
+                     "burst", id="flood-unknown-field"),
+        # an address is a string of hex digits
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD,
+                                                  "flood": {"address_base": 0x500000}}),
+                     "address_base", id="flood-address-base-a-number"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD,
+                                                  "flood": {"address_base": "5ZZZZZ"}}),
+                     "address_base", id="flood-address-base-not-hex"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "jam": [
+                         {"target": "ABC12G", "start_s": 0}]}),
+                     r"jam\[0\]: field 'target'", id="jam-target-not-hex"),
         # the event log is ASCII, one record a line, fields split at commas
         pytest.param(lambda d: d["aircraft"][0].update(name="a,b"), "name",
                      id="aircraft-name-with-comma"),
@@ -249,6 +270,32 @@ class TestValidation:
             scen.load_scenario(minimal_doc(attacker={**atk, "target": "ABC123"}))
         with pytest.raises(ScenarioError, match="plan"):
             scen.load_scenario(minimal_doc(attacker={**atk, "plan": {"floor_nmi": 1.0}}))
+
+
+class TestPlans:
+    # where each plan sits in a document, and how its spec is found on the scenario
+    PLANS = [
+        pytest.param(PilotModel, None, lambda d, p: d["aircraft"][0].update(pilot=p),
+                     lambda s: s.aircraft[0].pilot, id="pilot"),
+        pytest.param(PhantomPlan, PHANTOM, lambda d, p: d["attacker"].update(plan=p),
+                     lambda s: s.attacker.plan, id="plan"),
+        pytest.param(FloodPlan, SQUITTER_FLOOD, lambda d, p: d["attacker"].update(flood=p),
+                     lambda s: s.attacker.flood, id="flood"),
+    ]
+
+    @pytest.mark.parametrize("cls,attacker,put,get", PLANS)
+    def test_every_field_is_read(self, cls, attacker, put, get):
+        expected = cls(**{f.name: f.default + 1 for f in fields(cls)})
+        doc = minimal_doc(**({"attacker": dict(attacker)} if attacker else {}))
+        # an address is written in hex, every other field as a number
+        put(doc, {f.name: f"{getattr(expected, f.name):06X}" if f.name == "address_base"
+                  else getattr(expected, f.name) for f in fields(cls)})
+        assert get(scen.load_scenario(doc)) == expected
+
+    @pytest.mark.parametrize("cls,attacker,put,get", PLANS)
+    def test_an_absent_plan_takes_its_type_defaults(self, cls, attacker, put, get):
+        doc = minimal_doc(**({"attacker": dict(attacker)} if attacker else {}))
+        assert get(scen.load_scenario(doc)) == cls()
 
 
 class TestBundled:
