@@ -103,7 +103,7 @@ def _cmd_fta(args: argparse.Namespace) -> int:
 def _cmd_codec(args: argparse.Namespace) -> int:
     direction = codec.UPLINK if args.uplink else codec.DOWNLINK
     frame = codec.ModeSFrame.from_hex(args.hex, direction)
-    expected = None if args.address is None else int(args.address, 16)
+    expected = None if args.address is None else codec.parse_address(args.address)
     decoded = codec.parse_frame(frame, expected_address=expected)
     print(f"direction: {frame.direction}")
     print(f"format code: {decoded.format_code} ({decoded.kind}), {frame.nbits} bits")
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--uplink", action="store_true", help="decode as an interrogation")
     group.add_argument("--downlink", action="store_true", help="decode as a reply (default)")
     p.add_argument("--address", default=None, metavar="HEX",
-                   help="expected transponder address for addressed formats")
+                   help="expected transponder address (6 hex digits) for addressed formats")
     p.set_defaults(func=_cmd_codec)
     return parser
 

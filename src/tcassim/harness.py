@@ -25,7 +25,7 @@ import numpy as np
 from . import fta, phy
 from . import modes_codec as codec
 from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, AwgnChannel, LogRecord,
-                       NoiselessChannel, note, parse_note)
+                       NoiselessChannel, gc_paused, note, parse_note)
 from .attacker import MISSION_PHANTOM, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
@@ -92,6 +92,7 @@ class MetricsReport:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
 
 
+@gc_paused
 def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsReport:
     """Distill the report; everything here re-derives from the log lines.
     Notes are read with ``airspace.parse_note``, the one reader of their

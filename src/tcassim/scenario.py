@@ -135,17 +135,13 @@ def _entity_name(where: str, obj: dict) -> str:
 
 
 def _address(where: str, obj: dict, key: str, *, required: bool = False) -> int | None:
-    """The 24-bit transponder address written in hex in field ``key``."""
+    """The 24-bit transponder address in field ``key``, read by the codec's
+    rule: exactly 6 hex digits."""
     text = _string(where, obj, key, required=required)
     if text is None:
         return None
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise ScenarioError(f"{where}: field {key!r} is not a hex transponder "
-                            f"address: {text!r}") from None
     with _field(where, key):
-        return codec.validate_icao(value)
+        return codec.parse_address(text)
 
 
 @contextmanager

@@ -244,3 +244,16 @@ class TestCodec:
         code, _, err = run(capsys, "codec", "nothex")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("frame_text,address", [
+        ("0x8d4840d6202cc371c32ce0576098", None), ("8d4840d6_02cc371c32ce0576098", None),
+        (" 8d4840d6202cc371c32ce0576098", None), ("02e197b00179c3", "0xABC123"),
+        ("02e197b00179c3", "ABC_123"), ("02e197b00179c3", "+ABC123")],
+        ids=["frame-0x", "frame-underscore", "frame-space", "address-0x",
+             "address-underscore", "address-plus"])
+    def test_hex_that_is_not_exactly_its_digits_is_usage_error(self, capsys, frame_text,
+                                                               address):
+        extra = () if address is None else ("--uplink", "--address", address)
+        code, _, err = run(capsys, "codec", frame_text, *extra)
+        assert code == 2
+        assert "hex digits" in err

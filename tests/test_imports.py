@@ -2,7 +2,10 @@
 rules keep their one home: only ``airspace`` names the speed of light and
 the nautical mile or calls ``record``, only ``modes_codec`` states a frame
 length, and no call passes a ``destination=``, as the World reads a
-transmit's destination from the frame.  A timer's payload is its
+transmit's destination from the frame.  Only ``modes_codec`` constructs a
+frame, so every builder goes through its shared-frame cache, and only
+``airspace`` imports ``gc``, so its pause is the one switch of the cyclic
+collector.  A timer's payload is its
 generation alone, as an entity holds the plan the timer acts on, and no
 ``or`` falls back to a default plan, as plans default where they are
 declared.  The scenario loader reads no plan class's defaults, and only its
@@ -102,6 +105,40 @@ def test_only_airspace_calls_record(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_call_passes_a_destination(path):
     assert destination_keywords(path.read_text()) == []
+
+
+def gc_imports(source: str) -> list[int]:
+    """Line of each import of the ``gc`` module or of a name from it."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Import) and any(a.name == "gc" for a in n.names)
+            or isinstance(n, ast.ImportFrom) and n.module == "gc"]
+
+
+def frame_constructions(source: str) -> list[int]:
+    """Line of each direct call of ``ModeSFrame``, bare or as an attribute."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+            and (getattr(n.func, "id", None) == "ModeSFrame"
+                 or getattr(n.func, "attr", None) == "ModeSFrame")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "airspace"],
+                         ids=lambda p: p.name)
+def test_only_airspace_imports_gc(path):
+    assert gc_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "modes_codec"],
+                         ids=lambda p: p.name)
+def test_only_the_codec_constructs_a_frame(path):
+    assert frame_constructions(path.read_text()) == []
+
+
+def test_gc_and_frame_breaches_are_found():
+    source = ("import gc\nimport os, gc as collector\nfrom gc import disable\n"
+              "import gcx\nx = codec.ModeSFrame(d, 56, w)\ny = ModeSFrame(d, 56, w)\n"
+              "z = codec.ModeSFrame.from_bits(bits, d)\nq = ModeSFrame\n")
+    assert gc_imports(source) == [1, 2, 3]
+    assert frame_constructions(source) == [5, 6]
 
 
 PLAN_TYPES = {"PhantomPlan", "FloodPlan"}

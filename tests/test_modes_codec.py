@@ -207,6 +207,35 @@ def test_hex_round_trip():
         mc.ModeSFrame.from_hex("abc", mc.UPLINK)
     with pytest.raises(mc.CodecError):
         mc.ModeSFrame.from_hex("zz" * 7, mc.UPLINK)
+    assert mc.ModeSFrame.from_hex(text.upper(), mc.DOWNLINK) == frame
+
+
+HEX_FRAME = "8d4840d6202cc371c32ce0576098"
+
+
+# each is one character away from 28 hex digits, or 28 characters that are
+# not all hex digits; int(text, 16) reads every one of them
+@pytest.mark.parametrize("text", [
+    "0x" + HEX_FRAME[2:], HEX_FRAME[:8] + "_" + HEX_FRAME[9:],
+    "+" + HEX_FRAME[1:], " " + HEX_FRAME, HEX_FRAME + " ", HEX_FRAME + "\n",
+    "\u0664" + HEX_FRAME[1:], "-" + HEX_FRAME[1:]],
+    ids=["0x", "underscore", "plus", "leading-space", "trailing-space",
+         "newline", "arabic-indic-digit", "minus"])
+def test_a_frame_is_exactly_its_hex_digits(text):
+    with pytest.raises(mc.CodecError, match="frame must be 14 or 28 hex digits"):
+        mc.ModeSFrame.from_hex(text, mc.DOWNLINK)
+
+
+@pytest.mark.parametrize("text", ["0x4840D6", "48_40_D6", "+4840D6", " 4840d6 ", "4840D6\n",
+                                  "\u0664840D6", "4840D", "04840D6", ""])
+def test_an_address_is_exactly_six_hex_digits(text):
+    with pytest.raises(mc.CodecError, match="transponder address must be 6 hex digits"):
+        mc.parse_address(text)
+
+
+def test_an_address_reads_in_either_case():
+    assert mc.parse_address("4840d6") == mc.parse_address("4840D6") == 0x4840D6
+    assert mc.parse_address("000000") == 0 and mc.parse_address("FFFFFF") == 0xFFFFFF
 
 
 def test_parse_unknown_format_is_a_result_not_an_exception():
@@ -222,6 +251,29 @@ def test_build_is_deterministic():
     a = mc.build_reply("surveillance_long", 0x77, altitude_ft=10_000, rac=1, ra_active=True)
     b = mc.build_reply("surveillance_long", 0x77, altitude_ft=10_000, rac=1, ra_active=True)
     assert a == b and a.to_hex() == b.to_hex()
+    # equal builds share one frame, and so its hex and its decode
+    assert b is a
+    # the altitude is read through its code, so 10,010 ft is the same frame
+    assert mc.build_reply("surveillance_long", 0x77, altitude_ft=10_010, rac=1,
+                          ra_active=True) is a
+    assert mc.build_interrogation("all_call") is mc.build_interrogation("all_call")
+    assert mc.build_reply("surveillance_long", 0x78, altitude_ft=10_000) != a
+
+
+# each row builds the frame with the field as an int first, so the cache
+# holds it when the row's own value is asked for
+@pytest.mark.parametrize("field,value,build", [
+    ("rac", 1.0, lambda **kw: mc.build_interrogation("surveillance_long", 0xA10001,
+                                                     sender=0xA10002, **kw)),
+    ("rac", "1", lambda **kw: mc.build_interrogation("surveillance_long", 0xA10001, **kw)),
+    ("rac", 2.0, lambda **kw: mc.build_reply("surveillance_long", 0xA10001, **kw)),
+    ("rac", None, lambda **kw: mc.build_reply("surveillance_long", 0xA10001, **kw)),
+    ("rac", [1], lambda **kw: mc.build_reply("surveillance_long", 0xA10001, **kw)),
+], ids=["UF20-rac-float", "UF20-rac-str", "DF20-rac-float", "DF20-rac-none", "DF20-rac-list"])
+def test_a_field_that_is_not_an_int_is_named(field, value, build):
+    build(**{field: 1})
+    with pytest.raises(mc.CodecError, match=f"field {field} must be an int"):
+        build(**{field: value})
 
 
 def test_field_range_errors():
@@ -233,6 +285,8 @@ def test_field_range_errors():
         mc.build_reply("nonsense", 0x1)
     with pytest.raises(mc.CodecError):
         mc.validate_icao(1 << 24)
+    with pytest.raises(mc.CodecError, match="ICAO address"):
+        mc.build_interrogation("surveillance_short", [0x123456])
 
 
 @pytest.mark.parametrize("build", [
@@ -286,6 +340,14 @@ BUILT = {
 
 BROADCAST = {(mc.UPLINK, mc.UF_ALL_CALL), (mc.DOWNLINK, mc.DF_ALL_CALL_REPLY),
              (mc.DOWNLINK, mc.DF_EXTENDED_SQUITTER)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(BUILT)).flatmap(BUILT.get))
+def test_every_built_tail_is_the_oracle_crc_xor_the_overlay(case):
+    frame, _, _, overlay = case
+    body = [int(b) for b in format(frame.body_word, f"0{frame.body_nbits}b")]
+    assert frame.ap == crc24_long_division(body) ^ overlay
 
 
 def test_every_supported_format_has_a_builder_case():

@@ -193,6 +193,19 @@ class TestValidation:
         pytest.param(lambda d: d.update(attacker={**PHANTOM, "jam": [
                          {"target": "ABC12G", "start_s": 0}]}),
                      r"jam\[0\]: field 'target'", id="jam-target-not-hex"),
+        # ... of exactly six, with no sign, prefix, separator or space
+        *[pytest.param(lambda d, v=text: d["aircraft"][0].update(icao=v),
+                       r"aircraft\[0\]: field 'icao': transponder address must be 6 hex digits",
+                       id=f"icao-{label}")
+          for label, text in (("0x", "0x4840D6"), ("underscores", "48_40_D6"), ("plus", "+4840D6"),
+                              ("spaces", " 4840d6 "), ("newline", "4840D6\n"),
+                              ("arabic-indic-digits", "\u0664\u0668\u0664\u0660D6"),
+                              ("five-digits", "4840D"), ("seven-digits", "04840D6"))],
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "target": "0xABC123"}),
+                     r"attacker: field 'target'", id="phantom-target-0x"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD,
+                                                  "flood": {"address_base": "5_0000"}}),
+                     "address_base", id="flood-address-base-underscore"),
         # the event log is ASCII, one record a line, fields split at commas
         pytest.param(lambda d: d["aircraft"][0].update(name="a,b"), "name",
                      id="aircraft-name-with-comma"),
