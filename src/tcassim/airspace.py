@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import heapq
 import math
+import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -188,6 +189,7 @@ NOTES = {"tcas": ("track_new", "track_drop", "rac_received", "range", "ta_issued
 NOTE_KIND = {name: kind for kind, names in NOTES.items() for name in names}
 KINDS = ("timer", "transmit", "deliver", *NOTES)
 LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed a delivery
+_FRAME_HEX = re.compile("[0-9a-f]{14}|[0-9a-f]{28}")  # a frame as ModeSFrame.to_hex writes it
 # what the report reads from a note, checked as the log is read
 NOTE_READS = {"range": lambda n: float(n.params["range"]),
               "window": lambda n: int(n.params["until"]), "phase": lambda n: n.args[0]}
@@ -217,8 +219,12 @@ def parse_note(text: str) -> Note:
                 dict(f.split("=", 1) for f in rest if "=" in f))
 
 
-def _loggable(kind: str, outcome: str) -> bool:
-    """Whether the log grammar lets a record of ``kind`` carry ``outcome``."""
+def _loggable(kind: str, frame_hex: str, outcome: str) -> bool:
+    """Whether the log grammar lets a record of ``kind`` carry ``frame_hex``,
+    a frame for a transmit or a delivery and "-" for any other, and ``outcome``."""
+    framed = kind in ("transmit", "deliver")
+    if not (_FRAME_HEX.fullmatch(frame_hex) if framed else frame_hex == "-"):
+        return False
     if kind not in NOTES:
         return kind in KINDS and (kind != "transmit" or outcome in ("sent", "jammed"))
     parsed = parse_note(outcome)
@@ -253,7 +259,7 @@ def _split_line(line: str) -> tuple[str, ...]:
     """The five fields after a log line's time, or a SimError naming the
     line when it is not ASCII, has not six fields or breaks the log grammar."""
     parts = line.rstrip("\n").split(",")
-    if not line.isascii() or len(parts) != 6 or not _loggable(parts[1], parts[5]):
+    if not line.isascii() or len(parts) != 6 or not _loggable(parts[1], parts[4], parts[5]):
         raise _malformed(line)
     return tuple(parts[1:])
 
@@ -274,10 +280,11 @@ def read_event_log(path) -> list[LogRecord]:
     copies of one frame heard alike) share one tuple of field strings, so
     the records take about the memory the run's own did.  Each new tail is
     checked against the log grammar once: an unknown kind, a transmit neither
-    sent nor jammed, a note its kind does not log, or a note without what the
-    report reads from it makes a malformed line.  So does a byte that is not
-    ASCII, and a time that is not as ``write_event_log`` writes it: digits
-    alone, with no leading zero.
+    sent nor jammed, a note its kind does not log, a note without what the
+    report reads from it, or a frame field that is neither a transmit's or
+    delivery's frame in lowercase hex nor another record's "-" makes a
+    malformed line.  So does a byte that is not ASCII, and a time that is not
+    as ``write_event_log`` writes it: digits alone, with no leading zero.
     """
     fields_by_tail: dict[str, tuple[str, ...]] = {}
     records = []
@@ -407,16 +414,14 @@ class AwgnChannel:
             detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
         noisy = phy.awgn(samples, self.snr_db, rng)
         # bits are decided one by one, so cutting to the header's length
-        # equals demodulating exactly that many bits
+        # equals demodulating exactly that many bits.  A detection leaves room
+        # for a short frame behind its preamble, so neither demodulator raises.
         for det in detect(noisy):
-            try:
-                if downlink:  # every bit that fits behind the preamble
-                    fit = (noisy.size - det.offset - phy.PPM_PREAMBLE.size) // 2
-                    bits = phy.ppm_demodulate(noisy, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
-                else:  # up to 112 bits after the sync reversal
-                    bits = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset))
-            except phy.PhyError:
-                continue
+            if downlink:  # every bit that fits behind the preamble
+                fit = (noisy.size - det.offset - phy.PPM_PREAMBLE.size) // 2
+                bits = phy.ppm_demodulate(noisy, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
+            else:  # up to 112 bits after the sync reversal
+                bits = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset))
             if sent is not None and bits[:frame.nbits].tobytes() == sent:
                 rx_frame = frame  # an intact copy shares the sent frame's decode and hex
             else:  # any other frame differs from the sent one
@@ -430,8 +435,6 @@ class AwgnChannel:
 
 
 def _header_length(bits: np.ndarray, direction: str) -> int | None:
-    if bits.size < 5:
-        return None
     code = 0
     for b in bits[:5]:
         code = (code << 1) | int(b)

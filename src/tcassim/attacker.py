@@ -299,12 +299,9 @@ class Attacker:
         if self.mission != MISSION_PHANTOM or self.phase == "recon" or self._gave_up:
             return "observed"
         decoded = codec.parse_frame(frame, expected_address=self.phantom_icao)
-        if decoded.kind == "unknown":
+        # only an attacker sends all-calls, and a world holds one attacker
+        if decoded.kind in ("unknown", "all_call"):
             return "observed"
-        if decoded.format_code == codec.UF_ALL_CALL:
-            reply = codec.build_reply("all_call", self.phantom_icao)
-            world.schedule_transmit(rx_time_ns + TURNAROUND_NS, self, reply)
-            return "phantom_all_call"
         if not decoded.parity.passed:
             return "not_phantom"
         self._last_uplink_code = decoded.format_code

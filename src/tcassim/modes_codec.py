@@ -263,7 +263,9 @@ def validate_icao(address: int) -> int:
 
 
 def encode_altitude(altitude_ft: float) -> int:
-    """13-bit altitude code: nearest 25 ft increment above zero."""
+    """13-bit altitude code of an int or a float: nearest 25 ft increment above zero."""
+    if isinstance(altitude_ft, bool) or not isinstance(altitude_ft, (int, float)):
+        raise CodecError(f"altitude must be a number, got {altitude_ft!r}")
     if not altitude_ft >= 0:
         raise CodecError(f"altitude below encodable range: {altitude_ft}")
     code = round(altitude_ft / ALTITUDE_STEP_FT)
@@ -381,7 +383,7 @@ def build_interrogation(kind: str, address: int | None = None, *,
     kind carries resolution advisory coordination (rac, ra_active, sender).
     """
     return _build(UPLINK, kind, None if address is None else validate_icao(address),
-                  rac=rac, ra_active=int(ra_active), sender=validate_icao(sender))
+                  rac=rac, ra_active=ra_active, sender=validate_icao(sender))
 
 
 def build_reply(kind: str, address: int, *, altitude_ft: float = 0,
@@ -394,7 +396,7 @@ def build_reply(kind: str, address: int, *, altitude_ft: float = 0,
     and ra_active, and the all_call reply carries no altitude.
     """
     return _build(DOWNLINK, kind, validate_icao(address), altitude_code=encode_altitude(altitude_ft),
-                  rac=rac, ra_active=int(ra_active))
+                  rac=rac, ra_active=ra_active)
 
 
 @dataclass(frozen=True)

@@ -285,8 +285,7 @@ class Aircraft:
 
     # -- threat logic --------------------------------------------------------
 
-    def _range_update(self, world: World, track: Track, rtt_ns: int,
-                      altitude_ft: float | None) -> None:
+    def _range_update(self, world: World, track: Track, rtt_ns: int, altitude_ft: int) -> None:
         now = world.time_ns
         rng = rtt_to_range_nmi(rtt_ns)
         if track.range_time_ns is not None:
@@ -294,8 +293,7 @@ class Aircraft:
         track.range_nmi = rng
         track.range_time_ns = now
         track.miss_count = 0
-        if altitude_ft is not None:
-            track.altitude_ft = altitude_ft
+        track.altitude_ft = altitude_ft  # DF4 and DF20 both carry one
         if track.status == "acquiring":
             track.status = "tracked"
         rate_repr = "none" if track.rate_kt is None else f"{track.rate_kt:.3f}"
@@ -313,8 +311,6 @@ class Aircraft:
                     self._clear_advisory(world, "clear_of_conflict")
             else:
                 track.divergence_streak = 0
-            return
-        if track.altitude_ft is None:
             return
         own_alt = self.position_at(world.time_ns)[2]
         dalt = abs(own_alt - track.altitude_ft)

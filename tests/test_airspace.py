@@ -10,10 +10,11 @@ import tracemalloc
 import weakref
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcassim import airspace, attacker, harness, modes_codec as codec, tcas
+from tcassim import airspace, attacker, harness, modes_codec as codec, phy, tcas
 from tcassim import scenario as scen
 
 import oracles
@@ -449,6 +450,30 @@ class TestAwgnChannel:
         assert len(drops) + len(b.inbox) == 20
         assert len(drops) > 10
 
+    # AwgnChannel.receive demodulates at every detection without a guard:
+    # a detection leaves room for a short frame behind its preamble
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.integers(0, 2**112 - 1), st.sampled_from([56, 112]),
+           st.floats(-5, 30), st.integers(0, 2**32 - 1),
+           st.sampled_from(["frame", "noise", "truncated"]), st.integers(0, 300))
+    def test_every_detection_leaves_room_to_demodulate(self, downlink, word, nbits, snr_db,
+                                                       seed, stream, keep):
+        bits = np.array([(word >> i) & 1 for i in range(nbits)], dtype=np.uint8)
+        clean = (phy.ppm_modulate if downlink else phy.dbpsk_modulate)(bits)
+        pad = np.zeros(airspace.LEAD_PAD, dtype=clean.dtype)
+        samples = np.concatenate([pad, clean if stream != "noise" else 0 * clean, pad])
+        if stream == "truncated":
+            samples = samples[:keep]
+        noisy = phy.awgn(samples, snr_db, seed)
+        detect = phy.ppm_frame_detect if downlink else phy.dbpsk_frame_detect
+        for det in detect(noisy):
+            if downlink:  # as receive demodulates
+                fit = (noisy.size - det.offset - phy.PPM_PREAMBLE.size) // 2
+                got = phy.ppm_demodulate(noisy, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
+            else:
+                got = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset))
+            assert got.size >= phy.MIN_PAYLOAD_BITS
+
 
 class TestEventOrdering:
     def test_same_time_orders_by_registration_then_sequence(self):
@@ -635,9 +660,9 @@ class TestEventLog:
 
     def test_record_unpacks_to_its_six_fields_in_line_order(self, tmp_path):
         path = tmp_path / "events.log"
-        path.write_text("7,deliver,a,b,8d4840d6,known\n")
+        path.write_text("7,deliver,a,b,02e197b00179c3,known\n")
         [rec] = airspace.read_event_log(path)
-        assert tuple(rec) == (7, "deliver", "a", "b", "8d4840d6", "known")
+        assert tuple(rec) == (7, "deliver", "a", "b", "02e197b00179c3", "known")
 
     def test_read_back_records_are_log_records(self, tmp_path):
         path = tmp_path / "events.log"
@@ -658,8 +683,15 @@ class TestEventLog:
         "5,tcas,a,000001,-,bogus;1",
         "5,tcas,a,000001,-,range=abc;rate=none",
         "5,nmac,a,b,-,window",
+        "5,deliver,a,b,8d4840d6,known",
+        "5,transmit,a,*,8D4840D6202CC371C32CE0576098,sent",
+        "5,deliver,a,b,0x4840d6202cc371c32ce0576098,known",
+        "5,deliver,a,b,-,phy_drop",
+        "5,timer,a,-,02e197b00179c3,tick",
+        "5,tcas,a,000001,02e197b00179c3,ta_issued",
     ], ids=["unknown-kind", "transmit-lost", "unknown-note", "range-not-a-number",
-            "window-without-until"])
+            "window-without-until", "frame-of-8-digits", "frame-in-capitals", "frame-with-0x",
+            "delivery-without-frame", "timer-with-frame", "note-with-frame"])
     def test_read_rejects_outcomes_outside_the_grammar(self, tmp_path, line):
         path = tmp_path / "events.log"
         path.write_text(f"1,timer,a,-,-,tick\n{line}\n")
@@ -707,6 +739,15 @@ class Faulty(Probe):
 class TestHandlerErrors:
     """An exception escaping a handler leaves ``run_until`` as a SimError
     naming the event kind, its entities and the instant, chained from it."""
+
+    def test_a_bound_that_is_no_time_raises_as_it_is(self):
+        a = Probe("a", 0x000001, _state(0, 0, 0))
+        w = airspace.World()
+        w.add_entity(a)
+        w.schedule_timer(1_234, a, "tick")
+        with pytest.raises(TypeError):
+            w.run_until(None)
+        assert w.log == [] and a.timers == []
 
     def test_timer(self):
         a = Faulty("a", 0x000001, _state(0, 0, 0))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from importlib import resources
 
 import pytest
 
@@ -33,6 +35,10 @@ def _build(*entities):
         w.add_entity(e)
         e.start(w, phase_ns=idx * 37_000_000)
     return w
+
+
+def _bundled_doc(name):
+    return json.loads((resources.files("tcassim") / "scenarios" / f"{name}.json").read_text())
 
 
 def _phase_times(world):
@@ -187,6 +193,61 @@ class TestPhantomMission:
         assert state.altitude_ft == 40_800.0
         assert state.vertical_rate_fpm == 0.0
 
+    def test_a_phantom_farther_out_than_its_plan_misses_until_it_predicts(self):
+        # from the intruder's start, 40 nmi from the victim, no reply sent on
+        # reception can make the phantom look 2 nmi away
+        doc = _bundled_doc("head_on_phantom")
+        doc["attacker"]["position"].update(x_nmi=20.0, y_nmi=0.0)
+        doc["attacker"]["plan"]["initial_range_nmi"] = 2.0
+        result = harness.simulate(scen.load_scenario(doc))
+        missed = [r.time_ns for r in result.records if r.outcome == "spoof_missed"]
+        notes = [r.time_ns for r in result.records if r.outcome == "reactive_infeasible"]
+        assert len(missed) == 12 and notes == missed
+        assert result.report.succeeded
+
+    def test_a_victims_ra_active_reply_ends_a_declared_threat(self):
+        victim = _victim()
+        ghost = _attacker(target=victim)
+        w = _build(victim, ghost)
+        ghost.phase = "threat_declared"
+        reply = codec.build_reply("surveillance_long", VICTIM, altitude_ft=42_000,
+                                  rac=codec.RAC_DO_NOT_PASS_BELOW, ra_active=True)
+        assert ghost.on_frame(w, reply, 0) == "evidence"
+        assert ghost.phase == "done"
+        assert [r.outcome for r in w.log[-2:]] == ["phase;done", "evidence;target_ra_active"]
+
+    # a phantom answers only interrogations addressed to it; only an
+    # attacker sends all-calls, and a world holds one attacker
+    @pytest.mark.parametrize("frame", [
+        codec.ModeSFrame.from_hex("00000000000000", codec.UPLINK),
+        codec.build_interrogation("all_call"),
+        codec.ModeSFrame.from_hex("00000000000000", codec.DOWNLINK)],
+        ids=["unknown-uplink", "all-call", "unknown-downlink"])
+    def test_a_tracking_phantom_observes_what_is_not_its_interrogation(self, frame):
+        victim = _victim()
+        ghost = _attacker(target=victim)
+        w = airspace.World()
+        w.add_entity(victim)
+        w.add_entity(ghost)
+        ghost.phase = "tracking"
+        assert ghost.on_frame(w, frame, 0) == "observed"
+        assert w.log == [] and w._heap == []
+
+    def test_no_prediction_is_armed_for_a_reply_already_too_late(self):
+        # 50 nmi out, a reply leaving now still arrives after a 1 nmi
+        # phantom's would
+        victim = _victim()
+        ghost = atk.Attacker("attacker", (30.0, 0.0, 0.0), target=victim,
+                             plan=atk.PhantomPlan(initial_range_nmi=1.0))
+        w = airspace.World()
+        w.add_entity(victim)
+        w.add_entity(ghost)
+        w.time_ns = airspace.NS_PER_S
+        ghost._intel.append((w.time_ns, *victim.position_at(w.time_ns)))
+        ghost._plan_t0_ns = w.time_ns
+        ghost._arm_prediction(w, w.time_ns)
+        assert w.log == [] and w._heap == [] and ghost._predicted_for_ns is None
+
     def test_bait_timeout_without_surveillance(self):
         victim = _victim(mode=tcas.MODE_XPDR)  # replies but never interrogates
         ghost = _attacker(bait_timeout_s=15.0, target=victim)
@@ -314,6 +375,17 @@ class TestSquitterFlood:
         assert 0x0ABCDE in victim.tracks
         assert len(victim.tracks) < tcas.TRACK_CAPACITY
 
+    def test_a_flood_that_covers_the_victims_address_is_not_tracked(self):
+        doc = _bundled_doc("squitter_flood")  # the watcher is 3C5A10
+        doc["attacker"]["flood"]["address_base"] = "3C5A00"
+        result = harness.simulate(scen.load_scenario(doc))
+        [own] = [r for r in result.records if r.outcome == "own_address"]
+        assert (own.source, own.destination) == ("ground", "watcher")
+        assert codec.parse_frame(codec.ModeSFrame.from_hex(
+            own.frame_hex, codec.DOWNLINK)).fields["icao"] == 0x3C5A10
+        assert "3c5a10" not in {r.destination for r in result.records
+                                if r.outcome == "track_new"}
+
     def test_control_run_keeps_real_track(self):
         w, victim = self._run(flood=False)
         assert not [r for r in w.log if r.outcome.startswith("track_drop")]
@@ -328,3 +400,44 @@ class TestSquitterFlood:
             codec.parse_frame(codec.ModeSFrame.from_hex(h, codec.DOWNLINK)).fields["icao"]
             for h in sent}
         assert len(addresses) == 500
+
+
+class TestJamDuringAdvisory:
+    """Jamming the threat's replies during a resolution advisory: the
+    threat's track misses out, and the advisory clears with it."""
+
+    def _run(self):
+        doc = _bundled_doc("head_on_phantom")
+        doc["aircraft"][1]["position"]["altitude_ft"] = 41_800.0
+        doc["attacker"] = {"name": "ground", "mission": "all_call_flood",
+                           "position": {"x_nmi": 0.0, "y_nmi": 50.0, "altitude_ft": 0.0},
+                           "jam": [{"target": "4B17C3", "start_s": 118.0}]}
+        doc["success"] = []
+        return harness.simulate(scen.load_scenario(doc)).records
+
+    def test_a_lost_threat_track_clears_the_advisory(self):
+        victim = [(r.time_ns, r.outcome) for r in self._run()
+                  if r.kind in ("tcas", "pilot") and r.source == "victim"
+                  and r.outcome.startswith(("ra_", "track_drop", "engage", "level_off"))]
+        assert victim == [(115_500_241_668, "ra_issued;climb;limit=42400"),
+                          (120_500_241_668, "engage;rate=1500"),
+                          (124_500_000_000, "track_drop;miss_limit"),
+                          (124_500_000_000, "ra_cleared;track_lost"),
+                          (124_500_000_000, "level_off;cleared")]
+
+    def test_the_cleared_advisorys_level_off_timer_does_nothing(self):
+        records = self._run()
+        fired = [r.time_ns for r in records
+                 if r.kind == "timer" and r.source == "victim" and r.outcome == "pilot_level"]
+        assert fired == [136_500_241_668]
+        assert not [r for r in records if r.source == "victim" and r.kind == "pilot"
+                    and r.time_ns >= fired[0]]
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: atk.Attacker("attacker", (0.0, 0.0, 0.0), mission="jam"), "unknown mission"),
+    (lambda: _attacker().on_timer(airspace.World(), "tock", {}), "unknown timer"),
+], ids=["unknown-mission", "unknown-timer"])
+def test_direct_construction_is_checked(call, match):
+    with pytest.raises(airspace.SimError, match=match):
+        call()

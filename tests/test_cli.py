@@ -50,6 +50,11 @@ class TestSimulate:
         assert report["scenario"] == "benign_pair"
         assert report["nmac_occurred"] is False
 
+    def test_an_attack_prints_its_phases(self, capsys):
+        code, out, _ = run(capsys, "simulate", "head_on_phantom")
+        assert code == 0
+        assert "attack phases: recon baiting tracking threat_declared done\n" in out
+
     def test_failed_predicate_exits_nonzero(self, capsys, tmp_path):
         doc = {"schema_version": 1, "name": "hopeless", "duration_s": 2.0,
                "aircraft": [{"name": "solo", "icao": "ABC123",
@@ -142,6 +147,15 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == "snr_db,samples,lost,loss_fraction"
         assert [row.split(",")[0] for row in lines[1:]] == ["5", "20", "inf"]
+
+    def test_out_writes_the_table_stdout_would_show(self, capsys, tmp_path):
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(NOISY_DOC))
+        argv = ("sweep", str(path), "--snr", "20,5", "--frames", "40")
+        _, shown, _ = run(capsys, *argv)
+        table = tmp_path / "loss.csv"
+        assert run(capsys, *argv, "--out", str(table)) == (0, "", "")
+        assert table.read_text() == shown
 
     @pytest.mark.parametrize("argv", [
         ("--snr", "10", "--frames", "0"), ("--snr=-inf",), ("--snr", "nan"), ("--snr", "5,NaN"),
@@ -239,6 +253,12 @@ class TestCodec:
         code, out, _ = run(capsys, "codec", frame.to_hex())
         assert code == 1
         assert "unverified" in out
+
+    def test_unsupported_format_has_no_parity_to_check(self, capsys):
+        code, out, _ = run(capsys, "codec", "00000000000000")
+        assert code == 1
+        assert "format code: 0 (unknown), 56 bits" in out
+        assert out.endswith("parity: not checkable for this format\n")
 
     def test_malformed_hex_is_usage_error(self, capsys):
         code, _, err = run(capsys, "codec", "nothex")

@@ -142,6 +142,14 @@ class TestSimulate:
         worst = max(abs(err) for _, _, _, err in report.plan_error_series)
         assert worst < 0.01
 
+    def test_plan_errors_start_at_the_tracking_epoch(self):
+        # a log read from a file may range the phantom before it tracks
+        records = [LogRecord(5, "tcas", "victim", "3c4ef9", "-", "range=9.000000;rate=none"),
+                   LogRecord(10, "attack", "ground", "3c4efa", "-", "phase;tracking"),
+                   LogRecord(15, "tcas", "victim", "3c4ef9", "-", "range=8.000000;rate=none")]
+        report = harness.metrics_from_log(records, scen.bundled_scenario("head_on_phantom"))
+        assert [row[:2] for row in report.plan_error_series] == [[15, 8.0]]
+
     def test_lossy_links_balance(self):
         doc = crossing_doc(seed=13, channel={"kind": "awgn", "snr_db": 4.0},
                            duration_s=10.0, success=[])
@@ -391,10 +399,13 @@ class TestFtaReport:
 
 # Values a fuzzed document puts in place of any field.  None of them is a
 # valid value that makes a run long (a tiny surveillance period, a high
-# flood rate), as a long run is no fault of the loader.
+# flood rate), as a long run is no fault of the loader.  Each draw is a
+# copy: a drawn list that a later mutation appended to would otherwise be
+# changed for every later example, and could be appended into itself.
 HOSTILE = st.sampled_from([
     None, True, "", "x", "a,b", "café", "line\nbreak", "ZZZZZZ", "1000000", [], {}, [1],
-    {"x": 1}, -1, 0, 1, -0.5, 1e-300, 1e308, -1e308, 10**400, math.inf, -math.inf, math.nan])
+    {"x": 1}, -1, 0, 1, -0.5, 1e-300, 1e308, -1e308, 10**400, math.inf, -math.inf,
+    math.nan]).map(copy.deepcopy)
 
 
 def _aircraft_doc(i: int):

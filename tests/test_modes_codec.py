@@ -269,11 +269,33 @@ def test_build_is_deterministic():
     ("rac", 2.0, lambda **kw: mc.build_reply("surveillance_long", 0xA10001, **kw)),
     ("rac", None, lambda **kw: mc.build_reply("surveillance_long", 0xA10001, **kw)),
     ("rac", [1], lambda **kw: mc.build_reply("surveillance_long", 0xA10001, **kw)),
-], ids=["UF20-rac-float", "UF20-rac-str", "DF20-rac-float", "DF20-rac-none", "DF20-rac-list"])
+    ("ra_active", "1", lambda **kw: mc.build_interrogation("surveillance_long", 0xA10001, **kw)),
+    ("ra_active", "yes", lambda **kw: mc.build_reply("surveillance_long", 0xA10001, **kw)),
+    ("ra_active", [1], lambda **kw: mc.build_reply("surveillance_long", 0xA10001, **kw)),
+], ids=["UF20-rac-float", "UF20-rac-str", "DF20-rac-float", "DF20-rac-none", "DF20-rac-list",
+        "UF20-ra_active-str", "DF20-ra_active-word", "DF20-ra_active-list"])
 def test_a_field_that_is_not_an_int_is_named(field, value, build):
     build(**{field: 1})
     with pytest.raises(mc.CodecError, match=f"field {field} must be an int"):
         build(**{field: value})
+
+
+@pytest.mark.parametrize("altitude", ["1000", None, True, [1000]],
+                         ids=["str", "none", "bool", "list"])
+def test_an_altitude_that_is_not_a_number_is_refused(altitude):
+    with pytest.raises(mc.CodecError, match="altitude must be a number"):
+        mc.build_reply("surveillance_long", 1, altitude_ft=altitude)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: mc.crc24([2] + [0] * 31), "body bits must be 0 or 1"),
+    (lambda: mc.ModeSFrame("sideways", 56, 0), "direction"),
+    (lambda: mc.ModeSFrame(mc.UPLINK, 56, 1 << 56), "does not fit"),
+    (lambda: mc.decode_altitude(1 << 13), "altitude code out of range"),
+], ids=["crc-bit-not-binary", "unknown-direction", "word-too-long", "altitude-code-too-big"])
+def test_direct_construction_is_checked(call, match):
+    with pytest.raises(mc.CodecError, match=match):
+        call()
 
 
 def test_field_range_errors():

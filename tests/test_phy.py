@@ -271,3 +271,14 @@ def test_modulators_reject_values_other_than_0_and_1(modulate, bad):
         modulate(bits)
     with pytest.raises(phy.PhyError, match="bits must be 0 or 1"):
         modulate(bits.tolist())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phy.ppm_demodulate(np.zeros(40), 0, 56),
+    lambda: phy.ppm_demodulate(np.zeros(240), -1, 56),
+    lambda: phy.dbpsk_demodulate(np.zeros(200, dtype=complex), 0),
+    lambda: phy.dbpsk_demodulate(np.zeros(200, dtype=complex), 199),
+], ids=["ppm-too-short", "ppm-offset-negative", "dbpsk-sync-at-start", "dbpsk-sync-at-end"])
+def test_a_demodulator_refuses_a_stream_without_room(call):
+    with pytest.raises(phy.PhyError):
+        call()

@@ -58,6 +58,11 @@ class TestLoading:
         assert scen.load_scenario(path).name == "case"
         assert scen.load_scenario(str(path)).name == "case"
 
+    @pytest.mark.parametrize("source", [42, b"{}", None], ids=["int", "bytes", "none"])
+    def test_load_refuses_what_is_no_document(self, source):
+        with pytest.raises(ScenarioError, match="cannot load a scenario from"):
+            scen.load_scenario(source)
+
     def test_duration_in_nanoseconds(self):
         s = scen.load_scenario(minimal_doc(duration_s=2.5))
         assert s.duration_ns == 2_500_000_000
@@ -93,6 +98,7 @@ class TestValidation:
         (lambda d: d["aircraft"][0].pop("position"), "position"),
         (lambda d: d["aircraft"][0]["position"].pop("x_nmi"), "x_nmi"),
         (lambda d: d["aircraft"][0]["position"].update(tilt=3), "tilt"),
+        (lambda d: d["aircraft"][0]["position"].update(x_nmi="3"), "must be a number"),
     ])
     def test_error_names_the_field(self, mutate, needle):
         doc = minimal_doc()
@@ -105,6 +111,8 @@ class TestValidation:
                      id="jam-not-a-list"),
         pytest.param(lambda d: d.update(success=[[1]]), "success",
                      id="success-not-a-string"),
+        pytest.param(lambda d: d.update(success="no_advisories"), "'success' must be a list",
+                     id="success-not-a-list"),
         pytest.param(lambda d: d.update(duration_s=float("inf")), "duration_s",
                      id="duration-inf"),
         pytest.param(lambda d: d.update(duration_s=float("nan")), "duration_s",
@@ -137,6 +145,10 @@ class TestValidation:
         pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD,
                                                   "flood": {"address_base": "FFFFFF"}}),
                      "address_base", id="flood-addresses-past-24-bits"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD, "flood": {"rate_hz": 0}}),
+                     "rate_hz", id="flood-rate-zero"),
+        pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD, "flood": {"duration_s": -1}}),
+                     "duration_s", id="flood-duration-negative"),
         pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD, "flood": {"rate_hz": 1e10}}),
                      "rate_hz", id="flood-period-below-1-ns"),
         pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD, "flood": {"rate_hz": 1e-310}}),

@@ -9,7 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcassim import airspace, modes_codec as codec, tcas
 
@@ -445,10 +445,18 @@ def _ring(n, radius_nmi=4.0):
     return ring
 
 
+# format code 0 is in neither direction's table
+UNKNOWN = {direction: codec.ModeSFrame(direction, codec.SHORT_FRAME_BITS, 0)
+           for direction in (codec.UPLINK, codec.DOWNLINK)}
+
+
 class TestEarlyRejection:
     @settings(max_examples=400, deadline=None)
     @given(_heard_frame(), st.sampled_from(POOL), st.sampled_from(tcas.MODES),
            st.sets(st.sampled_from(POOL)), st.sampled_from([0, 200_000, 10**9]))
+    @example(UNKNOWN[codec.DOWNLINK], POOL[1], tcas.MODE_TA_RA, set(), 0)
+    @example(UNKNOWN[codec.UPLINK], POOL[1], tcas.MODE_XPDR, set(), 0)
+    @example(codec.build_interrogation("all_call"), POOL[1], tcas.MODE_STANDBY, set(), 0)
     def test_early_outcomes_match_a_parse_first_oracle(self, frame, icao, mode, pending, rx_ns):
         a = _aircraft("a", icao, x=0.0, alt=10_000, mode=mode)
         w = _build_world(a)
@@ -614,6 +622,26 @@ class TestNmacGeometry:
         assert on / 1e9 == pytest.approx((1000.0 - 100.0) / 25.0, abs=1e-6)
         assert off / 1e9 == pytest.approx((1000.0 + 100.0) / 25.0, abs=1e-6)
 
+    def test_a_relative_speed_whose_square_underflows_is_solved_as_linear(self, monkeypatch):
+        # vx_kt = 1e-160 loads, and its square underflows to 0.0 while the
+        # linear term does not: the quadratic's a == 0 branch is live
+        seen = []
+        solve = tcas._quadratic_interval
+        monkeypatch.setattr(tcas, "_quadratic_interval",
+                            lambda *args: seen.append(args[:2]) or solve(*args))
+        a = airspace.AircraftState(0.0, 0.0, 10_000.0, vx_kt=1e-160)
+        b = airspace.AircraftState(0.01, 0.0, 10_000.0)
+        t_end = 20 * airspace.NS_PER_S
+        assert tcas.nmac_intervals([(0, a)], [(0, b)], t_end) == [(0, t_end)]
+        [(quadratic, linear)] = seen
+        assert quadratic == 0.0 and linear != 0.0
+
+    @pytest.mark.parametrize("b,c,expected", [
+        (2.0, -4.0, (0.0, 2.0)), (-2.0, 4.0, (2.0, 10.0)), (2.0, 4.0, None), (-2.0, 30.0, None)],
+        ids=["until-root", "from-root", "root-before-span", "root-after-span"])
+    def test_a_linear_inequality_holds_on_one_side_of_its_root(self, b, c, expected):
+        assert tcas._quadratic_interval(0.0, b, c, 0.0, 10.0) == expected
+
     def test_matches_instantaneous_scan_on_random_encounters(self):
         rng = random.Random(0x4A3)
         for _ in range(25):
@@ -657,3 +685,14 @@ class TestNmacGeometry:
                 continue
             inside = any(on <= t <= off for on, off in windows)
             assert oracles.nmac_at(state_on(segs_a, t), state_on(segs_b, t)) == inside
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: tcas.range_rate_kt(1.0, 5, 1.0, 5), "out of order"),
+    (lambda: _aircraft("a", 1, 0.0, 1_000.0, mode="glider"), "unknown equipment mode"),
+    (lambda: _aircraft("a", 1, 0.0, 1_000.0).on_timer(airspace.World(), "tock", {}),
+     "unknown timer"),
+], ids=["range-samples-out-of-order", "unknown-mode", "unknown-timer"])
+def test_direct_construction_is_checked(call, match):
+    with pytest.raises(airspace.SimError, match=match):
+        call()
