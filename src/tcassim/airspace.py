@@ -375,9 +375,15 @@ class AwgnChannel:
     header-decoded length.  ``receive`` returns ``(received frame, detected
     preamble time)``, or None when detection or header decoding fails; bit
     errors surface later as parity failures at the consumer.
+
+    Bad arguments fail when the channel is built, not at its first
+    reception: an SNR with no finite noise power is a ``PhyError``, and a
+    seed that is not a non-negative integer a ``ValueError`` or
+    ``TypeError``.
     """
 
     def __init__(self, snr_db: float, seed: int):
+        phy.noise_power(snr_db)
         self.snr_db = snr_db
         self.seed = seed
         # per instance, so a fresh channel starts empty; it wraps a module
@@ -385,8 +391,9 @@ class AwgnChannel:
         self._transmission = lru_cache(maxsize=WAVEFORM_CACHE_FRAMES)(_transmission)
         self._rng = np.random.Generator(np.random.PCG64(0))
         self._index = 0  # receptions so far
-        self._block: int | None = None  # index // NOISE_BLOCK of the states held
-        self._block_states: list[tuple[int, int]] = []
+        # the first block now, so that a seed pcg64_states refuses fails here
+        self._block = 0  # index // NOISE_BLOCK of the states held
+        self._block_states = noise.pcg64_states(seed, 0, NOISE_BLOCK)
 
     def _noise_rng(self) -> np.random.Generator:
         """The generator, set to draw the next reception's noise stream."""

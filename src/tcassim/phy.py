@@ -76,46 +76,64 @@ def ppm_demodulate(samples: np.ndarray, offset: int, nbits: int) -> np.ndarray:
     need = start + nbits * 2
     if offset < 0 or need > samples.size:
         raise PhyError(f"stream too short for {nbits} bits at offset {offset}")
-    energy = np.abs(samples[start:need]) ** 2
+    chips = samples[start:need]  # real, as the pulse modem's samples are
+    energy = chips * chips
     return (energy[0::2] > energy[1::2]).astype(np.uint8)
 
 
-def _normalized_correlation(x: np.ndarray, template: np.ndarray,
+def _normalized_correlation(x: np.ndarray, matched: np.ndarray,
                             template_norm: float) -> np.ndarray:
-    n = template.size
-    if x.size < n:
-        return np.zeros(0)
-    dot = np.correlate(x, np.conj(template), mode="valid")
-    power = np.abs(x) ** 2 if np.iscomplexobj(x) else x * x  # equal bit for bit when real
-    energy = np.concatenate([[0.0], np.cumsum(power)])
-    win = energy[n:] - energy[:-n]
-    norm = np.sqrt(win) * template_norm
-    return np.divide(np.abs(dot), norm, out=np.zeros(dot.size), where=norm > 0)
+    """|x . template| over the window's norm times the template's, for every
+    window of x the template fits in; 0 where a window holds no energy.
+
+    ``matched`` is the template conjugated, as ``np.correlate`` conjugates
+    its second argument.  The window energy is a difference of prefix sums
+    of the power, so a prefix of x gives a prefix of the result, bit for bit.
+    """
+    n = matched.size
+    dot = np.abs(np.correlate(x, matched))
+    if x.dtype.kind == "c":
+        power = np.abs(x)
+        power *= power  # abs(x) ** 2 bit for bit
+    else:
+        power = x * x
+    energy = np.empty(x.size + 1)
+    energy[0] = 0.0
+    power.cumsum(out=energy[1:])
+    norm = energy[n:] - energy[:-n]
+    np.sqrt(norm, out=norm)
+    norm *= template_norm
+    return np.divide(dot, norm, out=np.zeros(dot.size), where=norm > 0)
 
 
-def _detect(samples: np.ndarray, template: np.ndarray, template_norm: float, min_tail: int,
+def _detect(samples: np.ndarray, matched: np.ndarray, template_norm: float, min_tail: int,
             max_tail: int) -> list[FrameDetection]:
     """Threshold the normalized correlation, then keep the strongest peaks.
 
-    Candidates without room for a minimum-length frame behind the preamble
-    are discarded.  A kept detection shadows one maximum frame extent in
-    both directions (strongest first, earliest on ties): a preamble cannot
-    start inside a frame already being received, which also suppresses the
-    preamble's partial self-similarity at a frame's tail.
+    Only windows with room for a minimum-length frame behind the preamble
+    are correlated; the others could never be kept.  A kept detection
+    shadows one maximum frame extent in both directions (strongest first,
+    earliest on ties): a preamble cannot start inside a frame already being
+    received, which also suppresses the preamble's partial self-similarity
+    at a frame's tail.
     """
-    corr = _normalized_correlation(samples, template, template_norm)
-    room = samples.size - template.size - min_tail
-    hits = np.flatnonzero(corr[:max(room + 1, 0)] >= DETECTION_THRESHOLD)
-    candidates = hits[np.lexsort((hits, -corr[hits]))].tolist()  # strongest, then earliest
-    shadow = template.size + max_tail
+    n = matched.size
+    room = samples.size - n - min_tail  # the last window with room
+    if room < 0:
+        return []
+    corr = _normalized_correlation(samples[:room + n], matched, template_norm)
+    shadow = n + max_tail
     kept: list[int] = []
-    for k in candidates:
-        if all(abs(k - j) >= shadow for j in kept):
-            kept.append(k)
+    k = int(corr.argmax())  # the strongest left, earliest on ties
+    while corr[k] >= DETECTION_THRESHOLD:
+        kept.append(k)
+        corr[max(k - shadow + 1, 0):k + shadow] = 0.0
+        k = int(corr.argmax())
     return [FrameDetection(k) for k in sorted(kept)]
 
 
 def ppm_frame_detect(samples: np.ndarray) -> list[FrameDetection]:
+    # the pulse template is real, so it is its own conjugate
     return _detect(samples, PPM_PREAMBLE, PPM_PREAMBLE_NORM, MIN_PAYLOAD_BITS * 2,
                    MAX_PAYLOAD_BITS * 2)
 
@@ -133,6 +151,8 @@ DBPSK_PREAMBLE = np.concatenate([
     _dbpsk_chips(np.zeros(0, dtype=np.int64))[: len(SYNC_PREAMBLE_BITS)]])
 DBPSK_PREAMBLE.flags.writeable = False
 DBPSK_PREAMBLE_NORM = float(np.linalg.norm(DBPSK_PREAMBLE))
+_DBPSK_MATCHED = np.conj(DBPSK_PREAMBLE)
+_DBPSK_MATCHED.flags.writeable = False
 
 
 def dbpsk_modulate(bits) -> np.ndarray:
@@ -142,7 +162,7 @@ def dbpsk_modulate(bits) -> np.ndarray:
 
 
 def dbpsk_frame_detect(samples: np.ndarray) -> list[FrameDetection]:
-    return _detect(samples, DBPSK_PREAMBLE, DBPSK_PREAMBLE_NORM, MIN_PAYLOAD_BITS + 2,
+    return _detect(samples, _DBPSK_MATCHED, DBPSK_PREAMBLE_NORM, MIN_PAYLOAD_BITS + 2,
                    MAX_PAYLOAD_BITS + 2)
 
 
@@ -197,7 +217,7 @@ def awgn(samples: np.ndarray, snr_db: float, seed) -> np.ndarray:
     """
     power = noise_power(snr_db)
     rng = np.random.default_rng(seed)
-    if np.iscomplexobj(samples):
+    if samples.dtype.kind == "c":
         # one draw of 2n is the same stream as two draws of n, in half the calls
         quadratures = rng.normal(0.0, math.sqrt(power / 2.0), 2 * samples.size)
         noise = quadratures[:samples.size] + 1j * quadratures[samples.size:]

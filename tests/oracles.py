@@ -1,8 +1,8 @@
 """Independent oracles used to freeze expected values in the test suite.
 
 Everything here is deliberately written the slow, textbook way (bit lists,
-exact rational arithmetic) so it shares no code or shortcuts with the
-package under test.  ``ReferenceWorld`` is the one exception: it is an
+exact rational arithmetic, whole-stream numpy) so it shares no code or
+shortcuts with the package under test.  ``ReferenceWorld`` is the one exception: it is an
 ``airspace.World`` whose event queue, fan-out and records are redone
 here, so that a run can be replayed through it and compared.
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from tcassim import modes_codec as codec
 from tcassim.airspace import (NOTES, RECEPTION_RANGE_NMI, LogRecord, World,
@@ -87,6 +89,39 @@ def fault_tree_components(vna, vmir, rnf, tna, ti) -> tuple[Fraction, Fraction]:
 
 def noisy_or(p, q) -> Fraction:
     return 1 - (1 - Fraction(p)) * (1 - Fraction(q))
+
+
+def normalized_correlation(x: np.ndarray, template: np.ndarray,
+                           template_norm: float) -> np.ndarray:
+    """The preamble detector's correlation, every window of the whole
+    stream: |x . template| over the window's norm times the template's,
+    with the window energy a difference of prefix sums of the power, and 0
+    where a window holds no energy."""
+    n = template.size
+    if x.size < n:
+        return np.zeros(0)
+    dot = np.correlate(x, np.conj(template), mode="valid")
+    energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
+    norm = np.sqrt(energy[n:] - energy[:-n]) * template_norm
+    return np.divide(np.abs(dot), norm, out=np.zeros(dot.size), where=norm > 0)
+
+
+def detect_offsets(samples: np.ndarray, template: np.ndarray, template_norm: float,
+                   min_tail: int, max_tail: int, threshold: float) -> list[int]:
+    """Preamble starts: windows at or above the threshold that leave room
+    for ``min_tail`` samples behind the template, sorted strongest first and
+    earliest on ties, each kept only if no kept one lies within one maximum
+    frame (template plus ``max_tail``) of it."""
+    corr = normalized_correlation(samples, template, template_norm)
+    room = samples.size - template.size - min_tail
+    hits = np.flatnonzero(corr[:max(room + 1, 0)] >= threshold)
+    candidates = hits[np.lexsort((hits, -corr[hits]))].tolist()
+    shadow = template.size + max_tail
+    kept: list[int] = []
+    for k in candidates:
+        if all(abs(k - j) >= shadow for j in kept):
+            kept.append(k)
+    return sorted(kept)
 
 
 def _round_nearest(x: Fraction) -> int:

@@ -450,6 +450,16 @@ class TestAwgnChannel:
         assert len(drops) + len(b.inbox) == 20
         assert len(drops) > 10
 
+    @pytest.mark.parametrize("snr_db,seed,error", [
+        (math.nan, 0, phy.PhyError),
+        (-5000.0, 0, phy.PhyError),
+        (12.0, -1, ValueError),
+        (12.0, 1.5, TypeError),
+    ], ids=["snr-nan", "snr-overflows", "seed-negative", "seed-not-an-integer"])
+    def test_bad_arguments_fail_when_the_channel_is_built(self, snr_db, seed, error):
+        with pytest.raises(error):
+            airspace.AwgnChannel(snr_db, seed)
+
     # AwgnChannel.receive demodulates at every detection without a guard:
     # a detection leaves room for a short frame behind its preamble
     @settings(max_examples=200, deadline=None)

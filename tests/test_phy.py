@@ -7,9 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.random import SeedSequence
 
-from tcassim import phy
+from tcassim import airspace, phy
+
+import oracles
 
 
 def test_reply_preamble_is_the_fixed_16_chip_vector():
@@ -126,31 +129,23 @@ def test_detection_shadow_suppresses_tail_self_similarity():
     assert [d.offset for d in phy.ppm_frame_detect(stream)] == [0, 2 * a.size]
 
 
-def _reference_peaks(samples, template, template_norm, min_tail, max_tail) -> list[int]:
-    """Peak picking one candidate at a time: strongest first, earliest on
-    ties, each kept peak shadowing a maximum frame extent both ways."""
-    corr = phy._normalized_correlation(samples, template, template_norm)
-    room = samples.size - template.size - min_tail
-    candidates = [k for k in range(corr.size)
-                  if corr[k] >= phy.DETECTION_THRESHOLD and k <= room]
-    candidates.sort(key=lambda k: (-corr[k], k))
-    kept: list[int] = []
-    for k in candidates:
-        if all(abs(k - j) >= template.size + max_tail for j in kept):
-            kept.append(k)
-    return sorted(kept)
+# modulate, detect, template, the template as the correlator takes it
+# (conjugated), norm, and the least and most samples a frame takes behind
+# its preamble
+DETECTORS = {
+    "ppm": (phy.ppm_modulate, phy.ppm_frame_detect, phy.PPM_PREAMBLE, phy.PPM_PREAMBLE,
+            phy.PPM_PREAMBLE_NORM, phy.MIN_PAYLOAD_BITS * 2, phy.MAX_PAYLOAD_BITS * 2),
+    "dbpsk": (phy.dbpsk_modulate, phy.dbpsk_frame_detect, phy.DBPSK_PREAMBLE,
+              phy._DBPSK_MATCHED, phy.DBPSK_PREAMBLE_NORM, phy.MIN_PAYLOAD_BITS + 2,
+              phy.MAX_PAYLOAD_BITS + 2),
+}
 
 
-@pytest.mark.parametrize("modulate,detect,template,norm,min_tail,max_tail", [
-    (phy.ppm_modulate, phy.ppm_frame_detect, phy.PPM_PREAMBLE, phy.PPM_PREAMBLE_NORM,
-     phy.MIN_PAYLOAD_BITS * 2, phy.MAX_PAYLOAD_BITS * 2),
-    (phy.dbpsk_modulate, phy.dbpsk_frame_detect, phy.DBPSK_PREAMBLE, phy.DBPSK_PREAMBLE_NORM,
-     phy.MIN_PAYLOAD_BITS + 2, phy.MAX_PAYLOAD_BITS + 2),
-], ids=["ppm", "dbpsk"])
-def test_detect_matches_reference_peak_picking(modulate, detect, template, norm,
-                                               min_tail, max_tail):
+@pytest.mark.parametrize("modem", ["ppm", "dbpsk"])
+def test_detect_matches_reference_peak_picking(modem):
     # overlapping frames in heavy noise give many candidates, peaks that
     # shadow each other and peaks too close to the end to hold a frame
+    modulate, detect, template, _, norm, min_tail, max_tail = DETECTORS[modem]
     rng = np.random.default_rng(12)
     found = 0
     for i in range(150):
@@ -160,12 +155,55 @@ def test_detect_matches_reference_peak_picking(modulate, detect, template, norm,
         stream[:x.size] += x
         stream[shift:shift + x.size] += x
         noisy = phy.awgn(stream, float(rng.choice([0.0, 4.0, 12.0])), SeedSequence([12, i]))
-        want = _reference_peaks(noisy, template, norm, min_tail, max_tail)
+        want = oracles.detect_offsets(noisy, template, norm, min_tail, max_tail,
+                                      phy.DETECTION_THRESHOLD)
         got = [d.offset for d in detect(noisy)]
         assert got == want, f"trial {i}"
         assert all(type(k) is int for k in got)
         found += len(got)
     assert found > 75
+
+
+# a frame cut one sample short of room behind its preamble, and cut just
+# at room: LEAD_PAD, then the preamble, then the least tail
+@example("ppm", "truncated", 0, 56, 30.0, 0, 16 + 16 + 112 - 1, 0)
+@example("ppm", "truncated", 0, 56, 30.0, 0, 16 + 16 + 112, 0)
+@example("dbpsk", "truncated", 0, 56, 30.0, 0, 16 + 11 + 58 - 1, 0)
+@example("dbpsk", "truncated", 0, 56, 30.0, 0, 16 + 11 + 58, 0)
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DETECTORS)),
+       st.sampled_from(["frame", "two", "truncated", "noise", "zero", "empty"]),
+       st.integers(0, 2**112 - 1), st.sampled_from([56, 112]), st.floats(-5, 30),
+       st.integers(0, 2**32 - 1), st.integers(0, 10**6), st.integers(0, 40))
+def test_correlation_and_detections_equal_the_whole_stream_oracle(modem, stream, word, nbits,
+                                                                  snr_db, seed, cut, tail):
+    modulate, detect, template, matched, norm, min_tail, max_tail = DETECTORS[modem]
+    clean = modulate([(word >> i) & 1 for i in range(nbits)])
+    if stream == "two":  # the second starts inside the first
+        shift = 1 + cut % (clean.size - 1)
+        samples = np.zeros(clean.size + shift + tail, dtype=clean.dtype)
+        samples[:clean.size] += clean
+        samples[shift:shift + clean.size] += clean
+    else:
+        pad = np.zeros(airspace.LEAD_PAD, dtype=clean.dtype)
+        samples = np.concatenate([pad, clean, pad])
+        if stream == "truncated":
+            samples = samples[:cut % samples.size]
+        elif stream == "empty":
+            samples = samples[:0]
+        elif stream != "frame":
+            samples = np.zeros_like(samples)
+    noisy = samples if stream == "zero" else phy.awgn(samples, snr_db, seed)
+
+    want = oracles.normalized_correlation(noisy, template, norm)
+    if noisy.size >= template.size:
+        assert np.array_equal(phy._normalized_correlation(noisy, matched, norm), want)
+    room = noisy.size - template.size - min_tail
+    if room >= 0:  # the windows the detector correlates
+        got = phy._normalized_correlation(noisy[:room + template.size], matched, norm)
+        assert np.array_equal(got, want[:room + 1])
+    assert [d.offset for d in detect(noisy)] == oracles.detect_offsets(
+        noisy, template, norm, min_tail, max_tail, phy.DETECTION_THRESHOLD)
 
 
 def test_complex_awgn_is_two_draws_of_n():
