@@ -131,9 +131,7 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
         elif kind == "tcas":
             parsed = parse_note(outcome)
             if parsed.name == "range":
-                key = f"{source}>{destination}"
-                report.rounds_per_track[key] = report.rounds_per_track.get(key, 0) + 1
-                rng = NOTE_READS["range"](parsed)
+                key, rng = f"{source}>{destination}", NOTE_READS["range"](parsed)
                 report.range_series.setdefault(key, []).append([time_ns, rng])
             elif parsed.name in ("track_new", "track_drop"):
                 report.track_events.append([time_ns, source, destination, outcome])
@@ -161,6 +159,7 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
             label = sent_as.get((source, frame_hex)) or cached_label(frame_hex)
             key = f"{label}>{destination}"
             report.deliveries[key] = report.deliveries.get(key, 0) + n
+    report.rounds_per_track = {key: len(series) for key, series in report.range_series.items()}
     report.nmac_occurred = bool(report.nmac_windows)
     _fill_plan_errors(report, scenario)
     for name in scenario.success:

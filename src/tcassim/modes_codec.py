@@ -268,7 +268,8 @@ def encode_altitude(altitude_ft: float) -> int:
         raise CodecError(f"altitude must be a number, got {altitude_ft!r}")
     if not altitude_ft >= 0:
         raise CodecError(f"altitude below encodable range: {altitude_ft}")
-    code = round(altitude_ft / ALTITUDE_STEP_FT)
+    # capped just past the range, so inf or a huge int cannot overflow the division
+    code = round(min(altitude_ft, (1 << 13) * ALTITUDE_STEP_FT) / ALTITUDE_STEP_FT)
     if code >= (1 << 13):
         raise CodecError(f"altitude above encodable range: {altitude_ft}")
     return code

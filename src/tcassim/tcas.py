@@ -6,11 +6,11 @@ turnaround, surveillance and threat logic, and a pilot model that flies the
 issued advisories after a reaction delay.  The aircraft holds its own track
 table and advisory, with no separate unit referring back to it.
 
-Ranging is round-trip timing: the aircraft remembers when it interrogated each
-address and converts the first plausible reply into slant range.  Range
-rate is the finite difference of consecutive ranges; tau is range over
+Ranging is round-trip timing: each track remembers when its unanswered
+round was sent, and the first plausible reply converts into slant range.
+Range rate is the finite difference of consecutive ranges; tau is range over
 closure.  Advisories use inclusive tau and altitude gates, and a resolution
-advisory stays latched until the intruder has been diverging for three
+advisory stays latched until its threat has been diverging for three
 consecutive updates.
 """
 
@@ -61,11 +61,12 @@ MODES = (MODE_STANDBY, MODE_XPDR, MODE_TA_ONLY, MODE_TA_RA)
 
 
 def surveillance_interval_ns(period_s: float) -> int:
-    """Tick spacing of a surveillance period; it must round to at least
-    1 ns, or the tick would re-arm at the same instant forever."""
-    interval = round(period_s * NS_PER_S)
+    """Tick spacing of a surveillance period; it must be finite and round
+    to at least 1 ns, or the tick would re-arm at the same instant forever."""
+    scaled = period_s * NS_PER_S
+    interval = round(scaled) if -math.inf < scaled < math.inf else 0  # not inf or NaN
     if interval <= 0:
-        raise SimError(f"surveillance period must be at least 1 ns, got {period_s} s")
+        raise SimError(f"surveillance period must be finite and at least 1 ns, got {period_s} s")
     return interval
 
 
@@ -87,29 +88,20 @@ class Advisory:
     sense: str
     limit_alt_ft: float
     threat_icao: int
+    diverging: int = 0  # consecutive range updates with the threat diverging
 
 
 @dataclass
 class Track:
     icao: int
-    status: str = "acquiring"  # acquiring | tracked | ta | ra
+    status: str = "acquiring"  # acquiring | tracked | ta: long rounds, never evicted
     altitude_ft: float | None = None
     range_nmi: float | None = None
     range_time_ns: int | None = None
     rate_kt: float | None = None
     miss_count: int = 0
     received_rac: int = codec.RAC_NONE
-    divergence_streak: int = 0
-
-    @property
-    def effective_range_nmi(self) -> float:
-        return 0.0 if self.range_nmi is None else self.range_nmi
-
-    @property
-    def tau_s(self) -> float:
-        if self.range_nmi is None or self.rate_kt is None:
-            return math.inf
-        return tau_s(self.range_nmi, self.rate_kt)
+    interrogated_ns: int | None = None  # when the unanswered round was sent
 
 
 @dataclass(frozen=True)
@@ -123,9 +115,10 @@ class PilotModel:
 class Aircraft:
     """Transponder-equipped aircraft with optional collision avoidance.
 
-    Its surveillance state is its own: ``tracks``, ``pending`` (address ->
-    interrogation time) and ``advisory``.  An unequipped aircraft keeps
-    them empty, so it broadcasts RAC_NONE and never has an RA active.
+    Its surveillance state is its own: ``tracks`` (address -> track, each
+    holding its unanswered round) and ``advisory``, the one resolution
+    advisory, which names its threat.  An unequipped aircraft keeps them
+    empty, so it broadcasts RAC_NONE and never has an RA active.
     """
 
     def __init__(self, name: str, icao: int, state: AircraftState, *,
@@ -146,7 +139,6 @@ class Aircraft:
         self.segments: list[tuple[int, AircraftState]] = [(0, state)]
         self.equipped = mode in (MODE_TA_ONLY, MODE_TA_RA)  # surveils and advises
         self.tracks: dict[int, Track] = {}
-        self.pending: dict[int, int] = {}  # interrogated address -> tx time
         self.advisory: Advisory | None = None
         self._pilot_generation = 0
 
@@ -186,24 +178,22 @@ class Aircraft:
     def tick(self, world: World) -> None:
         for icao in sorted(self.tracks):
             track = self.tracks[icao]
-            if icao in self.pending:  # last round went unanswered
-                del self.pending[icao]
+            if track.interrogated_ns is not None:  # last round went unanswered
                 track.miss_count += 1
                 if track.miss_count >= MISS_LIMIT:
                     self._drop(world, track, "miss_limit")
                     continue
-            if track.status in ("ta", "ra"):
+            if track.status == "ta":
                 frame = codec.build_interrogation(
                     "surveillance_long", icao, rac=self.broadcast_rac(),
                     ra_active=self.ra_active, sender=self.icao)
             else:
                 frame = codec.build_interrogation("surveillance_short", icao)
-            self.pending[icao] = world.time_ns
+            track.interrogated_ns = world.time_ns
             world.schedule_transmit(world.time_ns, self, frame)
 
     def _drop(self, world: World, track: Track, why: str) -> None:
         del self.tracks[track.icao]
-        self.pending.pop(track.icao, None)
         world.note(self, f"{track.icao:06x}", "track_drop", why)
         if self.advisory is not None and self.advisory.threat_icao == track.icao:
             self._clear_advisory(world, "track_lost")
@@ -223,15 +213,14 @@ class Aircraft:
                 return "own_address"
             return self._acquire(world, icao, decoded.altitude_ft)
         # DF4/DF20: sealed with the address of the aircraft that replied
-        tx_time = self.pending.get(icao)
-        if tx_time is None:
+        track = self.tracks.get(icao)
+        if track is None or track.interrogated_ns is None:
             return "unmatched_reply"
         decoded = codec.parse_frame(frame)
-        rtt = rx_time_ns - tx_time
+        rtt = rx_time_ns - track.interrogated_ns
         if not TURNAROUND_NS < rtt <= _MAX_RTT_NS:
             return "implausible_rtt"
-        del self.pending[icao]
-        track = self.tracks[icao]  # an address is pending only while tracked
+        track.interrogated_ns = None
         self.receive_rac(world, icao, decoded.fields.get("rac", codec.RAC_NONE))
         self._range_update(world, track, rtt, decoded.altitude_ft)
         return "range_update"
@@ -249,14 +238,20 @@ class Aircraft:
         adv = self.advisory
         if adv is None or adv.threat_icao != sender or rac == codec.RAC_CONTRADICTORY:
             return
-        required = self._comply_sense(rac)
+        required = self._sense(track, self.position_at(world.time_ns)[2])
         if required != adv.sense and sender < self.icao:
             # the lower address is the coordination master; follow it
             self._issue_advisory(world, track, required, reversal=True)
 
     @staticmethod
-    def _comply_sense(rac: int) -> str:
-        return DESCEND if rac == codec.RAC_DO_NOT_PASS_ABOVE else CLIMB
+    def _sense(track: Track, own_alt_ft: float) -> str:
+        """The sense the intruder's complement asks for; with none, away
+        from the intruder's altitude, climbing on a tie."""
+        if track.received_rac == codec.RAC_DO_NOT_PASS_ABOVE:
+            return DESCEND
+        if track.received_rac == codec.RAC_DO_NOT_PASS_BELOW:
+            return CLIMB
+        return CLIMB if own_alt_ft >= track.altitude_ft else DESCEND
 
     # -- track table -------------------------------------------------------
 
@@ -275,10 +270,10 @@ class Aircraft:
     def _evict(self, world: World) -> bool:
         """Shed the least pressing track: the one farthest out, treating
         never-ranged tracks as closest.  Advisory tracks are untouchable."""
-        candidates = [t for t in self.tracks.values() if t.status not in ("ta", "ra")]
+        candidates = [t for t in self.tracks.values() if t.status != "ta"]
         if not candidates:
             return False
-        victim = max(candidates, key=lambda t: (t.effective_range_nmi,
+        victim = max(candidates, key=lambda t: (0.0 if t.range_nmi is None else t.range_nmi,
                                                 t.status == "acquiring", t.icao))
         self._drop(world, victim, "evicted")
         return True
@@ -305,25 +300,21 @@ class Aircraft:
         if adv is not None and adv.threat_icao == track.icao:
             # latched: only a sustained divergence clears it
             if track.rate_kt is not None and track.rate_kt >= DIVERGENCE_RATE_KT:
-                track.divergence_streak += 1
-                if track.divergence_streak >= DIVERGENCE_STREAK:
+                adv.diverging += 1
+                if adv.diverging >= DIVERGENCE_STREAK:
                     track.status = "tracked"
                     self._clear_advisory(world, "clear_of_conflict")
             else:
-                track.divergence_streak = 0
+                adv.diverging = 0
             return
         own_alt = self.position_at(world.time_ns)[2]
         dalt = abs(own_alt - track.altitude_ft)
-        tau = track.tau_s
+        tau = math.inf if track.rate_kt is None else tau_s(track.range_nmi, track.rate_kt)
         if self.mode == MODE_TA_RA and adv is None and tau <= TAU_RA_S and dalt <= ALT_GATE_RA_FT:
-            if track.received_rac in (codec.RAC_DO_NOT_PASS_ABOVE, codec.RAC_DO_NOT_PASS_BELOW):
-                sense = self._comply_sense(track.received_rac)
-            else:
-                sense = CLIMB if own_alt >= track.altitude_ft else DESCEND
-            track.status = "ra"
-            self._issue_advisory(world, track, sense, reversal=False)
+            track.status = "ta"
+            self._issue_advisory(world, track, self._sense(track, own_alt), reversal=False)
         elif tau <= TAU_TA_S and dalt <= ALT_GATE_TA_FT:
-            if track.status not in ("ta", "ra"):
+            if track.status != "ta":
                 track.status = "ta"
                 world.note(self, f"{track.icao:06x}", "ta_issued")
         elif track.status == "ta":
@@ -336,7 +327,6 @@ class Aircraft:
         else:
             limit = track.altitude_ft - ALT_GATE_RA_FT
         self.advisory = Advisory(sense, limit, track.icao)
-        track.divergence_streak = 0
         what = "ra_reversal" if reversal else "ra_issued"
         world.note(self, f"{track.icao:06x}", what, sense, limit=f"{limit:.0f}")
         self.fly_advisory(world)

@@ -292,7 +292,12 @@ def test_an_altitude_that_is_not_a_number_is_refused(altitude):
     (lambda: mc.ModeSFrame("sideways", 56, 0), "direction"),
     (lambda: mc.ModeSFrame(mc.UPLINK, 56, 1 << 56), "does not fit"),
     (lambda: mc.decode_altitude(1 << 13), "altitude code out of range"),
-], ids=["crc-bit-not-binary", "unknown-direction", "word-too-long", "altitude-code-too-big"])
+    (lambda: mc.encode_altitude(float("inf")), "altitude above encodable range"),
+    (lambda: mc.encode_altitude(10**400), "altitude above encodable range"),
+    (lambda: mc.build_reply("surveillance_short", 1, altitude_ft=float("inf")),
+     "altitude above encodable range"),
+], ids=["crc-bit-not-binary", "unknown-direction", "word-too-long", "altitude-code-too-big",
+        "altitude-inf", "altitude-huge-int", "DF4-altitude-inf"])
 def test_direct_construction_is_checked(call, match):
     with pytest.raises(mc.CodecError, match=match):
         call()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import random
 import weakref
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tcassim import airspace, modes_codec as codec, tcas
+from tcassim import airspace, harness, modes_codec as codec, scenario as scen, tcas
 
 import oracles
 
@@ -328,7 +329,7 @@ class TestTrackTable:
     def test_advisory_tracks_are_never_evicted(self):
         w, unit = self._unit()
         unit.on_downlink(w, self._squit(0x000001), 0)
-        unit.tracks[0x000001].status = "ra"
+        unit.tracks[0x000001].status = "ta"  # as a resolution advisory sets it
         unit.tracks[0x000001].range_nmi = 50.0
         for k in range(tcas.TRACK_CAPACITY - 1):
             unit.on_downlink(w, self._squit(0x200000 + k), 0)
@@ -345,10 +346,10 @@ class TestTrackTable:
     def test_reply_outside_plausible_window_rejected(self):
         w, unit = self._unit()
         unit.on_downlink(w, self._squit(0x000001), 0)
-        unit.pending[0x000001] = 0
+        unit.tracks[0x000001].interrogated_ns = 0
         reply = codec.build_reply("surveillance_short", 0x000001, altitude_ft=10_000)
         assert unit.on_downlink(w, reply, tcas._MAX_RTT_NS + 1) == "implausible_rtt"
-        unit.pending[0x000001] = 0
+        unit.tracks[0x000001].interrogated_ns = 0
         assert unit.on_downlink(w, reply, tcas.TURNAROUND_NS) == "implausible_rtt"
 
     def test_unsolicited_reply_ignored(self):
@@ -413,9 +414,10 @@ def _parse_first(aircraft, frame):
     decoded = codec.parse_frame(frame)
     if decoded.kind == "unknown":
         return "unsupported"
-    if (decoded.format_code in (codec.DF_SURVEILLANCE_SHORT, codec.DF_SURVEILLANCE_LONG)
-            and decoded.parity.recovered_address not in aircraft.pending):
-        return "unmatched_reply"
+    if decoded.format_code in (codec.DF_SURVEILLANCE_SHORT, codec.DF_SURVEILLANCE_LONG):
+        track = aircraft.tracks.get(decoded.parity.recovered_address)
+        if track is None or track.interrogated_ns is None:
+            return "unmatched_reply"  # no track with an unanswered round
     return None
 
 
@@ -461,9 +463,9 @@ class TestEarlyRejection:
         a = _aircraft("a", icao, x=0.0, alt=10_000, mode=mode)
         w = _build_world(a)
         if a.equipped:
-            for address in sorted(pending):  # an address is pending only while tracked
-                a.tracks[address] = tcas.Track(address, status="tracked", altitude_ft=10_000)
-                a.pending[address] = 0
+            for address in sorted(pending):
+                a.tracks[address] = tcas.Track(address, status="tracked", altitude_ft=10_000,
+                                               interrogated_ns=0)
         want = _parse_first(a, frame)
         with pytest.MonkeyPatch.context() as mp:
             parses = _counting_parses(mp)
@@ -492,19 +494,6 @@ class TestEarlyRejection:
         assert per_outcome.pop("unmatched_reply") == {0}
         assert {"replied", "range_update", "known"} <= set(per_outcome)
         assert all(calls == {1} for calls in per_outcome.values())
-
-    def test_a_pending_address_is_always_tracked(self, monkeypatch):
-        def checked(handler):
-            def run(world, *args):
-                handler(world, *args)
-                for entity in world.entities:
-                    assert entity.pending.keys() <= entity.tracks.keys()
-            return run
-
-        for name in ("_do_timer", "_do_transmit", "_do_deliver"):
-            monkeypatch.setattr(airspace.World, name, checked(getattr(airspace.World, name)))
-        w = _build_world(*_ring(6))
-        w.run_until(20 * 10**9)
         outcomes = {r.outcome.split(";")[0] for r in w.log}
         assert {"range_update", "ra_issued", "engage"} <= outcomes
 
@@ -692,7 +681,52 @@ class TestNmacGeometry:
     (lambda: _aircraft("a", 1, 0.0, 1_000.0, mode="glider"), "unknown equipment mode"),
     (lambda: _aircraft("a", 1, 0.0, 1_000.0).on_timer(airspace.World(), "tock", {}),
      "unknown timer"),
-], ids=["range-samples-out-of-order", "unknown-mode", "unknown-timer"])
+    (lambda: tcas.surveillance_interval_ns(math.inf), "surveillance period"),
+    (lambda: tcas.surveillance_interval_ns(math.nan), "surveillance period"),
+    (lambda: _aircraft("a", 1, 0.0, 1_000.0, surveillance_period_s=math.inf),
+     "surveillance period"),
+    (lambda: _aircraft("a", 1, 0.0, 1_000.0, surveillance_period_s=math.nan),
+     "surveillance period"),
+], ids=["range-samples-out-of-order", "unknown-mode", "unknown-timer", "period-inf",
+        "period-nan", "aircraft-period-inf", "aircraft-period-nan"])
 def test_direct_construction_is_checked(call, match):
     with pytest.raises(airspace.SimError, match=match):
         call()
+
+
+# Two TA/RA aircraft head-on at 20,000 ft, 0.3 nmi apart laterally: a TA,
+# then coordinated climb and descend RAs, flown and levelled off, and then,
+# once both see the other diverge for three updates, clear of conflict.
+# The digests were recorded once, as in test_golden.py: a mismatch means
+# the unit's behaviour changed.
+CLEAR_OF_CONFLICT = {
+    "schema_version": 1,
+    "name": "clear_of_conflict",
+    "duration_s": 120.0,
+    "aircraft": [
+        {"name": "west", "icao": "A00001",
+         "position": {"x_nmi": -4.0, "y_nmi": 0.0, "altitude_ft": 20_000.0},
+         "velocity": {"vx_kt": 240.0}},
+        {"name": "east", "icao": "A00002",
+         "position": {"x_nmi": 4.0, "y_nmi": 0.3, "altitude_ft": 20_000.0},
+         "velocity": {"vx_kt": -240.0}},
+    ],
+}
+CLEAR_OF_CONFLICT_GOLDEN = (
+    "08a86d99ae6913348cdf29d284d5eeb8aefc31828b7c0c757ac75e5865ab535c",
+    "11fb36e79346262f8b2c68fdfddb82601007a2638a60bcb825e42cf19af42bf5")
+
+
+def test_a_run_through_clear_of_conflict_is_pinned():
+    result = harness.simulate(scen.load_scenario(CLEAR_OF_CONFLICT))
+    advisories = [(t, source, outcome) for t, source, _, outcome in result.report.advisories]
+    assert [(source, outcome) for _, source, outcome in advisories] == [
+        ("west", "ta_issued"), ("east", "ta_issued"),
+        ("west", "ra_issued;climb;limit=20600"), ("east", "ra_issued;descend;limit=19400"),
+        ("west", "ra_cleared;clear_of_conflict"), ("east", "ra_cleared;clear_of_conflict")]
+    assert [t // 10**8 for t, _, _ in advisories[-2:]] == [635, 635]  # both clear at 63.5 s
+    log_text = "".join(rec.to_line() + "\n" for rec in result.records)
+    assert len(result.records) == 2_180
+    digests = tuple(hashlib.sha256(text.encode("ascii")).hexdigest()
+                    for text in (log_text, result.report.to_json()))
+    assert digests == CLEAR_OF_CONFLICT_GOLDEN
