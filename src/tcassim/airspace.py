@@ -115,18 +115,26 @@ def separation_nmi(p: Position, q: Position) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1], (p[2] - q[2]) / FEET_PER_NMI)
 
 
+def _light_ns(dist_nmi: float) -> int:
+    """Light flight time over a distance, rounded to the nearest ns; a
+    distance whose count of ns is not finite is a SimError naming it."""
+    ns = dist_nmi * METERS_PER_NMI / SPEED_OF_LIGHT_M_S * NS_PER_S
+    if -math.inf < ns < math.inf:
+        return round(ns)
+    raise SimError(f"light flight over {dist_nmi} nmi does not count in nanoseconds")
+
+
 def propagation_delay_ns(dist_nmi: float) -> int:
     """Light flight time over a separation, rounded to the nearest ns."""
     if dist_nmi < 0:
         raise SimError("negative distance")
-    return round(dist_nmi * METERS_PER_NMI / SPEED_OF_LIGHT_M_S * NS_PER_S)
+    return _light_ns(dist_nmi)
 
 
 def round_trip_ns(range_nmi: float) -> int:
     """Light flight time out and back over a range, which may be negative,
-    rounded to the nearest ns; a range that is not finite raises as
-    ``round`` does."""
-    return round(2.0 * range_nmi * METERS_PER_NMI / SPEED_OF_LIGHT_M_S * NS_PER_S)
+    rounded to the nearest ns."""
+    return _light_ns(2.0 * range_nmi)
 
 
 def rtt_to_range_nmi(rtt_ns: int) -> float:

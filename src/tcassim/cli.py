@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="packet-loss table over an SNR grid")
     p.add_argument("scenario", help="awgn scenario file or bundled name")
-    p.add_argument("--snr", required=True, help="comma-separated dB values; 'inf' for noiseless")
+    p.add_argument("--snr", required=True, help="comma-separated dB; 'inf' = zero noise via modem")
     p.add_argument("--frames", type=int, default=600, help="corpus size per point")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p.set_defaults(func=_cmd_sweep)

@@ -16,8 +16,9 @@ rather than resampling luck.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
+from functools import cache
+from itertools import combinations
 from operator import itemgetter
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import fta, phy
 from . import modes_codec as codec
 from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, AwgnChannel, LogRecord,
-                       NoiselessChannel, gc_paused, note, parse_note)
+                       gc_paused, note, parse_note)
 from .attacker import MISSION_PHANTOM, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
@@ -104,20 +105,13 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
     never transmitted that hex.  Deliveries are counted per (source,
     destination, hex) first, with the hex None for a loss, and each
     distinct key is labelled and folded into the report once, in order of
-    first appearance.  Each distinct ``(frame_hex, destination != "*")`` is
-    labelled once per call.
+    first appearance.  ``frame_label`` runs once per distinct ``(frame_hex,
+    destination)`` in one call, through a memo that ends with the call.
     """
     report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
     sent_as: dict[tuple[str, str], str] = {}  # (source, hex) -> label it was sent under
     delivered: dict[tuple[str, str, str | None], int] = {}  # hex None: lost
-    label_of: dict[tuple[str, bool], str] = {}  # (hex, addressed) -> frame_label
-
-    def cached_label(frame_hex: str, destination: str = "*") -> str:
-        key = (frame_hex, destination != "*")
-        found = label_of.get(key)
-        if found is None:
-            found = label_of[key] = frame_label(frame_hex, destination)
-        return found
+    cached_label = cache(frame_label)
 
     for time_ns, kind, source, destination, frame_hex, outcome in records:
         if kind == "deliver":
@@ -156,7 +150,7 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
             stats["lost"] += n
         else:
             stats["decoded"] += n
-            label = sent_as.get((source, frame_hex)) or cached_label(frame_hex)
+            label = sent_as.get((source, frame_hex)) or cached_label(frame_hex, "*")
             key = f"{label}>{destination}"
             report.deliveries[key] = report.deliveries.get(key, 0) + n
     report.rounds_per_track = {key: len(series) for key, series in report.range_series.items()}
@@ -202,14 +196,12 @@ def simulate(scenario: Scenario) -> SimulationResult:
     world.run_until(scenario.duration_ns)
 
     records = world.log
-    crafts = [a.name for a in scenario.aircraft]
-    for i, name_a in enumerate(crafts):
-        for name_b in crafts[i + 1:]:
-            windows = nmac_intervals(entities[name_a].segments,
-                                     entities[name_b].segments, scenario.duration_ns)
-            for on_ns, off_ns in windows:
-                records.append(LogRecord(on_ns, "nmac", name_a, name_b, "-",
-                                         note("window", until=off_ns)))
+    for a, b in combinations(scenario.aircraft, 2):
+        windows = nmac_intervals(entities[a.name].segments, entities[b.name].segments,
+                                 scenario.duration_ns)
+        for on_ns, off_ns in windows:
+            records.append(LogRecord(on_ns, "nmac", a.name, b.name, "-",
+                                     note("window", until=off_ns)))
     records.sort(key=itemgetter(0))  # stable: equal times keep log order
     return SimulationResult(records, metrics_from_log(records, scenario))
 
@@ -218,7 +210,7 @@ def simulate(scenario: Scenario) -> SimulationResult:
 
 @dataclass(frozen=True)
 class LossPoint:
-    snr_db: float  # inf for the noiseless channel
+    snr_db: float  # inf for zero noise, still run through the modem
     samples: int
     lost: int
 
@@ -253,11 +245,11 @@ def loss_sweep(scenario: Scenario, snr_list: list[float],
                corpus_size: int = 600) -> list[LossPoint]:
     """Frame loss through the modem chain at each SNR, smallest first.
 
-    +inf means noiseless; an SNR with no finite noise power (a
-    ``phy.PhyError``) or an empty corpus is a ValueError.  Every point
-    replays the same corpus through a fresh channel with the same seed, so
-    frame k takes the same noise draws at every SNR and the loss column is
-    monotone in substance, not just in expectation.
+    Every point, +inf (exact zero noise) included, replays the same corpus
+    through the modem of a fresh ``AwgnChannel`` with the same seed, so frame
+    k takes the same noise draws at every SNR and the loss column is monotone
+    in substance.  An SNR with no finite noise power (a ``phy.PhyError``) or
+    an empty corpus is a ValueError, raised before any point runs.
     """
     if corpus_size < 1:
         raise ValueError(f"corpus size must be at least 1, got {corpus_size}")
@@ -269,7 +261,7 @@ def loss_sweep(scenario: Scenario, snr_list: list[float],
 
     points = []
     for snr_db in sorted(snr_list):
-        channel = NoiselessChannel() if snr_db == math.inf else AwgnChannel(snr_db, noise_seed)
+        channel = AwgnChannel(snr_db, noise_seed)
         # a frame counts only if it arrived and decoded to exactly the bits sent
         lost = 0
         for i, sent in enumerate(frames):

@@ -151,7 +151,7 @@ def _field(where: str, key: str, why: str = ""):
     rule's own words do not."""
     try:
         yield
-    except (SimError, codec.CodecError, phy.PhyError, OverflowError) as exc:
+    except (SimError, codec.CodecError, phy.PhyError) as exc:
         raise ScenarioError(f"{where}: field {key!r}{' ' + why if why else ''}: {exc}") from None
 
 

@@ -6,6 +6,7 @@ import gc
 import inspect
 import math
 import random
+import re
 import tracemalloc
 import weakref
 from dataclasses import dataclass, field
@@ -154,6 +155,21 @@ class TestPropagation:
     def test_negative_distance_rejected(self):
         with pytest.raises(airspace.SimError):
             airspace.propagation_delay_ns(-1.0)
+
+    # a round trip names the distance out and back
+    @pytest.mark.parametrize("flight,nmi,named", [
+        (airspace.propagation_delay_ns, math.inf, "inf"),
+        (airspace.propagation_delay_ns, math.nan, "nan"),
+        (airspace.propagation_delay_ns, 1e306, "1e+306"),
+        (airspace.round_trip_ns, math.inf, "inf"), (airspace.round_trip_ns, -math.inf, "-inf"),
+        (airspace.round_trip_ns, math.nan, "nan"), (airspace.round_trip_ns, 1e306, "2e+306"),
+        (airspace.round_trip_ns, -1e306, "-2e+306")],
+        ids=["one-way-inf", "one-way-nan", "one-way-huge", "round-trip-inf",
+             "round-trip-minus-inf", "round-trip-nan", "round-trip-huge", "round-trip-minus-huge"])
+    def test_a_flight_past_the_ns_range_is_a_sim_error(self, flight, nmi, named):
+        with pytest.raises(airspace.SimError,
+                           match=rf"^light flight over {re.escape(named)} nmi does not count"):
+            flight(nmi)
 
 
 class TestAirtime:

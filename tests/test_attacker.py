@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from importlib import resources
 
@@ -437,7 +438,11 @@ class TestJamDuringAdvisory:
 @pytest.mark.parametrize("call,match", [
     (lambda: atk.Attacker("attacker", (0.0, 0.0, 0.0), mission="jam"), "unknown mission"),
     (lambda: _attacker().on_timer(airspace.World(), "tock", {}), "unknown timer"),
-], ids=["unknown-mission", "unknown-timer"])
+    (lambda: atk.compute_reply_delay(0.0, math.inf), "inf nmi does not count in nanoseconds"),
+    (lambda: atk.compute_reply_delay(0.0, math.nan), "nan nmi does not count in nanoseconds"),
+    (lambda: atk.compute_reply_delay(0.0, 1e306), "2e\\+306 nmi does not count"),
+], ids=["unknown-mission", "unknown-timer", "reply-delay-inf", "reply-delay-nan",
+        "reply-delay-huge"])
 def test_direct_construction_is_checked(call, match):
     with pytest.raises(airspace.SimError, match=match):
         call()

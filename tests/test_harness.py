@@ -304,6 +304,26 @@ class TestDeliveryLabels:
                                 "attacker>ground": {"attempts": 1, "decoded": 1, "lost": 0}}
 
 
+def test_the_label_memo_lives_for_one_call(monkeypatch):
+    records = harness.simulate(scen.bundled_scenario("head_on_phantom")).records
+    sent = {(rec.source, rec.frame_hex) for rec in records if rec.kind == "transmit"}
+    want = {(rec.frame_hex, rec.destination) for rec in records if rec.kind == "transmit"}
+    want |= {(rec.frame_hex, "*") for rec in records if rec.kind == "deliver"
+             and rec.outcome not in harness.LOSS_OUTCOMES and (rec.source, rec.frame_hex) not in sent}
+    calls = []
+    label = harness.frame_label
+    monkeypatch.setattr(harness, "frame_label", lambda *key: calls.append(key) or label(*key))
+    scenario = scen.bundled_scenario("head_on_phantom")
+    first = harness.metrics_from_log(records, scenario)
+    # one call per distinct (frame_hex, destination), far fewer than records
+    assert len(calls) == len(set(calls)) and set(calls) == want
+    assert sum(rec.kind == "transmit" for rec in records) > 10 * len(calls)
+    # a second call labels again: no memo outlives a call
+    once = list(calls)
+    assert harness.metrics_from_log(records, scenario) == first
+    assert calls == once * 2
+
+
 class TestLossSweep:
     SCENARIO = scen.load_scenario({
         "schema_version": 1, "name": "probe", "duration_s": 1.0, "seed": 21,
@@ -337,6 +357,16 @@ class TestLossSweep:
     def test_rejects_empty_corpus_and_non_numeric_snr(self, snr_list, corpus_size):
         with pytest.raises(ValueError):
             harness.loss_sweep(self.SCENARIO, snr_list, corpus_size=corpus_size)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40))
+    def test_zero_noise_is_noiseless(self, seed, corpus_size):
+        # the identity that lets the sweep run its inf row through the modem:
+        # every frame arrives as the sent object at its delivery instant
+        channel = airspace.AwgnChannel(math.inf, seed)
+        for i, frame in enumerate(harness._corpus(seed, corpus_size)):
+            got_frame, got_ns = channel.receive(frame, i * 1_000_000)
+            assert got_frame is frame and got_ns == i * 1_000_000
 
     def test_csv_rendering(self):
         points = harness.loss_sweep(self.SCENARIO, [math.inf], corpus_size=10)
