@@ -17,9 +17,10 @@ import gc
 import heapq
 import math
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from itertools import chain, count, islice
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -344,14 +345,25 @@ class NoiselessChannel:
 # steady altitude) recur, so a short recency list serves most receptions.
 WAVEFORM_CACHE_FRAMES = 128
 LEAD_PAD = 16  # silent samples around the frame so detection is honest
-# Noise streams whose generator states one AwgnChannel hashes at a time,
-# about 150 kB of states.  Sized for one long world such as ring_awgn, where
-# a larger block costs a little less per state; loss_sweep builds a channel
-# per SNR point and uses only its first 600 (the default corpus) of a block.
+# Noise streams whose generator states are hashed at a time, about 150 kB
+# of states.  Sized for one long world such as ring_awgn, where a larger
+# block costs a little less per state; loss_sweep reads one stream per
+# corpus frame through the same blocks, so it never holds a state per frame.
 NOISE_BLOCK = 1024
 
 
-def _transmission(frame: codec.ModeSFrame) -> tuple[np.ndarray, bytes | None]:
+def noise_streams(seed: int) -> Iterator[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of noise streams 1, 2, 3, ... of ``seed``:
+    stream ``i`` is ``SeedSequence([seed, i])``'s.  They are hashed
+    NOISE_BLOCK at a time; the first block is hashed by this call, so a seed
+    that ``noise.pcg64_states`` refuses fails here."""
+    block = NOISE_BLOCK
+    first = noise.pcg64_states(seed, 0, block)
+    rest = (noise.pcg64_states(seed, start, block) for start in count(block, block))
+    return islice(chain(first, chain.from_iterable(rest)), 1, None)
+
+
+def transmission(frame: codec.ModeSFrame) -> tuple[np.ndarray, bytes | None]:
     """The frame's noiseless samples at one sample per chip, padded with
     LEAD_PAD silent samples on both sides, and its bits as bytes of 0 and 1.
 
@@ -371,18 +383,56 @@ def _transmission(frame: codec.ModeSFrame) -> tuple[np.ndarray, bytes | None]:
     return samples, bits.tobytes() if intact else None
 
 
+def decode_reception(frame: codec.ModeSFrame, sent: bytes | None, noisy: np.ndarray,
+                     deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
+    """What a receiver makes of ``noisy``, the samples of ``transmission(frame)``
+    with noise added, where the clean frame would arrive at ``deliver_time_ns``.
+
+    It correlates for the preamble, demodulates at each detection in turn,
+    and returns ``(received frame, detected preamble time)`` for the first
+    one whose header decodes to a length that fits, else None.  A copy whose
+    bits equal ``sent`` is the sent frame itself; any other is truncated to
+    its header's length.  Bit errors surface later as parity failures at the
+    consumer.
+    """
+    downlink = frame.direction == codec.DOWNLINK
+    # phy functions are looked up per call so instrumentation that wraps
+    # them on the module sees every use
+    if downlink:
+        detect, chip_ns = phy.ppm_frame_detect, phy.PPM_CHIP_NS
+    else:
+        detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
+    # bits are decided one by one, so cutting to the header's length
+    # equals demodulating exactly that many bits.  A detection leaves room
+    # for a short frame behind its preamble, so neither demodulator raises.
+    for det in detect(noisy):
+        if downlink:  # every bit that fits behind the preamble
+            fit = (noisy.size - det.offset - phy.PPM_PREAMBLE.size) // 2
+            bits = phy.ppm_demodulate(noisy, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
+        else:  # up to 112 bits after the sync reversal
+            bits = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset))
+        if sent is not None and bits[:frame.nbits].tobytes() == sent:
+            rx_frame = frame  # an intact copy shares the sent frame's decode and hex
+        else:  # any other frame differs from the sent one
+            need = _header_length(bits, frame.direction)
+            if need is None or bits.size < need:
+                continue
+            rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
+        # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
+        return rx_frame, deliver_time_ns + (det.offset - LEAD_PAD) * chip_ns
+    return None
+
+
 class AwgnChannel:
     """Runs each reception through the full modem chain with fresh noise.
 
     The frame's clean waveform is modulated once and reused from a bounded
     per-channel cache.  The channel owns its noise: its reception ``i``,
-    counted from 1, adds noise drawn from ``SeedSequence([seed, i])``, whose
-    PCG64 state is hashed a block at a time and set into one reused
-    generator, so no other channel's receptions move its stream.  It then
-    correlates for the preamble, demodulates, and truncates to the
-    header-decoded length.  ``receive`` returns ``(received frame, detected
-    preamble time)``, or None when detection or header decoding fails; bit
-    errors surface later as parity failures at the consumer.
+    counted from 1, adds noise from ``noise_streams(seed)``'s stream ``i``,
+    set into one reused generator, so no other channel's receptions move
+    its stream.  ``decode_reception`` then turns the noisy samples into
+    ``(received frame, detected preamble time)``, or None when detection
+    or header decoding fails.
 
     Bad arguments fail when the channel is built, not at its first
     reception: an SNR with no finite noise power is a ``PhyError``, and a
@@ -396,57 +446,16 @@ class AwgnChannel:
         self.seed = seed
         # per instance, so a fresh channel starts empty; it wraps a module
         # function, so the cache holds no reference back to the channel
-        self._transmission = lru_cache(maxsize=WAVEFORM_CACHE_FRAMES)(_transmission)
+        self._transmission = lru_cache(maxsize=WAVEFORM_CACHE_FRAMES)(transmission)
         self._rng = np.random.Generator(np.random.PCG64(0))
-        self._index = 0  # receptions so far
-        # the first block now, so that a seed pcg64_states refuses fails here
-        self._block = 0  # index // NOISE_BLOCK of the states held
-        self._block_states = noise.pcg64_states(seed, 0, NOISE_BLOCK)
-
-    def _noise_rng(self) -> np.random.Generator:
-        """The generator, set to draw the next reception's noise stream."""
-        self._index += 1
-        block, offset = divmod(self._index, NOISE_BLOCK)
-        if block != self._block:
-            self._block_states = noise.pcg64_states(self.seed, block * NOISE_BLOCK, NOISE_BLOCK)
-            self._block = block
-        state, inc = self._block_states[offset]
-        self._rng.bit_generator.state = {"bit_generator": "PCG64",
-                                         "state": {"state": state, "inc": inc},
-                                         "has_uint32": 0, "uinteger": 0}
-        return self._rng
+        self._streams = noise_streams(seed)
 
     def receive(self, frame: codec.ModeSFrame,
                 deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
-        rng = self._noise_rng()
+        rng = noise.set_state(self._rng, next(self._streams))
         samples, sent = self._transmission(frame)
-        downlink = frame.direction == codec.DOWNLINK
-        # phy functions are looked up per call so instrumentation that wraps
-        # them on the module sees every use
-        if downlink:
-            detect, chip_ns = phy.ppm_frame_detect, phy.PPM_CHIP_NS
-        else:
-            detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
         noisy = phy.awgn(samples, self.snr_db, rng)
-        # bits are decided one by one, so cutting to the header's length
-        # equals demodulating exactly that many bits.  A detection leaves room
-        # for a short frame behind its preamble, so neither demodulator raises.
-        for det in detect(noisy):
-            if downlink:  # every bit that fits behind the preamble
-                fit = (noisy.size - det.offset - phy.PPM_PREAMBLE.size) // 2
-                bits = phy.ppm_demodulate(noisy, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
-            else:  # up to 112 bits after the sync reversal
-                bits = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset))
-            if sent is not None and bits[:frame.nbits].tobytes() == sent:
-                rx_frame = frame  # an intact copy shares the sent frame's decode and hex
-            else:  # any other frame differs from the sent one
-                need = _header_length(bits, frame.direction)
-                if need is None or bits.size < need:
-                    continue
-                rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
-            # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
-            return rx_frame, deliver_time_ns + (det.offset - LEAD_PAD) * chip_ns
-        return None
+        return decode_reception(frame, sent, noisy, deliver_time_ns)
 
 
 def _header_length(bits: np.ndarray, direction: str) -> int | None:

@@ -23,10 +23,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import fta, phy
+from . import fta, noise, phy
 from . import modes_codec as codec
-from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, AwgnChannel, LogRecord,
-                       gc_paused, note, parse_note)
+from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, LogRecord, decode_reception,
+                       gc_paused, noise_streams, note, parse_note, transmission)
 from .attacker import MISSION_PHANTOM, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
@@ -245,31 +245,39 @@ def loss_sweep(scenario: Scenario, snr_list: list[float],
                corpus_size: int = 600) -> list[LossPoint]:
     """Frame loss through the modem chain at each SNR, smallest first.
 
-    Every point, +inf (exact zero noise) included, replays the same corpus
-    through the modem of a fresh ``AwgnChannel`` with the same seed, so frame
-    k takes the same noise draws at every SNR and the loss column is monotone
-    in substance.  An SNR with no finite noise power (a ``phy.PhyError``) or
-    an empty corpus is a ValueError, raised before any point runs.
+    One pass over the corpus, with no channel: frame k is modulated once,
+    then received at every SNR, +inf (exact zero noise) included, each time
+    on noise stream k + 1 of the sweep's noise seed, the stream an
+    ``AwgnChannel`` with that seed draws for its reception k + 1, and
+    decoded by ``decode_reception``, as the channel's receptions are.  So
+    each point is what a fresh channel receiving the corpus in order gives,
+    frame k takes the same draws at every SNR, and the loss column is
+    monotone in substance.  An SNR with no finite noise power (a
+    ``phy.PhyError``) or an empty corpus is a ValueError, raised before any
+    frame is received.
     """
     if corpus_size < 1:
         raise ValueError(f"corpus size must be at least 1, got {corpus_size}")
     for snr_db in snr_list:
         phy.noise_power(snr_db)
+    snrs = sorted(snr_list)
+    if not snrs:
+        return []
     frames = _corpus(scenario.seed, corpus_size)
     noise_seed = int(np.random.SeedSequence([scenario.seed, 0x51EE]).generate_state(1)[0])
     spacing_ns = NS_PER_S // 1000  # 1 ms apart; airtimes are two decades shorter
+    rng = np.random.Generator(np.random.PCG64(0))
 
-    points = []
-    for snr_db in sorted(snr_list):
-        channel = AwgnChannel(snr_db, noise_seed)
-        # a frame counts only if it arrived and decoded to exactly the bits sent
-        lost = 0
-        for i, sent in enumerate(frames):
-            got = channel.receive(sent, i * spacing_ns)
+    lost = [0] * len(snrs)
+    for i, (sent, stream) in enumerate(zip(frames, noise_streams(noise_seed))):
+        samples, sent_bits = transmission(sent)
+        for j, snr_db in enumerate(snrs):
+            noisy = phy.awgn(samples, snr_db, noise.set_state(rng, stream))
+            got = decode_reception(sent, sent_bits, noisy, i * spacing_ns)
+            # a frame counts only if it arrived and decoded to exactly the bits sent
             if got is None or got[0] != sent:
-                lost += 1
-        points.append(LossPoint(snr_db, corpus_size, lost))
-    return points
+                lost[j] += 1
+    return [LossPoint(snr_db, corpus_size, n) for snr_db, n in zip(snrs, lost)]
 
 
 def loss_table_csv(points: list[LossPoint]) -> str:

@@ -102,3 +102,12 @@ def _run_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
         state = (((inc + ((s0 << 64) | s1)) * _PCG_MULT) + inc) & _MASK128
         states.append((state, inc))
     return states
+
+
+def set_state(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
+    """``rng``, its PCG64 set to one ``(state, inc)`` of ``pcg64_states``
+    with nothing buffered, so it draws that stream from its start."""
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state[0], "inc": state[1]},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the slow, textbook way (bit lists,
 exact rational arithmetic, whole-stream numpy) so it shares no code or
-shortcuts with the package under test.  ``ReferenceWorld`` is the one exception: it is an
+shortcuts with the package under test.  ``ReferenceWorld`` is one exception: it is an
 ``airspace.World`` whose event queue, fan-out and records are redone
 here, so that a run can be replayed through it and compared.
+``reference_loss_sweep`` is the other: the loss sweep redone the plain way,
+one ``AwgnChannel`` per SNR point, so the one-pass sweep can be compared.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from tcassim import modes_codec as codec
-from tcassim.airspace import (NOTES, RECEPTION_RANGE_NMI, LogRecord, World,
-                              frame_airtime_ns, note)
+from tcassim.airspace import (NOTES, NS_PER_S, RECEPTION_RANGE_NMI, AwgnChannel, LogRecord,
+                              World, frame_airtime_ns, note)
+from tcassim.harness import LossPoint, _corpus
 
 # 25-bit generator polynomial, MSB (x^24) explicit.
 GENERATOR_BITS = [int(b) for b in format(0x1FFF409, "025b")]
@@ -204,3 +207,20 @@ class ReferenceWorld(World):
             if dist <= RECEPTION_RANGE_NMI:
                 self._push(t0 + propagation_delay_ns(dist), source.name,
                            World._do_deliver, source, receiver, frame)
+
+
+def reference_loss_sweep(scenario, snr_list: list[float], corpus_size: int) -> list[LossPoint]:
+    """Frame loss at each SNR, smallest first, one point at a time: a fresh
+    ``AwgnChannel`` with the sweep's noise seed receives the whole corpus in
+    order, frame k 1 ms after frame k - 1."""
+    frames = _corpus(scenario.seed, corpus_size)
+    noise_seed = int(np.random.SeedSequence([scenario.seed, 0x51EE]).generate_state(1)[0])
+    points = []
+    for snr_db in sorted(snr_list):
+        channel = AwgnChannel(snr_db, noise_seed)
+        lost = 0
+        for k, sent in enumerate(frames):
+            got = channel.receive(sent, k * (NS_PER_S // 1000))
+            lost += got is None or got[0] != sent
+        points.append(LossPoint(snr_db, corpus_size, lost))
+    return points

@@ -476,7 +476,7 @@ class TestAwgnChannel:
         with pytest.raises(error):
             airspace.AwgnChannel(snr_db, seed)
 
-    # AwgnChannel.receive demodulates at every detection without a guard:
+    # decode_reception demodulates at every detection without a guard:
     # a detection leaves room for a short frame behind its preamble
     @settings(max_examples=200, deadline=None)
     @given(st.booleans(), st.integers(0, 2**112 - 1), st.sampled_from([56, 112]),
@@ -493,7 +493,7 @@ class TestAwgnChannel:
         noisy = phy.awgn(samples, snr_db, seed)
         detect = phy.ppm_frame_detect if downlink else phy.dbpsk_frame_detect
         for det in detect(noisy):
-            if downlink:  # as receive demodulates
+            if downlink:  # as decode_reception demodulates
                 fit = (noisy.size - det.offset - phy.PPM_PREAMBLE.size) // 2
                 got = phy.ppm_demodulate(noisy, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
             else:

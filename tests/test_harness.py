@@ -4,6 +4,7 @@ consistency, loss sweeps, and risk-table plumbing."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -13,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -367,6 +369,70 @@ class TestLossSweep:
         for i, frame in enumerate(harness._corpus(seed, corpus_size)):
             got_frame, got_ns = channel.receive(frame, i * 1_000_000)
             assert got_frame is frame and got_ns == i * 1_000_000
+
+    def receptions(self, sweep, seed, snr_list, corpus_size):
+        """``sweep``'s points and what each reception decoded to, keyed by
+        ``(snr_db, frame index)``: the noisy samples and the result, in call
+        order, from a spy on the shared ``decode_reception``.  A reception's
+        SNR is the one ``phy.awgn`` last drew at."""
+        real_awgn, real_decode = phy.awgn, airspace.decode_reception
+        drawn_at, outcomes = [], {}
+
+        def awgn(samples, snr_db, rng):
+            drawn_at.append(snr_db)
+            return real_awgn(samples, snr_db, rng)
+
+        def decode(frame, sent, noisy, deliver_time_ns):
+            got = real_decode(frame, sent, noisy, deliver_time_ns)
+            key = (drawn_at[-1], deliver_time_ns // (airspace.NS_PER_S // 1000))
+            outcomes.setdefault(key, []).append((noisy.tobytes(), got))
+            return got
+
+        scenario = dataclasses.replace(self.SCENARIO, seed=seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(phy, "awgn", awgn)
+            m.setattr(airspace, "decode_reception", decode)
+            m.setattr(harness, "decode_reception", decode)
+            points = sweep(scenario, snr_list, corpus_size)
+        return points, outcomes
+
+    def check_against_reference(self, seed, snr_list, corpus_size):
+        got = self.receptions(harness.loss_sweep, seed, snr_list, corpus_size)
+        want = self.receptions(oracles.reference_loss_sweep, seed, snr_list, corpus_size)
+        assert got == want
+        return got
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60),
+           st.lists(st.sampled_from([0.0, 7.5, 12.0, math.inf]) | st.floats(-5, 30),
+                    max_size=5),
+           st.integers(1, 8))
+    def test_equals_a_channel_per_point(self, seed, corpus_size, snr_list, block):
+        # a small noise block puts block boundaries inside a short corpus
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(airspace, "NOISE_BLOCK", block)
+            self.check_against_reference(seed, snr_list, corpus_size)
+
+    def test_corpus_crossing_a_noise_block(self):
+        corpus_size = airspace.NOISE_BLOCK + 76
+        points, outcomes = self.check_against_reference(21, [7.5], corpus_size)
+        assert 0 < points[0].lost < corpus_size  # the noise mattered, and not to every frame
+        # frame k's noise is stream k + 1 of the sweep's seed, on both sides
+        # of the block boundary, drawn here from a fresh SeedSequence
+        noise_seed = int(np.random.SeedSequence([21, 0x51EE]).generate_state(1)[0])
+        for k, frame in enumerate(harness._corpus(21, corpus_size)):
+            samples, _ = airspace.transmission(frame)
+            want = phy.awgn(samples, 7.5, np.random.SeedSequence([noise_seed, k + 1]))
+            assert outcomes[7.5, k][0][0] == want.tobytes()
+
+    @pytest.mark.parametrize("snr_list,modulations", [([], 0), ([3.0, math.inf, 3.0], 40)])
+    def test_modulates_each_frame_once(self, monkeypatch, snr_list, modulations):
+        calls = []
+        for name in ("ppm_modulate", "dbpsk_modulate"):
+            real = getattr(phy, name)
+            monkeypatch.setattr(phy, name, lambda bits, real=real: calls.append(1) or real(bits))
+        harness.loss_sweep(self.SCENARIO, snr_list, corpus_size=40)
+        assert len(calls) == modulations
 
     def test_csv_rendering(self):
         points = harness.loss_sweep(self.SCENARIO, [math.inf], corpus_size=10)

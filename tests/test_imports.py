@@ -9,7 +9,10 @@ collector.  A timer's payload is its
 generation alone, as an entity holds the plan the timer acts on, and no
 ``or`` falls back to a default plan, as plans default where they are
 declared.  The scenario loader reads no plan class's defaults, and only its
-``_field`` turns a broken rule into a ScenarioError.
+``_field`` turns a broken rule into a ScenarioError.  Outside ``phy``, only
+``airspace.decode_reception`` reads a frame detector or demodulator, so the
+channel and the loss sweep share one detect-and-decode path, and ``harness``
+names no channel class.
 
 The repository runs no linter, so this stands in for those rules.
 """
@@ -267,6 +270,46 @@ def test_note_and_destination_breaches_are_found():
               "w.schedule_transmit(0, self,\n    frame, destination='*')\n")
     assert record_calls(source) == [1]
     assert destination_keywords(source) == [3, 6]
+
+
+MODEM_RECEIVERS = {"ppm_frame_detect", "dbpsk_frame_detect", "ppm_demodulate",
+                   "dbpsk_demodulate"}
+
+
+def name_reads(source: str, names: set[str]) -> list[tuple[int, str | None]]:
+    """(line, top-level def or class holding it) of each name, attribute or
+    import of one of ``names``."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for n in ast.walk(top):
+            name = (n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+                    else n.name if isinstance(n, ast.alias) else None)
+            if name in names:
+                found.append((n.lineno, owner))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "phy"],
+                         ids=lambda p: p.name)
+def test_only_decode_reception_detects_and_demodulates(path):
+    owners = {"decode_reception"} if path.stem == "airspace" else set()
+    uses = name_reads(path.read_text(), MODEM_RECEIVERS)
+    assert [(line, owner) for line, owner in uses if owner not in owners] == []
+
+
+def test_harness_names_no_channel():
+    source = (Path(tcassim.__file__).parent / "harness.py").read_text()
+    assert name_reads(source, {"AwgnChannel", "NoiselessChannel"}) == []
+
+
+def test_modem_breaches_are_found():
+    source = ("from .phy import ppm_demodulate\n\ndef decode_reception(x):\n"
+              "    return phy.ppm_frame_detect(x)\n\nclass C:\n"
+              "    def f(self, x):\n        return dbpsk_frame_detect(x)\n"
+              "ppm_frame_detector = 1\n")
+    assert name_reads(source, MODEM_RECEIVERS) == [(1, None), (4, "decode_reception"),
+                                                   (8, "C")]
 
 
 def test_rule_breaches_are_found():

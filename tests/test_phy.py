@@ -101,7 +101,7 @@ def test_detect_empty_and_all_zero_stream():
 
 def test_detect_frame_at_offset():
     # a detection is the sample index of the preamble; the caller turns it
-    # into a time (see AwgnChannel.receive)
+    # into a time (see airspace.decode_reception)
     bits = np.random.default_rng(6).integers(0, 2, 56)
     for modulate, detect in ((phy.ppm_modulate, phy.ppm_frame_detect),
                              (phy.dbpsk_modulate, phy.dbpsk_frame_detect)):
