@@ -17,10 +17,12 @@ import gc
 import heapq
 import math
 import re
-from collections.abc import Callable, Iterator, Sequence
+from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain, count, islice
+from operator import eq
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -32,6 +34,7 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 METERS_PER_NMI = 1852.0
 FEET_PER_NMI = METERS_PER_NMI / 0.3048
 NS_PER_S = 1_000_000_000
+TIME_LIMIT_NS = 2 ** 63  # a logged time is an int64, so it stays below this
 
 RECEPTION_RANGE_NMI = 100.0
 TURNAROUND_NS = 128_000  # fixed transponder decode-and-respond time
@@ -66,7 +69,7 @@ class SimError(ValueError):
     by then; other errors carry None.
     """
 
-    records: list[LogRecord] | None = None
+    records: EventLog | None = None
 
 
 @dataclass(frozen=True)
@@ -171,8 +174,8 @@ class LogRecord(NamedTuple):
     """One line of the event log.
 
     Fields never contain commas; ``frame_hex`` is "-" for non-frame events.
-    An immutable named tuple, cheap to build and to hold, as a run keeps
-    one record per delivery.
+    An immutable named tuple: what an ``EventLog`` yields and takes, built
+    only when a record is read, as a log holds its records as columns.
     """
 
     time_ns: int
@@ -183,7 +186,88 @@ class LogRecord(NamedTuple):
     outcome: str
 
     def to_line(self) -> str:
-        return _format_lines((self,))[:-1]
+        text = _tail_text(self[1:])
+        if text is None:
+            raise _comma_error(self)
+        return f"{self.time_ns}{text[:-1]}"
+
+
+# what follows a record's time: (kind, source, destination, frame_hex, outcome)
+Tail = tuple[str, str, str, str, str]
+
+
+class EventLog(Sequence[LogRecord]):
+    """The event log: a sequence of ``LogRecord``s, grown by appending,
+    held as two columns and a table.
+
+    ``times`` holds each record's time in ns as an int64, and ``tails`` an
+    index into ``table``, the distinct tails in the order they were added.
+    A run repeats a few tails many times (a periodic timer, the copies of
+    one frame heard alike), so a record costs its 12 bytes of columns and
+    the table stays small.  Reading an item builds its ``LogRecord``, and
+    records of one tail share its strings.  A slice is a list of records,
+    and a log equals a list or log of equal records.  A time outside int64
+    is a SimError, and the log is left as it was.
+    """
+
+    __slots__ = ("times", "tails", "table", "_index")
+
+    def __init__(self, records: Iterable[LogRecord] = ()):
+        self.times = array("q")
+        self.tails = array("I")
+        self.table: list[Tail] = []
+        self._index: dict[Tail, int] = {}
+        for record in records:
+            self.append(record)
+
+    def intern(self, tail: Tail) -> int:
+        """The table index of ``tail``, added if it is new."""
+        index = self._index.get(tail)
+        if index is None:
+            index = self._index[tail] = len(self.table)
+            self.table.append(tail)
+        return index
+
+    def add(self, time_ns: int, tail: Tail) -> None:
+        """Append the record of ``time_ns`` and ``tail``."""
+        try:
+            self.times.append(time_ns)
+        except OverflowError:
+            raise SimError(f"log time {time_ns} ns does not fit in 64 bits") from None
+        self.tails.append(self.intern(tail))
+
+    def append(self, record: LogRecord) -> None:
+        self.add(record[0], record[1:])
+
+    def insert(self, position: int, record: LogRecord) -> None:
+        """Put ``record`` at ``position``, as ``list.insert`` does."""
+        self.append(record)
+        self.times.insert(position, self.times.pop())
+        self.tails.insert(position, self.tails.pop())
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return list(self._records(self.times[item], self.tails[item]))
+        return tuple.__new__(LogRecord, (self.times[item], *self.table[self.tails[item]]))
+
+    def __iter__(self) -> Iterator[LogRecord]:
+        return self._records(self.times, self.tails)
+
+    def _records(self, times: Iterable[int], tails: Iterable[int]) -> Iterator[LogRecord]:
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        new, table = tuple.__new__, self.table
+        for time_ns, index in zip(times, tails):
+            yield new(LogRecord, (time_ns, *table[index]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (EventLog, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
 
 
 # -- log grammar -----------------------------------------------------------
@@ -245,17 +329,17 @@ def _loggable(kind: str, frame_hex: str, outcome: str) -> bool:
     return parsed.name in NOTES[kind]
 
 
-def _format_lines(records: Sequence[LogRecord]) -> str:
-    """The records' log lines, each ending in a newline, or a SimError
-    naming the first line whose fields hold a comma."""
-    lines = [f"{t},{kind},{src},{dst},{frame_hex},{outcome}\n"
-             for t, kind, src, dst, frame_hex, outcome in records]
-    text = "".join(lines)
-    # fields only add commas to the five a line has, so the total tells
-    if text.count(",") != 5 * len(lines):
-        bad = next(line for line in lines if line.count(",") != 5)
-        raise SimError(f"log fields must not contain commas: {bad[:-1]!r}")
-    return text
+def _tail_text(tail: Tail) -> str | None:
+    """``,kind,source,destination,frame_hex,outcome`` and a newline, the text
+    of a line after its time, or None when a field holds a comma."""
+    text = ",{},{},{},{},{}\n".format(*tail)
+    return text if text.count(",") == 5 else None
+
+
+def _comma_error(record: LogRecord) -> SimError:
+    """The error for a record whose fields hold a comma, quoting its line."""
+    line = ",".join(map(str, record))
+    return SimError(f"log fields must not contain commas: {line!r}")
 
 
 def _malformed(line: str) -> SimError:
@@ -273,46 +357,62 @@ def _split_line(line: str) -> tuple[str, ...]:
     return tuple(parts[1:])
 
 
-def write_event_log(path, records: list[LogRecord]) -> None:
+def write_event_log(path, records: Sequence[LogRecord]) -> None:
     """Write the records one line each, formatted a few thousand at a time
-    so that no string of the whole file is built."""
+    so that no string of the whole file is built.  Each distinct tail is
+    formatted and checked once; a tail with a comma is a SimError naming
+    its first line."""
+    log = records if isinstance(records, EventLog) else EventLog(records)
+    texts = list(map(_tail_text, log.table))
+    if None in texts:
+        raise _comma_error(next(rec for rec in log if _tail_text(rec[1:]) is None))
     with open(path, "w", encoding="ascii") as fh:
-        for i in range(0, len(records), 4096):
-            fh.write(_format_lines(records[i:i + 4096]))
+        for i in range(0, len(log), 4096):
+            chunk = zip(log.times[i:i + 4096], log.tails[i:i + 4096])
+            fh.write("".join([f"{time_ns}{texts[index]}" for time_ns, index in chunk]))
 
 
 @gc_paused
-def read_event_log(path) -> list[LogRecord]:
+def read_event_log(path) -> EventLog:
     """The records of a written log; blank lines are skipped.
 
-    Lines that repeat everything after the time (a periodic timer, the
-    copies of one frame heard alike) share one tuple of field strings, so
-    the records take about the memory the run's own did.  Each new tail is
-    checked against the log grammar once: an unknown kind, a transmit neither
-    sent nor jammed, a note its kind does not log, a note without what the
-    report reads from it, or a frame field that is neither a transmit's or
-    delivery's frame in lowercase hex nor another record's "-" makes a
-    malformed line.  So does a byte that is not ASCII, and a time that is not
-    as ``write_event_log`` writes it: digits alone, with no leading zero.
+    The log is read into an ``EventLog``, so it holds each line as an int64
+    time and one index into its table of distinct tails, and the tails share
+    one string per distinct field value: the seed-0 ``ring_surveillance``
+    log reads back into about 38 bytes a record, as its run held it.
+
+    Each new tail is checked against the log grammar once: an unknown kind,
+    a transmit neither sent nor jammed, a note its kind does not log, a note
+    without what the report reads from it, or a frame field that is neither
+    a transmit's or delivery's frame in lowercase hex nor another record's
+    "-" makes a malformed line.  So does a byte that is not ASCII, and a
+    time that is not as ``write_event_log`` writes it (digits alone, with
+    no leading zero) or that does not fit in an int64.
     """
-    fields_by_tail: dict[str, tuple[str, ...]] = {}
-    records = []
-    append = records.append
-    new = tuple.__new__
+    log = EventLog()
+    times, tails = log.times, log.tails
+    index_by_text: dict[str, int] = {}  # the text after a line's time -> its tail's index
+    strings: dict[str, str] = {}  # one string per distinct field value
     # a byte that is not ASCII reads as a lone surrogate, which no field admits
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line in fh:
             time_text, _, tail = line.partition(",")
-            fields = fields_by_tail.get(tail)
-            if fields is None:  # a blank line's tail is empty, which no cached line has
+            index = index_by_text.get(tail)
+            if index is None:  # a blank line's tail is empty, which no cached line has
                 if not line.strip():
                     continue
-                fields = fields_by_tail[tail] = _split_line(line)
+                fields = _split_line(line)
+                index = index_by_text[tail] = log.intern(tuple(map(strings.setdefault, fields,
+                                                                   fields)))
             # surrogates are not digits, so isdigit admits only 0-9
             if not time_text.isdigit() or time_text[0] == "0" and time_text != "0":
                 raise _malformed(line)
-            append(new(LogRecord, (int(time_text), *fields)))
-    return records
+            try:
+                times.append(int(time_text))
+            except OverflowError:
+                raise _malformed(line) from None
+            tails.append(index)
+    return log
 
 
 class Entity(Protocol):
@@ -476,7 +576,7 @@ class World:
         self.entities: list[Entity] = []
         self._order: dict[str, int] = {}
         self.jam_directives: list[JamDirective] = []
-        self.log: list[LogRecord] = []
+        self.log = EventLog()
         # (time, registration order of source, seq, handler, handler args);
         # handlers are World functions stored unbound, so entries left in the
         # queue do not tie the World into a reference cycle
@@ -517,11 +617,8 @@ class World:
 
     def record(self, kind: str, source: str, destination: str,
                frame: codec.ModeSFrame | None, outcome: str) -> None:
-        # tuple.__new__ skips the named tuple's Python-level __new__, as
-        # read_event_log does; a run records once per delivery
-        self.log.append(tuple.__new__(LogRecord, (
-            self.time_ns, kind, source, destination,
-            frame.to_hex() if frame is not None else "-", outcome)))
+        self.log.add(self.time_ns, (kind, source, destination,
+                                    frame.to_hex() if frame is not None else "-", outcome))
 
     def note(self, entity: Entity, about: str, name: str, /, *args, **params) -> None:
         """Log the note ``name`` by ``entity`` about ``about`` (an address,

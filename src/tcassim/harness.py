@@ -1,7 +1,7 @@
 """Scenario execution and measurement.
 
-``simulate`` runs a validated scenario to completion, appends the
-analytically computed near-midair windows to the event log, and distills a
+``simulate`` runs a validated scenario to completion, puts the
+analytically computed near-midair windows in the event log, and distills a
 metrics report.  The report is a pure function of the log plus the scenario
 document, so anything the report claims can be re-derived from the two
 artifacts alone; ``metrics_from_log`` is that function and ``simulate``
@@ -16,17 +16,20 @@ rather than resampling luck.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from functools import cache
-from itertools import combinations
-from operator import itemgetter
+from itertools import combinations, compress
 
 import numpy as np
 
 from . import fta, noise, phy
 from . import modes_codec as codec
-from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, LogRecord, decode_reception,
-                       gc_paused, noise_streams, note, parse_note, transmission)
+from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, EventLog, LogRecord,
+                       decode_reception, gc_paused, noise_streams, note, parse_note,
+                       transmission)
 from .attacker import MISSION_PHANTOM, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
@@ -90,11 +93,18 @@ class MetricsReport:
         return all(self.success.values())
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1)
+        # the fields themselves: they hold only JSON values, so a deep copy
+        # as dataclasses.asdict makes would change no byte
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                          sort_keys=True, indent=1)
+
+
+# the kinds the report reads one record at a time, in log order
+_WALKED_KINDS = ("transmit", "tcas", "attack", "nmac")
 
 
 @gc_paused
-def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsReport:
+def metrics_from_log(records: Sequence[LogRecord], scenario: Scenario) -> MetricsReport:
     """Distill the report; everything here re-derives from the log lines.
     Notes are read with ``airspace.parse_note``, the one reader of their
     ``name;arg;...;key=value`` syntax, and their values through
@@ -107,17 +117,29 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
     distinct key is labelled and folded into the report once, in order of
     first appearance.  ``frame_label`` runs once per distinct ``(frame_hex,
     destination)`` in one call, through a memo that ends with the call.
+
+    The records are read as an ``EventLog`` (a list is loaded into one):
+    deliveries are counted per tail index, and only the records of the
+    kinds the report lists are built and walked in order.
     """
+    log = records if isinstance(records, EventLog) else EventLog(records)
+    table = log.table
     report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
     sent_as: dict[tuple[str, str], str] = {}  # (source, hex) -> label it was sent under
     delivered: dict[tuple[str, str, str | None], int] = {}  # hex None: lost
     cached_label = cache(frame_label)
 
-    for time_ns, kind, source, destination, frame_hex, outcome in records:
+    # a Counter keeps its indices in order of first appearance, and so the keys
+    for index, n in Counter(log.tails).items():
+        kind, source, destination, frame_hex, outcome = table[index]
         if kind == "deliver":
             key = source, destination, None if outcome in LOSS_OUTCOMES else frame_hex
-            delivered[key] = delivered.get(key, 0) + 1
-        elif kind == "transmit":
+            delivered[key] = delivered.get(key, 0) + n
+
+    walked = [tail[0] in _WALKED_KINDS for tail in table]
+    for time_ns, index in compress(zip(log.times, log.tails), map(walked.__getitem__, log.tails)):
+        kind, source, destination, frame_hex, outcome = table[index]
+        if kind == "transmit":
             report.transmit_outcomes[outcome] = report.transmit_outcomes.get(outcome, 0) + 1
             label = sent_as[source, frame_hex] = cached_label(frame_hex, destination)
             if outcome == "sent":
@@ -138,7 +160,7 @@ def metrics_from_log(records: list[LogRecord], scenario: Scenario) -> MetricsRep
                 report.attack_phases.append([time_ns, NOTE_READS["phase"](parsed)])
             else:
                 report.attack_notes.append([time_ns, outcome])
-        elif kind == "nmac":
+        else:  # nmac
             until = NOTE_READS["window"](parse_note(outcome))
             report.nmac_windows.append([source, destination, time_ns, until])
 
@@ -181,7 +203,7 @@ def _fill_plan_errors(report: MetricsReport, scenario: Scenario) -> None:
 
 @dataclass
 class SimulationResult:
-    records: list[LogRecord]
+    records: EventLog
     report: MetricsReport
 
 
@@ -189,21 +211,22 @@ def simulate(scenario: Scenario) -> SimulationResult:
     """Run to the scenario horizon and measure.
 
     Near-midair windows are computed analytically from the piecewise-linear
-    trajectories (no sampling grid) and appended to the log as ``nmac``
-    records, keeping the report a pure function of the log.
+    trajectories (no sampling grid) and put in the log as ``nmac`` records,
+    keeping the report a pure function of the log.  Each goes after every
+    record of its time already there, the place a stable sort by time of
+    the run's records followed by the windows would give it.
     """
     world, entities = build_world(scenario)
     world.run_until(scenario.duration_ns)
 
-    records = world.log
+    log = world.log
     for a, b in combinations(scenario.aircraft, 2):
         windows = nmac_intervals(entities[a.name].segments, entities[b.name].segments,
                                  scenario.duration_ns)
         for on_ns, off_ns in windows:
-            records.append(LogRecord(on_ns, "nmac", a.name, b.name, "-",
-                                     note("window", until=off_ns)))
-    records.sort(key=itemgetter(0))  # stable: equal times keep log order
-    return SimulationResult(records, metrics_from_log(records, scenario))
+            log.insert(bisect_right(log.times, on_ns),
+                       LogRecord(on_ns, "nmac", a.name, b.name, "-", note("window", until=off_ns)))
+    return SimulationResult(log, metrics_from_log(log, scenario))
 
 
 # -- channel characterization --------------------------------------------------------

@@ -25,6 +25,7 @@ from . import modes_codec as codec
 from . import phy
 from .airspace import (
     NS_PER_S,
+    TIME_LIMIT_NS,
     AircraftState,
     AwgnChannel,
     JamDirective,
@@ -106,10 +107,12 @@ def _number(where: str, obj: dict, key: str, default=None, *, required: bool = F
 
 
 def _seconds(where: str, obj: dict, key: str, default=None, *, required: bool = False):
-    """A number of seconds small enough to count in nanoseconds."""
+    """A number of seconds small enough to count in the int64 nanoseconds
+    of a logged time, either side of 0."""
     value = _number(where, obj, key, default, required=required)
-    if value is not None and not math.isfinite(value * NS_PER_S):
-        raise ScenarioError(f"{where}: field {key!r} is too large to count in nanoseconds")
+    if value is not None and not abs(value * NS_PER_S) < TIME_LIMIT_NS:
+        raise ScenarioError(f"{where}: field {key!r} is too large to count in "
+                            "int64 nanoseconds")
     return value
 
 

@@ -5,21 +5,27 @@ exact rational arithmetic, whole-stream numpy) so it shares no code or
 shortcuts with the package under test.  ``ReferenceWorld`` is one exception: it is an
 ``airspace.World`` whose event queue, fan-out and records are redone
 here, so that a run can be replayed through it and compared.
-``reference_loss_sweep`` is the other: the loss sweep redone the plain way,
+``reference_loss_sweep`` is another: the loss sweep redone the plain way,
 one ``AwgnChannel`` per SNR point, so the one-pass sweep can be compared.
+``reference_metrics_from_log`` is the last: the report distilled by one loop
+over the records themselves, so the column walk of ``metrics_from_log`` can
+be compared.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from tcassim import modes_codec as codec
-from tcassim.airspace import (NOTES, NS_PER_S, RECEPTION_RANGE_NMI, AwgnChannel, LogRecord,
-                              World, frame_airtime_ns, note)
-from tcassim.harness import LossPoint, _corpus
+from tcassim.airspace import (LOSS_OUTCOMES, NOTE_READS, NOTES, NS_PER_S, RECEPTION_RANGE_NMI,
+                              AwgnChannel, LogRecord, World, frame_airtime_ns, note, parse_note)
+from tcassim.harness import (LossPoint, MetricsReport, _corpus, _fill_plan_errors,
+                             frame_label)
+from tcassim.scenario import SUCCESS_PREDICATES
 
 # 25-bit generator polynomial, MSB (x^24) explicit.
 GENERATOR_BITS = [int(b) for b in format(0x1FFF409, "025b")]
@@ -224,3 +230,60 @@ def reference_loss_sweep(scenario, snr_list: list[float], corpus_size: int) -> l
             lost += got is None or got[0] != sent
         points.append(LossPoint(snr_db, corpus_size, lost))
     return points
+
+
+def reference_metrics_from_log(records, scenario) -> MetricsReport:
+    """The report, distilled one record at a time in a single loop over
+    ``records``: deliveries counted per (source, destination, hex), the hex
+    None for a loss, then labelled per key in order of first appearance."""
+    report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
+    sent_as: dict[tuple[str, str], str] = {}
+    delivered: dict[tuple[str, str, str | None], int] = {}
+    cached_label = cache(frame_label)
+
+    for time_ns, kind, source, destination, frame_hex, outcome in records:
+        if kind == "deliver":
+            key = source, destination, None if outcome in LOSS_OUTCOMES else frame_hex
+            delivered[key] = delivered.get(key, 0) + 1
+        elif kind == "transmit":
+            report.transmit_outcomes[outcome] = report.transmit_outcomes.get(outcome, 0) + 1
+            label = sent_as[source, frame_hex] = cached_label(frame_hex, destination)
+            if outcome == "sent":
+                report.frames_sent[label] = report.frames_sent.get(label, 0) + 1
+        elif kind == "tcas":
+            parsed = parse_note(outcome)
+            if parsed.name == "range":
+                key, rng = f"{source}>{destination}", NOTE_READS["range"](parsed)
+                report.range_series.setdefault(key, []).append([time_ns, rng])
+            elif parsed.name in ("track_new", "track_drop"):
+                report.track_events.append([time_ns, source, destination, outcome])
+            elif parsed.name in ("ta_issued", "ta_cleared", "ra_issued", "ra_reversal",
+                                 "ra_cleared"):
+                report.advisories.append([time_ns, source, destination, outcome])
+        elif kind == "attack":
+            parsed = parse_note(outcome)
+            if parsed.name == "phase":
+                report.attack_phases.append([time_ns, NOTE_READS["phase"](parsed)])
+            else:
+                report.attack_notes.append([time_ns, outcome])
+        elif kind == "nmac":
+            until = NOTE_READS["window"](parse_note(outcome))
+            report.nmac_windows.append([source, destination, time_ns, until])
+
+    for (source, destination, frame_hex), n in delivered.items():
+        stats = report.links.setdefault(f"{source}>{destination}",
+                                        {"attempts": 0, "decoded": 0, "lost": 0})
+        stats["attempts"] += n
+        if frame_hex is None:
+            stats["lost"] += n
+        else:
+            stats["decoded"] += n
+            label = sent_as.get((source, frame_hex)) or cached_label(frame_hex, "*")
+            key = f"{label}>{destination}"
+            report.deliveries[key] = report.deliveries.get(key, 0) + n
+    report.rounds_per_track = {key: len(series) for key, series in report.range_series.items()}
+    report.nmac_occurred = bool(report.nmac_windows)
+    _fill_plan_errors(report, scenario)
+    for name in scenario.success:
+        report.success[name] = SUCCESS_PREDICATES[name](report)
+    return report

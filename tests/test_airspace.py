@@ -622,12 +622,29 @@ class TestEventLog:
         with pytest.raises(ValueError, match="soon"):
             airspace.read_event_log(path)
 
-    @pytest.mark.parametrize("time_text", ["1_000", " 7", "+5", "-5", "007", "abc"])
+    @pytest.mark.parametrize("time_text", ["1_000", " 7", "+5", "-5", "007", "abc",
+                                           "9223372036854775808"])
     def test_time_must_read_as_written(self, tmp_path, time_text):
         path = tmp_path / "events.log"
         path.write_text(f"1,timer,a,-,-,tick\n{time_text},timer,a,-,-,tick\n")
         with pytest.raises(airspace.SimError, match="malformed log line"):
             airspace.read_event_log(path)
+
+    def test_the_largest_int64_time_reads_back(self, tmp_path):
+        path = tmp_path / "events.log"
+        path.write_text("9223372036854775807,timer,a,-,-,tick\n")
+        assert airspace.read_event_log(path) == [
+            airspace.LogRecord(2 ** 63 - 1, "timer", "a", "-", "-", "tick")]
+
+    def test_a_record_past_int64_is_a_sim_error_that_logs_nothing(self):
+        w = airspace.World()
+        w.time_ns = airspace.TIME_LIMIT_NS - 1
+        w.record("timer", "a", "-", None, "tick")
+        w.time_ns = airspace.TIME_LIMIT_NS
+        with pytest.raises(airspace.SimError, match="64 bits"):
+            w.record("timer", "a", "-", None, "tock")
+        assert w.log == [airspace.LogRecord(2 ** 63 - 1, "timer", "a", "-", "-", "tick")]
+        assert w.log.table == [("timer", "a", "-", "-", "tick")]
 
     # one row per field, the time first; the first line's tail is the second's
     # in the time row, so that row reaches the time check on a repeated tail

@@ -10,7 +10,11 @@ import importlib.util
 import json
 import math
 import sys
+import tracemalloc
+from collections import Counter
 from importlib import resources
+from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -21,10 +25,11 @@ from hypothesis import given, settings, strategies as st
 from tcassim import airspace, fta, harness, phy, tcas
 from tcassim import modes_codec as codec
 from tcassim import scenario as scen
-from tcassim.airspace import LogRecord, SimError, read_event_log, write_event_log
+from tcassim.airspace import EventLog, LogRecord, SimError, read_event_log, write_event_log
 
 import oracles
 from test_cli import LOW_HEAD_ON
+from test_golden import AWGN_RING, NOISELESS_RING
 
 
 def crossing_doc(**extra) -> dict:
@@ -324,6 +329,119 @@ def test_the_label_memo_lives_for_one_call(monkeypatch):
     once = list(calls)
     assert harness.metrics_from_log(records, scenario) == first
     assert calls == once * 2
+
+
+# -- the event log as columns ---------------------------------------------------------
+
+# each bundled scenario, its control, and the two golden rings
+EVERY_RUN = {"noiseless_ring": scen.load_scenario(NOISELESS_RING),
+             "awgn_ring": scen.load_scenario(AWGN_RING),
+             **{name: scen.bundled_scenario(name) for name in scen.bundled_scenario_names()},
+             **{f"{name}/control": scen.bundled_scenario(name).without_attacker()
+                for name in scen.bundled_scenario_names()}}
+
+
+@pytest.mark.parametrize("name", list(EVERY_RUN))
+def test_report_json_and_columns_agree_with_the_record_loop(name):
+    scenario = EVERY_RUN[name]
+    result = harness.simulate(scenario)
+    report = result.report
+    assert report.to_json() == json.dumps(dataclasses.asdict(report), sort_keys=True, indent=1)
+    assert report.to_json() == oracles.reference_metrics_from_log(
+        list(result.records), scenario).to_json()
+
+
+# a few tails of every kind the report reads, and frames of both lengths
+LOG_TAILS = st.one_of(
+    st.tuples(st.just("deliver"), st.sampled_from(["own", "ground"]),
+              st.sampled_from(["own", "ground"]), st.sampled_from([SHARED_HEX, UF20_HEX, SQUITTER_HEX]),
+              st.sampled_from(["phy_drop", "parity_drop", "replied", "known"])),
+    st.tuples(st.just("transmit"), st.sampled_from(["own", "ground"]),
+              st.sampled_from(["*", "a30002"]), st.sampled_from([SHARED_HEX, UF20_HEX, SQUITTER_HEX]),
+              st.sampled_from(["sent", "jammed"])),
+    st.tuples(st.just("timer"), st.sampled_from(["own", "ground"]), st.just("-"), st.just("-"),
+              st.sampled_from(["squitter", "surveillance"])),
+    st.tuples(st.just("tcas"), st.just("own"), st.sampled_from(["a30002", "a30001"]), st.just("-"),
+              st.sampled_from(["range=1.500000;rate=none", "track_new", "ta_issued",
+                               "ra_issued;climb;limit=12600", "rac_received;1"])),
+    st.tuples(st.just("attack"), st.just("ground"), st.just("-"), st.just("-"),
+              st.sampled_from(["phase;tracking", "recon;a30002"])),
+    st.tuples(st.just("nmac"), st.just("own"), st.just("ground"), st.just("-"),
+              st.just("window;until=9")))
+LOG_TIMES = st.one_of(st.integers(0, 3), st.just(2 ** 63 - 1), st.integers(0, 2 ** 63 - 1))
+
+
+@st.composite
+def record_lists(draw) -> list[LogRecord]:
+    """Records drawn from a small pool of tails, so that tails repeat, at
+    times that repeat and need not rise."""
+    pool = draw(st.lists(LOG_TAILS, min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(LOG_TIMES, st.sampled_from(pool)), max_size=30))
+    return [LogRecord(t, *tail) for t, tail in picks]
+
+
+class TestEventLogColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(record_lists(), st.data())
+    def test_reads_writes_and_reports_as_the_list_does(self, tmp_path_factory, records, data):
+        log = EventLog()
+        for rec in records:
+            log.append(rec)
+        assert len(log) == len(records) and list(log) == records
+        assert all(type(rec) is LogRecord for rec in log)
+        assert [log[i] for i in range(-len(records), len(records))] == records * 2
+        start, stop = data.draw(st.integers(-35, 35)), data.draw(st.integers(-35, 35))
+        step = data.draw(st.sampled_from([None, 1, 2, -1, -3]))
+        assert log[start:stop:step] == records[start:stop:step]
+        assert log == records and records == log and log == EventLog(records)
+        assert log != records + [LogRecord(0, "timer", "own", "-", "-", "extra")]
+        assert log != tuple(records)  # a list equals no tuple either
+        assert len(log.table) == len(set(rec[1:] for rec in records))
+
+        path = tmp_path_factory.mktemp("columns") / "events.log"
+        write_event_log(path, log)
+        text = "".join(rec.to_line() + "\n" for rec in records)
+        assert path.read_text() == text
+        write_event_log(path, records)
+        assert path.read_text() == text
+        assert read_event_log(path) == records
+
+        scenario = scen.bundled_scenario("head_on_phantom")
+        want = oracles.reference_metrics_from_log(records, scenario).to_json()
+        assert harness.metrics_from_log(records, scenario).to_json() == want
+        assert harness.metrics_from_log(log, scenario).to_json() == want
+
+    def test_nmac_windows_go_where_a_stable_sort_by_time_puts_them(self, monkeypatch):
+        scenario = scen.load_scenario(NOISELESS_RING)
+        monkeypatch.setattr(harness, "nmac_intervals", lambda *args: [])
+        run = list(harness.simulate(scenario).records)
+        # a time at which several records were logged, the first and the last
+        shared = next(t for t, n in Counter(rec.time_ns for rec in run).items() if n > 1)
+        windows = [(shared, shared + 1), (0, 3), (run[-1].time_ns, run[-1].time_ns + 2)]
+        monkeypatch.setattr(harness, "nmac_intervals", lambda *args: windows)
+        nmacs = [LogRecord(on_ns, "nmac", a.name, b.name, "-", airspace.note("window", until=off_ns))
+                 for a, b in combinations(scenario.aircraft, 2) for on_ns, off_ns in windows]
+        result = harness.simulate(scenario)
+        assert result.records == sorted(run + nmacs, key=itemgetter(0))
+        assert result.report.to_json() == oracles.reference_metrics_from_log(
+            list(result.records), scenario).to_json()
+
+    def test_a_run_keeps_its_log_in_a_few_bytes_a_record(self):
+        # as a list of records the log cost about 150 B a record; as columns
+        # it costs an int64 and an index, 12 B, plus the table of distinct tails
+        scenario = scen.bundled_scenario("benign_pair")
+        harness.simulate(scenario)  # fills the codec's frame caches, which outlive a run
+        tracemalloc.start()
+        try:
+            log = harness.simulate(scenario).records
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        strings = {id(field): sys.getsizeof(field) for tail in log.table for field in tail}
+        table = (sys.getsizeof(log.table) + sys.getsizeof(log._index)
+                 + sum(map(sys.getsizeof, log.table)) + sum(strings.values()))
+        assert len(log) > 100 * len(log.table)
+        assert (held - table) / len(log) <= 48
 
 
 class TestLossSweep:

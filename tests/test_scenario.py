@@ -67,6 +67,10 @@ class TestLoading:
         s = scen.load_scenario(minimal_doc(duration_s=2.5))
         assert s.duration_ns == 2_500_000_000
 
+    def test_a_duration_just_inside_int64_nanoseconds_loads(self):
+        s = scen.load_scenario(minimal_doc(duration_s=9.2e9))
+        assert s.duration_ns == 9_200_000_000_000_000_000 < 2 ** 63
+
     def test_without_attacker_strips_only_the_attacker(self):
         s = scen.bundled_scenario("squitter_flood")
         control = s.without_attacker()
@@ -173,6 +177,15 @@ class TestValidation:
         pytest.param(lambda d: d.update(attacker={**SQUITTER_FLOOD,
                                                   "flood": {"duration_s": 1e300}}),
                      "duration_s", id="flood-duration-past-ns-range"),
+        # ... and each of these a finite count past the int64 of a logged time
+        pytest.param(lambda d: d.update(duration_s=1e11), "duration_s",
+                     id="duration-past-int64-ns"),
+        pytest.param(lambda d: d.update(duration_s=9.3e9), "duration_s",
+                     id="duration-just-past-int64-ns"),
+        pytest.param(lambda d: d["aircraft"][0].update(pilot={"delay_s": 1e11}), "delay_s",
+                     id="pilot-delay-past-int64-ns"),
+        pytest.param(lambda d: d.update(attacker={**PHANTOM, "bait_timeout_s": 1e11}),
+                     "bait_timeout_s", id="bait-timeout-past-int64-ns"),
         pytest.param(lambda d: d["aircraft"][0].update(velocity={"vx_kt": 1e308}),
                      "velocity", id="velocity-overflows-position"),
         pytest.param(lambda d: d.update(attacker={**PHANTOM, "plan": {"floor_nmi": -1.0}}),
