@@ -9,6 +9,14 @@ Event ordering is total and deterministic: events sort by time, then by the
 registration order of their source entity, then by a global sequence
 number.  Replaying a scenario with the same seed reproduces the event log
 byte for byte.
+
+A transmit event sends one or more frames from one source at one instant:
+a TCAS unit's surveillance round is one event.  Each frame is logged and
+jam-checked over its own airtime; the receivers' ranges and delays are
+found once per event, and each delivery is its own event.  Queued one per
+frame, the round's transmits would follow each other in that order with
+nothing between them, and their deliveries are queued in the same order,
+so the grouping moves no log byte.
 """
 
 from __future__ import annotations
@@ -568,7 +576,10 @@ def _header_length(bits: np.ndarray, direction: str) -> int | None:
 class World:
     """Event queue, radio medium, jam bookkeeping, and the append-only log.
     Entities log only notes, by name through ``note``; the World reads a
-    transmit's destination from the frame's seal."""
+    transmit's destination from the frame's seal.
+
+    ``schedule_transmit`` queues a source's frames of one instant as one
+    event, whose fan-out is found once."""
 
     def __init__(self, channel: NoiselessChannel | AwgnChannel | None = None):
         self.channel = channel or NoiselessChannel()
@@ -579,7 +590,9 @@ class World:
         self.log = EventLog()
         # (time, registration order of source, seq, handler, handler args);
         # handlers are World functions stored unbound, so entries left in the
-        # queue do not tie the World into a reference cycle
+        # queue do not tie the World into a reference cycle.  A transmit
+        # entry carries all the frames of its instant, in order; every
+        # delivery has its own entry, queued in frame-then-receiver order
         self._heap: list[tuple[int, int, int, Callable[..., None], tuple]] = []
         self._seq = 0
 
@@ -610,8 +623,11 @@ class World:
                        data: dict | None = None) -> None:
         self._push(time_ns, entity.name, World._do_timer, entity, timer, data or {})
 
-    def schedule_transmit(self, time_ns: int, entity: Entity, frame: codec.ModeSFrame) -> None:
-        self._push(time_ns, entity.name, World._do_transmit, entity, frame)
+    def schedule_transmit(self, time_ns: int, entity: Entity, frame: codec.ModeSFrame,
+                          *more: codec.ModeSFrame) -> None:
+        """Queue one event that transmits ``frame``, then each of ``more``,
+        at ``time_ns``: a surveillance round is one call."""
+        self._push(time_ns, entity.name, World._do_transmit, entity, (frame, *more))
 
     # -- logging -----------------------------------------------------------
 
@@ -655,29 +671,40 @@ class World:
         self.record("timer", entity.name, "-", None, timer)
         entity.on_timer(self, timer, data)
 
-    def _do_transmit(self, source: Entity, frame: codec.ModeSFrame) -> None:
+    def _do_transmit(self, source: Entity, frames: tuple[codec.ModeSFrame, ...]) -> None:
         t_tx = self.time_ns
-        destination = "*"
-        if frame.direction == codec.UPLINK:  # UF4 and UF20 are sealed with their addressee
-            kind, overlay, recovered = codec.frame_seal(frame)
-            if kind is not None and overlay is None:
-                destination = f"{recovered:06x}"
-        if self._jammed(source, t_tx, t_tx + frame_airtime_ns(frame)):
-            self.record("transmit", source.name, destination, frame, "jammed")
-            return
-        self.record("transmit", source.name, destination, frame, "sent")
-        src_pos = source.position_at(t_tx)
-        for receiver in self.entities:
-            if receiver is source:
+        arrivals = None  # (arrival instant, receiver) of each receiver in range
+        for frame in frames:
+            destination = "*"
+            if frame.direction == codec.UPLINK:  # UF4 and UF20 are sealed with their addressee
+                kind, overlay, recovered = codec.frame_seal(frame)
+                if kind is not None and overlay is None:
+                    destination = f"{recovered:06x}"
+            if self._jammed(source, t_tx, t_tx + frame_airtime_ns(frame)):
+                self.record("transmit", source.name, destination, frame, "jammed")
                 continue
-            pos = receiver.position_at(t_tx)
-            dist = separation_nmi(src_pos, pos)
-            if not dist <= RECEPTION_RANGE_NMI:  # out of range, or not a number
-                _check_finite(source, src_pos)
-                _check_finite(receiver, pos)
-                continue
-            self._push(t_tx + propagation_delay_ns(dist), source.name, World._do_deliver,
-                       source, receiver, frame)
+            self.record("transmit", source.name, destination, frame, "sent")
+            if arrivals is None:  # found at the first frame sent, as every frame leaves at t_tx
+                arrivals = []
+                src_pos = source.position_at(t_tx)
+                for receiver in self.entities:
+                    if receiver is source:
+                        continue
+                    pos = receiver.position_at(t_tx)
+                    dist = separation_nmi(src_pos, pos)
+                    if not dist <= RECEPTION_RANGE_NMI:  # out of range, or not a number
+                        _check_finite(source, src_pos)
+                        _check_finite(receiver, pos)
+                        continue
+                    arrivals.append((t_tx + propagation_delay_ns(dist), receiver))
+                order = self._order[source.name]
+            # every arrival is at or after t_tx and the source is registered,
+            # so the deliveries skip _push's checks
+            heap, push, seq = self._heap, heapq.heappush, self._seq
+            for t_rx, receiver in arrivals:
+                seq += 1
+                push(heap, (t_rx, order, seq, World._do_deliver, (source, receiver, frame)))
+            self._seq = seq
 
     def _do_deliver(self, source: Entity, receiver: Entity, frame: codec.ModeSFrame) -> None:
         received = self.channel.receive(frame, self.time_ns)

@@ -176,6 +176,9 @@ class Aircraft:
     # -- surveillance cadence ----------------------------------------------
 
     def tick(self, world: World) -> None:
+        """One surveillance round: interrogate every track, in address
+        order, as one transmit event."""
+        frames = []
         for icao in sorted(self.tracks):
             track = self.tracks[icao]
             if track.interrogated_ns is not None:  # last round went unanswered
@@ -190,7 +193,9 @@ class Aircraft:
             else:
                 frame = codec.build_interrogation("surveillance_short", icao)
             track.interrogated_ns = world.time_ns
-            world.schedule_transmit(world.time_ns, self, frame)
+            frames.append(frame)
+        if frames:
+            world.schedule_transmit(world.time_ns, self, *frames)
 
     def _drop(self, world: World, track: Track, why: str) -> None:
         del self.tracks[track.icao]

@@ -22,7 +22,8 @@ import numpy as np
 
 from tcassim import modes_codec as codec
 from tcassim.airspace import (LOSS_OUTCOMES, NOTE_READS, NOTES, NS_PER_S, RECEPTION_RANGE_NMI,
-                              AwgnChannel, LogRecord, World, frame_airtime_ns, note, parse_note)
+                              AwgnChannel, LogRecord, SimError, World, frame_airtime_ns, note,
+                              parse_note)
 from tcassim.harness import (LossPoint, MetricsReport, _corpus, _fill_plan_errors,
                              frame_label)
 from tcassim.scenario import SUCCESS_PREDICATES
@@ -148,9 +149,11 @@ class ReferenceWorld(World):
     ``(time, registration order, sequence)`` by a linear scan, formats a
     frame's hex from its word, builds each record through ``LogRecord``
     and does its own fan-out: the jam check, the destination from the CRC
-    seal, and each receiver's range and delay from ``position_at``.  Of the
-    World it reuses only ``_do_deliver``, and with it the channels and the
-    entities."""
+    seal, and each receiver's range and delay from ``position_at``, one
+    event and one fan-out per frame where the World makes one per round.
+    A failing handler stops the run with the World's error text and the log
+    so far.  Of the World it reuses only ``_do_deliver``, and with it the
+    channels and the entities."""
 
     def __init__(self, channel=None):
         super().__init__(channel)
@@ -166,8 +169,9 @@ class ReferenceWorld(World):
     def schedule_timer(self, time_ns, entity, timer, data=None):
         self._push(time_ns, entity.name, ReferenceWorld._timer, entity, timer, data or {})
 
-    def schedule_transmit(self, time_ns, entity, frame):
-        self._push(time_ns, entity.name, ReferenceWorld._transmit, entity, frame)
+    def schedule_transmit(self, time_ns, entity, *frames):
+        for frame in frames:  # one event per frame, where the World queues a round as one
+            self._push(time_ns, entity.name, ReferenceWorld._transmit, entity, frame)
 
     def record(self, kind, source, destination, frame, outcome):
         frame_hex = "-" if frame is None else f"{frame.word:0{frame.nbits // 4}x}"
@@ -183,7 +187,18 @@ class ReferenceWorld(World):
             if self.events[first][0] > t_end_ns:
                 break
             self.time_ns, _, _, handler, args = self.events.pop(first)
-            handler(self, *args)
+            try:
+                handler(self, *args)
+            except Exception as exc:
+                if handler is ReferenceWorld._timer:
+                    event = f"timer {args[1]!r} of {args[0].name}"
+                elif handler is ReferenceWorld._transmit:
+                    event = f"transmit by {args[0].name}"
+                else:
+                    event = f"deliver from {args[0].name} to {args[1].name}"
+                error = SimError(f"{event} at time_ns={self.time_ns}: {exc}")
+                error.records = self.log
+                raise error from exc
         self.time_ns = max(self.time_ns, t_end_ns)
 
     def _timer(self, entity, timer, data):
@@ -213,6 +228,11 @@ class ReferenceWorld(World):
             if dist <= RECEPTION_RANGE_NMI:
                 self._push(t0 + propagation_delay_ns(dist), source.name,
                            World._do_deliver, source, receiver, frame)
+                continue
+            # out of range, unless one of the two is nowhere
+            for entity, where in ((source, (sx, sy, salt)), (receiver, (rx, ry, ralt))):
+                if not all(math.isfinite(v) for v in where):
+                    raise SimError(f"{entity.name} is at a non-finite position {where}")
 
 
 def reference_loss_sweep(scenario, snr_list: list[float], corpus_size: int) -> list[LossPoint]:

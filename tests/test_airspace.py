@@ -391,6 +391,106 @@ class TestTransmitDestination:
             ("transmit", "000002", "jammed")]
 
 
+UF4_TO_B = codec.build_interrogation("surveillance_short", 0x000002)
+UF20_TO_C = codec.build_interrogation("surveillance_long", 0x000003,
+                                      rac=codec.RAC_DO_NOT_PASS_ABOVE, ra_active=True,
+                                      sender=0x000001)
+ROUND_T_NS = 1_000_000
+NOWHERE = None  # a probe whose position is not finite
+
+
+def _round(world_type, positions, frames, *, jam_from_ns=None, snr_db=None):
+    """Run a round of ``frames`` sent by the first of ``positions`` (name ->
+    (x, y, alt) or NOWHERE) at ROUND_T_NS through a world of ``world_type``:
+    its log lines, what each probe heard and timed, and any error with the
+    log it carried."""
+    channel = None if snr_db is None else airspace.AwgnChannel(snr_db, 5)
+    w = world_type(channel)
+    probes = []
+    for i, (name, xyz) in enumerate(positions.items()):
+        p = Probe(name, 0x000001 + i, _state(*(xyz or (0, 0, 0))))
+        if xyz is NOWHERE:
+            p.position_at = lambda t_ns: (0.0, math.nan, 0.0)
+        w.add_entity(p)
+        probes.append(p)
+    if jam_from_ns is not None:
+        w.add_jam(airspace.JamDirective(0x000001, ROUND_T_NS + jam_from_ns, ROUND_T_NS + 10**6))
+    # timers of the sender at the round's instant, queued before and after
+    # it, and a later one-frame transmit of the last probe
+    w.schedule_timer(ROUND_T_NS, probes[0], "before")
+    w.schedule_transmit(ROUND_T_NS, probes[0], *frames)
+    w.schedule_timer(ROUND_T_NS, probes[0], "after")
+    w.schedule_transmit(ROUND_T_NS + 5_000, probes[-1], _squitter(0x000001 + len(probes) - 1))
+    error = None
+    try:
+        w.run_until(10**9)
+    except airspace.SimError as exc:
+        error = str(exc), [r.to_line() for r in exc.records]
+    return ([r.to_line() for r in w.log], [(p.inbox, p.timers) for p in probes], error)
+
+
+class TestRounds:
+    """Frames that one call queues as one transmit event log, arrive and fail
+    byte for byte as the reference world's one event per frame, which is
+    what one call per frame queued before rounds were grouped."""
+
+    def _same(self, positions, frames, **kw):
+        got = _round(airspace.World, positions, frames, **kw)
+        assert got == _round(oracles.ReferenceWorld, positions, frames, **kw)
+        return got
+
+    @pytest.mark.parametrize("snr_db", [None, 12.0])
+    def test_a_jam_window_erases_only_the_frames_it_overlaps(self, snr_db):
+        # the window opens 20 us in: after UF4's 17.25 us, within UF20's 31.25 us
+        assert [airspace.frame_airtime_ns(f) for f in (UF4_TO_B, UF20_TO_C)] == [17_250, 31_250]
+        positions = {"a": (0, 0, 0), "b": (5, 0, 0), "c": (0, 7, 500), "d": (-3, 2, 0)}
+        lines, heard, error = self._same(positions, [UF4_TO_B, UF20_TO_C, UF4_TO_B, UF20_TO_C],
+                                         jam_from_ns=20_000, snr_db=snr_db)
+        transmits = [line.split(",")[-1] for line in lines if ",transmit,a," in line]
+        assert transmits == ["sent", "jammed", "sent", "jammed"] and error is None
+        if snr_db is None:  # b hears both UF4s and none of the UF20s
+            assert [f for f, _ in heard[1][0] if f.direction == codec.UPLINK] == [UF4_TO_B] * 2
+
+    def test_a_receiver_at_zero_separation_hears_the_round_at_its_instant(self):
+        positions = {"a": (1, 1, 9_000), "b": (1, 1, 9_000), "c": (4, 1, 9_000)}
+        lines, heard, _ = self._same(positions, [UF4_TO_B, UF20_TO_C, UF4_TO_B])
+        assert [rx for f, rx in heard[1][0] if f.direction == codec.UPLINK] == [ROUND_T_NS] * 3
+        # the sender's timer queued after the round runs after its transmits
+        # and before those deliveries
+        assert [line.split(",")[1] for line in lines[:6]] == [
+            "timer", "transmit", "transmit", "transmit", "timer", "deliver"]
+
+    def test_receivers_at_equal_delay_hear_each_frame_in_registration_order(self):
+        positions = {"a": (0, 0, 0), "b": (6, 0, 0), "c": (-6, 0, 0)}
+        lines, _, _ = self._same(positions, [UF4_TO_B, UF20_TO_C])
+        delivers = [line.split(",")[3:5] for line in lines if ",deliver,a," in line]
+        assert delivers == [["b", UF4_TO_B.to_hex()], ["c", UF4_TO_B.to_hex()],
+                            ["b", UF20_TO_C.to_hex()], ["c", UF20_TO_C.to_hex()]]
+
+    @pytest.mark.parametrize("first_jammed", [False, True])
+    def test_a_receiver_nowhere_mid_round_stops_it_as_one_frame_per_event_did(
+            self, first_jammed):
+        positions = {"a": (0, 0, 0), "b": (5, 0, 0), "c": NOWHERE, "d": (0, 5, 0)}
+        frames = [UF20_TO_C, UF4_TO_B] if first_jammed else [UF4_TO_B, UF20_TO_C]
+        lines, heard, (text, partial) = self._same(positions, frames, jam_from_ns=20_000)
+        assert text == (f"transmit by a at time_ns={ROUND_T_NS}: "
+                        "c is at a non-finite position (0.0, nan, 0.0)")
+        assert partial == lines and [line.split(",")[1] for line in lines] == (
+            ["timer"] + ["transmit"] * (1 + first_jammed))
+        assert all(inbox == [] for inbox, _ in heard) and heard[0][1] == [(ROUND_T_NS, "before")]
+
+    @settings(max_examples=40, deadline=None)
+    @given(spots=st.lists(st.sampled_from([(0, 0, 0), (5, 0, 0), (-5, 0, 0), (0, 0, 3_000),
+                                           (120, 0, 0), NOWHERE]), min_size=2, max_size=5),
+           frames=st.lists(st.sampled_from([UF4_TO_B, UF20_TO_C, _squitter(0x000001),
+                                            codec.build_interrogation("all_call")]),
+                           min_size=1, max_size=5),
+           jam_from_ns=st.sampled_from([None, -100_000, 0, 17_250, 20_000]))
+    def test_any_round_runs_as_the_reference_world(self, spots, frames, jam_from_ns):
+        positions = {f"p{i}": xyz for i, xyz in enumerate(spots)}
+        self._same(positions, frames, jam_from_ns=jam_from_ns)
+
+
 class TestDeterminism:
     def _run(self, seed):
         a = Probe("a", 0x000001, _state(0, 0, 10_000, vx=200))

@@ -109,6 +109,36 @@ class TestSurveillance:
                   if r.kind == "transmit" and r.source == "a" and r.destination == "000200"]
         assert 58 <= len(rounds) <= 60
 
+    def test_a_round_is_one_transmit_call_of_every_track_in_address_order(self, monkeypatch):
+        calls, per_tick = [], []
+        schedule, tick = airspace.World.schedule_transmit, tcas.Aircraft.tick
+
+        def counting_schedule(world, time_ns, entity, *frames):
+            calls.append((time_ns, frames))
+            schedule(world, time_ns, entity, *frames)
+
+        def counting_tick(unit, world):
+            before = len(calls)
+            tick(unit, world)
+            per_tick.append((world.time_ns, sorted(unit.tracks), calls[before:]))
+
+        monkeypatch.setattr(airspace.World, "schedule_transmit", counting_schedule)
+        monkeypatch.setattr(tcas.Aircraft, "tick", counting_tick)
+        w = _build_world(*_ring(5))
+        w.run_until(20 * airspace.NS_PER_S)
+        rounds = 0
+        for tick_ns, tracked, made in per_tick:
+            if not tracked:  # nothing to interrogate: no call
+                assert made == []
+                continue
+            ((time_ns, frames),) = made  # one call, for the tick's instant
+            assert time_ns == tick_ns
+            assert [codec.frame_seal(f)[2] for f in frames] == tracked
+            rounds += len(tracked) == 4
+        assert rounds > 50  # every unit tracks the other four for most of the run
+        uplinks = [r for r in w.log if r.kind == "transmit" and r.destination != "*"]
+        assert len(uplinks) == sum(len(frames) for *_, made in per_tick for _, frames in made)
+
     def test_miss_limit_drops_track(self):
         a = _aircraft("a", 0x000100, x=0.0, alt=10_000)
         b = _aircraft("b", 0x000200, x=5.0, alt=10_000)

@@ -1,10 +1,11 @@
 """The benchmark's traced run asserts which of its spans each workload calls
 and which it never calls (``EXPECT_USED`` and ``EXPECT_UNUSED`` in
-``perfbench/tracing.py``), and that every traced pass makes the calls of
-the first.  Changing which package functions a workload reaches, binding
-one by name where the spans cannot wrap it, or keeping a cache that
-outlives its channel or world must fail here, not only when the benchmark
-runs with ``--trace 1``."""
+``perfbench/tracing.py``), that every traced pass makes the calls of the
+first, and that every record a run logs passes through ``World.record``.
+Changing which package functions a workload reaches, binding one by name
+where the spans cannot wrap it, or keeping a cache that outlives its
+channel or world must fail here, not only when the benchmark runs with
+``--trace 1``."""
 
 from __future__ import annotations
 
@@ -31,16 +32,18 @@ workload = sys.argv[2]
 tracer = tracing.Tracer()
 setup = worker.set_up(workload, workloads.documents(workload, 0), tracer)
 setup_calls = tracer.take()["calls"]
-passes = []
+passes, logged = [], []
 with tempfile.TemporaryDirectory() as tmp:
     for _ in range(2):
-        worker.run_pass(setup, Path(tmp), calibrate=False)
+        done = worker.run_pass(setup, Path(tmp), calibrate=False)
         passes.append(tracer.take()["calls"])
+        logged.append([r["records"] - r["counts"]["kinds"].get("nmac", 0)
+                       for r in done["simulate"].values()])
 calls = {s: setup_calls[s] + passes[0][s] for s in tracing.SPANS}
 print(json.dumps({
     "not_called": sorted(s for s in tracing.EXPECT_USED[workload] if not calls[s]),
     "called": sorted(s for s in tracing.EXPECT_UNUSED[workload] if calls[s]),
-    "passes": passes}))
+    "passes": passes, "logged": logged}))
 """
 
 
@@ -62,3 +65,11 @@ def test_a_traced_pass_calls_the_spans_its_workload_expects(traced):
 def test_a_second_traced_pass_repeats_the_call_counts_of_the_first(traced):
     first, second = traced[1]["passes"]
     assert second == first
+
+
+def test_every_record_a_run_logs_goes_through_the_record_span(traced):
+    # simulate inserts the nmac records itself, after the run
+    workload, out = traced
+    assert [p["airspace.record"] for p in out["passes"]] == list(map(sum, out["logged"]))
+    if workload == "ring_surveillance":
+        assert out["logged"][0] == [104_476]
