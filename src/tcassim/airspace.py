@@ -21,14 +21,13 @@ so the grouping moves no log byte.
 
 from __future__ import annotations
 
-import gc
 import heapq
 import math
 import re
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import chain, count, islice
 from operator import eq
 from typing import NamedTuple, Protocol
@@ -46,27 +45,6 @@ TIME_LIMIT_NS = 2 ** 63  # a logged time is an int64, so it stays below this
 
 RECEPTION_RANGE_NMI = 100.0
 TURNAROUND_NS = 128_000  # fixed transponder decode-and-respond time
-
-
-def gc_paused(fn: Callable) -> Callable:
-    """``fn`` with the cyclic garbage collector paused while it runs.
-
-    A run, a log read and a report each allocate containers per log record
-    and free no reference cycle, so the collector's scans of them find
-    nothing.  The collector is switched back on when ``fn`` returns or
-    raises, and only if it was on when ``fn`` was called, so nested calls
-    keep a caller's pause.  Reference counting still frees everything else.
-    """
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
 
 
 class SimError(ValueError):
@@ -380,7 +358,6 @@ def write_event_log(path, records: Sequence[LogRecord]) -> None:
             fh.write("".join([f"{time_ns}{texts[index]}" for time_ns, index in chunk]))
 
 
-@gc_paused
 def read_event_log(path) -> EventLog:
     """The records of a written log; blank lines are skipped.
 
@@ -643,7 +620,6 @@ class World:
 
     # -- event processing --------------------------------------------------
 
-    @gc_paused
     def run_until(self, t_end_ns: int) -> None:
         """Process events up to ``t_end_ns``.  An exception escaping a
         handler is re-raised as a SimError naming the event kind, its

@@ -168,12 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fta" and not args.defaults and args.file is None:
-        parser.error("fta needs a document file or --defaults")
+    if args.command == "fta" and args.defaults == (args.file is not None):
+        parser.error("fta needs a document file or --defaults, not both")
     try:
         return args.func(args)
-    except (scen.ScenarioError, codec.CodecError, fta.FtaError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ScenarioError, CodecError and FtaError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import fta, noise, phy
 from . import modes_codec as codec
 from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, EventLog, LogRecord,
-                       decode_reception, gc_paused, noise_streams, note, parse_note,
+                       decode_reception, noise_streams, note, parse_note,
                        transmission)
 from .attacker import MISSION_PHANTOM, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
@@ -103,7 +103,6 @@ class MetricsReport:
 _WALKED_KINDS = ("transmit", "tcas", "attack", "nmac")
 
 
-@gc_paused
 def metrics_from_log(records: Sequence[LogRecord], scenario: Scenario) -> MetricsReport:
     """Distill the report; everything here re-derives from the log lines.
     Notes are read with ``airspace.parse_note``, the one reader of their
@@ -112,29 +111,20 @@ def metrics_from_log(records: Sequence[LogRecord], scenario: Scenario) -> Metric
 
     A delivery takes the label its own source transmitted that frame under
     (the last, were there two), or the frame's own label when its source
-    never transmitted that hex.  Deliveries are counted per (source,
-    destination, hex) first, with the hex None for a loss, and each
-    distinct key is labelled and folded into the report once, in order of
-    first appearance.  ``frame_label`` runs once per distinct ``(frame_hex,
-    destination)`` in one call, through a memo that ends with the call.
+    never transmitted that hex.  ``frame_label`` runs once per distinct
+    ``(frame_hex, destination)`` in one call, through a memo that ends with
+    the call.
 
     The records are read as an ``EventLog`` (a list is loaded into one):
-    deliveries are counted per tail index, and only the records of the
-    kinds the report lists are built and walked in order.
+    only the records of the kinds the report lists are built and walked in
+    order, and after the walk the deliveries are counted per tail index and
+    each distinct delivery tail is folded into the report once.
     """
     log = records if isinstance(records, EventLog) else EventLog(records)
     table = log.table
     report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
     sent_as: dict[tuple[str, str], str] = {}  # (source, hex) -> label it was sent under
-    delivered: dict[tuple[str, str, str | None], int] = {}  # hex None: lost
     cached_label = cache(frame_label)
-
-    # a Counter keeps its indices in order of first appearance, and so the keys
-    for index, n in Counter(log.tails).items():
-        kind, source, destination, frame_hex, outcome = table[index]
-        if kind == "deliver":
-            key = source, destination, None if outcome in LOSS_OUTCOMES else frame_hex
-            delivered[key] = delivered.get(key, 0) + n
 
     walked = [tail[0] in _WALKED_KINDS for tail in table]
     for time_ns, index in compress(zip(log.times, log.tails), map(walked.__getitem__, log.tails)):
@@ -164,11 +154,14 @@ def metrics_from_log(records: Sequence[LogRecord], scenario: Scenario) -> Metric
             until = NOTE_READS["window"](parse_note(outcome))
             report.nmac_windows.append([source, destination, time_ns, until])
 
-    for (source, destination, frame_hex), n in delivered.items():
+    for index, n in Counter(log.tails).items():
+        kind, source, destination, frame_hex, outcome = table[index]
+        if kind != "deliver":
+            continue
         stats = report.links.setdefault(f"{source}>{destination}",
                                         {"attempts": 0, "decoded": 0, "lost": 0})
         stats["attempts"] += n
-        if frame_hex is None:
+        if outcome in LOSS_OUTCOMES:
             stats["lost"] += n
         else:
             stats["decoded"] += n

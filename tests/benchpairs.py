@@ -15,7 +15,12 @@ counts a failed check, stops the script with exit code 1.
 For every end-to-end metric that NEW_ROOT's ``BENCHMARK.json`` declares,
 it prints both medians, the change of the median in %, both sides'
 quartiles and how many pairs the new side won, by the metric's own
-``better``.  With ``--save``, the new side's result of the last pair is
+``better``.  Its verdict is "better" or "worse" only when that side wins
+at least nine tenths of the pairs, ties counting for neither, and the
+medians differ by more than the old side's IQR; otherwise it is
+"unresolved".  The line also says whether the new median is worse than the
+old one by more than the metric's ``bound``, a fraction of the old median.
+With ``--save``, the new side's result of the last pair is
 stored under the workload's name in FILE, a JSON object that keeps the
 other workloads already in it, the layout of the ``BENCH_<pr>.json`` files.
 Pytest does not collect this file, as its name does not start with ``test_``.
@@ -70,6 +75,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, mid, high
 
 
+def verdict(wins: int, losses: int, pairs: int, gain: float, old_iqr: float) -> str:
+    """"better" or "worse" when that side wins nine tenths of the pairs and
+    the medians differ, ``gain`` being the new side's, by more than the old
+    side's IQR; "unresolved" otherwise."""
+    if 10 * wins >= 9 * pairs and gain > old_iqr:
+        return "better"
+    if 10 * losses >= 9 * pairs and -gain > old_iqr:
+        return "worse"
+    return "unresolved"
+
+
 def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> list[str]:
     """One line per declared metric over ``(old result, new result)`` pairs."""
     lines = []
@@ -77,13 +93,19 @@ def summarize(pairs: list[tuple[dict, dict]], declared: list[dict]) -> list[str]
         name, unit = metric["name"], metric["unit"]
         old = [o["metrics"][name]["value"] for o, _ in pairs]
         new = [n["metrics"][name]["value"] for _, n in pairs]
-        lower = metric["better"] == "lower"
-        wins = sum(n < o if lower else n > o for o, n in zip(old, new))
+        sign = -1 if metric["better"] == "lower" else 1  # a gain is positive
+        wins = sum(sign * (n - o) > 0 for o, n in zip(old, new))
+        losses = sum(sign * (n - o) < 0 for o, n in zip(old, new))
         (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
+        gain = sign * (n2 - o2)
         change = (n2 - o2) / o2 * 100 if o2 else float("nan")
+        bound = metric["bound"]
+        past = "past" if -gain > bound * abs(o2) else "within"
         lines.append(f"{name}: {o2:.4g} -> {n2:.4g} {unit} ({change:+.1f}%), "
                      f"wins {wins}/{len(pairs)}; quartiles old [{o1:.4g}, {o3:.4g}] "
-                     f"(IQR {o3 - o1:.3g}), new [{n1:.4g}, {n3:.4g}] (IQR {n3 - n1:.3g})")
+                     f"(IQR {o3 - o1:.3g}), new [{n1:.4g}, {n3:.4g}] (IQR {n3 - n1:.3g}); "
+                     f"{verdict(wins, losses, len(pairs), gain, o3 - o1)}, "
+                     f"{past} its {bound:.0%} bound")
     return lines
 
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from tcassim import cli
+from tcassim import cli, tcas
 from tcassim import modes_codec as codec
 from tcassim.airspace import read_event_log
 
@@ -24,17 +24,20 @@ NOISY_DOC = {
                   "position": {"x_nmi": 0.0, "y_nmi": 0.0, "altitude_ft": 30000.0}}],
 }
 
-# head-on at 200 ft and 250 ft: the resolution advisory takes one aircraft
-# below 0 ft, whose next reply cannot encode its altitude
-LOW_HEAD_ON = {
-    "schema_version": 1, "name": "low_head_on", "duration_s": 60.0,
-    "aircraft": [{"name": name, "icao": icao, "mode": "ta_ra",
-                  "position": {"x_nmi": 0.0, "y_nmi": y, "altitude_ft": alt},
-                  "velocity": {"vx_kt": 0.0, "vy_kt": -75.0 * y}}
-                 for name, icao, y, alt in [("north", "A40001", 4.0, 200.0),
-                                            ("south", "A40002", -4.0, 250.0)]]}
-LOW_HEAD_ON_ERROR = ("deliver from south to north at time_ns=26537022103: "
-                     "altitude below encodable range: -0.92")
+FAULT_ERROR = "deliver from east to west at time_ns=11000061810: injected fault"
+
+
+def fail_deliveries_to(monkeypatch, receiver: str) -> None:
+    """Make ``tcas.Aircraft.on_frame`` raise a CodecError for ``receiver`` once
+    the run has logged 200 records, as a handler fault would: ``benign_pair``
+    then fails part-way with ``FAULT_ERROR`` for ``west``."""
+    on_frame = tcas.Aircraft.on_frame
+
+    def faulty(self, world, frame, rx_time_ns):
+        if self.name == receiver and len(world.log) >= 200:
+            raise codec.CodecError("injected fault")
+        return on_frame(self, world, frame, rx_time_ns)
+    monkeypatch.setattr(tcas.Aircraft, "on_frame", faulty)
 
 
 class TestSimulate:
@@ -86,23 +89,21 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error:") and field in err
 
-    def test_runtime_error_names_event_aircraft_and_time(self, capsys, tmp_path):
-        path = tmp_path / "low.json"
-        path.write_text(json.dumps(LOW_HEAD_ON))
-        code, _, err = run(capsys, "simulate", str(path))
+    def test_runtime_error_names_event_aircraft_and_time(self, capsys, monkeypatch):
+        fail_deliveries_to(monkeypatch, "west")
+        code, _, err = run(capsys, "simulate", "benign_pair")
         assert code == 2
-        assert err.startswith(f"error: {LOW_HEAD_ON_ERROR}")
+        assert err.startswith(f"error: {FAULT_ERROR}")
 
-    def test_runtime_error_keeps_the_partial_log(self, capsys, tmp_path):
-        path = tmp_path / "low.json"
-        path.write_text(json.dumps(LOW_HEAD_ON))
-        log = tmp_path / "low.log"
-        code, _, err = run(capsys, "simulate", str(path), "--log", str(log))
+    def test_runtime_error_keeps_the_partial_log(self, capsys, monkeypatch, tmp_path):
+        fail_deliveries_to(monkeypatch, "west")
+        log = tmp_path / "benign.log"
+        code, _, err = run(capsys, "simulate", "benign_pair", "--log", str(log))
         assert code == 2
-        assert err.startswith(f"error: {LOW_HEAD_ON_ERROR}")
+        assert err.startswith(f"error: {FAULT_ERROR}")
         records = read_event_log(log)
         assert len(records) > 100
-        assert records[-1].time_ns <= 26537022103
+        assert records[-1].time_ns <= 11000061810
         assert [r.time_ns for r in records] == sorted(r.time_ns for r in records)
 
     def test_negative_seed_in_document_is_usage_error(self, capsys, tmp_path):
@@ -123,13 +124,12 @@ class TestSimulate:
         assert err.startswith("error: scenario: field 'seed' must be a non-negative integer")
         assert not log.exists()  # refused before the run
 
-    def test_unwritable_partial_log_keeps_the_run_error(self, capsys, tmp_path):
-        path = tmp_path / "low.json"
-        path.write_text(json.dumps(LOW_HEAD_ON))
-        code, _, err = run(capsys, "simulate", str(path), "--log", str(tmp_path))
+    def test_unwritable_partial_log_keeps_the_run_error(self, capsys, monkeypatch, tmp_path):
+        fail_deliveries_to(monkeypatch, "west")
+        code, _, err = run(capsys, "simulate", "benign_pair", "--log", str(tmp_path))
         assert code == 2
         assert err.startswith("warning: partial log not written:")
-        assert f"error: {LOW_HEAD_ON_ERROR}" in err
+        assert f"error: {FAULT_ERROR}" in err
 
     def test_unknown_reference(self, capsys):
         code, _, err = run(capsys, "simulate", "no_such_scenario")
@@ -201,6 +201,15 @@ class TestFta:
     def test_needs_file_or_defaults(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["fta"])
+
+    def test_file_and_defaults_together_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "risk.json"
+        path.write_text(json.dumps({"factors": {"ti": 1.0}}))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["fta", str(path), "--defaults"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not both" in captured.err
 
     @pytest.mark.parametrize("document,argv,names", [
         ({"grid": {"ti": ["a"]}}, [], "TI"),

@@ -22,13 +22,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcassim import airspace, fta, harness, phy, tcas
+from tcassim import airspace, fta, harness, phy
 from tcassim import modes_codec as codec
 from tcassim import scenario as scen
 from tcassim.airspace import EventLog, LogRecord, SimError, read_event_log, write_event_log
 
 import oracles
-from test_cli import LOW_HEAD_ON
+from test_cli import fail_deliveries_to
 from test_golden import AWGN_RING, NOISELESS_RING
 
 
@@ -199,16 +199,13 @@ class TestSimulate:
         assert not report.nmac_occurred
 
 
-    def test_handler_error_is_a_sim_error_naming_the_event(self):
-        # the resolution advisory sends one aircraft below 0 ft, where its
-        # next reply cannot encode its altitude
+    def test_handler_error_is_a_sim_error_naming_the_event(self, monkeypatch):
+        fail_deliveries_to(monkeypatch, "two")
         doc = crossing_doc(success=[])
-        doc["aircraft"][0].update(mode="ta_ra", squitter=True, position={
-            "x_nmi": -4.0, "y_nmi": 0.0, "altitude_ft": 200.0})
-        doc["aircraft"][1].update(mode="ta_ra", squitter=True, position={
-            "x_nmi": 4.0, "y_nmi": 0.0, "altitude_ft": 250.0})
-        with pytest.raises(SimError, match=r"^deliver from (one to two|two to one) "
-                                           r"at time_ns=\d+: altitude below") as info:
+        for aircraft in doc["aircraft"]:
+            aircraft.update(mode="ta_ra", squitter=True)
+        with pytest.raises(SimError, match=r"^deliver from one to two "
+                                           r"at time_ns=\d+: injected fault$") as info:
             harness.simulate(scen.load_scenario(doc))
         assert isinstance(info.value.__cause__, codec.CodecError)
 
@@ -790,78 +787,13 @@ def test_every_logged_note_round_trips_through_the_grammar():
             "level_off", "phase", "recon", "evidence", "predictive_armed", "window"} <= seen
 
 
-# -- the cyclic collector ------------------------------------------------------------
-
-@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
-def collector(request):
-    """The cyclic collector switched on or off for the test, then restored."""
-    was = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was else gc.disable)()
-
-
-class TestCollectorPause:
-    """A run, a log read and a report pause the cyclic collector while they
-    work, and leave it as they found it whether they return or raise."""
-
-    def test_paused_inside_and_restored_on_return(self, collector, tmp_path, monkeypatch):
-        seen = []
-
-        def spy(owner, name):
-            fn = getattr(owner, name)
-
-            def spied(*args, **kwargs):
-                seen.append((name, gc.isenabled()))
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(owner, name, spied)
-
-        # one function called inside each of run_until, read_event_log and
-        # metrics_from_log
-        spy(tcas.Aircraft, "on_timer")
-        spy(airspace, "_split_line")
-        spy(harness, "parse_note")
-        scenario = scen.bundled_scenario("head_on_phantom")
-        path = tmp_path / "events.log"
-        write_event_log(path, harness.simulate(scenario).records)
-        assert gc.isenabled() is collector
-        records = read_event_log(path)
-        assert gc.isenabled() is collector
-        harness.metrics_from_log(records, scenario)
-        assert gc.isenabled() is collector
-        assert {name for name, _ in seen} == {"on_timer", "_split_line", "parse_note"}
-        assert not any(enabled for _, enabled in seen)
-
-    def test_restored_when_they_raise(self, collector, tmp_path):
-        with pytest.raises(SimError, match="altitude below encodable range"):
-            harness.simulate(scen.load_scenario(LOW_HEAD_ON))  # raises out of run_until
-        assert gc.isenabled() is collector
-        path = tmp_path / "events.log"
-        path.write_text("1,timer,a,-,-,tick\n2,timer,a,-,-\n")
-        with pytest.raises(SimError, match="malformed log line"):
-            read_event_log(path)
-        assert gc.isenabled() is collector
-        with pytest.raises(KeyError, match="until"):  # a window note without its end
-            harness.metrics_from_log([LogRecord(0, "nmac", "a", "b", "-", "window")],
-                                     scen.bundled_scenario("benign_pair"))
-        assert gc.isenabled() is collector
-
-    def test_a_nested_call_keeps_the_callers_pause(self, tmp_path):
-        path = tmp_path / "events.log"
-        path.write_text("1,timer,a,-,-,tick\n")
-
-        def read_then_look():
-            read_event_log(path)
-            return gc.isenabled()
-        assert airspace.gc_paused(read_then_look)() is False
-
+# -- reference cycles ----------------------------------------------------------------
 
 @pytest.mark.parametrize("name", scen.bundled_scenario_names())
 def test_a_run_its_log_and_its_report_leave_no_cycle(name, tmp_path):
-    """The pause rests on this: a run, a log read and a report make no
-    reference cycle, so a collection during them would free nothing.  If a
-    change makes one, the pause lets such garbage grow until the next
-    collection, and ``airspace.gc_paused`` needs a second look."""
+    """A run, a log read and a report make no reference cycle, so what they
+    leave is freed by reference counting alone, the moment its last
+    reference goes, and never waits for a cyclic collection."""
     scenario = scen.bundled_scenario(name)
     path = tmp_path / "events.log"
     gc.collect()

@@ -3,9 +3,9 @@ rules keep their one home: only ``airspace`` names the speed of light and
 the nautical mile or calls ``record``, only ``modes_codec`` states a frame
 length, and no call passes a ``destination=``, as the World reads a
 transmit's destination from the frame.  Only ``modes_codec`` constructs a
-frame, so every builder goes through its shared-frame cache, and only
-``airspace`` imports ``gc``, so its pause is the one switch of the cyclic
-collector.  A timer's payload is its
+frame, so every builder goes through its shared-frame cache, and no
+module imports ``gc``, as library code leaves the cyclic collector, a
+switch of the whole interpreter, to its caller.  A timer's payload is its
 generation alone, as an entity holds the plan the timer acts on, and no
 ``or`` falls back to a default plan, as plans default where they are
 declared.  The scenario loader reads no plan class's defaults, and only its
@@ -124,9 +124,8 @@ def frame_constructions(source: str) -> list[int]:
                  or getattr(n.func, "attr", None) == "ModeSFrame")]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "airspace"],
-                         ids=lambda p: p.name)
-def test_only_airspace_imports_gc(path):
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_gc(path):
     assert gc_imports(path.read_text()) == []
 
 

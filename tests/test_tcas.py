@@ -760,3 +760,31 @@ def test_a_run_through_clear_of_conflict_is_pinned():
     digests = tuple(hashlib.sha256(text.encode("ascii")).hexdigest()
                     for text in (log_text, result.report.to_json()))
     assert digests == CLEAR_OF_CONFLICT_GOLDEN
+
+
+def _edge_head_on(north_ft: float, south_ft: float) -> dict:
+    """Two TA/RA aircraft closing head-on from 8 NM at 150 kt, 50 ft apart."""
+    return {
+        "schema_version": 1, "name": "edge_head_on", "duration_s": 60.0,
+        "aircraft": [{"name": name, "icao": icao, "mode": "ta_ra",
+                      "position": {"x_nmi": 0.0, "y_nmi": y, "altitude_ft": alt},
+                      "velocity": {"vx_kt": 0.0, "vy_kt": -75.0 * y}}
+                     for name, icao, y, alt in [("north", "A40001", 4.0, north_ft),
+                                                ("south", "A40002", -4.0, south_ft)]]}
+
+
+@pytest.mark.parametrize("north_ft,south_ft,time_ns,why", [
+    (200.0, 250.0, 26537022103, "altitude below encodable range"),
+    (204_500.0, 204_450.0, 30537017992, "altitude above encodable range")],
+    ids=["floor", "ceiling"])
+def test_an_advisory_past_the_codecs_altitude_range_fails_the_run(north_ft, south_ft,
+                                                                   time_ns, why):
+    """A known defect, pinned so that it stays in sight: the RA's limit
+    ignores the codec's 0 to 204,775 ft range, the pilot flies past it, and
+    the next reply cannot encode its altitude.  ROADMAP item 3, which adds
+    the low-altitude and ceiling inhibits, turns this into a test that
+    both runs complete."""
+    with pytest.raises(airspace.SimError,
+                       match=f"^deliver from south to north at time_ns={time_ns}: {why}: ") as info:
+        harness.simulate(scen.load_scenario(_edge_head_on(north_ft, south_ft)))
+    assert isinstance(info.value.__cause__, codec.CodecError)
