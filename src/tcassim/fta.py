@@ -45,26 +45,12 @@ def _check_unit(name: str, value: object) -> None:
 
 @dataclass(frozen=True)
 class BasicEvents:
-    """Base-event probabilities from the original safety study.
-
-    Only the visual-acquisition pair (n, o) feeds the printed component
-    formulas, via the attack mapping; the rest are carried as data from
-    the study, and no formula reads them.
+    """The base-event probabilities from the original safety study that a
+    formula reads: the visual-acquisition pair (n, o), which feeds the
+    printed component formulas via the attack mapping.  The study's other
+    base events, a to m, feed no formula and are not carried.
     """
 
-    a: float = 0.16      # IMC
-    b: float = 0.7       # bright daylight
-    c: float = 0.79      # GA encounter
-    d: float = 0.92      # transponder equipage
-    e: float = 0.61      # Mode C equipage
-    f: float = 0.317     # GA altimetry risk ratio
-    g: float = 0.0143    # altimetry error, unresolved
-    h: float = 0.0174    # altimetry error, induced
-    i: float = 0.027     # maneuvering-intruder risk ratio
-    j: float = 0.06      # no track at TA time
-    k: float = 0.03      # no track at RA time
-    l: float = 0.002     # stuck C-bit
-    m: float = 0.0001    # equipment failure
     n: float = 0.17      # no visual acquisition by 15 s before CPA
     o: float = 0.35      # no visual acquisition by RA time
 

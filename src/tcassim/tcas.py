@@ -9,9 +9,9 @@ table and advisory, with no separate unit referring back to it.
 Ranging is round-trip timing: each track remembers when its unanswered
 round was sent, and the first plausible reply converts into slant range.
 Range rate is the finite difference of consecutive ranges; tau is range over
-closure.  Advisories use inclusive tau and altitude gates, and a resolution
-advisory stays latched until its threat has been diverging for three
-consecutive updates.
+closure.  :func:`resolve` is the one home of the advisory rule: the inclusive
+tau and altitude gates, and an RA's sense and limit.  An RA stays latched
+until its threat has been diverging for three consecutive updates.
 """
 
 from __future__ import annotations
@@ -81,6 +81,27 @@ def tau_s(range_nmi: float, rate_kt: float) -> float:
     if rate_kt >= 0:
         return math.inf
     return range_nmi / (-rate_kt) * 3600.0
+
+
+def resolve(may_ra: bool, own_alt_ft: float, intruder_alt_ft: float, tau: float,
+            received_rac: int, latched: bool = False) -> tuple:
+    """The advisory an intruder warrants: ``("ra", sense, limit)``,
+    ``("ta", None, None)`` or ``(None, None, None)``.  The gates are
+    inclusive: a new RA needs ``may_ra``, TAU_RA_S and ALT_GATE_RA_FT, a TA
+    TAU_TA_S and ALT_GATE_TA_FT; an RA ``latched`` against this intruder
+    skips them.  The sense is the one the intruder's complement asks for,
+    else away from its altitude, climbing on a tie; the limit is
+    ALT_GATE_RA_FT past its altitude."""
+    gap_ft = abs(own_alt_ft - intruder_alt_ft)
+    if latched or (may_ra and tau <= TAU_RA_S and gap_ft <= ALT_GATE_RA_FT):
+        if received_rac == codec.RAC_DO_NOT_PASS_ABOVE:
+            return "ra", DESCEND, intruder_alt_ft - ALT_GATE_RA_FT
+        if received_rac == codec.RAC_DO_NOT_PASS_BELOW or own_alt_ft >= intruder_alt_ft:
+            return "ra", CLIMB, intruder_alt_ft + ALT_GATE_RA_FT
+        return "ra", DESCEND, intruder_alt_ft - ALT_GATE_RA_FT
+    if tau <= TAU_TA_S and gap_ft <= ALT_GATE_TA_FT:
+        return "ta", None, None
+    return None, None, None
 
 
 @dataclass
@@ -243,20 +264,11 @@ class Aircraft:
         adv = self.advisory
         if adv is None or adv.threat_icao != sender or rac == codec.RAC_CONTRADICTORY:
             return
-        required = self._sense(track, self.position_at(world.time_ns)[2])
-        if required != adv.sense and sender < self.icao:
+        _, sense, limit = resolve(False, self.position_at(world.time_ns)[2],
+                                  track.altitude_ft, math.inf, rac, latched=True)
+        if sense != adv.sense and sender < self.icao:
             # the lower address is the coordination master; follow it
-            self._issue_advisory(world, track, required, reversal=True)
-
-    @staticmethod
-    def _sense(track: Track, own_alt_ft: float) -> str:
-        """The sense the intruder's complement asks for; with none, away
-        from the intruder's altitude, climbing on a tie."""
-        if track.received_rac == codec.RAC_DO_NOT_PASS_ABOVE:
-            return DESCEND
-        if track.received_rac == codec.RAC_DO_NOT_PASS_BELOW:
-            return CLIMB
-        return CLIMB if own_alt_ft >= track.altitude_ft else DESCEND
+            self._issue_advisory(world, track, sense, limit, reversal=True)
 
     # -- track table -------------------------------------------------------
 
@@ -312,13 +324,14 @@ class Aircraft:
             else:
                 adv.diverging = 0
             return
-        own_alt = self.position_at(world.time_ns)[2]
-        dalt = abs(own_alt - track.altitude_ft)
         tau = math.inf if track.rate_kt is None else tau_s(track.range_nmi, track.rate_kt)
-        if self.mode == MODE_TA_RA and adv is None and tau <= TAU_RA_S and dalt <= ALT_GATE_RA_FT:
+        level, sense, limit = resolve(self.mode == MODE_TA_RA and adv is None,
+                                      self.position_at(world.time_ns)[2], track.altitude_ft,
+                                      tau, track.received_rac)
+        if level == "ra":
             track.status = "ta"
-            self._issue_advisory(world, track, self._sense(track, own_alt), reversal=False)
-        elif tau <= TAU_TA_S and dalt <= ALT_GATE_TA_FT:
+            self._issue_advisory(world, track, sense, limit, reversal=False)
+        elif level == "ta":
             if track.status != "ta":
                 track.status = "ta"
                 world.note(self, f"{track.icao:06x}", "ta_issued")
@@ -326,11 +339,8 @@ class Aircraft:
             track.status = "tracked"
             world.note(self, f"{track.icao:06x}", "ta_cleared")
 
-    def _issue_advisory(self, world: World, track: Track, sense: str, *, reversal: bool) -> None:
-        if sense == CLIMB:
-            limit = track.altitude_ft + ALT_GATE_RA_FT
-        else:
-            limit = track.altitude_ft - ALT_GATE_RA_FT
+    def _issue_advisory(self, world: World, track: Track, sense: str, limit: float, *,
+                        reversal: bool) -> None:
         self.advisory = Advisory(sense, limit, track.icao)
         what = "ra_reversal" if reversal else "ra_issued"
         world.note(self, f"{track.icao:06x}", what, sense, limit=f"{limit:.0f}")

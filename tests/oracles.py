@@ -9,7 +9,8 @@ here, so that a run can be replayed through it and compared.
 one ``AwgnChannel`` per SNR point, so the one-pass sweep can be compared.
 ``reference_metrics_from_log`` is the last: the report distilled by one loop
 over the records themselves, so the column walk of ``metrics_from_log`` can
-be compared.
+be compared.  ``reference_advisory`` spells the advisory rule out as tables
+of literals and shares no threshold with ``tcas``.
 """
 
 from __future__ import annotations
@@ -86,6 +87,33 @@ def nmac_at(a, b) -> bool:
     dz = abs(a.altitude_ft - b.altitude_ft)
     dxy_ft = math.hypot(a.x_nmi - b.x_nmi, a.y_nmi - b.y_nmi) * float(FEET_PER_NMI)
     return dz <= 100 and dxy_ft <= 500
+
+
+# The advisory rule as a table of literals, so that a threshold moved in
+# tcas fails the comparison rather than moving with it.  Each level, first
+# match wins, with the tau and altitude gap it needs (both inclusive) and
+# whether only a unit free to issue a new RA may reach it.
+ADVISORY_GATES = [("ra", 35.0, 600.0, True), ("ta", 48.0, 1200.0, False)]
+# the sense each RAC code asks for: 1 forbids passing above, 2 passing
+# below; 0 (none) and 3 (contradictory) leave it to the altitudes
+SENSE_OF_RAC = {0: None, 1: "descend", 2: "climb", 3: None}
+RA_CLEARANCE_FT = 600.0
+
+
+def reference_advisory(may_ra, own_alt_ft, intruder_alt_ft, tau, received_rac,
+                       latched) -> tuple:
+    """(level, sense, limit) by the tables above; a latched RA skips the
+    gates.  The gap is the float difference, as the unit measures it."""
+    gap_ft = abs(own_alt_ft - intruder_alt_ft)
+    level = "ra" if latched else next(
+        (name for name, tau_max, gap_max, needs_ra in ADVISORY_GATES
+         if tau <= tau_max and gap_ft <= gap_max and (may_ra or not needs_ra)), None)
+    if level != "ra":
+        return level, None, None
+    sense = SENSE_OF_RAC[received_rac] or ("climb" if own_alt_ft >= intruder_alt_ft
+                                           else "descend")
+    return level, sense, intruder_alt_ft + (RA_CLEARANCE_FT if sense == "climb"
+                                            else -RA_CLEARANCE_FT)
 
 
 def fault_tree_components(vna, vmir, rnf, tna, ti) -> tuple[Fraction, Fraction]:

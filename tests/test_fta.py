@@ -121,14 +121,13 @@ class TestValidation:
         with pytest.raises(FtaError):
             HumanFactors(**{name: value})
 
-    @pytest.mark.parametrize("name,value", [("a", -0.01), ("o", 1.01)])
+    @pytest.mark.parametrize("name,value", [("n", -0.01), ("o", 1.01)])
     def test_event_out_of_range(self, name, value):
         with pytest.raises(FtaError):
             BasicEvents(**{name: value})
 
     def test_event_defaults(self):
         ev = BasicEvents()
-        assert (ev.a, ev.f, ev.m) == (0.16, 0.317, 0.0001)
         assert (ev.n, ev.o) == (0.17, 0.35)
 
     def test_sweep_rejects_unknown_factor(self):

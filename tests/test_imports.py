@@ -12,7 +12,10 @@ declared.  The scenario loader reads no plan class's defaults, and only its
 ``_field`` turns a broken rule into a ScenarioError.  Outside ``phy``, only
 ``airspace.decode_reception`` reads a frame detector or demodulator, so the
 channel and the loss sweep share one detect-and-decode path, and ``harness``
-names no channel class.
+names no channel class.  Within ``tcas`` only ``resolve`` reads the
+advisory thresholds, so the advisory rule has one home; outside it only
+``attacker`` imports and reads one, ``TAU_TA_S``, as its threat
+declaration models the victim's TA gate.
 
 The repository runs no linter, so this stands in for those rules.
 """
@@ -309,6 +312,44 @@ def test_modem_breaches_are_found():
               "ppm_frame_detector = 1\n")
     assert name_reads(source, MODEM_RECEIVERS) == [(1, None), (4, "decode_reception"),
                                                    (8, "C")]
+
+
+THRESHOLDS = {"TAU_TA_S", "TAU_RA_S", "ALT_GATE_TA_FT", "ALT_GATE_RA_FT"}
+# the one reader outside the rule: an import and a read of the TA tau gate
+THRESHOLD_READS_ALLOWED = {"attacker": [(None, "TAU_TA_S"), ("Attacker", "TAU_TA_S")]}
+
+
+def threshold_reads(source: str) -> list[tuple[int, str | None, str]]:
+    """(line, top-level def or class holding it, name) of each read,
+    attribute or import of an advisory threshold; the assignment that
+    defines one is not a read."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for n in ast.walk(top):
+            name = (n.id if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+                    else n.attr if isinstance(n, ast.Attribute)
+                    else n.name if isinstance(n, ast.alias) else None)
+            if name in THRESHOLDS:
+                found.append((n.lineno, owner, name))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_advisory_rule_reads_the_thresholds(path):
+    reads = [(owner, name) for _, owner, name in threshold_reads(path.read_text())
+             if not (path.stem == "tcas" and owner == "resolve")]
+    assert reads == THRESHOLD_READS_ALLOWED.get(path.stem, [])
+
+
+def test_threshold_breaches_are_found():
+    source = ("TAU_RA_S = 35.0\nfrom .tcas import TAU_TA_S, ALT_GATE_TA_FT\n"
+              "def resolve(tau):\n    return tau <= TAU_RA_S\n"
+              "class Aircraft:\n    def gate(self, gap):\n"
+              "        return gap <= tcas.ALT_GATE_RA_FT\nLIMIT = TAU_RA_S * 2\n")
+    assert threshold_reads(source) == [(2, None, "TAU_TA_S"), (2, None, "ALT_GATE_TA_FT"),
+                                       (4, "resolve", "TAU_RA_S"),
+                                       (7, "Aircraft", "ALT_GATE_RA_FT"), (8, None, "TAU_RA_S")]
 
 
 def test_rule_breaches_are_found():

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tcassim import airspace, harness, modes_codec as codec, scenario as scen, tcas
 
+import logdiff
 import oracles
 
 
@@ -231,6 +233,43 @@ class TestThreatLogic:
         for rec in after:
             frame = codec.ModeSFrame.from_hex(rec.frame_hex, codec.UPLINK)
             assert frame.format_code == codec.UF_SURVEILLANCE_LONG
+
+
+ALTITUDES = st.floats(0.0, float(codec.ALTITUDE_MAX_FT))  # the codec's whole range
+
+
+@st.composite
+def _rule_inputs(draw):
+    """Arguments of ``tcas.resolve``, some intruders within 1,500 ft of own
+    altitude and some taus under a minute so that the gates are often met,
+    and some taus infinite."""
+    own = draw(ALTITUDES)
+    intruder = draw(st.one_of(ALTITUDES, st.floats(-1_500.0, 1_500.0).map(
+        lambda d: min(max(own + d, 0.0), float(codec.ALTITUDE_MAX_FT)))))
+    tau = draw(st.one_of(st.floats(0.0, 60.0), st.floats(0.0, math.inf), st.just(math.inf)))
+    return (draw(st.booleans()), own, intruder, tau, draw(st.sampled_from(range(4))),
+            draw(st.booleans()))
+
+
+class TestAdvisoryRule:
+    @settings(max_examples=2_000, deadline=None)
+    @given(args=_rule_inputs())
+    @example(args=(True, 10_000.0, 10_000.0, 35.0, 0, False))  # tau on the RA gate
+    @example(args=(True, 10_000.0, 10_000.0, math.nextafter(35.0, math.inf), 0, False))
+    @example(args=(True, 10_000.0, 10_000.0, 48.0, 0, False))  # tau on the TA gate
+    @example(args=(True, 10_000.0, 10_000.0, math.nextafter(48.0, math.inf), 0, False))
+    @example(args=(True, 10_600.0, 10_000.0, 30.0, 0, False))  # 600 ft apart: an RA
+    @example(args=(True, 9_400.0, 10_000.0, 30.0, 0, False))
+    @example(args=(True, 10_000.0, 11_200.0, 30.0, 0, False))  # 1,200 ft apart: a TA
+    @example(args=(True, 10_000.0, 8_800.0, 47.0, 2, False))
+    @example(args=(True, 10_000.0, 10_000.0, 30.0, 0, False))  # coaltitude: climb
+    # a descend limit of -400 ft, below the codec's range (ROADMAP item 3)
+    @example(args=(True, 150.0, 200.0, 30.0, 0, False))
+    @example(args=(False, 10_000.0, 10_000.0, 30.0, 0, False))  # no new RA: a TA
+    @example(args=(False, 10_000.0, 30_000.0, math.inf, 1, True))  # latched: no gates
+    @example(args=(True, 10_000.0, 10_100.0, 30.0, 3, False))
+    def test_matches_the_literal_table(self, args):
+        assert tcas.resolve(*args) == oracles.reference_advisory(*args)
 
 
 class TestCoordination:
@@ -773,18 +812,26 @@ def _edge_head_on(north_ft: float, south_ft: float) -> dict:
                                                 ("south", "A40002", -4.0, south_ft)]]}
 
 
-@pytest.mark.parametrize("north_ft,south_ft,time_ns,why", [
-    (200.0, 250.0, 26537022103, "altitude below encodable range"),
-    (204_500.0, 204_450.0, 30537017992, "altitude above encodable range")],
-    ids=["floor", "ceiling"])
-def test_an_advisory_past_the_codecs_altitude_range_fails_the_run(north_ft, south_ft,
-                                                                   time_ns, why):
+@pytest.mark.parametrize("document,failure", [
+    (_edge_head_on(200.0, 250.0), "deliver from south to north at time_ns=26537022103: "
+     "altitude below encodable range: -0.9205765250000013"),
+    (_edge_head_on(204_500.0, 204_450.0), "deliver from south to north at time_ns=30537017992: "
+     "altitude above encodable range: 204800.92047375"),
+    (logdiff.phantom(179), "timer 'squitter' of victim at time_ns=108000000000: "
+     "altitude below encodable range: -0.7999467004121925"),
+    (logdiff.phantom(185), "timer 'squitter' of victim at time_ns=38000000000: "
+     "altitude below encodable range: -2.905867233745198"),
+    (logdiff.phantom(308), "deliver from ground to victim at time_ns=77500104901: "
+     "altitude below encodable range: -0.004608521265140553")],
+    ids=["floor", "ceiling", "phantom179", "phantom185", "phantom308"])
+def test_an_advisory_past_the_codecs_altitude_range_fails_the_run(document, failure):
     """A known defect, pinned so that it stays in sight: the RA's limit
     ignores the codec's 0 to 204,775 ft range, the pilot flies past it, and
-    the next reply cannot encode its altitude.  ROADMAP item 3, which adds
-    the low-altitude and ceiling inhibits, turns this into a test that
-    both runs complete."""
-    with pytest.raises(airspace.SimError,
-                       match=f"^deliver from south to north at time_ns={time_ns}: {why}: ") as info:
-        harness.simulate(scen.load_scenario(_edge_head_on(north_ft, south_ft)))
+    the next squitter or reply cannot encode its altitude.  The phantom
+    cases are draws of the ``tests/logdiff.py`` census; in the last, the
+    victim's reply to the attacker fails.  ROADMAP item 3, which adds the
+    low-altitude and ceiling inhibits, turns this into a test that every
+    run completes."""
+    with pytest.raises(airspace.SimError, match=f"^{re.escape(failure)}$") as info:
+        harness.simulate(scen.load_scenario(document))
     assert isinstance(info.value.__cause__, codec.CodecError)
