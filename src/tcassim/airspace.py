@@ -392,9 +392,9 @@ def read_event_log(path) -> EventLog:
             # surrogates are not digits, so isdigit admits only 0-9
             if not time_text.isdigit() or time_text[0] == "0" and time_text != "0":
                 raise _malformed(line)
-            try:
+            try:  # too many digits for an int64, or for int() itself
                 times.append(int(time_text))
-            except OverflowError:
+            except (OverflowError, ValueError):
                 raise _malformed(line) from None
             tails.append(index)
     return log
@@ -468,8 +468,13 @@ def transmission(frame: codec.ModeSFrame) -> tuple[np.ndarray, bytes | None]:
     return samples, bits.tobytes() if intact else None
 
 
+# what a receiver makes of one reception: the frame and its detected
+# preamble time, or None
+Reception = tuple[codec.ModeSFrame, int] | None
+
+
 def decode_reception(frame: codec.ModeSFrame, sent: bytes | None, noisy: np.ndarray,
-                     deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
+                     deliver_time_ns: int) -> Reception | list[Reception]:
     """What a receiver makes of ``noisy``, the samples of ``transmission(frame)``
     with noise added, where the clean frame would arrive at ``deliver_time_ns``.
 
@@ -479,6 +484,11 @@ def decode_reception(frame: codec.ModeSFrame, sent: bytes | None, noisy: np.ndar
     bits equal ``sent`` is the sent frame itself; any other is truncated to
     its header's length.  Bit errors surface later as parity failures at the
     consumer.
+
+    ``noisy`` may also be a 2-D block whose rows are receptions of the
+    frame, such as ``phy.awgn`` gives at several SNRs.  The block is
+    correlated and detected in one call, and the result is a list with, per
+    row, what that row alone would give.
     """
     downlink = frame.direction == codec.DOWNLINK
     # phy functions are looked up per call so instrumentation that wraps
@@ -487,25 +497,32 @@ def decode_reception(frame: codec.ModeSFrame, sent: bytes | None, noisy: np.ndar
         detect, chip_ns = phy.ppm_frame_detect, phy.PPM_CHIP_NS
     else:
         detect, chip_ns = phy.dbpsk_frame_detect, phy.DBPSK_CHIP_NS
-    # bits are decided one by one, so cutting to the header's length
-    # equals demodulating exactly that many bits.  A detection leaves room
-    # for a short frame behind its preamble, so neither demodulator raises.
-    for det in detect(noisy):
-        if downlink:  # every bit that fits behind the preamble
-            fit = (noisy.size - det.offset - phy.PPM_PREAMBLE.size) // 2
-            bits = phy.ppm_demodulate(noisy, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
-        else:  # up to 112 bits after the sync reversal
-            bits = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset))
-        if sent is not None and bits[:frame.nbits].tobytes() == sent:
-            rx_frame = frame  # an intact copy shares the sent frame's decode and hex
-        else:  # any other frame differs from the sent one
-            need = _header_length(bits, frame.direction)
-            if need is None or bits.size < need:
-                continue
-            rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
-        # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
-        return rx_frame, deliver_time_ns + (det.offset - LEAD_PAD) * chip_ns
-    return None
+
+    def received(samples: np.ndarray, detections: list[phy.FrameDetection]) -> Reception:
+        # bits are decided one by one, so cutting to the header's length
+        # equals demodulating exactly that many bits.  A detection leaves
+        # room for a short frame behind its preamble, so neither
+        # demodulator raises.
+        for det in detections:
+            if downlink:  # every bit that fits behind the preamble
+                fit = (samples.size - det.offset - phy.PPM_PREAMBLE.size) // 2
+                bits = phy.ppm_demodulate(samples, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
+            else:  # up to 112 bits after the sync reversal
+                bits = phy.dbpsk_demodulate(samples, phy.sync_offset_of(det.offset))
+            if sent is not None and bits[:frame.nbits].tobytes() == sent:
+                rx_frame = frame  # an intact copy shares the sent frame's decode and hex
+            else:  # any other frame differs from the sent one
+                need = _header_length(bits, frame.direction)
+                if need is None or bits.size < need:
+                    continue
+                rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
+            # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
+            return rx_frame, deliver_time_ns + (det.offset - LEAD_PAD) * chip_ns
+        return None
+
+    if noisy.ndim == 1:
+        return received(noisy, detect(noisy))
+    return [received(*row) for row in zip(noisy, detect(noisy))]
 
 
 class AwgnChannel:

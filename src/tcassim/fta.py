@@ -225,6 +225,6 @@ def sweep_to_csv(sweep: Sweep) -> str:
     cells += [[f"{value:.10g}"] * len(sweep) for value in (sweep.events.n, sweep.events.o)]
     cells += [_format_column(column) for column in (
         rep.p_unresolved, rep.p_induced, rep.p_top_sum, rep.p_top_published, rep.risk_ratio)]
-    cells.append([";".join(flags) for flags in rep.flags])
+    cells.append(map(";".join, rep.flags))
     # no cell holds a comma, quote or newline, so no cell needs CSV quoting
-    return "".join([",".join(row) + "\n" for row in (SWEEP_COLUMNS, *zip(*cells))])
+    return "\n".join([",".join(SWEEP_COLUMNS), *map(",".join, zip(*cells)), ""])

@@ -261,16 +261,17 @@ def loss_sweep(scenario: Scenario, snr_list: list[float],
                corpus_size: int = 600) -> list[LossPoint]:
     """Frame loss through the modem chain at each SNR, smallest first.
 
-    One pass over the corpus, with no channel: frame k is modulated once,
-    then received at every SNR, +inf (exact zero noise) included, each time
-    on noise stream k + 1 of the sweep's noise seed, the stream an
-    ``AwgnChannel`` with that seed draws for its reception k + 1, and
-    decoded by ``decode_reception``, as the channel's receptions are.  So
-    each point is what a fresh channel receiving the corpus in order gives,
-    frame k takes the same draws at every SNR, and the loss column is
-    monotone in substance.  An SNR with no finite noise power (a
-    ``phy.PhyError``) or an empty corpus is a ValueError, raised before any
-    frame is received.
+    One pass over the corpus, with no channel: frame k is modulated once
+    and received once for all the SNRs, +inf (exact zero noise) included.
+    ``phy.awgn`` scales one draw from noise stream k + 1 of the sweep's
+    noise seed, the stream an ``AwgnChannel`` with that seed draws for its
+    reception k + 1, into one row per SNR, each row bit for bit that
+    channel's noisy samples, and ``decode_reception`` decodes the block, each
+    row as the channel's receptions are.  So each point is what a fresh
+    channel receiving the corpus in order gives, frame k takes the same
+    draws at every SNR, and the loss column is monotone in substance.  An
+    SNR with no finite noise power (a ``phy.PhyError``) or an empty corpus
+    is a ValueError, raised before any frame is received.
     """
     if corpus_size < 1:
         raise ValueError(f"corpus size must be at least 1, got {corpus_size}")
@@ -287,9 +288,8 @@ def loss_sweep(scenario: Scenario, snr_list: list[float],
     lost = [0] * len(snrs)
     for i, (sent, stream) in enumerate(zip(frames, noise_streams(noise_seed))):
         samples, sent_bits = transmission(sent)
-        for j, snr_db in enumerate(snrs):
-            noisy = phy.awgn(samples, snr_db, noise.set_state(rng, stream))
-            got = decode_reception(sent, sent_bits, noisy, i * spacing_ns)
+        noisy = phy.awgn(samples, snrs, noise.set_state(rng, stream))  # one row per SNR
+        for j, got in enumerate(decode_reception(sent, sent_bits, noisy, i * spacing_ns)):
             # a frame counts only if it arrived and decoded to exactly the bits sent
             if got is None or got[0] != sent:
                 lost[j] += 1

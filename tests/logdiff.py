@@ -11,9 +11,15 @@ keeps its error text, a run that raises keeps its error text and the
 sha256 of its partial log (``SimError.records``), and a clean run keeps
 its log and report sha256.  The script prints every encounter whose
 outcome differs between the two trees, then per tree how many loaded, ran
-clean and failed part-way, and how many reach each of ``REACHED``.  It
-exits 1 when any encounter differs.  Pytest does not collect this file,
-as its name does not start with ``test_``.
+clean and failed part-way, and how many reach each of ``REACHED``.
+
+A change to the modem moves few census logs, as only every fourth traffic
+encounter is noisy, so each tree also runs ``harness.loss_sweep`` for each
+of ``LOSS_SEEDS`` over ``LOSS_SNRS_DB`` (-3 to 30 dB in 1.5 dB steps, and
+noiseless) and a corpus of ``LOSS_CORPUS`` frames, and the script prints
+every seed whose lost counts differ.  It exits 1 when any encounter or
+loss count differs.  Pytest does not collect this file, as its name does
+not start with ``test_``.
 
 Encounter i is drawn from ``random.Random(i)``.  The first ``CENSUS_SIZE``
 are traffic: 2-4 aircraft 3-9 nmi out on random bearings, flying at the
@@ -42,6 +48,9 @@ CENSUS_SIZE = 160  # traffic encounters
 PHANTOM_DRAWS = 160
 FLOOD_DRAWS = 40
 TOTAL = CENSUS_SIZE + PHANTOM_DRAWS + FLOOD_DRAWS
+LOSS_SEEDS = (0, 1, 2)
+LOSS_SNRS_DB = [-3.0 + 1.5 * k for k in range(23)] + [math.inf]
+LOSS_CORPUS = 600
 # what an encounter can reach, each read from a log outcome
 REACHED = {
     "clear_of_conflict": lambda outcome: outcome == "ra_cleared;clear_of_conflict",
@@ -173,14 +182,29 @@ def outcome(i: int) -> dict:
             "reached": _reached(result.records)}
 
 
+def loss_counts(seed: int) -> list[int]:
+    """The frames lost at each of ``LOSS_SNRS_DB`` by the ``loss_sweep`` on
+    the import path, for a scenario of this seed."""
+    from tcassim import harness, scenario
+
+    loaded = scenario.load_scenario({
+        "schema_version": 1, "name": f"loss{seed}", "duration_s": 1.0, "seed": seed,
+        "channel": {"kind": "awgn", "snr_db": 12.0},
+        "aircraft": [_aircraft("probe", 0xA20000, "xpdr", (0.0, 0.0, 10_000.0), (0.0, 0.0, 0.0))]})
+    return [point.lost for point in harness.loss_sweep(loaded, LOSS_SNRS_DB, LOSS_CORPUS)]
+
+
 def run_census() -> None:
     """Run the census with the ``tcassim`` on the import path; print where
-    it was imported from, then one JSON line per encounter."""
+    it was imported from, then one JSON line per encounter and one per loss
+    seed."""
     import tcassim
 
     print(json.dumps(tcassim.__file__))
     for i in range(TOTAL):
         print(json.dumps(outcome(i), sort_keys=True), flush=True)
+    for seed in LOSS_SEEDS:
+        print(json.dumps(loss_counts(seed)), flush=True)
 
 
 def _start(src: Path) -> subprocess.Popen:
@@ -189,13 +213,14 @@ def _start(src: Path) -> subprocess.Popen:
                             env=env, stdout=subprocess.PIPE, text=True)
 
 
-def _collect(src: Path, proc: subprocess.Popen, out: str) -> list:
+def _collect(src: Path, proc: subprocess.Popen, out: str) -> tuple[list, list]:
+    """A tree's encounter outcomes and its loss counts per seed."""
     if proc.returncode != 0:
         sys.exit(f"{src}: the census exited {proc.returncode}")
     imported, *rows = [json.loads(line) for line in out.splitlines()]
     if not Path(imported).resolve().is_relative_to(src):
         sys.exit(f"{src}: tcassim was imported from {imported}")
-    return rows
+    return rows[:TOTAL], rows[TOTAL:]
 
 
 def main(argv: list[str]) -> int:
@@ -204,7 +229,7 @@ def main(argv: list[str]) -> int:
     trees = [Path(arg).resolve() for arg in argv]
     procs = [_start(src) for src in trees]  # the two trees run side by side
     outs = [proc.communicate()[0] for proc in procs]
-    old, new = (_collect(*run) for run in zip(trees, procs, outs))
+    (old, old_lost), (new, new_lost) = (_collect(*run) for run in zip(trees, procs, outs))
     differ = 0
     for i, (a, b) in enumerate(zip(old, new)):
         parts = [key for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
@@ -222,7 +247,14 @@ def main(argv: list[str]) -> int:
         print(f"reach {name}: " + ", ".join(
             f"{sum(name in row.get('reached', ()) for row in rows)} in {src}"
             for src, rows in zip(trees, (old, new))))
-    return 1 if differ else 0
+    lost_differ = 0
+    for seed, a, b in zip(LOSS_SEEDS, old_lost, new_lost):
+        if a != b:
+            lost_differ += 1
+            print(f"loss_sweep seed {seed}: lost {a} and {b} differ")
+    print(f"{len(LOSS_SEEDS) - lost_differ} of {len(LOSS_SEEDS)} loss sweeps have equal "
+          f"counts ({len(LOSS_SNRS_DB)} SNRs, {LOSS_CORPUS} frames)")
+    return 1 if differ or lost_differ else 0
 
 
 if __name__ == "__main__":

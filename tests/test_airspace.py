@@ -600,6 +600,21 @@ class TestAwgnChannel:
                 got = phy.dbpsk_demodulate(noisy, phy.sync_offset_of(det.offset))
             assert got.size >= phy.MIN_PAYLOAD_BITS
 
+    # a block of one frame's receptions at several SNRs, as the loss sweep
+    # decodes it, gives per row what that row's reception alone gives
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 13), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([-5.0, 3.0, 7.5, math.inf]) | st.floats(-8, 30),
+                    min_size=1, max_size=6),
+           st.integers(0, 10**12))
+    def test_a_block_decodes_as_its_rows_one_at_a_time(self, corpus_seed, index, noise_seed,
+                                                        snrs, deliver_ns):
+        frame = harness._corpus(corpus_seed, index + 1)[index]  # every builder by index 13
+        samples, sent = airspace.transmission(frame)
+        block = phy.awgn(samples, snrs, noise_seed)
+        got = airspace.decode_reception(frame, sent, block, deliver_ns)
+        assert got == [airspace.decode_reception(frame, sent, row, deliver_ns) for row in block]
+
 
 class TestEventOrdering:
     def test_same_time_orders_by_registration_then_sequence(self):
@@ -729,6 +744,17 @@ class TestEventLog:
         path.write_text(f"1,timer,a,-,-,tick\n{time_text},timer,a,-,-,tick\n")
         with pytest.raises(airspace.SimError, match="malformed log line"):
             airspace.read_event_log(path)
+
+    # 20 digits is one more than any int64 has; 5,000 is past the length
+    # int() converts at all, which raised a bare ValueError
+    @pytest.mark.parametrize("digits", [20, 5_000])
+    def test_a_time_with_more_digits_than_an_int64_is_a_malformed_line(self, tmp_path, digits):
+        line = f"{'9' * digits},timer,a,-,-,tick"
+        path = tmp_path / "events.log"
+        path.write_text(f"1,timer,a,-,-,tick\n{line}\n")
+        with pytest.raises(airspace.SimError, match="malformed log line") as caught:
+            airspace.read_event_log(path)
+        assert repr(line) in str(caught.value)
 
     def test_the_largest_int64_time_reads_back(self, tmp_path):
         path = tmp_path / "events.log"

@@ -489,7 +489,8 @@ class TestLossSweep:
         """``sweep``'s points and what each reception decoded to, keyed by
         ``(snr_db, frame index)``: the noisy samples and the result, in call
         order, from a spy on the shared ``decode_reception``.  A reception's
-        SNR is the one ``phy.awgn`` last drew at."""
+        SNR is the one ``phy.awgn`` last drew at; a block's row j was drawn
+        at the j-th of the SNRs ``phy.awgn`` last drew the block at."""
         real_awgn, real_decode = phy.awgn, airspace.decode_reception
         drawn_at, outcomes = [], {}
 
@@ -499,8 +500,14 @@ class TestLossSweep:
 
         def decode(frame, sent, noisy, deliver_time_ns):
             got = real_decode(frame, sent, noisy, deliver_time_ns)
-            key = (drawn_at[-1], deliver_time_ns // (airspace.NS_PER_S // 1000))
-            outcomes.setdefault(key, []).append((noisy.tobytes(), got))
+            k = deliver_time_ns // (airspace.NS_PER_S // 1000)
+            if noisy.ndim == 1:
+                rows = [(drawn_at[-1], noisy, got)]
+            else:
+                assert len(drawn_at[-1]) == len(noisy) == len(got)
+                rows = zip(drawn_at[-1], noisy, got)
+            for snr_db, row, row_got in rows:
+                outcomes.setdefault((snr_db, k), []).append((row.tobytes(), row_got))
             return got
 
         scenario = dataclasses.replace(self.SCENARIO, seed=seed)
@@ -548,6 +555,19 @@ class TestLossSweep:
             monkeypatch.setattr(phy, name, lambda bits, real=real: calls.append(1) or real(bits))
         harness.loss_sweep(self.SCENARIO, snr_list, corpus_size=40)
         assert len(calls) == modulations
+
+    def test_receives_each_frame_once_at_every_snr(self, monkeypatch):
+        drawn, detected = [], []
+        real_awgn, real_ppm, real_dbpsk = phy.awgn, phy.ppm_frame_detect, phy.dbpsk_frame_detect
+        monkeypatch.setattr(phy, "awgn", lambda x, snrs, rng: drawn.append(list(snrs))
+                            or real_awgn(x, snrs, rng))
+        monkeypatch.setattr(phy, "ppm_frame_detect", lambda x: detected.append(x.shape)
+                            or real_ppm(x))
+        monkeypatch.setattr(phy, "dbpsk_frame_detect", lambda x: detected.append(x.shape)
+                            or real_dbpsk(x))
+        harness.loss_sweep(self.SCENARIO, [3.0, math.inf, -1.0, 3.0], corpus_size=40)
+        assert drawn == [[-1.0, 3.0, 3.0, math.inf]] * 40
+        assert len(detected) == 40 and all(rows == 4 for rows, _ in detected)
 
     def test_csv_rendering(self):
         points = harness.loss_sweep(self.SCENARIO, [math.inf], corpus_size=10)

@@ -11,6 +11,8 @@ absolute literals, so that a failure names the primitive that moved.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,14 @@ def test_normalized_correlation_vector():
         "0x1.4dd0806ea1508p-2", "0x1.7f34a20095d14p-6", "0x1.7fa023f1068d2p-4",
         "0x1.e1a62a68be9a5p-2", "0x1.e1a62a68be9a5p-3", "0x1.f60eab9a5d3a2p-2",
         "0x1.ffffffffffffcp-2", "0x0.0p+0"]
+
+
+def test_cumsum_along_the_last_axis_adds_each_row_left_to_right():
+    # the detector's window energies of a block of receptions come from one
+    # cumsum along its rows, written into a strided view as the detector does
+    block = _generator(STATE_B).normal(0.0, 1.0, (3, 500)) ** 2
+    out = np.empty((3, 501))
+    block.cumsum(axis=-1, out=out[:, 1:])
+    for row, got in zip(block, out[:, 1:]):
+        assert got.tobytes() == np.cumsum(row).tobytes()
+        assert got.tolist() == list(itertools.accumulate(row.tolist()))

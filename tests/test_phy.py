@@ -320,3 +320,80 @@ def test_modulators_reject_values_other_than_0_and_1(modulate, bad):
 def test_a_demodulator_refuses_a_stream_without_room(call):
     with pytest.raises(phy.PhyError):
         call()
+
+
+# -- blocks: the rows of one frame's receptions at several SNRs ----------------
+
+# SNRs a block row may take: noiseless, below 0 dB, and any twice
+BLOCK_SNRS = st.lists(st.sampled_from([math.inf, -5.0, 0.0, 12.0]) | st.floats(-10, 40),
+                      min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["real", "complex"]), st.integers(0, 300), BLOCK_SNRS,
+       st.integers(0, 2**64 - 1))
+@example("real", 40, [math.inf, -3.0, -3.0, 20.0], 0)
+@example("complex", 40, [math.inf, -3.0, -3.0, 20.0], 0)
+def test_awgn_rows_equal_scalar_awgn_from_the_same_state(kind, size, snrs, seed):
+    samples = np.random.default_rng(size).normal(0.0, 1.0, 2 * size)
+    samples = samples[:size] + 1j * samples[size:] if kind == "complex" else samples[:size]
+    samples[0::3] = 0.0  # zeros of both signs, where the sign of a zero of noise shows
+    samples[1::3] *= -0.0
+    block = phy.awgn(samples, snrs, SeedSequence([seed]))
+    assert block.shape == (len(snrs), size) and block.dtype == samples.dtype
+    for row, snr_db in zip(block, snrs):
+        assert row.tobytes() == phy.awgn(samples, snr_db, SeedSequence([seed])).tobytes()
+
+
+def test_awgn_rows_refuse_an_snr_with_no_finite_noise_power():
+    with pytest.raises(phy.PhyError, match="noise power"):
+        phy.awgn(np.zeros(4), [3.0, math.nan], 0)
+
+
+def _streams(modem: str, count: int, frames: int, word: int, snr_db: float,
+             seed: int) -> np.ndarray:
+    """``count`` noisy copies of ``frames`` frames one after another, each
+    frame one maximum frame extent behind the last, as a block."""
+    modulate = DETECTORS[modem][0]
+    clean = modulate([(word >> i) & 1 for i in range(112)])
+    gap = np.zeros(clean.size + 8, dtype=clean.dtype)
+    pad = np.zeros(airspace.LEAD_PAD, dtype=clean.dtype)
+    stream = np.concatenate([pad, *[np.concatenate([clean, gap])] * (frames - 1), clean, pad])
+    return phy.awgn(stream, [snr_db] * count, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(DETECTORS)), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 2**112 - 1), st.floats(-5, 30), st.integers(0, 2**32 - 1))
+def test_normalized_correlation_of_a_block_is_its_rows(modem, count, frames, word, snr_db,
+                                                       seed):
+    _, _, _, matched, norm, _, _ = DETECTORS[modem]
+    block = _streams(modem, count, frames, word, snr_db, seed)
+    got = phy._normalized_correlation(block, matched, norm)
+    assert got.shape[0] == count
+    for got_row, row in zip(got, block):
+        assert got_row.tobytes() == phy._normalized_correlation(row, matched, norm).tobytes()
+
+
+# one frame leaves a single possible detection per row; two or three give
+# rows with several, and a cut block gives rows too short for any
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(DETECTORS)), st.integers(1, 6), st.integers(1, 3),
+       st.integers(0, 2**112 - 1), st.floats(-5, 30), st.integers(0, 2**32 - 1),
+       st.none() | st.integers(0, 800))
+@example("ppm", 3, 3, 0, 30.0, 0, None)
+@example("dbpsk", 3, 3, 0, 30.0, 0, None)
+@example("ppm", 2, 1, 0, 30.0, 0, 20)
+def test_detecting_a_block_is_detecting_its_rows(modem, count, frames, word, snr_db, seed,
+                                                 cut):
+    detect = DETECTORS[modem][1]
+    block = _streams(modem, count, frames, word, snr_db, seed)[:, :cut]
+    got = detect(block)
+    assert got == [detect(row) for row in block]
+    if (word, snr_db, cut) == (0, 30.0, None):
+        assert [len(row) for row in got] == [frames] * count
+
+
+def test_an_empty_block_has_no_detections():
+    for modem in DETECTORS:
+        assert DETECTORS[modem][1](_streams(modem, 0, 1, 0, 10.0, 0)) == []
