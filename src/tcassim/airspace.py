@@ -464,7 +464,7 @@ def transmission(frame: codec.ModeSFrame) -> tuple[np.ndarray, bytes | None]:
     pad = np.zeros(LEAD_PAD, dtype=clean.dtype)
     samples = np.concatenate([pad, clean, pad])
     samples.flags.writeable = False
-    intact = _header_length(bits, frame.direction) == frame.nbits
+    intact = codec.frame_bit_length(frame.direction, frame.format_code) == frame.nbits
     return samples, bits.tobytes() if intact else None
 
 
@@ -478,11 +478,11 @@ def decode_reception(frame: codec.ModeSFrame, sent: bytes | None, noisy: np.ndar
     """What a receiver makes of ``noisy``, the samples of ``transmission(frame)``
     with noise added, where the clean frame would arrive at ``deliver_time_ns``.
 
-    It correlates for the preamble, demodulates at each detection in turn,
-    and returns ``(received frame, detected preamble time)`` for the first
-    one whose header decodes to a length that fits, else None.  A copy whose
-    bits equal ``sent`` is the sent frame itself; any other is truncated to
-    its header's length.  Bit errors surface later as parity failures at the
+    It correlates for the preamble, demodulates at the one detection, and
+    returns ``(received frame, detected preamble time)`` when the header
+    decodes to a length that fits, else None.  A copy whose bits equal
+    ``sent`` is the sent frame itself; any other is truncated to its
+    header's length.  Bit errors surface later as parity failures at the
     consumer.
 
     ``noisy`` may also be a 2-D block whose rows are receptions of the
@@ -503,22 +503,25 @@ def decode_reception(frame: codec.ModeSFrame, sent: bytes | None, noisy: np.ndar
         # equals demodulating exactly that many bits.  A detection leaves
         # room for a short frame behind its preamble, so neither
         # demodulator raises.
-        for det in detections:
-            if downlink:  # every bit that fits behind the preamble
-                fit = (samples.size - det.offset - phy.PPM_PREAMBLE.size) // 2
-                bits = phy.ppm_demodulate(samples, det.offset, min(fit, phy.MAX_PAYLOAD_BITS))
-            else:  # up to 112 bits after the sync reversal
-                bits = phy.dbpsk_demodulate(samples, phy.sync_offset_of(det.offset))
-            if sent is not None and bits[:frame.nbits].tobytes() == sent:
-                rx_frame = frame  # an intact copy shares the sent frame's decode and hex
-            else:  # any other frame differs from the sent one
-                need = _header_length(bits, frame.direction)
-                if need is None or bits.size < need:
-                    continue
-                rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
-            # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
-            return rx_frame, deliver_time_ns + (det.offset - LEAD_PAD) * chip_ns
-        return None
+        if not detections:
+            return None
+        offset = detections[0].offset
+        if downlink:  # every bit that fits behind the preamble
+            fit = (samples.size - offset - phy.PPM_PREAMBLE.size) // 2
+            bits = phy.ppm_demodulate(samples, offset, min(fit, phy.MAX_PAYLOAD_BITS))
+        else:  # up to 112 bits after the sync reversal
+            bits = phy.dbpsk_demodulate(samples, phy.sync_offset_of(offset))
+        if sent is not None and bits[:frame.nbits].tobytes() == sent:
+            rx_frame = frame  # an intact copy shares the sent frame's decode and hex
+        else:  # any other frame differs from the sent one
+            # the 5-bit format code packs into the top of one byte
+            code = int(np.packbits(bits[:5])[0]) >> 3
+            need = codec.frame_bit_length(frame.direction, code)
+            if need is None or bits.size < need:
+                return None
+            rx_frame = codec.ModeSFrame.from_bits(bits[:need], frame.direction)
+        # the clean frame starts LEAD_PAD samples in, at deliver_time_ns
+        return rx_frame, deliver_time_ns + (offset - LEAD_PAD) * chip_ns
 
     if noisy.ndim == 1:
         return received(noisy, detect(noisy))
@@ -558,13 +561,6 @@ class AwgnChannel:
         samples, sent = self._transmission(frame)
         noisy = phy.awgn(samples, self.snr_db, rng)
         return decode_reception(frame, sent, noisy, deliver_time_ns)
-
-
-def _header_length(bits: np.ndarray, direction: str) -> int | None:
-    code = 0
-    for b in bits[:5]:
-        code = (code << 1) | int(b)
-    return codec.frame_bit_length(direction, code)
 
 
 class World:

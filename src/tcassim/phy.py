@@ -13,9 +13,10 @@ the differentially encoded payload, and a 2-chip zero pad.
 Waveforms are plain numpy arrays at one sample per chip, real for the pulse
 modem and complex for the phase modem, so a sample index is a chip index and
 ``k`` samples last ``k`` chip periods.  Detection is normalized correlation
-against the known preamble with a 0.75 decision threshold, and reports the
-sample index where a preamble starts; turning that into a time is the
-caller's arithmetic.
+against the known preamble with a 0.75 decision threshold.  A stream is one
+reception of one frame, so a detector reports at most one preamble: the
+sample index where it starts; turning that into a time is the caller's
+arithmetic.
 
 A frame received at several SNRs is a block: ``awgn`` given a sequence of
 SNRs returns one row per SNR, and the detectors take such a 2-D block and
@@ -61,10 +62,12 @@ Detections = list[FrameDetection] | list[list[FrameDetection]]
 
 
 def _as_bit_array(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.int64).ravel()
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
+    # compared before any cast, which would truncate 0.5 to 0 and fail on
+    # NaN or 1e30 with errors of its own
+    arr = np.asarray(bits).ravel()
+    if np.count_nonzero((arr != 0) & (arr != 1)):
         raise PhyError("bits must be 0 or 1")
-    return arr
+    return arr.astype(np.int64)
 
 
 def ppm_modulate(bits) -> np.ndarray:
@@ -128,54 +131,34 @@ def _normalized_correlation(x: np.ndarray, matched: np.ndarray,
     return np.divide(dot, norm, out=np.zeros(dot.shape), where=norm > 0)
 
 
-def _strongest_peaks(corr: np.ndarray, shadow: int) -> list[FrameDetection]:
-    """One stream's detections from its correlation, which this zeroes: the
-    strongest window at or above the threshold, earliest on ties, is kept
-    and shadows ``shadow - 1`` windows on each side, until none is left.
-    When the shadow spans every window, the first kept is the only one."""
-    kept: list[int] = []
-    k = int(corr.argmax())
-    while corr[k] >= DETECTION_THRESHOLD:
-        kept.append(k)
-        if corr.size <= shadow:
-            break
-        corr[max(k - shadow + 1, 0):k + shadow] = 0.0
-        k = int(corr.argmax())
-    return [FrameDetection(k) for k in sorted(kept)]
+def _detect(samples: np.ndarray, matched: np.ndarray, template_norm: float,
+            min_tail: int) -> Detections:
+    """The strongest window of the normalized correlation, earliest on ties,
+    as the one detection when it reaches the threshold, else none.
 
-
-def _detect(samples: np.ndarray, matched: np.ndarray, template_norm: float, min_tail: int,
-            max_tail: int) -> Detections:
-    """Threshold the normalized correlation, then keep the strongest peaks.
-
+    A reception holds one frame, so its preamble is its strongest window.
     Only windows with room for a minimum-length frame behind the preamble
-    are correlated; the others could never be kept.  A kept detection
-    shadows one maximum frame extent in both directions (strongest first,
-    earliest on ties): a preamble cannot start inside a frame already being
-    received, which also suppresses the preamble's partial self-similarity
-    at a frame's tail.
+    are correlated; the others could never be kept.
 
     ``samples`` is one stream, or a 2-D block of streams of one length,
-    which is correlated in one call and gives one list of detections per
-    row.  Where the shadow spans every window, as it does for one padded
-    transmission, a row's strongest window is its only possible detection.
+    which is correlated in one call and gives one list per row.
     """
     n = matched.size
     room = samples.shape[-1] - n - min_tail  # the last window with room
     if room < 0 or samples.size == 0:
         return [] if samples.ndim == 1 else [[] for _ in samples]
-    shadow = n + max_tail
     if samples.ndim == 1:
         corr = _normalized_correlation(samples[:room + n], matched, template_norm)
-        return _strongest_peaks(corr, shadow)
+        k = int(corr.argmax())
+        return [FrameDetection(k)] if corr[k] >= DETECTION_THRESHOLD else []
     corr = _normalized_correlation(samples[:, :room + n], matched, template_norm)
-    return [_strongest_peaks(row, shadow) for row in corr]
+    return [[FrameDetection(int(k))] if row[k] >= DETECTION_THRESHOLD else []
+            for row, k in zip(corr, corr.argmax(axis=1))]
 
 
 def ppm_frame_detect(samples: np.ndarray) -> Detections:
     # the pulse template is real, so it is its own conjugate
-    return _detect(samples, PPM_PREAMBLE, PPM_PREAMBLE_NORM, MIN_PAYLOAD_BITS * 2,
-                   MAX_PAYLOAD_BITS * 2)
+    return _detect(samples, PPM_PREAMBLE, PPM_PREAMBLE_NORM, MIN_PAYLOAD_BITS * 2)
 
 
 def _dbpsk_chips(bits: np.ndarray) -> np.ndarray:
@@ -202,8 +185,7 @@ def dbpsk_modulate(bits) -> np.ndarray:
 
 
 def dbpsk_frame_detect(samples: np.ndarray) -> Detections:
-    return _detect(samples, _DBPSK_MATCHED, DBPSK_PREAMBLE_NORM, MIN_PAYLOAD_BITS + 2,
-                   MAX_PAYLOAD_BITS + 2)
+    return _detect(samples, _DBPSK_MATCHED, DBPSK_PREAMBLE_NORM, MIN_PAYLOAD_BITS + 2)
 
 
 def sync_offset_of(detection_offset: int) -> int:

@@ -162,6 +162,18 @@ def detect_offsets(samples: np.ndarray, template: np.ndarray, template_norm: flo
     return sorted(kept)
 
 
+def strongest_window(samples: np.ndarray, template: np.ndarray, template_norm: float,
+                     min_tail: int, threshold: float) -> list[int]:
+    """The one preamble start a reception gives: of the windows that leave
+    room for ``min_tail`` samples behind the template, the first with the
+    greatest correlation, if that reaches the threshold; else none."""
+    corr = normalized_correlation(samples, template, template_norm)
+    room = samples.size - template.size - min_tail
+    windows = corr[:max(room + 1, 0)].tolist()
+    best = max(windows, default=0.0)
+    return [windows.index(best)] if best >= threshold else []
+
+
 def _round_nearest(x: Fraction) -> int:
     floor = x.numerator // x.denominator
     rem = x - floor

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tcassim import airspace, harness, modes_codec as codec, scenario as scen, tcas
 
-import logdiff
+import census
 import oracles
 
 
@@ -817,18 +817,18 @@ def _edge_head_on(north_ft: float, south_ft: float) -> dict:
      "altitude below encodable range: -0.9205765250000013"),
     (_edge_head_on(204_500.0, 204_450.0), "deliver from south to north at time_ns=30537017992: "
      "altitude above encodable range: 204800.92047375"),
-    (logdiff.phantom(179), "timer 'squitter' of victim at time_ns=108000000000: "
+    (census.phantom(179), "timer 'squitter' of victim at time_ns=108000000000: "
      "altitude below encodable range: -0.7999467004121925"),
-    (logdiff.phantom(185), "timer 'squitter' of victim at time_ns=38000000000: "
+    (census.phantom(185), "timer 'squitter' of victim at time_ns=38000000000: "
      "altitude below encodable range: -2.905867233745198"),
-    (logdiff.phantom(308), "deliver from ground to victim at time_ns=77500104901: "
+    (census.phantom(308), "deliver from ground to victim at time_ns=77500104901: "
      "altitude below encodable range: -0.004608521265140553")],
     ids=["floor", "ceiling", "phantom179", "phantom185", "phantom308"])
 def test_an_advisory_past_the_codecs_altitude_range_fails_the_run(document, failure):
     """A known defect, pinned so that it stays in sight: the RA's limit
     ignores the codec's 0 to 204,775 ft range, the pilot flies past it, and
     the next squitter or reply cannot encode its altitude.  The phantom
-    cases are draws of the ``tests/logdiff.py`` census; in the last, the
+    cases are draws of the ``tests/census.py`` census; in the last, the
     victim's reply to the attacker fails.  ROADMAP item 3, which adds the
     low-altitude and ceiling inhibits, turns this into a test that every
     run completes."""
