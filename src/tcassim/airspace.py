@@ -11,12 +11,13 @@ number.  Replaying a scenario with the same seed reproduces the event log
 byte for byte.
 
 A transmit event sends one or more frames from one source at one instant:
-a TCAS unit's surveillance round is one event.  Each frame is logged and
-jam-checked over its own airtime; the receivers' ranges and delays are
-found once per event, and each delivery is its own event.  Queued one per
-frame, the round's transmits would follow each other in that order with
-nothing between them, and their deliveries are queued in the same order,
-so the grouping moves no log byte.
+a TCAS unit's surveillance round is one event.  Each frame is logged and,
+when a jam directive names its source, jam-checked over its own airtime;
+the receivers' ranges and delays are found once per event, and each
+delivery is its own event.  Queued one per frame, the round's transmits
+would follow each other in that order with nothing between them, and
+their deliveries are queued in the same order, so the grouping moves no
+log byte.
 """
 
 from __future__ import annotations
@@ -650,11 +651,11 @@ class World:
             raise error from exc
         self.time_ns = max(self.time_ns, t_end_ns)
 
-    def _jammed(self, source: Entity, t0_ns: int, t1_ns: int) -> bool:
+    def _jams_on(self, source: Entity) -> list[JamDirective]:
+        """The jam directives naming ``source``: only they can jam its frames."""
         if source.icao is None:
-            return False
-        return any(d.target_icao == source.icao and d.covers(t0_ns, t1_ns)
-                   for d in self.jam_directives)
+            return []
+        return [d for d in self.jam_directives if d.target_icao == source.icao]
 
     def _do_timer(self, entity: Entity, timer: str, data: dict) -> None:
         self.record("timer", entity.name, "-", None, timer)
@@ -662,6 +663,7 @@ class World:
 
     def _do_transmit(self, source: Entity, frames: tuple[codec.ModeSFrame, ...]) -> None:
         t_tx = self.time_ns
+        jams = self._jams_on(source)
         arrivals = None  # (arrival instant, receiver) of each receiver in range
         for frame in frames:
             destination = "*"
@@ -669,7 +671,7 @@ class World:
                 kind, overlay, recovered = codec.frame_seal(frame)
                 if kind is not None and overlay is None:
                     destination = f"{recovered:06x}"
-            if self._jammed(source, t_tx, t_tx + frame_airtime_ns(frame)):
+            if jams and any(d.covers(t_tx, t_tx + frame_airtime_ns(frame)) for d in jams):
                 self.record("transmit", source.name, destination, frame, "jammed")
                 continue
             self.record("transmit", source.name, destination, frame, "sent")

@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,12 +154,15 @@ def crc24(body_bits: Sequence[int]) -> int:
 class ModeSFrame:
     """An assembled frame: direction, bit length, and the bits as one int.
 
-    A frame is an immutable value, so its hex text and its receiver-free
-    decode (kind, fields, recovered overlay) are computed on first use and
-    kept on the frame: every receiver of one transmission and every log
-    record of it share them.  The builders hand out one shared frame per
+    A frame is an immutable value, so its hex text, its receiver-free
+    decode (kind, fields, recovered overlay) and its ``parse_frame`` result
+    for each expected address are computed on first use and kept on the
+    frame: every receiver of one transmission and every log record of it
+    share them.  A shared parse is read-only: its ``fields`` is a read-only
+    view of the frame's decode.  The builders hand out one shared frame per
     distinct value (see ``_build``), so every transmission of that value
-    shares them too.  In the package, only this module constructs frames.
+    shares them too.  A copy or a pickle carries the value alone.  In the
+    package, only this module constructs frames.
     """
 
     direction: str
@@ -193,10 +197,15 @@ class ModeSFrame:
         """Frame bits MSB first as a uint8 vector (for the modems)."""
         return np.unpackbits(np.frombuffer(self.word.to_bytes(self.nbits // 8, "big"), np.uint8))
 
-    # The hex and the decode are kept in the instance dict, which a frozen
-    # dataclass still lets us write.  This is what functools.cached_property
-    # does, without the lock it takes on every first use before Python 3.12,
-    # which costs more than the decode saves on a frame only one receiver hears.
+    # The hex, the decode and the parses are kept in the instance dict, which
+    # a frozen dataclass still lets us write.  This is what
+    # functools.cached_property does, without the lock it takes on every
+    # first use before Python 3.12, which costs more than the decode saves
+    # on a frame only one receiver hears.
+
+    def __reduce__(self) -> tuple:
+        # the caches hold read-only views, which neither pickle nor copy
+        return ModeSFrame, (self.direction, self.nbits, self.word)
 
     def to_hex(self) -> str:
         text = self.__dict__.get("_hex")
@@ -204,18 +213,19 @@ class ModeSFrame:
             text = self.__dict__["_hex"] = f"{self.word:0{self.nbits // 4}x}"
         return text
 
-    def _decode(self) -> tuple[str | None, int | None, dict[str, int], int]:
+    def _decode(self) -> tuple[str | None, int | None, Mapping[str, int], int]:
         """(kind, sealing overlay, fields, recovered overlay), where the
         recovered overlay is the CRC of the body XOR the AP tail, whoever
-        receives the frame.  Kind is None for an unsupported format code or
-        a length its format does not have."""
+        receives the frame, and the fields are a read-only view.  Kind is
+        None for an unsupported format code or a length its format does not
+        have."""
         decoded = self.__dict__.get("_decoded")
         if decoded is None:
             recovered = _crc24_word(self.body_word, self.body_nbits) ^ self.ap
             key = (self.direction, self.format_code)
             fields: dict[str, int] = {}
             if _FRAME_BITS.get(key) != self.nbits:
-                decoded = (None, None, fields, recovered)
+                decoded = (None, None, MappingProxyType(fields), recovered)
             else:
                 kind, overlay, layout = _FORMATS[key]
                 shift = self.body_nbits - 5
@@ -223,7 +233,7 @@ class ModeSFrame:
                     shift -= width
                     fields[name] = (self.body_word >> shift) & ((1 << width) - 1)
                 fields.pop("spare", None)
-                decoded = (kind, overlay, fields, recovered)
+                decoded = (kind, overlay, MappingProxyType(fields), recovered)
             self.__dict__["_decoded"] = decoded
         return decoded
 
@@ -257,7 +267,8 @@ class ParityCheck:
 
 
 def validate_icao(address: int) -> int:
-    if not isinstance(address, int) or not 0 <= address <= 0xFFFFFF:
+    """``address`` when it is an int (not a bool) that fits in 24 bits."""
+    if isinstance(address, bool) or not isinstance(address, int) or not 0 <= address <= 0xFFFFFF:
         raise CodecError(f"ICAO address must fit in 24 bits, got {address!r}")
     return address
 
@@ -402,11 +413,15 @@ def build_reply(kind: str, address: int, *, altitude_ft: float = 0,
 
 @dataclass(frozen=True)
 class DecodedFrame:
-    """Parsed frame: format identity, extracted fields, and parity verdict."""
+    """Parsed frame: format identity, extracted fields, and parity verdict.
+
+    Shared and read-only: ``parse_frame`` keeps one per frame and expected
+    address on the frame, and ``fields`` is a read-only view of the
+    frame's decode."""
 
     format_code: int
     kind: str
-    fields: dict[str, int]
+    fields: Mapping[str, int]
     parity: ParityCheck | None
 
     @property
@@ -423,11 +438,28 @@ def parse_frame(frame: ModeSFrame, expected_address: int | None = None) -> Decod
     ``expected_address`` when given.  An unrecognized format code yields
     kind ``"unknown"`` with no fields rather than an exception.
 
-    The decode is done once per frame; each call gets its own verdict for
-    its expected address and its own copy of the fields.
+    The parse is done once per frame and expected address and kept on the
+    frame, so the same call returns the same read-only DecodedFrame.  Only
+    None or an int address in 24 bits is kept: ``1.0`` and ``True`` hash
+    like ``1``, so any other argument is parsed afresh and raises, or is
+    ignored by a format that does not read it, as on a first parse.
     """
+    if expected_address is None or (type(expected_address) is int
+                                    and 0 <= expected_address <= 0xFFFFFF):
+        parses = frame.__dict__.get("_parses")
+        if parses is None:
+            parses = frame.__dict__["_parses"] = {}
+        decoded = parses.get(expected_address)
+        if decoded is None:
+            decoded = parses[expected_address] = _parse(frame, expected_address)
+        return decoded
+    return _parse(frame, expected_address)
+
+
+def _parse(frame: ModeSFrame, expected_address: object) -> DecodedFrame:
+    """``parse_frame``'s DecodedFrame, built from the frame's decode."""
     kind, overlay, _ = frame_seal(frame, expected_address)
+    fields = frame._decode()[2]
     if kind is None:
-        return DecodedFrame(frame.format_code, "unknown", {}, None)
-    parity = verify_frame(frame, overlay)
-    return DecodedFrame(frame.format_code, kind, dict(frame._decode()[2]), parity)
+        return DecodedFrame(frame.format_code, "unknown", fields, None)
+    return DecodedFrame(frame.format_code, kind, fields, verify_frame(frame, overlay))

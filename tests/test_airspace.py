@@ -351,6 +351,45 @@ class TestJamming:
         w.run_until(10**9)
         assert b.inbox == []
 
+    def test_a_world_without_jam_directives_computes_no_airtime(self, monkeypatch):
+        def refused(frame):
+            raise AssertionError("airtime computed in a world that jams nothing")
+
+        monkeypatch.setattr(airspace, "frame_airtime_ns", refused)
+        result = harness.simulate(scen.load_scenario(NOISELESS_RING))
+        outcomes = {r.outcome for r in result.records if r.kind == "transmit"}
+        assert outcomes == {"sent"}
+
+    def test_a_directive_added_between_runs_jams_only_its_targets_overlapping_frames(
+            self, monkeypatch):
+        timed = []
+        airtime = airspace.frame_airtime_ns
+
+        def timing(frame):
+            timed.append(frame)
+            return airtime(frame)
+
+        monkeypatch.setattr(airspace, "frame_airtime_ns", timing)
+        a = Probe("a", 0x000001, _state(0, 0, 0))
+        b = Probe("b", 0x000002, _state(5, 0, 0))
+        w = airspace.World()
+        w.add_entity(a)
+        w.add_entity(b)
+        frame_a, frame_b = _squitter(0x000001), _squitter(0x000002)
+        w.schedule_transmit(1_000_000, a, frame_a)
+        w.schedule_transmit(1_000_000, b, frame_b)
+        w.run_until(2_000_000)
+        assert timed == []
+        w.add_jam(airspace.JamDirective(0x000001, 5_000_000, 6_000_000))
+        for t in (4_990_000, 7_000_000):  # 64 us airtime: the first overlaps the window
+            w.schedule_transmit(t, a, frame_a)
+        w.schedule_transmit(5_500_000, b, frame_b)
+        w.run_until(10**9)
+        assert [(r.time_ns, r.source, r.outcome) for r in w.log if r.kind == "transmit"] == [
+            (1_000_000, "a", "sent"), (1_000_000, "b", "sent"), (4_990_000, "a", "jammed"),
+            (5_500_000, "b", "sent"), (7_000_000, "a", "sent")]
+        assert timed == [frame_a, frame_a]
+
 
 class TestTransmitDestination:
     """The World logs a transmit's destination from the frame's seal."""

@@ -3,6 +3,8 @@ field packing, and the flip sweeps that pin single-bit error detection."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -543,24 +545,76 @@ def test_one_frame_gives_each_expected_address_its_own_verdict(built, mask):
                         mc.ParityCheck(False, addressee)]
 
 
+BAD_ADDRESSES = (-1, 1 << 24, "3c4efa", 1.0, True)
+
+
 def test_bad_expected_address_is_still_an_error_after_a_parse():
-    frame = mc.build_interrogation("surveillance_short", 0x3C4EFA)
-    assert mc.parse_frame(frame, expected_address=0x3C4EFA).parity.passed
-    for bad in (-1, 1 << 24, "3c4efa"):
-        with pytest.raises(mc.CodecError):
-            mc.parse_frame(frame, expected_address=bad)
+    # 1.0 and True hash like 1, so a parse kept for address 1 must not answer them
+    for address in (0x3C4EFA, 1):
+        frame = mc.build_interrogation("surveillance_short", address)
+        assert mc.parse_frame(frame, expected_address=address).parity.passed
+        for bad in BAD_ADDRESSES:
+            with pytest.raises(mc.CodecError):
+                mc.parse_frame(frame, expected_address=bad)
+        assert mc.parse_frame(frame, expected_address=address).parity == mc.ParityCheck(True, address)
+
+
+def test_a_format_that_reads_no_address_ignores_a_bad_one_after_a_parse():
+    unknown = mc.ModeSFrame(mc.DOWNLINK, mc.SHORT_FRAME_BITS, 0)
+    squitter = mc.build_reply("extended_squitter", 0x3C4EFA)
+    want = {frame: mc.parse_frame(frame) for frame in (unknown, squitter)}
+    for bad in BAD_ADDRESSES:
+        assert mc.parse_frame(unknown, expected_address=bad).kind == "unknown"
+        assert mc.parse_frame(squitter, expected_address=bad) == want[squitter]
+    assert want[unknown].fields == {} and want[unknown].parity is None
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(BUILT)).flatmap(lambda key: BUILT[key]))
-def test_each_parse_returns_its_own_fields(built):
-    frame, kind, fields, overlay = built
+@given(st.sampled_from(sorted(BUILT)).flatmap(lambda key: st.tuples(st.just(key), BUILT[key])),
+       st.integers(1, 0xFFFFFF))
+def test_a_parse_is_shared_per_frame_and_address_and_read_only(case, mask):
+    key, (frame, kind, fields, overlay) = case
     first = mc.parse_frame(frame, expected_address=overlay)
-    first.fields.clear()
-    first.fields["icao"] = -1
-    second = mc.parse_frame(frame, expected_address=overlay)
-    assert second.fields == fields and second.fields is not first.fields
-    assert second.kind == kind and second.parity == mc.ParityCheck(True, overlay)
+    assert mc.parse_frame(frame, expected_address=overlay) is first
+    with pytest.raises(TypeError):
+        first.fields["icao"] = -1
+    with pytest.raises(AttributeError):
+        first.fields.clear()
+    assert first.fields == fields and first.kind == kind
+    assert first.parity == mc.ParityCheck(True, overlay)
+    # the frame's decode is intact: a parse with no address and one of a
+    # fresh copy of the frame read the same fields
+    assert mc.parse_frame(frame).fields == fields
+    assert mc.parse_frame(copy.copy(frame), expected_address=overlay) == first
+    # another address gets its own parse and, on an addressed format, its own verdict
+    other = mc.parse_frame(frame, expected_address=overlay ^ mask)
+    assert other is not first and other.fields == fields
+    assert other.parity.passed is (key in BROADCAST)
+    assert mc.parse_frame(frame, expected_address=overlay) is first
+
+
+def test_a_parsed_frame_pickles_and_copies_as_its_value():
+    frame = mc.build_reply("surveillance_long", 0x3C4EFA, altitude_ft=41_400, rac=2)
+    decoded = mc.parse_frame(frame, expected_address=0x3C4EFA)
+    for twin in (pickle.loads(pickle.dumps(frame)), copy.copy(frame), copy.deepcopy(frame)):
+        assert twin == frame and twin is not frame
+        assert mc.parse_frame(twin, expected_address=0x3C4EFA) == decoded
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc.validate_icao(True),
+    lambda: mc.validate_icao(False),
+    lambda: mc.build_interrogation("surveillance_short", True),
+    lambda: mc.build_interrogation("surveillance_long", 0x3C4EFA, sender=True),
+    lambda: mc.build_reply("all_call", True),
+    lambda: mc.build_reply("extended_squitter", False),
+    lambda: mc.verify_frame(mc.build_interrogation("surveillance_short", 1), True),
+    lambda: mc.parse_frame(mc.build_interrogation("surveillance_short", 1), expected_address=True),
+], ids=["validate-True", "validate-False", "UF4-True", "UF20-sender-True", "DF11-True",
+       "DF17-False", "verify-True", "parse-True"])
+def test_a_bool_is_not_an_address(call):
+    with pytest.raises(mc.CodecError, match="ICAO address"):
+        call()
 
 
 def test_hex_is_formatted_once_per_frame():
