@@ -160,9 +160,10 @@ class JamDirective:
 class LogRecord(NamedTuple):
     """One line of the event log.
 
-    Fields never contain commas; ``frame_hex`` is "-" for non-frame events.
-    An immutable named tuple: what an ``EventLog`` yields and takes, built
-    only when a record is read, as a log holds its records as columns.
+    Fields are ASCII without commas or line breaks; ``frame_hex`` is "-"
+    for non-frame events.  An immutable named tuple: what an ``EventLog``
+    yields and takes, built only when a record is read, as a log holds its
+    records as columns.
     """
 
     time_ns: int
@@ -175,7 +176,7 @@ class LogRecord(NamedTuple):
     def to_line(self) -> str:
         text = _tail_text(self[1:])
         if text is None:
-            raise _comma_error(self)
+            raise _field_error(self)
         return f"{self.time_ns}{text[:-1]}"
 
 
@@ -318,15 +319,18 @@ def _loggable(kind: str, frame_hex: str, outcome: str) -> bool:
 
 def _tail_text(tail: Tail) -> str | None:
     """``,kind,source,destination,frame_hex,outcome`` and a newline, the text
-    of a line after its time, or None when a field holds a comma."""
+    of a line after its time, or None when a field holds what the reader
+    could not give back: a comma, a line break or a character that is not
+    ASCII."""
     text = ",{},{},{},{},{}\n".format(*tail)
-    return text if text.count(",") == 5 else None
+    ok = text.isascii() and text.count(",") == 5 and text.count("\n") == 1 and "\r" not in text
+    return text if ok else None
 
 
-def _comma_error(record: LogRecord) -> SimError:
-    """The error for a record whose fields hold a comma, quoting its line."""
+def _field_error(record: LogRecord) -> SimError:
+    """The error for a record that ``_tail_text`` refuses, quoting its line."""
     line = ",".join(map(str, record))
-    return SimError(f"log fields must not contain commas: {line!r}")
+    return SimError(f"log fields must be ASCII without commas or line breaks: {line!r}")
 
 
 def _malformed(line: str) -> SimError:
@@ -347,12 +351,12 @@ def _split_line(line: str) -> tuple[str, ...]:
 def write_event_log(path, records: Sequence[LogRecord]) -> None:
     """Write the records one line each, formatted a few thousand at a time
     so that no string of the whole file is built.  Each distinct tail is
-    formatted and checked once; a tail with a comma is a SimError naming
-    its first line."""
+    formatted and checked once; a tail that ``_tail_text`` refuses is a
+    SimError naming its first line, raised before the file is opened."""
     log = records if isinstance(records, EventLog) else EventLog(records)
     texts = list(map(_tail_text, log.table))
     if None in texts:
-        raise _comma_error(next(rec for rec in log if _tail_text(rec[1:]) is None))
+        raise _field_error(next(rec for rec in log if _tail_text(rec[1:]) is None))
     with open(path, "w", encoding="ascii") as fh:
         for i in range(0, len(log), 4096):
             chunk = zip(log.times[i:i + 4096], log.tails[i:i + 4096])
@@ -433,8 +437,8 @@ WAVEFORM_CACHE_FRAMES = 128
 LEAD_PAD = 16  # silent samples around the frame so detection is honest
 # Noise streams whose generator states are hashed at a time, about 150 kB
 # of states.  Sized for one long world such as ring_awgn, where a larger
-# block costs a little less per state; loss_sweep reads one stream per
-# corpus frame through the same blocks, so it never holds a state per frame.
+# block costs a little less per state; loss_sweep's channel reads one
+# stream per corpus frame, so it never holds a state per frame.
 NOISE_BLOCK = 1024
 
 
@@ -540,14 +544,20 @@ class AwgnChannel:
     ``(received frame, detected preamble time)``, or None when detection
     or header decoding fails.
 
+    ``snr_db`` may also be a sequence of SNRs, as ``loss_sweep`` gives.
+    Then ``phy.awgn`` scales one draw into one row per SNR and a reception
+    is a list with, per SNR, what a channel of that SNR alone and the same
+    seed gives for it.
+
     Bad arguments fail when the channel is built, not at its first
     reception: an SNR with no finite noise power is a ``PhyError``, and a
     seed that is not a non-negative integer a ``ValueError`` or
     ``TypeError``.
     """
 
-    def __init__(self, snr_db: float, seed: int):
-        phy.noise_power(snr_db)
+    def __init__(self, snr_db: float | Sequence[float], seed: int):
+        for snr in np.atleast_1d(snr_db).tolist():
+            phy.noise_power(snr)
         self.snr_db = snr_db
         self.seed = seed
         # per instance, so a fresh channel starts empty; it wraps a module
@@ -557,7 +567,7 @@ class AwgnChannel:
         self._streams = noise_streams(seed)
 
     def receive(self, frame: codec.ModeSFrame,
-                deliver_time_ns: int) -> tuple[codec.ModeSFrame, int] | None:
+                deliver_time_ns: int) -> Reception | list[Reception]:
         rng = noise.set_state(self._rng, next(self._streams))
         samples, sent = self._transmission(frame)
         noisy = phy.awgn(samples, self.snr_db, rng)

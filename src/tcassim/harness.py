@@ -25,11 +25,10 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from . import fta, noise, phy
+from . import fta
 from . import modes_codec as codec
-from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, EventLog, LogRecord,
-                       decode_reception, noise_streams, note, parse_note,
-                       transmission)
+from .airspace import (LOSS_OUTCOMES, NOTE_READS, NS_PER_S, AwgnChannel, EventLog, LogRecord,
+                       note, parse_note)
 from .attacker import MISSION_PHANTOM, phantom_address
 from .scenario import SUCCESS_PREDICATES, Scenario, build_world
 from .tcas import nmac_intervals
@@ -261,35 +260,26 @@ def loss_sweep(scenario: Scenario, snr_list: list[float],
                corpus_size: int = 600) -> list[LossPoint]:
     """Frame loss through the modem chain at each SNR, smallest first.
 
-    One pass over the corpus, with no channel: frame k is modulated once
-    and received once for all the SNRs, +inf (exact zero noise) included.
-    ``phy.awgn`` scales one draw from noise stream k + 1 of the sweep's
-    noise seed, the stream an ``AwgnChannel`` with that seed draws for its
-    reception k + 1, into one row per SNR, each row bit for bit that
-    channel's noisy samples, and ``decode_reception`` decodes the block, each
-    row as the channel's receptions are.  So each point is what a fresh
-    channel receiving the corpus in order gives, frame k takes the same
-    draws at every SNR, and the loss column is monotone in substance.  An
-    SNR with no finite noise power (a ``phy.PhyError``) or an empty corpus
-    is a ValueError, raised before any frame is received.
+    One ``AwgnChannel`` built with all the SNRs and the sweep's noise seed
+    receives the corpus in order, frame k 1 ms after frame k - 1, once for
+    all the SNRs, +inf (exact zero noise) included.  So each point is what
+    a channel of that SNR alone gives, frame k takes the same draws at
+    every SNR, and the loss column is monotone in substance.  An SNR with
+    no finite noise power (a ``phy.PhyError``) or an empty corpus is a
+    ValueError, raised before any frame is received.
     """
     if corpus_size < 1:
         raise ValueError(f"corpus size must be at least 1, got {corpus_size}")
-    for snr_db in snr_list:
-        phy.noise_power(snr_db)
     snrs = sorted(snr_list)
     if not snrs:
         return []
-    frames = _corpus(scenario.seed, corpus_size)
     noise_seed = int(np.random.SeedSequence([scenario.seed, 0x51EE]).generate_state(1)[0])
+    channel = AwgnChannel(snrs, noise_seed)
     spacing_ns = NS_PER_S // 1000  # 1 ms apart; airtimes are two decades shorter
-    rng = np.random.Generator(np.random.PCG64(0))
 
     lost = [0] * len(snrs)
-    for i, (sent, stream) in enumerate(zip(frames, noise_streams(noise_seed))):
-        samples, sent_bits = transmission(sent)
-        noisy = phy.awgn(samples, snrs, noise.set_state(rng, stream))  # one row per SNR
-        for j, got in enumerate(decode_reception(sent, sent_bits, noisy, i * spacing_ns)):
+    for k, sent in enumerate(_corpus(scenario.seed, corpus_size)):
+        for j, got in enumerate(channel.receive(sent, k * spacing_ns)):  # one per SNR
             # a frame counts only if it arrived and decoded to exactly the bits sent
             if got is None or got[0] != sent:
                 lost[j] += 1

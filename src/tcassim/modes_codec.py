@@ -254,7 +254,7 @@ class ModeSFrame:
         return cls(direction, low.size, word)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParityCheck:
     """Outcome of AP validation.
 
@@ -411,7 +411,7 @@ def build_reply(kind: str, address: int, *, altitude_ft: float = 0,
                   rac=rac, ra_active=ra_active)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedFrame:
     """Parsed frame: format identity, extracted fields, and parity verdict.
 
@@ -438,28 +438,21 @@ def parse_frame(frame: ModeSFrame, expected_address: int | None = None) -> Decod
     ``expected_address`` when given.  An unrecognized format code yields
     kind ``"unknown"`` with no fields rather than an exception.
 
-    The parse is done once per frame and expected address and kept on the
-    frame, so the same call returns the same read-only DecodedFrame.  Only
-    None or an int address in 24 bits is kept: ``1.0`` and ``True`` hash
-    like ``1``, so any other argument is parsed afresh and raises, or is
-    ignored by a format that does not read it, as on a first parse.
+    An expected address that is not None must pass ``validate_icao``, on
+    every format, whether or not it reads the address.  The parse is done
+    once per frame and expected address and kept on the frame, so the same
+    call returns the same read-only DecodedFrame.
     """
-    if expected_address is None or (type(expected_address) is int
-                                    and 0 <= expected_address <= 0xFFFFFF):
-        parses = frame.__dict__.get("_parses")
-        if parses is None:
-            parses = frame.__dict__["_parses"] = {}
-        decoded = parses.get(expected_address)
-        if decoded is None:
-            decoded = parses[expected_address] = _parse(frame, expected_address)
-        return decoded
-    return _parse(frame, expected_address)
-
-
-def _parse(frame: ModeSFrame, expected_address: object) -> DecodedFrame:
-    """``parse_frame``'s DecodedFrame, built from the frame's decode."""
-    kind, overlay, _ = frame_seal(frame, expected_address)
-    fields = frame._decode()[2]
-    if kind is None:
-        return DecodedFrame(frame.format_code, "unknown", fields, None)
-    return DecodedFrame(frame.format_code, kind, fields, verify_frame(frame, overlay))
+    if expected_address is not None:
+        validate_icao(expected_address)
+    parses = frame.__dict__.get("_parses")
+    if parses is None:
+        parses = frame.__dict__["_parses"] = {}
+    decoded = parses.get(expected_address)
+    if decoded is None:
+        kind, overlay, _ = frame_seal(frame, expected_address)
+        fields = frame._decode()[2]
+        parity = None if kind is None else verify_frame(frame, overlay)
+        decoded = parses[expected_address] = DecodedFrame(frame.format_code, kind or "unknown",
+                                                          fields, parity)
+    return decoded

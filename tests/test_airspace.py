@@ -615,6 +615,28 @@ class TestAwgnChannel:
         with pytest.raises(error):
             airspace.AwgnChannel(snr_db, seed)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -4000.0], ids=["nan", "minus-inf",
+                                                                        "overflows"])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_a_bad_snr_anywhere_in_a_list_fails_when_the_channel_is_built(self, bad, at):
+        snrs = [12.0, math.inf, 12.0]
+        snrs.insert(at, bad)
+        with pytest.raises(phy.PhyError):
+            airspace.AwgnChannel(snrs, 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(1, 30),
+           st.lists(st.sampled_from([0.0, 7.5, 12.0]) | st.floats(-5, 30), min_size=1,
+                    max_size=4))
+    def test_a_channel_of_several_snrs_is_one_channel_per_snr(self, seed, corpus_seed, size,
+                                                              drawn):
+        snrs = [*drawn, math.inf, drawn[0]]  # always an inf row and a duplicate
+        several = airspace.AwgnChannel(snrs, seed)
+        singles = [airspace.AwgnChannel(snr_db, seed) for snr_db in snrs]
+        for k, frame in enumerate(harness._corpus(corpus_seed, size)):
+            want = [channel.receive(frame, k * 1_000_000) for channel in singles]
+            assert several.receive(frame, k * 1_000_000) == want
+
     # decode_reception demodulates at every detection without a guard:
     # a detection leaves room for a short frame behind its preamble
     @settings(max_examples=200, deadline=None)
@@ -862,6 +884,21 @@ class TestEventLog:
         with pytest.raises(airspace.SimError) as info:
             airspace.write_event_log(tmp_path / "events.log", [good, bad, good])
         assert repr(line) in str(info.value)
+        with pytest.raises(airspace.SimError) as info:
+            bad.to_line()
+        assert repr(line) in str(info.value)
+
+    @pytest.mark.parametrize("text", ["\u00e9", "\n", "\r"], ids=["non-ascii", "lf", "cr"])
+    @pytest.mark.parametrize("field", ["kind", "source", "destination", "frame_hex", "outcome"])
+    def test_what_the_reader_cannot_read_back_is_rejected_on_write(self, tmp_path, field, text):
+        good = airspace.LogRecord(1, "deliver", "a", "b", "8d4840d6", "known")
+        bad = good._replace(**{field: f"kno{text}wn"})
+        line = ",".join(map(str, bad))
+        path = tmp_path / "events.log"
+        with pytest.raises(airspace.SimError) as info:
+            airspace.write_event_log(path, [good, bad, good])
+        assert repr(line) in str(info.value)
+        assert not path.exists()  # refused before the file is opened
         with pytest.raises(airspace.SimError) as info:
             bad.to_line()
         assert repr(line) in str(info.value)

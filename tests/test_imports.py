@@ -10,9 +10,11 @@ generation alone, as an entity holds the plan the timer acts on, and no
 ``or`` falls back to a default plan, as plans default where they are
 declared.  The scenario loader reads no plan class's defaults, and only its
 ``_field`` turns a broken rule into a ScenarioError.  Outside ``phy``, only
-``airspace.decode_reception`` reads a frame detector or demodulator, so the
-channel and the loss sweep share one detect-and-decode path, and ``harness``
-names no channel class.  Within ``tcas`` only ``resolve`` reads the
+``airspace.decode_reception`` reads a frame detector or demodulator, so
+every reception takes one detect-and-decode path.  ``harness`` knows
+nothing of the modem: the loss sweep receives through one ``AwgnChannel``,
+built with all its SNRs before its frame loop, so it walks its corpus
+once.  Within ``tcas`` only ``resolve`` reads the
 advisory thresholds, so the advisory rule has one home; outside it only
 ``attacker`` imports and reads one, ``TAU_TA_S``, as its threat
 declaration models the victim's TA gate.
@@ -300,9 +302,34 @@ def test_only_decode_reception_detects_and_demodulates(path):
     assert [(line, owner) for line, owner in uses if owner not in owners] == []
 
 
-def test_harness_names_no_channel():
-    source = (Path(tcassim.__file__).parent / "harness.py").read_text()
-    assert name_reads(source, {"AwgnChannel", "NoiselessChannel"}) == []
+HARNESS = Path(tcassim.__file__).parent / "harness.py"
+MODEM_NAMES = {"noise", "phy", "transmission", "decode_reception", "noise_streams"}
+CHANNELS = {"AwgnChannel", "NoiselessChannel"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def channel_builds(source: str) -> list[tuple[int, str | None, bool]]:
+    """(line, top-level def or class holding it, whether a loop holds it) of
+    each call of a channel class."""
+    found = []
+
+    def visit(node, owner, looped):
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) in CHANNELS
+                                           or getattr(node.func, "attr", None) in CHANNELS):
+            found.append((node.lineno, owner, looped))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, looped or isinstance(node, LOOPS))
+
+    for top in ast.parse(source).body:
+        visit(top, getattr(top, "name", None), False)
+    return found
+
+
+def test_harness_receives_through_one_channel():
+    source = HARNESS.read_text()
+    assert name_reads(source, MODEM_NAMES) == []
+    assert [(owner, looped) for _, owner, looped in channel_builds(source)] == [
+        ("loss_sweep", False)]
 
 
 def test_modem_breaches_are_found():
@@ -312,6 +339,15 @@ def test_modem_breaches_are_found():
               "ppm_frame_detector = 1\n")
     assert name_reads(source, MODEM_RECEIVERS) == [(1, None), (4, "decode_reception"),
                                                    (8, "C")]
+
+
+def test_channel_breaches_are_found():
+    source = ("c = AwgnChannel(1.0, 0)\ndef sweep(frames):\n"
+              "    channel = airspace.AwgnChannel([1.0], 0)\n    for f in frames:\n"
+              "        NoiselessChannel().receive(f, 0)\n"
+              "    return [AwgnChannel(s, 0) for s in (1.0,)]\nx = AwgnChannel\n")
+    assert channel_builds(source) == [(1, None, False), (3, "sweep", False),
+                                      (5, "sweep", True), (6, "sweep", True)]
 
 
 THRESHOLDS = {"TAU_TA_S", "TAU_RA_S", "ALT_GATE_TA_FT", "ALT_GATE_RA_FT"}

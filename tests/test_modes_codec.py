@@ -559,14 +559,20 @@ def test_bad_expected_address_is_still_an_error_after_a_parse():
         assert mc.parse_frame(frame, expected_address=address).parity == mc.ParityCheck(True, address)
 
 
-def test_a_format_that_reads_no_address_ignores_a_bad_one_after_a_parse():
+def test_a_format_that_reads_no_address_refuses_a_bad_one():
     unknown = mc.ModeSFrame(mc.DOWNLINK, mc.SHORT_FRAME_BITS, 0)
-    squitter = mc.build_reply("extended_squitter", 0x3C4EFA)
-    want = {frame: mc.parse_frame(frame) for frame in (unknown, squitter)}
-    for bad in BAD_ADDRESSES:
-        assert mc.parse_frame(unknown, expected_address=bad).kind == "unknown"
-        assert mc.parse_frame(squitter, expected_address=bad) == want[squitter]
-    assert want[unknown].fields == {} and want[unknown].parity is None
+    frames = (unknown, mc.build_reply("all_call", 0x3C4EFA),
+              mc.build_reply("extended_squitter", 0x3C4EFA), mc.build_interrogation("all_call"))
+    for frame in frames:
+        for bad in BAD_ADDRESSES:  # on a first parse, of a copy that keeps none
+            with pytest.raises(mc.CodecError):
+                mc.parse_frame(copy.copy(frame), expected_address=bad)
+        want = mc.parse_frame(frame)
+        for bad in BAD_ADDRESSES:  # and after a kept one
+            with pytest.raises(mc.CodecError):
+                mc.parse_frame(frame, expected_address=bad)
+        assert mc.parse_frame(frame) is want
+    assert mc.parse_frame(unknown).fields == {} and mc.parse_frame(unknown).parity is None
 
 
 @settings(max_examples=100, deadline=None)
