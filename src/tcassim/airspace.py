@@ -271,9 +271,6 @@ NOTE_KIND = {name: kind for kind, names in NOTES.items() for name in names}
 KINDS = ("timer", "transmit", "deliver", *NOTES)
 LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed a delivery
 _FRAME_HEX = re.compile("[0-9a-f]{14}|[0-9a-f]{28}")  # a frame as ModeSFrame.to_hex writes it
-# what the report reads from a note, checked as the log is read
-NOTE_READS = {"range": lambda n: float(n.params["range"]),
-              "window": lambda n: int(n.params["until"]), "phase": lambda n: n.args[0]}
 
 
 class Note(NamedTuple):
@@ -282,22 +279,65 @@ class Note(NamedTuple):
     params: dict[str, str]
 
 
+def _read_range(parsed: Note) -> float:
+    """A range as ``tcas`` writes it: a finite float in its own ``.6f`` form."""
+    text = parsed.params["range"]
+    value = float(text)
+    if not math.isfinite(value) or f"{value:.6f}" != text:
+        raise ValueError(f"range {text!r} is not a finite float written to 6 decimals")
+    return value
+
+
+def _read_until(parsed: Note) -> int:
+    """A window's end as a log time is written: digits alone, with no
+    leading zero (the rule ``read_event_log`` checks each time by)."""
+    text = parsed.params["until"]
+    if not (text.isascii() and text.isdigit()) or text[0] == "0" and text != "0":
+        raise ValueError(f"until {text!r} is not a time in ns")
+    return int(text)
+
+
+# what the report reads from a note, checked as the log is read; each value
+# is read only in the form its writer gives it, else a ValueError
+NOTE_READS = {"range": _read_range, "window": _read_until, "phase": lambda n: n.args[0]}
+
+
 def note(name: str, *args, **params) -> str:
     """``name;arg;...;key=value``; a note with no args whose first parameter
-    bears its name starts with that parameter: ``range=...;rate=...``."""
-    fields = [*map(str, args), *(f"{key}={value}" for key, value in params.items())]
-    if args or next(iter(params), None) != name:
-        fields.insert(0, name)
+    bears its name starts with that parameter: ``range=...;rate=...``.
+
+    An arg that holds ";" or "=", a key that holds either, or a value that
+    holds ";" is a SimError naming the note, as ``parse_note`` could not
+    give that note back."""
+    fields = [name] if args or next(iter(params), None) != name else []
+    for arg in map(str, args):
+        if ";" in arg or "=" in arg:
+            raise SimError(f"note {name!r}: arg {arg!r} holds ';' or '='")
+        fields.append(arg)
+    for key, value in params.items():
+        field = f"{key}={value}"
+        if ";" in field or "=" in key:
+            raise SimError(f"note {name!r}: parameter {field!r} holds ';', or '=' in its key")
+        fields.append(field)
     return ";".join(fields)
 
 
 def parse_note(text: str) -> Note:
-    """The name, args and parameters of a note that ``note`` wrote."""
+    """The name, args and parameters of a note that ``note`` wrote, read in
+    one pass over its fields; a repeated key keeps its last value."""
     fields = text.split(";")
     name, eq, _ = fields[0].partition("=")
-    rest = fields if eq else fields[1:]
-    return Note(name, tuple(f for f in rest if "=" not in f),
-                dict(f.split("=", 1) for f in rest if "=" in f))
+    if not eq:  # the name alone; otherwise it is the first parameter's key
+        del fields[0]
+    args, params = [], {}
+    for field in fields:
+        key, eq, value = field.partition("=")
+        if eq:
+            params[key] = value
+        else:
+            args.append(key)
+    # tuple.__new__ skips the named tuple's Python-level __new__
+    return tuple.__new__(Note, (name, tuple(args), params))
 
 
 def _loggable(kind: str, frame_hex: str, outcome: str) -> bool:
@@ -373,7 +413,8 @@ def read_event_log(path) -> EventLog:
 
     Each new tail is checked against the log grammar once: an unknown kind,
     a transmit neither sent nor jammed, a note its kind does not log, a note
-    without what the report reads from it, or a frame field that is neither
+    without what the report reads from it or with it in a form that no
+    writer writes (``NOTE_READS``), or a frame field that is neither
     a transmit's or delivery's frame in lowercase hex nor another record's
     "-" makes a malformed line.  So does a byte that is not ASCII, and a
     time that is not as ``write_event_log`` writes it (digits alone, with
@@ -394,7 +435,8 @@ def read_event_log(path) -> EventLog:
                 fields = _split_line(line)
                 index = index_by_text[tail] = log.intern(tuple(map(strings.setdefault, fields,
                                                                    fields)))
-            # surrogates are not digits, so isdigit admits only 0-9
+            # surrogates are not digits, so isdigit admits only 0-9; the rule
+            # of _read_until, written out here as it runs once a line
             if not time_text.isdigit() or time_text[0] == "0" and time_text != "0":
                 raise _malformed(line)
             try:  # too many digits for an int64, or for int() itself

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cache
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 
@@ -98,8 +97,8 @@ class MetricsReport:
                           sort_keys=True, indent=1)
 
 
-# the kinds the report reads one record at a time, in log order
-_WALKED_KINDS = ("transmit", "tcas", "attack", "nmac")
+# the kinds the report walks one record at a time, in log order: its notes
+_WALKED_KINDS = ("tcas", "attack", "nmac")
 
 
 def metrics_from_log(records: Sequence[LogRecord], scenario: Scenario) -> MetricsReport:
@@ -114,26 +113,42 @@ def metrics_from_log(records: Sequence[LogRecord], scenario: Scenario) -> Metric
     ``(frame_hex, destination)`` in one call, through a memo that ends with
     the call.
 
-    The records are read as an ``EventLog`` (a list is loaded into one):
-    only the records of the kinds the report lists are built and walked in
-    order, and after the walk the deliveries are counted per tail index and
-    each distinct delivery tail is folded into the report once.
+    The records are read as an ``EventLog`` (a list is loaded into one),
+    and no Python code runs once a record but for the notes the report
+    lists.  The tails are counted in one ``np.bincount``; each distinct
+    transmit tail adds its count at once, and tells what its source sent
+    its frame under in order of its last record, so the last label still
+    wins; each distinct delivery tail is folded from the same counts.
+    Only the note records are walked, in log order.
     """
     log = records if isinstance(records, EventLog) else EventLog(records)
-    table = log.table
+    table, times = log.table, log.times
     report = MetricsReport(scenario.name, scenario.duration_s, scenario.seed)
     sent_as: dict[tuple[str, str], str] = {}  # (source, hex) -> label it was sent under
     cached_label = cache(frame_label)
 
-    walked = [tail[0] in _WALKED_KINDS for tail in table]
-    for time_ns, index in compress(zip(log.times, log.tails), map(walked.__getitem__, log.tails)):
-        kind, source, destination, frame_hex, outcome = table[index]
-        if kind == "transmit":
-            report.transmit_outcomes[outcome] = report.transmit_outcomes.get(outcome, 0) + 1
-            label = sent_as[source, frame_hex] = cached_label(frame_hex, destination)
-            if outcome == "sent":
-                report.frames_sent[label] = report.frames_sent.get(label, 0) + 1
-        elif kind == "tcas":
+    # a copy, not a view of the column: a view would lock it against appends while it lived
+    tails = np.array(log.tails, dtype=np.intp)
+    counts = np.bincount(tails, minlength=len(table)).tolist()
+    # per record, by its tail's kind: 1 for a transmit, 2 for a walked note, 0 for any other
+    kind_code = np.array([(kind == "transmit") + 2 * (kind in _WALKED_KINDS)
+                          for kind, *_ in table], dtype=np.int8)[tails]
+
+    positions = np.flatnonzero(kind_code == 1)
+    last = dict(zip(tails[positions].tolist(), positions.tolist()))  # tail -> its last position
+    for index in sorted(last, key=last.__getitem__):
+        _, source, destination, frame_hex, outcome = table[index]
+        n = counts[index]
+        report.transmit_outcomes[outcome] = report.transmit_outcomes.get(outcome, 0) + n
+        label = sent_as[source, frame_hex] = cached_label(frame_hex, destination)
+        if outcome == "sent":
+            report.frames_sent[label] = report.frames_sent.get(label, 0) + n
+
+    positions = np.flatnonzero(kind_code == 2)
+    for position, index in zip(positions.tolist(), tails[positions].tolist()):
+        time_ns = times[position]
+        kind, source, destination, _, outcome = table[index]
+        if kind == "tcas":
             parsed = parse_note(outcome)
             if parsed.name == "range":
                 key, rng = f"{source}>{destination}", NOTE_READS["range"](parsed)
@@ -153,12 +168,13 @@ def metrics_from_log(records: Sequence[LogRecord], scenario: Scenario) -> Metric
             until = NOTE_READS["window"](parse_note(outcome))
             report.nmac_windows.append([source, destination, time_ns, until])
 
-    for index, n in Counter(log.tails).items():
-        kind, source, destination, frame_hex, outcome = table[index]
-        if kind != "deliver":
+    for (kind, source, destination, frame_hex, outcome), n in zip(table, counts):
+        if kind != "deliver" or not n:
             continue
-        stats = report.links.setdefault(f"{source}>{destination}",
-                                        {"attempts": 0, "decoded": 0, "lost": 0})
+        link = f"{source}>{destination}"
+        stats = report.links.get(link)
+        if stats is None:
+            stats = report.links[link] = {"attempts": 0, "decoded": 0, "lost": 0}
         stats["attempts"] += n
         if outcome in LOSS_OUTCOMES:
             stats["lost"] += n

@@ -9,16 +9,18 @@ script checks that each imported ``tcassim`` from its own tree.  An
 encounter's outcome is what became of it: a document that fails to load
 keeps its error text, a run that raises keeps its error text and the
 sha256 of its partial log (``SimError.records``), and a clean run keeps
-its log and report sha256.  The script prints every encounter whose
-outcome differs between the two trees, then per tree how many loaded, ran
-clean and failed part-way, and how many reach each of ``REACHED``.
+its log and report sha256 and whether its log, written and read back,
+gives the same report again (``replayed``), the check perfbench makes on
+each job's log.  The script prints every encounter whose outcome differs
+between the two trees, then per tree how many loaded, ran clean, failed
+part-way and replayed, and how many reach each of ``REACHED``.
 
 A change to the modem moves few census logs, as only every fourth traffic
 encounter is noisy, so each tree also runs ``harness.loss_sweep`` for each
 of ``LOSS_SEEDS`` over ``LOSS_SNRS_DB`` (-3 to 30 dB in 1.5 dB steps, and
 noiseless) and a corpus of ``LOSS_CORPUS`` frames, and the script prints
 every seed whose lost counts differ.  It exits 1 when any encounter or
-loss count differs.  Pytest does not collect this file, as its name does
+loss count differs, or when a clean run in either tree does not replay.  Pytest does not collect this file, as its name does
 not start with ``test_``.
 
 The encounters are the documents of ``tests/census.py``, numbered 0 to
@@ -33,6 +35,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from census import CENSUS_SIZE, FLOOD_DRAWS, PHANTOM_DRAWS, TOTAL, aircraft_entry, document
@@ -60,8 +63,20 @@ def _reached(records) -> list[str]:
     return sorted(name for name, seen in REACHED.items() if any(seen(rec.outcome) for rec in records))
 
 
-def outcome(i: int) -> dict:
-    """What became of encounter i under the ``tcassim`` on the import path."""
+def _replays(result, loaded, folder: str) -> bool:
+    """Whether the report of ``result``'s log, written and read back, is
+    the report ``simulate`` gave, byte for byte."""
+    from tcassim import airspace, harness
+
+    path = Path(folder) / "events.log"
+    airspace.write_event_log(path, result.records)
+    again = harness.metrics_from_log(airspace.read_event_log(path), loaded)
+    return again.to_json() == result.report.to_json()
+
+
+def outcome(i: int, folder: str) -> dict:
+    """What became of encounter i under the ``tcassim`` on the import path;
+    its log is written to and read back from ``folder``."""
     from tcassim import harness, scenario
 
     try:
@@ -76,7 +91,7 @@ def outcome(i: int) -> dict:
                 "log": _sha256(records), "reached": _reached(records)}
     return {"status": "ran", "log": _sha256(result.records),
             "report": hashlib.sha256(result.report.to_json().encode("ascii")).hexdigest(),
-            "reached": _reached(result.records)}
+            "reached": _reached(result.records), "replayed": _replays(result, loaded, folder)}
 
 
 def loss_counts(seed: int) -> list[int]:
@@ -99,8 +114,9 @@ def run_census() -> None:
     import tcassim
 
     print(json.dumps(tcassim.__file__))
-    for i in range(TOTAL):
-        print(json.dumps(outcome(i), sort_keys=True), flush=True)
+    with tempfile.TemporaryDirectory() as folder:
+        for i in range(TOTAL):
+            print(json.dumps(outcome(i, folder), sort_keys=True), flush=True)
     for seed in LOSS_SEEDS:
         print(json.dumps(loss_counts(seed)), flush=True)
 
@@ -137,10 +153,14 @@ def main(argv: list[str]) -> int:
     print(f"{TOTAL - differ} of {TOTAL} encounters have equal outcomes, "
           f"logs and reports ({CENSUS_SIZE} traffic, {PHANTOM_DRAWS} phantom, "
           f"{FLOOD_DRAWS} flood)")
+    unreplayed = 0
     for src, rows in zip(trees, (old, new)):
         statuses = [row["status"] for row in rows]
+        replayed = sum(row.get("replayed", False) for row in rows)
+        unreplayed += statuses.count("ran") - replayed
         print(f"{src}: {TOTAL - statuses.count('load_error')} loaded, "
-              f"{statuses.count('ran')} ran clean, {statuses.count('run_error')} failed part-way")
+              f"{statuses.count('ran')} ran clean, {statuses.count('run_error')} failed part-way, "
+              f"{replayed} replayed their report from the log read back")
     for name in REACHED:
         print(f"reach {name}: " + ", ".join(
             f"{sum(name in row.get('reached', ()) for row in rows)} in {src}"
@@ -152,7 +172,7 @@ def main(argv: list[str]) -> int:
             print(f"loss_sweep seed {seed}: lost {a} and {b} differ")
     print(f"{len(LOSS_SEEDS) - lost_differ} of {len(LOSS_SEEDS)} loss sweeps have equal "
           f"counts ({len(LOSS_SNRS_DB)} SNRs, {LOSS_CORPUS} frames)")
-    return 1 if differ or lost_differ else 0
+    return 1 if differ or lost_differ or unreplayed else 0
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ shortcuts with the package under test.  ``ReferenceWorld`` is one exception: it 
 here, so that a run can be replayed through it and compared.
 ``reference_loss_sweep`` is another: the loss sweep redone the plain way,
 one ``AwgnChannel`` per SNR point, so the one-pass sweep can be compared.
-``reference_metrics_from_log`` is the last: the report distilled by one loop
-over the records themselves, so the column walk of ``metrics_from_log`` can
-be compared.  ``reference_advisory`` spells the advisory rule out as tables
+``reference_metrics_from_log`` is another: the report distilled by one loop
+over the records themselves, so the per-tail fold of ``metrics_from_log``
+can be compared.  ``reference_parse_note`` reads a note by two filters over
+its fields, so the one-pass ``parse_note`` can be compared; it is the
+oracle below's own note reader.  ``reference_advisory`` spells the advisory rule out as tables
 of literals and shares no threshold with ``tcas``.
 """
 
@@ -23,8 +25,8 @@ import numpy as np
 
 from tcassim import modes_codec as codec
 from tcassim.airspace import (LOSS_OUTCOMES, NOTE_READS, NOTES, NS_PER_S, RECEPTION_RANGE_NMI,
-                              AwgnChannel, LogRecord, SimError, World, frame_airtime_ns, note,
-                              parse_note)
+                              AwgnChannel, LogRecord, Note, SimError, World, frame_airtime_ns,
+                              note)
 from tcassim.harness import (LossPoint, MetricsReport, _corpus, _fill_plan_errors,
                              frame_label)
 from tcassim.scenario import SUCCESS_PREDICATES
@@ -292,6 +294,18 @@ def reference_loss_sweep(scenario, snr_list: list[float], corpus_size: int) -> l
     return points
 
 
+def reference_parse_note(text: str) -> Note:
+    """The name, args and parameters of a note: the name is the first
+    field, or the key of the first field when it holds "=", and the rest
+    (or all) of the fields are args without "=" and ``key=value`` pairs
+    with it, split at the first "="."""
+    fields = text.split(";")
+    name, eq, _ = fields[0].partition("=")
+    rest = fields if eq else fields[1:]
+    return Note(name, tuple(f for f in rest if "=" not in f),
+                dict(f.split("=", 1) for f in rest if "=" in f))
+
+
 def reference_metrics_from_log(records, scenario) -> MetricsReport:
     """The report, distilled one record at a time in a single loop over
     ``records``: deliveries counted per (source, destination, hex), the hex
@@ -311,7 +325,7 @@ def reference_metrics_from_log(records, scenario) -> MetricsReport:
             if outcome == "sent":
                 report.frames_sent[label] = report.frames_sent.get(label, 0) + 1
         elif kind == "tcas":
-            parsed = parse_note(outcome)
+            parsed = reference_parse_note(outcome)
             if parsed.name == "range":
                 key, rng = f"{source}>{destination}", NOTE_READS["range"](parsed)
                 report.range_series.setdefault(key, []).append([time_ns, rng])
@@ -321,13 +335,13 @@ def reference_metrics_from_log(records, scenario) -> MetricsReport:
                                  "ra_cleared"):
                 report.advisories.append([time_ns, source, destination, outcome])
         elif kind == "attack":
-            parsed = parse_note(outcome)
+            parsed = reference_parse_note(outcome)
             if parsed.name == "phase":
                 report.attack_phases.append([time_ns, NOTE_READS["phase"](parsed)])
             else:
                 report.attack_notes.append([time_ns, outcome])
         elif kind == "nmac":
-            until = NOTE_READS["window"](parse_note(outcome))
+            until = NOTE_READS["window"](reference_parse_note(outcome))
             report.nmac_windows.append([source, destination, time_ns, until])
 
     for (source, destination, frame_hex), n in delivered.items():

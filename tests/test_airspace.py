@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcassim import airspace, attacker, harness, modes_codec as codec, phy, tcas
 from tcassim import scenario as scen
@@ -948,10 +948,46 @@ class TestEventLog:
         cases = {"ta_issued": ("ta_issued", (), {}),
                  "ra_issued;climb;limit=12600": ("ra_issued", ("climb",), {"limit": "12600"}),
                  "range=2.500000;rate=none": ("range", (), {"range": "2.500000", "rate": "none"}),
-                 "window;until=7": ("window", (), {"until": "7"})}
+                 "window;until=7": ("window", (), {"until": "7"}),
+                 "recon;a30002;code=x=1": ("recon", ("a30002",), {"code": "x=1"})}
         for text, (name, args, params) in cases.items():
             assert airspace.parse_note(text) == airspace.Note(name, args, params)
             assert airspace.note(name, *args, **params) == text
+
+    @pytest.mark.parametrize("line", [
+        "2,tcas,own,a30002,-,range=nan;rate=none",
+        "2,tcas,own,a30002,-,range=inf;rate=none",
+        "2,tcas,own,a30002,-,range=1_0;rate=none",
+        "2,nmac,own,ground,-,window;until=-5",
+        "2,nmac,own,ground,-,window;until= 7",
+    ], ids=["range-nan", "range-inf", "range-with-underscore", "until-negative",
+            "until-with-space"])
+    def test_read_takes_a_note_value_only_as_its_writer_writes_it(self, tmp_path, line):
+        path = tmp_path / "events.log"
+        path.write_text(f"1,timer,a,-,-,tick\n{line}\n")
+        with pytest.raises(airspace.SimError, match="malformed log line") as info:
+            airspace.read_event_log(path)
+        assert repr(line) in str(info.value)
+
+    @pytest.mark.parametrize("args, params", [
+        (("a=b",), {}), (("a;b",), {}), ((), {"range": "1;2", "rate": "none"}),
+        ((), {"a=b": "1"}), ((), {"a;b": "1"}), (("climb",), {"limit": "1;2"}),
+    ], ids=["arg-with-eq", "arg-with-semicolon", "value-with-semicolon", "key-with-eq",
+            "key-with-semicolon", "value-after-an-arg"])
+    def test_note_refuses_what_parse_note_could_not_give_back(self, args, params):
+        with pytest.raises(airspace.SimError, match="note 'recon'"):
+            airspace.note("recon", *args, **params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab1.=;"))
+    @example("")
+    @example(";;")
+    @example("a=b=c")
+    @example("a=1;a=2;b")
+    @example("a;b=1;b=2;b")
+    @example("=;=a;a=")
+    def test_parse_note_equals_the_oracle(self, text):
+        assert airspace.parse_note(text) == oracles.reference_parse_note(text)
 
     def test_each_note_name_has_exactly_one_kind(self):
         listed = [name for names in airspace.NOTES.values() for name in names]

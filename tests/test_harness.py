@@ -308,6 +308,30 @@ class TestDeliveryLabels:
                                 "attacker>ground": {"attempts": 1, "decoded": 1, "lost": 0}}
 
 
+def test_the_last_transmit_wins_by_position_not_by_table_order():
+    # the "*" tail enters the table first, and its last record is the last transmit
+    log = EventLog([
+        LogRecord(0, "transmit", "own", "*", SHARED_HEX, "sent"),
+        LogRecord(1, "transmit", "own", "a30002", SHARED_HEX, "sent"),
+        LogRecord(2, "transmit", "own", "*", SHARED_HEX, "sent"),
+        LogRecord(3, "deliver", "own", "ground", SHARED_HEX, "replied"),
+    ])
+    assert [tail[2] for tail in log.table[:2]] == ["*", "a30002"]
+    scenario = scen.bundled_scenario("benign_pair")
+    report = harness.metrics_from_log(log, scenario)
+    assert report.deliveries == {"DF4>ground": 1}
+    assert report.frames_sent == {"DF4": 2, "UF4": 1}
+    assert report.to_json() == oracles.reference_metrics_from_log(list(log), scenario).to_json()
+
+    # the log still grows after a report, and after a report that raised
+    # while its traceback, and so the report's frame, lives
+    log.append(LogRecord(4, "tcas", "own", "a30002", "-", "range=nan;rate=none"))
+    with pytest.raises(ValueError, match="range 'nan'") as raised:
+        harness.metrics_from_log(log, scenario)
+    log.append(LogRecord(5, "timer", "own", "-", "-", "tick"))
+    assert len(log) == 6 and log[-1].time_ns == 5 and raised.tb is not None
+
+
 def test_the_label_memo_lives_for_one_call(monkeypatch):
     records = harness.simulate(scen.bundled_scenario("head_on_phantom")).records
     sent = {(rec.source, rec.frame_hex) for rec in records if rec.kind == "transmit"}
