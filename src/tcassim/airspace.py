@@ -270,7 +270,8 @@ NOTES = {"tcas": ("track_new", "track_drop", "rac_received", "range", "ta_issued
 NOTE_KIND = {name: kind for kind, names in NOTES.items() for name in names}
 KINDS = ("timer", "transmit", "deliver", *NOTES)
 LOSS_OUTCOMES = ("phy_drop", "parity_drop")  # channel or parity killed a delivery
-_FRAME_HEX = re.compile("[0-9a-f]{14}|[0-9a-f]{28}")  # a frame as ModeSFrame.to_hex writes it
+_FRAME_HEX = re.compile(  # a frame as ModeSFrame.to_hex writes it, a hex digit per 4 bits
+    f"[0-9a-f]{{{codec.SHORT_FRAME_BITS // 4}}}|[0-9a-f]{{{codec.LONG_FRAME_BITS // 4}}}")
 
 
 class Note(NamedTuple):
@@ -448,7 +449,7 @@ def read_event_log(path) -> EventLog:
 
 
 class Entity(Protocol):
-    """Anything that lives on the event fabric."""
+    """Anything on the event fabric; a timer hands ``on_timer`` its generation."""
 
     name: str
     icao: int | None
@@ -457,7 +458,7 @@ class Entity(Protocol):
 
     def on_frame(self, world: "World", frame: codec.ModeSFrame, rx_time_ns: int) -> str: ...
 
-    def on_timer(self, world: "World", timer: str, data: dict) -> None: ...
+    def on_timer(self, world: "World", timer: str, generation: int) -> None: ...
 
 
 class NoiselessChannel:
@@ -586,10 +587,12 @@ class AwgnChannel:
     ``(received frame, detected preamble time)``, or None when detection
     or header decoding fails.
 
-    ``snr_db`` may also be a sequence of SNRs, as ``loss_sweep`` gives.
-    Then ``phy.awgn`` scales one draw into one row per SNR and a reception
-    is a list with, per SNR, what a channel of that SNR alone and the same
-    seed gives for it.
+    ``snr_db`` is kept as a float.  It may also be a sequence of SNRs, as
+    ``loss_sweep`` gives, kept as a tuple of floats.  Then ``phy.awgn``
+    scales one draw into one row per SNR and a reception is a list with,
+    per SNR, what a channel of that SNR alone and the same seed gives for
+    it; a World, whose channel gives one reception per delivery, refuses
+    such a channel.
 
     Bad arguments fail when the channel is built, not at its first
     reception: an SNR with no finite noise power is a ``PhyError``, and a
@@ -600,7 +603,7 @@ class AwgnChannel:
     def __init__(self, snr_db: float | Sequence[float], seed: int):
         for snr in np.atleast_1d(snr_db).tolist():
             phy.noise_power(snr)
-        self.snr_db = snr_db
+        self.snr_db = float(snr_db) if np.ndim(snr_db) == 0 else tuple(map(float, snr_db))
         self.seed = seed
         # per instance, so a fresh channel starts empty; it wraps a module
         # function, so the cache holds no reference back to the channel
@@ -625,6 +628,9 @@ class World:
     event, whose fan-out is found once."""
 
     def __init__(self, channel: NoiselessChannel | AwgnChannel | None = None):
+        if isinstance(channel, AwgnChannel) and isinstance(channel.snr_db, tuple):
+            raise SimError(f"a World's channel gives one reception per delivery, not one "
+                           f"per SNR of {channel.snr_db}")
         self.channel = channel or NoiselessChannel()
         self.time_ns = 0
         self.entities: list[Entity] = []
@@ -663,8 +669,9 @@ class World:
         heapq.heappush(self._heap, (time_ns, order, self._seq, handler, args))
 
     def schedule_timer(self, time_ns: int, entity: Entity, timer: str,
-                       data: dict | None = None) -> None:
-        self._push(time_ns, entity.name, World._do_timer, entity, timer, data or {})
+                       generation: int = 0) -> None:
+        """Queue ``entity``'s timer ``timer``, which carries only ``generation``."""
+        self._push(time_ns, entity.name, World._do_timer, entity, timer, generation)
 
     def schedule_transmit(self, time_ns: int, entity: Entity, frame: codec.ModeSFrame,
                           *more: codec.ModeSFrame) -> None:
@@ -681,8 +688,12 @@ class World:
 
     def note(self, entity: Entity, about: str, name: str, /, *args, **params) -> None:
         """Log the note ``name`` by ``entity`` about ``about`` (an address,
-        "*" or "-"), under the kind ``NOTES`` lists it for."""
-        self.record(NOTE_KIND[name], entity.name, about, None, note(name, *args, **params))
+        "*" or "-"), under the kind ``NOTES`` lists it for; a name that
+        ``NOTES`` does not list is a SimError naming the entity and the note."""
+        kind = NOTE_KIND.get(name)
+        if kind is None:
+            raise SimError(f"{entity.name}: note {name!r} is not a note that NOTES lists")
+        self.record(kind, entity.name, about, None, note(name, *args, **params))
 
     # -- event processing --------------------------------------------------
 
@@ -709,9 +720,9 @@ class World:
             return []
         return [d for d in self.jam_directives if d.target_icao == source.icao]
 
-    def _do_timer(self, entity: Entity, timer: str, data: dict) -> None:
+    def _do_timer(self, entity: Entity, timer: str, generation: int) -> None:
         self.record("timer", entity.name, "-", None, timer)
-        entity.on_timer(self, timer, data)
+        entity.on_timer(self, timer, generation)
 
     def _do_transmit(self, source: Entity, frames: tuple[codec.ModeSFrame, ...]) -> None:
         t_tx = self.time_ns

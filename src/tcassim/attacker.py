@@ -197,11 +197,11 @@ class Attacker:
             world.note(self, "*", "phase", self.mission)
             world.schedule_timer(now, self, "flood")
 
-    def on_timer(self, world: World, timer: str, data: dict) -> None:
+    def on_timer(self, world: World, timer: str, generation: int) -> None:
         handler = getattr(self, f"_timer_{timer}", None)
         if handler is None:
             raise SimError(f"unknown timer {timer!r}")
-        handler(world, data)
+        handler(world)
 
     def on_frame(self, world: World, frame: codec.ModeSFrame, rx_time_ns: int) -> str:
         if frame.direction == codec.UPLINK:
@@ -210,7 +210,7 @@ class Attacker:
 
     # -- intel ----------------------------------------------------------------
 
-    def _timer_intel(self, world: World, data: dict) -> None:
+    def _timer_intel(self, world: World) -> None:
         if self._gave_up:
             return
         self._intel.append((world.time_ns, *self.target.position_at(world.time_ns)))
@@ -248,7 +248,7 @@ class Attacker:
 
     # -- recon ------------------------------------------------------------------
 
-    def _timer_recon(self, world: World, data: dict) -> None:
+    def _timer_recon(self, world: World) -> None:
         if self.phase != "recon":
             return
         world.schedule_transmit(world.time_ns, self, codec.build_interrogation("all_call"))
@@ -256,7 +256,7 @@ class Attacker:
 
     # -- baiting -----------------------------------------------------------------
 
-    def _timer_bait(self, world: World, data: dict) -> None:
+    def _timer_bait(self, world: World) -> None:
         if self._gave_up:
             return
         frame = codec.build_reply("extended_squitter", self.phantom_icao,
@@ -264,14 +264,14 @@ class Attacker:
         world.schedule_transmit(world.time_ns, self, frame)
         world.schedule_timer(world.time_ns + NS_PER_S, self, "bait")
 
-    def _timer_bait_check(self, world: World, data: dict) -> None:
+    def _timer_bait_check(self, world: World) -> None:
         if self.phase == "baiting":
             self._note(world, "bait_timeout")
             self._enter(world, "done")
 
     # -- evidence probing ----------------------------------------------------------
 
-    def _timer_probe(self, world: World, data: dict) -> None:
+    def _timer_probe(self, world: World) -> None:
         frame = codec.build_interrogation(
             "surveillance_long", self.target.icao,
             rac=codec.RAC_DO_NOT_PASS_ABOVE, ra_active=True, sender=self.phantom_icao)
@@ -280,7 +280,7 @@ class Attacker:
 
     # -- floods ----------------------------------------------------------------------
 
-    def _timer_flood(self, world: World, data: dict) -> None:
+    def _timer_flood(self, world: World) -> None:
         if self._flood_sent == self.flood.frames:
             world.note(self, "*", "flood_complete")
             return

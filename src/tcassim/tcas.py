@@ -363,7 +363,7 @@ class Aircraft:
                 world.time_ns + phase_ns + self.surveillance_interval_ns // 2,
                 self, "tick")
 
-    def on_timer(self, world: World, timer: str, data: dict) -> None:
+    def on_timer(self, world: World, timer: str, generation: int) -> None:
         if timer == "squitter":
             alt = self.position_at(world.time_ns)[2]
             frame = codec.build_reply("extended_squitter", self.icao, altitude_ft=alt)
@@ -374,9 +374,9 @@ class Aircraft:
             world.schedule_timer(
                 world.time_ns + self.surveillance_interval_ns, self, "tick")
         elif timer == "pilot_engage":
-            self._pilot_engage(world, data)
+            self._pilot_engage(world, generation)
         elif timer == "pilot_level":
-            if data["generation"] == self._pilot_generation:
+            if generation == self._pilot_generation:
                 limit = self.advisory.limit_alt_ft
                 self._set_motion(world, vertical_rate_fpm=0.0, altitude_ft=limit)
                 world.note(self, "-", "level_off", alt=f"{limit:.0f}")
@@ -391,11 +391,10 @@ class Aircraft:
         moves on, so a timer still current flies the advisory it was set for."""
         self._pilot_generation += 1
         delay = round(self.pilot.delay_s * NS_PER_S)
-        world.schedule_timer(world.time_ns + delay, self, "pilot_engage",
-                             {"generation": self._pilot_generation})
+        world.schedule_timer(world.time_ns + delay, self, "pilot_engage", self._pilot_generation)
 
-    def _pilot_engage(self, world: World, data: dict) -> None:
-        if data["generation"] != self._pilot_generation:
+    def _pilot_engage(self, world: World, generation: int) -> None:
+        if generation != self._pilot_generation:
             return
         rate = self.pilot.rate_fpm if self.advisory.sense == CLIMB else -self.pilot.rate_fpm
         limit = self.advisory.limit_alt_ft
@@ -407,7 +406,7 @@ class Aircraft:
         world.note(self, "-", "engage", rate=f"{rate:.0f}")
         to_go_ft = abs(limit - alt)
         cross_ns = world.time_ns + round(to_go_ft / abs(rate) * 60 * NS_PER_S)
-        world.schedule_timer(cross_ns, self, "pilot_level", {"generation": data["generation"]})
+        world.schedule_timer(cross_ns, self, "pilot_level", generation)
 
     def level_off_now(self, world: World) -> None:
         self._pilot_generation += 1

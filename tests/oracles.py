@@ -208,8 +208,8 @@ class ReferenceWorld(World):
         self.pushed += 1
         self.events.append((time_ns, order, self.pushed, handler, args))
 
-    def schedule_timer(self, time_ns, entity, timer, data=None):
-        self._push(time_ns, entity.name, ReferenceWorld._timer, entity, timer, data or {})
+    def schedule_timer(self, time_ns, entity, timer, generation=0):
+        self._push(time_ns, entity.name, ReferenceWorld._timer, entity, timer, generation)
 
     def schedule_transmit(self, time_ns, entity, *frames):
         for frame in frames:  # one event per frame, where the World queues a round as one
@@ -243,9 +243,9 @@ class ReferenceWorld(World):
                 raise error from exc
         self.time_ns = max(self.time_ns, t_end_ns)
 
-    def _timer(self, entity, timer, data):
+    def _timer(self, entity, timer, generation):
         self.record("timer", entity.name, "-", None, timer)
-        entity.on_timer(self, timer, data)
+        entity.on_timer(self, timer, generation)
 
     def _transmit(self, source, frame):
         t0 = self.time_ns

@@ -40,8 +40,8 @@ class Probe:
         self.inbox.append((frame, rx_time_ns))
         return "heard"
 
-    def on_timer(self, world, timer, data) -> None:
-        self.timers.append((world.time_ns, timer))
+    def on_timer(self, world, timer, generation) -> None:
+        self.timers.append((world.time_ns, timer, generation))
 
 
 def _state(x=0.0, y=0.0, alt=0.0, vx=0.0, vy=0.0, vr=0.0):
@@ -516,7 +516,7 @@ class TestRounds:
                         "c is at a non-finite position (0.0, nan, 0.0)")
         assert partial == lines and [line.split(",")[1] for line in lines] == (
             ["timer"] + ["transmit"] * (1 + first_jammed))
-        assert all(inbox == [] for inbox, _ in heard) and heard[0][1] == [(ROUND_T_NS, "before")]
+        assert all(inbox == [] for inbox, _ in heard) and heard[0][1] == [(ROUND_T_NS, "before", 0)]
 
     @settings(max_examples=40, deadline=None)
     @given(spots=st.lists(st.sampled_from([(0, 0, 0), (5, 0, 0), (-5, 0, 0), (0, 0, 3_000),
@@ -615,6 +615,41 @@ class TestAwgnChannel:
         with pytest.raises(error):
             airspace.AwgnChannel(snr_db, seed)
 
+    def test_a_zero_dimensional_snr_is_one_snr(self):
+        got = airspace.AwgnChannel(np.array(12.0), 3)
+        want = airspace.AwgnChannel(12.0, 3)
+        assert got.snr_db == 12.0 and type(got.snr_db) is float
+        frame = _squitter(0x000001)
+        for k in range(5):
+            assert got.receive(frame, k) == want.receive(frame, k)
+
+    def test_a_world_refuses_a_channel_of_several_snrs(self):
+        channel = airspace.AwgnChannel([12.0, 20.0], 7)
+        assert channel.snr_db == (12.0, 20.0)
+        with pytest.raises(airspace.SimError, match="one reception per delivery"):
+            airspace.World(channel=channel)
+
+    @pytest.mark.parametrize("snr_db", [np.float64(12.0), np.int64(12), 12],
+                             ids=["numpy-float", "numpy-int", "int"])
+    def test_a_scalar_snr_of_any_type_is_a_float_a_world_takes(self, snr_db):
+        channel = airspace.AwgnChannel(snr_db, 3)
+        assert channel.snr_db == 12.0 and type(channel.snr_db) is float
+        assert airspace.World(channel=channel).channel is channel
+
+    # a sequence of one SNR still gives a list per reception, so its shape
+    # is the argument's, not its length's
+    @pytest.mark.parametrize("snr_db", [[12.0], (12,), np.array([12.0])],
+                             ids=["list", "tuple", "array"])
+    def test_a_sequence_of_one_snr_is_still_a_sequence(self, snr_db):
+        got = airspace.AwgnChannel(snr_db, 3)
+        want = airspace.AwgnChannel(12.0, 3)
+        assert got.snr_db == (12.0,) and type(got.snr_db[0]) is float
+        frame = _squitter(0x000001)
+        for k in range(5):
+            assert got.receive(frame, k) == [want.receive(frame, k)]
+        with pytest.raises(airspace.SimError, match="one reception per delivery"):
+            airspace.World(channel=got)
+
     @pytest.mark.parametrize("bad", [math.nan, -math.inf, -4000.0], ids=["nan", "minus-inf",
                                                                         "overflows"])
     @pytest.mark.parametrize("at", [0, 1, 3])
@@ -690,6 +725,19 @@ class TestEventOrdering:
         w.run_until(2_000)
         order = [r.outcome for r in w.log if r.kind == "timer"]
         assert order == ["t_a1", "t_b1", "t_b2"]
+
+    @pytest.mark.parametrize("world_type", [airspace.World, oracles.ReferenceWorld],
+                             ids=["world", "reference"])
+    def test_a_timer_is_handed_the_generation_it_was_scheduled_with(self, world_type):
+        a = Probe("a", 0x000001, _state(0, 0, 0))
+        w = world_type()
+        w.add_entity(a)
+        w.schedule_timer(1_000, a, "plain")
+        w.schedule_timer(2_000, a, "stamped", 7)
+        w.schedule_timer(3_000, a, "keyword", generation=2**40)
+        w.run_until(10_000)
+        assert a.timers == [(1_000, "plain", 0), (2_000, "stamped", 7),
+                            (3_000, "keyword", 2**40)]
 
     def test_causality_violation_raises(self):
         a = Probe("a", 0x000001, _state(0, 0, 0))
@@ -1006,6 +1054,41 @@ class TestEventLog:
             "0,pilot,a,-,-,engage;rate=1500",
             "0,tcas,a,000002,-,range=2.500000;rate=none"]
 
+    def test_world_note_refuses_a_name_that_notes_does_not_list(self):
+        a = Probe("a", 0x000001, _state())
+        w = airspace.World()
+        w.add_entity(a)
+        with pytest.raises(airspace.SimError, match=r"^a: note 'no_such_note' is not"):
+            w.note(a, "-", "no_such_note")
+        assert w.log == []
+
+    # a kind, or a listed name in other case, is not a note name either
+    @pytest.mark.parametrize("name", ["", "tcas", "timer", "RANGE"])
+    def test_world_note_refuses_a_kind_or_a_name_in_other_case(self, name):
+        a = Probe("a", 0x000001, _state())
+        w = airspace.World()
+        w.add_entity(a)
+        with pytest.raises(airspace.SimError, match=f"^a: note {name!r} is not"):
+            w.note(a, "-", name)
+        assert w.log == []
+
+    # one digit short of or past either frame length, or both lengths run
+    # together, is no frame as ModeSFrame.to_hex writes it
+    @pytest.mark.parametrize("digits", [
+        codec.SHORT_FRAME_BITS // 4 - 1, codec.SHORT_FRAME_BITS // 4 + 1,
+        codec.LONG_FRAME_BITS // 4 - 1, codec.LONG_FRAME_BITS // 4 + 1,
+        (codec.SHORT_FRAME_BITS + codec.LONG_FRAME_BITS) // 4])
+    def test_a_frame_of_any_other_length_is_a_malformed_line(self, tmp_path, digits):
+        short, long = "02e197b00179c3", _squitter(0x000001).to_hex()
+        assert (len(short), len(long)) == (codec.SHORT_FRAME_BITS // 4,
+                                           codec.LONG_FRAME_BITS // 4)
+        line = f"5,deliver,a,b,{(short + long)[:digits]},known"
+        path = tmp_path / "events.log"
+        path.write_text(f"1,deliver,a,b,{short},known\n2,deliver,a,b,{long},known\n{line}\n")
+        with pytest.raises(airspace.SimError, match="malformed log line") as info:
+            airspace.read_event_log(path)
+        assert repr(line) in str(info.value)
+
 
 class Faulty(Probe):
     """A probe whose handlers fail, as a buggy entity's would."""
@@ -1013,7 +1096,7 @@ class Faulty(Probe):
     def on_frame(self, world, frame, rx_time_ns) -> str:
         raise KeyError("no such track")
 
-    def on_timer(self, world, timer, data) -> None:
+    def on_timer(self, world, timer, generation) -> None:
         raise ZeroDivisionError("rate of nothing")
 
 

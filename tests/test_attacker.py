@@ -437,7 +437,7 @@ class TestJamDuringAdvisory:
 
 @pytest.mark.parametrize("call,match", [
     (lambda: atk.Attacker("attacker", (0.0, 0.0, 0.0), mission="jam"), "unknown mission"),
-    (lambda: _attacker().on_timer(airspace.World(), "tock", {}), "unknown timer"),
+    (lambda: _attacker().on_timer(airspace.World(), "tock", 0), "unknown timer"),
     (lambda: atk.compute_reply_delay(0.0, math.inf), "inf nmi does not count in nanoseconds"),
     (lambda: atk.compute_reply_delay(0.0, math.nan), "nan nmi does not count in nanoseconds"),
     (lambda: atk.compute_reply_delay(0.0, 1e306), "2e\\+306 nmi does not count"),

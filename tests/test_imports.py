@@ -5,11 +5,10 @@ length, and no call passes a ``destination=``, as the World reads a
 transmit's destination from the frame.  Only ``modes_codec`` constructs a
 frame, so every builder goes through its shared-frame cache, and no
 module imports ``gc``, as library code leaves the cyclic collector, a
-switch of the whole interpreter, to its caller.  A timer's payload is its
-generation alone, as an entity holds the plan the timer acts on, and no
-``or`` falls back to a default plan, as plans default where they are
-declared.  The scenario loader reads no plan class's defaults, and only its
-``_field`` turns a broken rule into a ScenarioError.  Outside ``phy``, only
+switch of the whole interpreter, to its caller.  No ``or`` falls back to
+a default plan, as plans default where they are declared.  The scenario
+loader reads no plan class's defaults, and only its ``_field`` turns a
+broken rule into a ScenarioError.  Outside ``phy``, only
 ``airspace.decode_reception`` reads a frame detector or demodulator, so
 every reception takes one detect-and-decode path.  ``harness`` knows
 nothing of the modem: the loss sweep receives through one ``AwgnChannel``,
@@ -151,21 +150,6 @@ def test_gc_and_frame_breaches_are_found():
 PLAN_TYPES = {"PhantomPlan", "FloodPlan"}
 
 
-def timer_payloads(source: str) -> list[int]:
-    """Line of each ``schedule_timer`` call passed a dict literal that holds
-    a key other than ``generation``."""
-    found = []
-    for n in ast.walk(ast.parse(source)):
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
-                and n.func.attr == "schedule_timer":
-            for arg in [*n.args, *(k.value for k in n.keywords)]:
-                if isinstance(arg, ast.Dict) and any(
-                        not isinstance(k, ast.Constant) or k.value != "generation"
-                        for k in arg.keys):
-                    found.append(n.lineno)
-    return found
-
-
 def plan_fallbacks(source: str) -> list[int]:
     """Line of each ``or`` with a ``PhantomPlan(...)`` or ``FloodPlan(...)``
     among its operands."""
@@ -177,23 +161,14 @@ def plan_fallbacks(source: str) -> list[int]:
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_timer_payloads_hold_only_the_generation(path):
-    assert timer_payloads(path.read_text()) == []
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_or_falls_back_to_a_plan(path):
     assert plan_fallbacks(path.read_text()) == []
 
 
-def test_payload_and_plan_breaches_are_found():
-    source = ("w.schedule_timer(t, self, 'x', {'generation': 1})\n"
-              "w.schedule_timer(t, self, 'x',\n    {'generation': 1, 'limit': 2})\n"
-              "w.schedule_timer(t, self, 'x', data={**d})\nschedule_timer(t, {'rate': 1})\n"
-              "plan = plan or PhantomPlan()\nflood = flood or atk.FloodPlan(rate_hz=1)\n"
+def test_plan_fallbacks_are_found():
+    source = ("plan = plan or PhantomPlan()\nflood = flood or atk.FloodPlan(rate_hz=1)\n"
               "x = a or b\nplan = PhantomPlan() if plan is None else plan\n")
-    assert timer_payloads(source) == [2, 4]
-    assert plan_fallbacks(source) == [6, 7]
+    assert plan_fallbacks(source) == [1, 2]
 
 
 SCENARIO = Path(tcassim.__file__).parent / "scenario.py"

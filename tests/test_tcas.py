@@ -748,7 +748,7 @@ class TestNmacGeometry:
 @pytest.mark.parametrize("call,match", [
     (lambda: tcas.range_rate_kt(1.0, 5, 1.0, 5), "out of order"),
     (lambda: _aircraft("a", 1, 0.0, 1_000.0, mode="glider"), "unknown equipment mode"),
-    (lambda: _aircraft("a", 1, 0.0, 1_000.0).on_timer(airspace.World(), "tock", {}),
+    (lambda: _aircraft("a", 1, 0.0, 1_000.0).on_timer(airspace.World(), "tock", 0),
      "unknown timer"),
     (lambda: tcas.surveillance_interval_ns(math.inf), "surveillance period"),
     (lambda: tcas.surveillance_interval_ns(math.nan), "surveillance period"),
